@@ -29,11 +29,12 @@ from fractions import Fraction
 import numpy as np
 
 from sobolev.fields import (
-    AnnulusRegion, BoxRegion, ExprField, Field, PiecewiseField, ScaledField,
-    SumField, box_bump, product, radial_bump, smoothstep_expr,
+    AnnulusRegion, BoxRegion, Field, box_bump, radial_bump, radius_squared,
+    smoothstep_expr,
 )
 from sobolev.funcexpr import (
-    Call, Const, Expr, Var, add, div, mul, pow_, sub, subst_expr,
+    ONE, ZERO, Call, Const, Expr, Piecewise, Var, add, div, mul,
+    prod_exprs, sub, subst_expr, sum_exprs,
 )
 from sobolev.quadrature import BoxDomain, midpoint_grid
 
@@ -48,7 +49,6 @@ __all__ = [
 MANIFOLD_NAMES = ("s1-stereo", "s2-stereo", "torus1", "torus2")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_ONE = Const(Fraction(1))
 
 
 class UnknownManifold(KeyError):
@@ -146,7 +146,7 @@ class Atlas:
         if self.family == "stereo":
             mapping = {i + 1: chart.inverse_exprs[i]
                        for i in range(self.ambient_dim)}
-            return ExprField(subst_expr(ambient_expr, mapping), self.dim)
+            return Field(subst_expr(ambient_expr, mapping), self.dim)
         return _torus_local_rep(ambient_expr, chart, self.dim)
 
     def sample_points(self, m: int) -> np.ndarray:
@@ -169,7 +169,10 @@ def _torus_local_rep(ambient_expr: Expr, chart: Chart, n: int) -> Field:
                            [combo[ax] + 1.0 for ax in range(n)],
                            lo_closed=True, hi_closed=False)
         pieces.append((region, subst_expr(ambient_expr, mapping)))
-    return PiecewiseField(pieces, Const(Fraction(0)), n)
+    out = ZERO
+    for region, expr in reversed(pieces):
+        out = Piecewise(region, expr, out)
+    return Field(out, n)
 
 
 # ---------------------------------------------------------------------------
@@ -226,47 +229,34 @@ class PartitionOfUnity:
         return {"name": self.name, "seeds": [s.to_json() for s in self.seeds]}
 
 
-def one_minus(f: Field) -> Field:
-    return SumField(ExprField(_ONE, f.n), ScaledField(-1.0, f))
-
-
-def _pulled_bump(atlas: Atlas, seed: BumpSeed, beta: int, alpha: int) -> Field:
+def _pulled_bump(atlas: Atlas, seed: BumpSeed, beta: int, alpha: int) -> Expr:
     """eta_beta written in chart alpha's coordinates."""
     n = atlas.dim
     if alpha == beta:
-        return seed.field(n)
+        return seed.field(n).expr
     if atlas.family == "stereo":
         return _inverted_radial_bump(n, seed.plateau, seed.support)
     return _torus_pulled_bump(atlas, seed, beta, alpha)
 
 
-def _inverted_radial_bump(n: int, plateau: float, support: float) -> PiecewiseField:
+def _inverted_radial_bump(n: int, plateau: float, support: float) -> Expr:
     # bump(1/|x|): plateau |x| >= 1/a, vanishing for |x| <= 1/b; smooth
     # across the origin because it is constant there.  Seam margins keep
     # the band expression away from the smoothstep endpoints (where the
     # profile is 1.0/0.0 to double precision anyway).
     a, b = float(plateau), float(support)
     seam = 1e-9
-    r = _radius_expr(n)
-    tau = div(sub(Const(Fraction(b)), div(_ONE, r)),
+    r = Call("sqrt", radius_squared(n))
+    tau = div(sub(Const(Fraction(b)), div(ONE, r)),
               Const(Fraction(b) - Fraction(a)))
-    return PiecewiseField(
-        [(AnnulusRegion(1.0 / a * (1.0 - seam), None), _ONE),
-         (AnnulusRegion(1.0 / b * (1.0 + seam), 1.0 / a * (1.0 - seam),
-                        lo_closed=False, hi_closed=False),
-          smoothstep_expr(tau))],
-        Const(Fraction(0)), n)
-
-
-def _radius_expr(n: int) -> Expr:
-    r2 = pow_(Var(1), Fraction(2))
-    for ax in range(2, n + 1):
-        r2 = add(r2, pow_(Var(ax), Fraction(2)))
-    return Call("sqrt", r2)
+    band = AnnulusRegion(1.0 / b * (1.0 + seam), 1.0 / a * (1.0 - seam),
+                         lo_closed=False, hi_closed=False)
+    return Piecewise(AnnulusRegion(1.0 / a * (1.0 - seam), None), ONE,
+                     Piecewise(band, smoothstep_expr(tau), ZERO))
 
 
 def _torus_pulled_bump(atlas: Atlas, seed: BumpSeed, beta: int,
-                       alpha: int) -> Field:
+                       alpha: int) -> Expr:
     """Periodized translate sum; at most one translate is active per
     point because bump supports are narrower than the unit cell."""
     n = atlas.dim
@@ -282,13 +272,8 @@ def _torus_pulled_bump(atlas: Atlas, seed: BumpSeed, beta: int,
                 break
         if ok:
             terms.append(box_bump(n, center, Fraction(str(seed.plateau)),
-                                  Fraction(str(seed.support))))
-    if not terms:
-        return ExprField(Const(Fraction(0)), n)
-    out = terms[0]
-    for t in terms[1:]:
-        out = SumField(out, t)
-    return out
+                                  Fraction(str(seed.support))).expr)
+    return sum_exprs(terms)
 
 
 def build_partition_of_unity(atlas: Atlas, seeds=None,
@@ -307,8 +292,8 @@ def build_partition_of_unity(atlas: Atlas, seeds=None,
     for a in range(len(atlas.charts)):
         factors = [_pulled_bump(atlas, seeds[a], a, a)]
         for b in range(a):
-            factors.append(one_minus(_pulled_bump(atlas, seeds[b], b, a)))
-        fields.append(product(*factors))
+            factors.append(sub(ONE, _pulled_bump(atlas, seeds[b], b, a)))
+        fields.append(Field(prod_exprs(factors), atlas.dim))
     pou = PartitionOfUnity(atlas, name, fields, list(seeds))
 
     pts = atlas.sample_points(2000)
@@ -421,13 +406,11 @@ def _stereo_charts(dim: int, trunc_radius: float) -> list[Chart]:
             return 1.0 - sign * ambient[:, -1] > 1e-12
 
         # inverse map as expressions, coords -> ambient
-        r2 = pow_(Var(1), Fraction(2))
-        for ax in range(2, dim + 1):
-            r2 = add(r2, pow_(Var(ax), Fraction(2)))
-        denom = add(_ONE, r2)
+        r2 = radius_squared(dim)
+        denom = add(ONE, r2)
         inv = [div(mul(Const(Fraction(2)), Var(ax)), denom)
                for ax in range(1, dim + 1)]
-        last = div(sub(r2, _ONE), denom)
+        last = div(sub(r2, ONE), denom)
         inv.append(last if sign > 0 else mul(Const(Fraction(-1)), last))
 
         return Chart(name=name, dim=dim, image_kind="fullspace",

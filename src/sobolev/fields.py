@@ -1,74 +1,74 @@
-"""Smooth scalar fields on R^n with analytic partial derivatives.
+"""Scalar fields on R^n: an expression together with its dimension.
 
-Quadrature routines accept any object with the small interface below.
-Plain expressions cover globally smooth data; piecewise fields cover
+Quadrature routines take a :class:`Field`: vectorized values plus analytic
+partial derivatives.  Globally smooth data are plain expressions;
 compactly supported data (mollifier bumps, zero extensions, pulled-back
-partition-of-unity factors) whose pieces are expressions glued along
-seams where all derivatives agree, so differentiation may act piece by
-piece.  Composite fields (products, sums, scalar multiples) differentiate
-lazily by the product rule instead of flattening.
+partition-of-unity factors) are expressions with
+:class:`~sobolev.funcexpr.Piecewise` nodes whose branches are glued along
+seams where all derivatives agree, so differentiation may act branch by
+branch.  Products, sums and scalar multiples of fields are built as
+expressions with the folding constructors of :mod:`sobolev.funcexpr`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from sobolev.funcexpr import (
-    Call, Const, Expr, Var, add, diff_expr, div, eval_on_points, neg,
-    pow_, sub,
+    ONE, ZERO, Call, Const, Expr, Piecewise, Var, add, diff_expr, div,
+    eval_on_points, neg, pow_, prod_exprs, sub,
 )
 
 __all__ = [
-    "Field", "ExprField", "PiecewiseField", "ProductField", "SumField",
-    "ScaledField", "BoxRegion", "AnnulusRegion", "as_field", "product",
+    "Field", "ExprField", "BoxRegion", "AnnulusRegion", "as_field",
     "smoothstep_expr", "interval_bump", "box_bump", "radial_bump",
+    "radius_squared",
 ]
 
 
+@dataclass(frozen=True)
 class Field:
     """A scalar field: vectorized evaluation plus analytic partials."""
 
+    expr: Expr
     n: int
 
     def values(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return eval_on_points(self.expr, pts)
 
     def partial(self, axis: int) -> "Field":
         """Partial derivative along x<axis> (1-based)."""
-        raise NotImplementedError
+        return Field(diff_expr(self.expr, axis), self.n)
 
 
-class ExprField(Field):
-    def __init__(self, expr: Expr, n: int):
-        self.expr = expr
-        self.n = n
-
-    def values(self, pts):
-        return eval_on_points(self.expr, pts)
-
-    def partial(self, axis):
-        return ExprField(diff_expr(self.expr, axis), self.n)
-
-    def __repr__(self):
-        return f"ExprField({self.expr!r})"
+ExprField = Field
 
 
+def _per_axis(flag, k: int) -> tuple:
+    return tuple(flag) if isinstance(flag, (list, tuple)) else (flag,) * k
+
+
+@dataclass(frozen=True)
 class BoxRegion:
     """Axis-aligned box; per-axis bounds may be inclusive or exclusive.
 
     Bounds of None mean unbounded on that side.
     """
 
-    def __init__(self, lo, hi, lo_closed=True, hi_closed=True):
-        self.lo = tuple(lo)
-        self.hi = tuple(hi)
+    lo: tuple
+    hi: tuple
+    lo_closed: bool | tuple = True
+    hi_closed: bool | tuple = True
+
+    def __post_init__(self):
         k = len(self.lo)
-        self.lo_closed = tuple(lo_closed if isinstance(lo_closed, (list, tuple))
-                               else [lo_closed] * k)
-        self.hi_closed = tuple(hi_closed if isinstance(hi_closed, (list, tuple))
-                               else [hi_closed] * k)
+        object.__setattr__(self, "lo", tuple(self.lo))
+        object.__setattr__(self, "hi", tuple(self.hi))
+        object.__setattr__(self, "lo_closed", _per_axis(self.lo_closed, k))
+        object.__setattr__(self, "hi_closed", _per_axis(self.hi_closed, k))
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         mask = np.ones(pts.shape[0], dtype=bool)
@@ -82,14 +82,14 @@ class BoxRegion:
         return mask
 
 
+@dataclass(frozen=True)
 class AnnulusRegion:
     """Radial shell rlo <(=) |x| <(=) rhi about the origin."""
 
-    def __init__(self, rlo, rhi, lo_closed=True, hi_closed=True):
-        self.rlo = rlo
-        self.rhi = rhi
-        self.lo_closed = lo_closed
-        self.hi_closed = hi_closed
+    rlo: float | None
+    rhi: float | None
+    lo_closed: bool = True
+    hi_closed: bool = True
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         r = np.sqrt(np.sum(pts * pts, axis=1))
@@ -101,91 +101,10 @@ class AnnulusRegion:
         return mask
 
 
-class PiecewiseField(Field):
-    """First-match piecewise expression field with a constant-free default.
-
-    Pieces are (region, expr); points not claimed by any region evaluate
-    the default expression.  Valid for differentiation only when the glued
-    function is smooth across seams (all our constructions glue along
-    flat junctions of mollifier type).
-    """
-
-    def __init__(self, pieces, default: Expr, n: int):
-        self.pieces = list(pieces)
-        self.default = default
-        self.n = n
-
-    def values(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        out = np.empty(pts.shape[0])
-        remaining = np.ones(pts.shape[0], dtype=bool)
-        for region, expr in self.pieces:
-            mask = region.contains(pts) & remaining
-            if mask.any():
-                out[mask] = eval_on_points(expr, pts[mask])
-            remaining &= ~mask
-        if remaining.any():
-            out[remaining] = eval_on_points(self.default, pts[remaining])
-        return out
-
-    def partial(self, axis):
-        return PiecewiseField(
-            [(region, diff_expr(expr, axis)) for region, expr in self.pieces],
-            diff_expr(self.default, axis), self.n)
-
-
-class ProductField(Field):
-    def __init__(self, a: Field, b: Field):
-        if a.n != b.n:
-            raise ValueError("field dimension mismatch")
-        self.a = a
-        self.b = b
-        self.n = a.n
-
-    def values(self, pts):
-        return self.a.values(pts) * self.b.values(pts)
-
-    def partial(self, axis):
-        return SumField(ProductField(self.a.partial(axis), self.b),
-                        ProductField(self.a, self.b.partial(axis)))
-
-
-class SumField(Field):
-    def __init__(self, a: Field, b: Field):
-        if a.n != b.n:
-            raise ValueError("field dimension mismatch")
-        self.a = a
-        self.b = b
-        self.n = a.n
-
-    def values(self, pts):
-        return self.a.values(pts) + self.b.values(pts)
-
-    def partial(self, axis):
-        return SumField(self.a.partial(axis), self.b.partial(axis))
-
-
-class ScaledField(Field):
-    def __init__(self, factor: float, f: Field):
-        self.factor = float(factor)
-        self.f = f
-        self.n = f.n
-
-    def values(self, pts):
-        return self.factor * self.f.values(pts)
-
-    def partial(self, axis):
-        return ScaledField(self.factor, self.f.partial(axis))
-
-
-def zero_field(n: int) -> ExprField:
-    return ExprField(Const(Fraction(0)), n)
-
-
 def as_field(u, n: int) -> Field:
     """Coerce an Expr or Field to a Field of dimension n."""
     if isinstance(u, Expr):
-        return ExprField(u, n)
+        return Field(u, n)
     if isinstance(u, Field):
         if u.n != n:
             raise ValueError(f"field has dimension {u.n}, expected {n}")
@@ -193,19 +112,10 @@ def as_field(u, n: int) -> Field:
     raise TypeError(f"cannot interpret {type(u).__name__} as a scalar field")
 
 
-def product(*fields: Field) -> Field:
-    out = fields[0]
-    for f in fields[1:]:
-        out = ProductField(out, f)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Mollifier bumps: exp(-1/t)-type profiles rescaled to hold the value 1 on
 # an inner plateau, smoothly decaying to 0 at the support edge.
 # ---------------------------------------------------------------------------
-
-_ONE = Const(Fraction(1))
 
 # Seam margin for piecewise bump regions.  Within this distance of the
 # plateau/support edges the profile equals 1.0/0.0 to double precision
@@ -222,8 +132,8 @@ def smoothstep_expr(arg: Expr) -> Expr:
     vanishing; the numeric evaluation underflows gracefully near both
     ends (the denominator stays >= e^-2).
     """
-    f_lo = Call("exp", neg(div(_ONE, arg)))
-    f_hi = Call("exp", neg(div(_ONE, sub(_ONE, arg))))
+    f_lo = Call("exp", neg(div(ONE, arg)))
+    f_hi = Call("exp", neg(div(ONE, sub(ONE, arg))))
     return div(f_lo, add(f_lo, f_hi))
 
 
@@ -234,7 +144,7 @@ def _band_expr(distance: Expr, plateau: float, support: float) -> Expr:
     return smoothstep_expr(tau)
 
 
-def interval_bump(n: int, axis: int, center, plateau, support) -> PiecewiseField:
+def interval_bump(n: int, axis: int, center, plateau, support) -> Field:
     """1-variable bump in x<axis>: 1 on [c-a, c+a], 0 outside (c-b, c+b)."""
     center = Fraction(center)
     a = Fraction(plateau)
@@ -250,11 +160,10 @@ def interval_bump(n: int, axis: int, center, plateau, support) -> PiecewiseField
     band_lo, band_hi = list(lo), list(hi)
     band_lo[axis - 1] = float(center - b) + _SEAM
     band_hi[axis - 1] = float(center + b) - _SEAM
-    return PiecewiseField(
-        [(BoxRegion(plat_lo, plat_hi), _ONE),
-         (BoxRegion(band_lo, band_hi, lo_closed=False, hi_closed=False),
-          _band_expr(dist, float(a), float(b)))],
-        Const(Fraction(0)), n)
+    band = BoxRegion(band_lo, band_hi, lo_closed=False, hi_closed=False)
+    return Field(Piecewise(BoxRegion(plat_lo, plat_hi), ONE,
+                           Piecewise(band, _band_expr(dist, float(a), float(b)),
+                                     ZERO)), n)
 
 
 def box_bump(n: int, center, plateau, support) -> Field:
@@ -264,27 +173,28 @@ def box_bump(n: int, center, plateau, support) -> Field:
         else [Fraction(a) for a in plateau]
     support = [Fraction(support)] * n if not isinstance(support, (list, tuple)) \
         else [Fraction(b) for b in support]
-    factors = [interval_bump(n, ax + 1, center[ax], plateau[ax], support[ax])
-               for ax in range(n)]
-    return product(*factors)
+    return Field(prod_exprs(
+        interval_bump(n, ax + 1, center[ax], plateau[ax], support[ax]).expr
+        for ax in range(n)), n)
 
 
-def _radius_expr(n: int) -> Expr:
+def radius_squared(n: int) -> Expr:
+    """x1^2 + ... + xn^2."""
     r2 = pow_(Var(1), Fraction(2))
     for ax in range(2, n + 1):
         r2 = add(r2, pow_(Var(ax), Fraction(2)))
-    return Call("sqrt", r2)
+    return r2
 
 
-def radial_bump(n: int, plateau, support) -> PiecewiseField:
+def radial_bump(n: int, plateau, support) -> Field:
     """Radial bump about the origin: 1 for |x| <= plateau, 0 for |x| >= support."""
     a = float(plateau)
     b = float(support)
     if not 0 < a < b:
         raise ValueError("need 0 < plateau < support")
-    return PiecewiseField(
-        [(AnnulusRegion(None, a + _SEAM), _ONE),
-         (AnnulusRegion(a + _SEAM, b - _SEAM, lo_closed=False,
-                        hi_closed=False),
-          _band_expr(_radius_expr(n), a, b))],
-        Const(Fraction(0)), n)
+    band = AnnulusRegion(a + _SEAM, b - _SEAM, lo_closed=False,
+                         hi_closed=False)
+    return Field(Piecewise(AnnulusRegion(None, a + _SEAM), ONE,
+                           Piecewise(band, _band_expr(
+                               Call("sqrt", radius_squared(n)), a, b), ZERO)),
+                 n)

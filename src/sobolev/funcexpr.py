@@ -31,9 +31,9 @@ import numpy as np
 
 __all__ = [
     "Expr", "Const", "Pi", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
-    "Call", "FUNCTIONS", "ExprSyntaxError", "ExprDomainError",
+    "Call", "Piecewise", "FUNCTIONS", "ExprSyntaxError", "ExprDomainError",
     "parse_expr", "diff_expr", "eval_expr", "eval_on_points", "subst_expr",
-    "expr_to_text", "const", "var",
+    "expr_to_text", "const", "var", "sum_exprs", "prod_exprs",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
@@ -117,6 +117,23 @@ class Call(Expr):
     arg: Expr
 
 
+@dataclass(frozen=True)
+class Piecewise(Expr):
+    """``inside`` on the points of ``region``, ``outside`` elsewhere.
+
+    ``region`` is any hashable object with a vectorized
+    ``contains(pts) -> bool mask``.  Nesting in ``outside`` gives
+    first-match semantics.  Differentiation acts branch by branch, which
+    is valid only where the glued function is smooth across the region
+    boundary (every construction in this package glues along flat seams).
+    Piecewise nodes have no text form and are not substituted into.
+    """
+
+    region: object
+    inside: Expr
+    outside: Expr
+
+
 ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
 
@@ -197,6 +214,22 @@ def pow_(base: Expr, power: Fraction) -> Expr:
         if base.value != 0 or power > 0:
             return Const(base.value ** power.numerator)
     return Pow(base, power)
+
+
+def sum_exprs(terms) -> Expr:
+    """Left-to-right folded sum; the empty sum is 0."""
+    out = ZERO
+    for t in terms:
+        out = add(out, t)
+    return out
+
+
+def prod_exprs(factors) -> Expr:
+    """Left-to-right folded product; the empty product is 1."""
+    out = ONE
+    for f in factors:
+        out = mul(out, f)
+    return out
 
 
 def call(func: str, arg: Expr) -> Expr:
@@ -418,6 +451,8 @@ def _text(e: Expr) -> tuple[str, int]:
     if isinstance(e, Call):
         at, _ = _text(e.arg)
         return f"{e.func}({at})", 5
+    if isinstance(e, Piecewise):
+        raise TypeError("a piecewise expression has no text form")
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -474,6 +509,9 @@ def diff_expr(e: Expr, axis: int) -> Expr:
         else:  # pragma: no cover - constructors reject unknown functions
             raise ValueError(f"unknown function {e.func!r}")
         return mul(outer, da)
+    if isinstance(e, Piecewise):
+        return Piecewise(e.region, diff_expr(e.inside, axis),
+                         diff_expr(e.outside, axis))
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -501,6 +539,8 @@ def subst_expr(e: Expr, mapping: dict[int, Expr]) -> Expr:
         return pow_(subst_expr(e.base, mapping), e.power)
     if isinstance(e, Call):
         return Call(e.func, subst_expr(e.arg, mapping))
+    if isinstance(e, Piecewise):
+        raise TypeError("cannot substitute into a piecewise expression")
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -565,6 +605,16 @@ def _eval(e: Expr, pts: np.ndarray) -> np.ndarray:
             return np.sqrt(a)
         if e.func == "abs":
             return np.abs(a)
+    if isinstance(e, Piecewise):
+        # each branch sees only its own points, so a branch is never
+        # evaluated where it may be undefined
+        mask = e.region.contains(pts)
+        out = np.empty(pts.shape[0])
+        if mask.any():
+            out[mask] = _eval(e.inside, pts[mask])
+        if not mask.all():
+            out[~mask] = _eval(e.outside, pts[~mask])
+        return out
     raise TypeError(f"not an Expr: {e!r}")
 
 

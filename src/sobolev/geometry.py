@@ -17,9 +17,10 @@ from fractions import Fraction
 import numpy as np
 
 from sobolev.atlas import Atlas, transition_map
-from sobolev.fields import ExprField, Field, ProductField, ScaledField, SumField
+from sobolev.fields import Field, radius_squared
 from sobolev.funcexpr import (
-    Call, Const, Expr, Var, add, diff_expr, div, mul, neg, pow_, sub,
+    ONE, ZERO, Call, Const, Expr, add, diff_expr, div, eval_on_points, mul,
+    neg, pow_, sub, sum_exprs,
 )
 
 __all__ = [
@@ -29,14 +30,6 @@ __all__ = [
     "check_overlap_consistency",
 ]
 
-_ZERO = Const(Fraction(0))
-_ONE = Const(Fraction(1))
-
-
-def _is_zero(e) -> bool:
-    return isinstance(e, Const) and e.value == 0
-
-
 def _det_expr(m: list[list[Expr]]) -> Expr:
     n = len(m)
     if n == 1:
@@ -44,7 +37,7 @@ def _det_expr(m: list[list[Expr]]) -> Expr:
     if n == 2:
         return sub(mul(m[0][0], m[1][1]), mul(m[0][1], m[1][0]))
     if n == 3:
-        total = _ZERO
+        total = ZERO
         for j in range(3):
             minor = [[m[r][c] for c in range(3) if c != j] for r in (1, 2)]
             term = mul(m[0][j], _det_expr(minor))
@@ -56,7 +49,7 @@ def _det_expr(m: list[list[Expr]]) -> Expr:
 def _adjugate_over_det(m: list[list[Expr]], det: Expr) -> list[list[Expr]]:
     n = len(m)
     if n == 1:
-        return [[div(_ONE, m[0][0])]]
+        return [[div(ONE, m[0][0])]]
     inv = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -85,9 +78,7 @@ class ChristoffelField:
         for k in range(n):
             for i in range(n):
                 for j in range(n):
-                    e = self.gamma[k][i][j]
-                    if not _is_zero(e):
-                        out[:, k, i, j] = ExprField(e, n).values(pts)
+                    out[:, k, i, j] = eval_on_points(self.gamma[k][i][j], pts)
         return out
 
 
@@ -111,12 +102,12 @@ class MetricField:
         self._christoffel = []
         for ci, g in enumerate(self.comps):
             det = _det_expr(g)
-            if _is_zero(det):
+            if det == ZERO:
                 raise ValueError(f"metric determinant vanishes on chart {ci}")
             self.det.append(det)
             self.inv_comps.append(_adjugate_over_det(g, det))
             self.sqrt_det.append(
-                _ONE if det == _ONE else Call("sqrt", det))
+                ONE if det == ONE else Call("sqrt", det))
             self._christoffel.append(self._christoffel_block(ci))
 
     def _christoffel_block(self, ci: int) -> ChristoffelField:
@@ -130,11 +121,9 @@ class MetricField:
         for k in range(n):
             for i in range(n):
                 for j in range(i, n):
-                    total = _ZERO
+                    total = ZERO
                     for l in range(n):
                         inner = sub(add(dg[j][l][i], dg[i][l][j]), dg[i][j][l])
-                        if _is_zero(inner) or _is_zero(ginv[k][l]):
-                            continue
                         total = add(total, mul(ginv[k][l], inner))
                     val = mul(half, total)
                     gamma[k][i][j] = val
@@ -142,7 +131,7 @@ class MetricField:
         return ChristoffelField(self.atlas, ci, gamma)
 
     def sqrt_det_field(self, ci: int) -> Field:
-        return ExprField(self.sqrt_det[ci], self.atlas.dim)
+        return Field(self.sqrt_det[ci], self.atlas.dim)
 
     def matrix_values(self, ci: int, pts: np.ndarray, inverse=False) -> np.ndarray:
         n = self.atlas.dim
@@ -151,7 +140,7 @@ class MetricField:
         out = np.empty((pts.shape[0], n, n))
         for i in range(n):
             for j in range(n):
-                out[:, i, j] = ExprField(comps[i][j], n).values(pts)
+                out[:, i, j] = eval_on_points(comps[i][j], pts)
         return out
 
 
@@ -161,14 +150,12 @@ def builtin_metric(atlas: Atlas) -> MetricField:
     comps = []
     for _ in atlas.charts:
         if atlas.family == "stereo":
-            r2 = pow_(Var(1), Fraction(2))
-            for ax in range(2, n + 1):
-                r2 = add(r2, pow_(Var(ax), Fraction(2)))
-            conformal = div(Const(Fraction(4)), pow_(add(_ONE, r2), Fraction(2)))
-            comps.append([[conformal if i == j else _ZERO for j in range(n)]
+            conformal = div(Const(Fraction(4)),
+                            pow_(add(ONE, radius_squared(n)), Fraction(2)))
+            comps.append([[conformal if i == j else ZERO for j in range(n)]
                           for i in range(n)])
         else:
-            comps.append([[_ONE if i == j else _ZERO for j in range(n)]
+            comps.append([[ONE if i == j else ZERO for j in range(n)]
                           for i in range(n)])
     return MetricField(atlas, comps)
 
@@ -215,19 +202,6 @@ def scalar_field(atlas: Atlas, chart_fields: list[Field]) -> TensorField:
                        [{((), ()): f} for f in chart_fields])
 
 
-def _gamma_term(gamma_expr: Expr, comp: Field) -> Field | None:
-    if _is_zero(gamma_expr):
-        return None
-    return ProductField(ExprField(gamma_expr, comp.n), comp)
-
-
-def _sum_fields(terms: list[Field]) -> Field:
-    out = terms[0]
-    for t in terms[1:]:
-        out = SumField(out, t)
-    return out
-
-
 def covariant_derivative(field: TensorField, g: MetricField,
                          order: int = 1) -> TensorField:
     """Iterated covariant derivative; each step prepends one covariant
@@ -256,32 +230,28 @@ def _cov_step(field: TensorField, g: MetricField) -> TensorField:
     new_comps = []
     for ci in range(len(field.atlas.charts)):
         gamma = g._christoffel[ci].gamma
+
+        def comp(con, cov):
+            return field.component(ci, con, cov).expr
+
         block = {}
         for (con, cov) in field.keys():
-            base = field.component(ci, con, cov)
+            base = comp(con, cov)
             for m in range(n):
-                terms = [base.partial(m + 1)]
+                total = diff_expr(base, m + 1)
                 for t, a in enumerate(con):
                     for b in range(n):
-                        term = _gamma_term(
+                        total = add(total, mul(
                             gamma[a][m][b],
-                            field.component(ci, con[:t] + (b,) + con[t + 1:], cov))
-                        if term is not None:
-                            terms.append(term)
+                            comp(con[:t] + (b,) + con[t + 1:], cov)))
                 for t, i in enumerate(cov):
                     for b in range(n):
-                        term = _gamma_term(
+                        total = sub(total, mul(
                             gamma[b][m][i],
-                            field.component(ci, con, cov[:t] + (b,) + cov[t + 1:]))
-                        if term is not None:
-                            terms.append(_negate(term))
-                block[(con, (m,) + cov)] = _sum_fields(terms)
+                            comp(con, cov[:t] + (b,) + cov[t + 1:])))
+                block[(con, (m,) + cov)] = Field(total, n)
         new_comps.append(block)
     return TensorField(field.atlas, field.k_cov + 1, field.l_con, new_comps)
-
-
-def _negate(f: Field) -> Field:
-    return ScaledField(-1.0, f)
 
 
 # ---------------------------------------------------------------------------
@@ -348,27 +318,17 @@ def musical(field: TensorField, g: MetricField, direction: str,
         for con in itertools.product(range(n), repeat=new_l):
             for cov in itertools.product(range(n), repeat=new_k):
                 if direction == "flat":
-                    i = cov[0]
-                    terms = []
-                    for b in range(n):
-                        e = mat[i][b]
-                        old = field.component(
-                            ci, con[:slot] + (b,) + con[slot:], cov[1:])
-                        t = _gamma_term(e, old)
-                        if t is not None:
-                            terms.append(t)
+                    olds = [field.component(
+                        ci, con[:slot] + (b,) + con[slot:], cov[1:])
+                        for b in range(n)]
+                    row = mat[cov[0]]
                 else:
-                    a = con[0]
-                    terms = []
-                    for b in range(n):
-                        e = mat[a][b]
-                        old = field.component(
-                            ci, con[1:], cov[:slot] + (b,) + cov[slot:])
-                        t = _gamma_term(e, old)
-                        if t is not None:
-                            terms.append(t)
-                block[(con, cov)] = (_sum_fields(terms) if terms
-                                     else ExprField(_ZERO, n))
+                    olds = [field.component(
+                        ci, con[1:], cov[:slot] + (b,) + cov[slot:])
+                        for b in range(n)]
+                    row = mat[con[0]]
+                block[(con, cov)] = Field(sum_exprs(
+                    mul(row[b], olds[b].expr) for b in range(n)), n)
         new_comps.append(block)
     return TensorField(field.atlas, new_k, new_l, new_comps)
 
@@ -412,7 +372,7 @@ def metric_as_tensor(g: MetricField) -> TensorField:
         block = {}
         for i in range(n):
             for j in range(n):
-                block[((), (i, j))] = ExprField(g.comps[ci][i][j], n)
+                block[((), (i, j))] = Field(g.comps[ci][i][j], n)
         comps.append(block)
     return TensorField(g.atlas, 2, 0, comps)
 

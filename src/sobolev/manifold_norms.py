@@ -28,13 +28,15 @@ import numpy as np
 
 from sobolev.atlas import Atlas, PartitionOfUnity, build_partition_of_unity, \
     transition_map
-from sobolev.fields import Field, ProductField, ScaledField
-from sobolev.funcexpr import Expr, parse_expr
+from sobolev.fields import Field
+from sobolev.funcexpr import Expr, const, mul, parse_expr
 from sobolev.geometry import (
     MetricField, TensorField, covariant_derivative, fiber_norm_values,
     scalar_field,
 )
-from sobolev.quadrature import lp_norm, midpoint_grid, sobolev_norm
+from sobolev.quadrature import (
+    coarse_shape, grid_shape, lp_norm, midpoint_grid, sobolev_norm,
+)
 
 __all__ = [
     "ManifoldFunction", "ManifoldNormReport", "manifold_lq_norm",
@@ -73,7 +75,8 @@ class ManifoldFunction:
 
 def scale_tensor(t: TensorField, c: float) -> TensorField:
     return TensorField(t.atlas, t.k_cov, t.l_con,
-                       [{k: ScaledField(c, f) for k, f in block.items()}
+                       [{k: Field(mul(const(c), f.expr), f.n)
+                         for k, f in block.items()}
                         for block in t.comps])
 
 
@@ -148,14 +151,6 @@ class ManifoldNormReport:
         }
 
 
-def _default_shape(atlas: Atlas, N) -> tuple[int, ...]:
-    if N is None:
-        N = 256 if atlas.dim == 1 else 64
-    if isinstance(N, int):
-        return (N,) * atlas.dim
-    return tuple(N)
-
-
 def _intrinsic_lq_power(tensor: TensorField, g: MetricField,
                         pou: PartitionOfUnity, q: float, shape) -> tuple:
     """sum_alpha integral psi_alpha |u|_E^q sqrt(det g): the q-th power of
@@ -191,19 +186,19 @@ def manifold_lq_norm(u, g: MetricField, atlas: Atlas = None,
     q = float(q)
     if not q > 1:
         raise ValueError("q must be > 1")
-    shape = _default_shape(atlas, N)
+    shape = grid_shape(atlas.dim, N)
 
     total, per_chart = _intrinsic_lq_power(tensor, g, pou, q, shape)
     value = total ** (1.0 / q)
-    coarse_shape = tuple(max(1, k // 2) for k in shape)
-    coarse, _ = _intrinsic_lq_power(tensor, g, pou, q, coarse_shape)
+    coarse, _ = _intrinsic_lq_power(tensor, g, pou, q, coarse_shape(shape))
     err = abs(value - coarse ** (1.0 / q))
 
     chart_sum = 0.0
     chart_terms = []
     for ci, chart in enumerate(atlas.charts):
         for key in tensor.keys():
-            f = ProductField(pou.fields[ci], tensor.component(ci, *key))
+            f = Field(mul(pou.fields[ci].expr,
+                          tensor.component(ci, *key).expr), atlas.dim)
             rep = lp_norm(f, chart.truncation, q, shape)
             chart_sum += rep.value
             chart_terms.append({"chart": chart.name, "component": list(map(list, key)),
@@ -235,14 +230,15 @@ def chart_sobolev_norm(u, atlas: Atlas = None, pou: PartitionOfUnity = None,
         pou = build_partition_of_unity(atlas)
     if e < 0:
         raise ValueError("numerical manifold norms require e >= 0")
-    shape = _default_shape(atlas, N)
+    shape = grid_shape(atlas.dim, N)
 
     value = 0.0
     err = 0.0
     terms = []
     for ci, chart in enumerate(atlas.charts):
         for key in tensor.keys():
-            f = ProductField(pou.fields[ci], tensor.component(ci, *key))
+            f = Field(mul(pou.fields[ci].expr,
+                          tensor.component(ci, *key).expr), atlas.dim)
             rep = sobolev_norm(f, chart.truncation, e, q, shape,
                                variant=variant)
             value += rep.value
@@ -271,18 +267,18 @@ def connection_sobolev_norm(u, g: MetricField, k: int = 1, q: float = 2.0,
     if pou is None:
         pou = build_partition_of_unity(atlas)
     q = float(q)
-    shape = _default_shape(atlas, N)
+    shape = grid_shape(atlas.dim, N)
 
     total = 0.0
     coarse_total = 0.0
-    coarse_shape = tuple(max(1, s // 2) for s in shape)
+    coarse = coarse_shape(shape)
     terms = []
     current = tensor
     for i in range(k + 1):
         if i > 0:
             current = covariant_derivative(current, g, 1)
         power, _ = _intrinsic_lq_power(current, g, pou, q, shape)
-        cpower, _ = _intrinsic_lq_power(current, g, pou, q, coarse_shape)
+        cpower, _ = _intrinsic_lq_power(current, g, pou, q, coarse)
         total += power
         coarse_total += cpower
         terms.append({"order": i, "lq_value": power ** (1.0 / q)})

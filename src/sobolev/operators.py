@@ -28,13 +28,15 @@ import numpy as np
 
 from sobolev.atlas import Atlas, PartitionOfUnity, build_partition_of_unity
 from sobolev.exponents import DomainClass, check_derivative, space
-from sobolev.fields import ExprField, Field, ProductField, SumField
-from sobolev.funcexpr import Const, expr_to_text
+from sobolev.fields import Field
+from sobolev.funcexpr import ONE, diff_expr, div, expr_to_text, mul, sum_exprs
 from sobolev.geometry import MetricField, TensorField
 from sobolev.manifold_norms import (
     ManifoldFunction, _as_tensor, chart_sobolev_norm, scale_tensor,
 )
-from sobolev.quadrature import BoxDomain, midpoint_grid, sobolev_norm
+from sobolev.quadrature import (
+    BoxDomain, coarse_shape, grid_shape, midpoint_grid, sobolev_norm,
+)
 
 __all__ = [
     "LocalOperator", "OPERATOR_IDS", "build_operator", "local_representation",
@@ -73,50 +75,22 @@ class LocalOperatorBlock:
             f = comps[((), ())]
             return {((), (i,)): f.partial(i + 1) for i in range(n)}
         if self.op_id == "grad":
-            f = comps[((), ())]
-            out = {}
-            for a in range(n):
-                terms = []
-                for j in range(n):
-                    e = g.inv_comps[ci][a][j]
-                    if _is_zero_expr(e):
-                        continue
-                    terms.append(ProductField(ExprField(e, n), f.partial(j + 1)))
-                out[((a,), ())] = _sum(terms, n)
-            return out
+            f = comps[((), ())].expr
+            ginv = g.inv_comps[ci]
+            return {((a,), ()): Field(sum_exprs(
+                mul(ginv[a][j], diff_expr(f, j + 1)) for j in range(n)), n)
+                for a in range(n)}
         if self.op_id == "div":
             sqrtdet = g.sqrt_det[ci]
-            terms = []
-            for j in range(n):
-                Yj = comps[((j,), ())]
-                weighted = ProductField(ExprField(sqrtdet, n), Yj) \
-                    if sqrtdet != Const(Fraction(1)) else Yj
-                term = weighted.partial(j + 1)
-                terms.append(term)
-            total = _sum(terms, n)
-            if sqrtdet != Const(Fraction(1)):
-                from sobolev.funcexpr import div as expr_div
-                inv = ExprField(expr_div(Const(Fraction(1)), sqrtdet), n)
-                total = ProductField(inv, total)
-            return {((), ()): total}
+            total = sum_exprs(
+                diff_expr(mul(sqrtdet, comps[((j,), ())].expr), j + 1)
+                for j in range(n))
+            return {((), ()): Field(mul(div(ONE, sqrtdet), total), n)}
         if self.op_id == "laplace":
             grad_block = LocalOperatorBlock("grad", g, ci)
             div_block = LocalOperatorBlock("div", g, ci)
             return div_block.apply(grad_block.apply(comps))
         raise KeyError(f"unknown operator {self.op_id!r}")
-
-
-def _is_zero_expr(e) -> bool:
-    return isinstance(e, Const) and e.value == 0
-
-
-def _sum(terms: list[Field], n: int) -> Field:
-    if not terms:
-        return ExprField(Const(Fraction(0)), n)
-    out = terms[0]
-    for t in terms[1:]:
-        out = SumField(out, t)
-    return out
 
 
 @dataclass
@@ -184,17 +158,18 @@ def apply_operator(op: LocalOperator, u):
 
 def describe_components(u, chart: int) -> dict:
     """Printable component expressions of a function/tensor field on one
-    chart (piecewise components render as their active piece count)."""
+    chart, in the syntax of :func:`sobolev.funcexpr.parse_expr`; a
+    component containing a piecewise node renders as ``"<piecewise>"``."""
     _, tensor = _as_tensor(u)
     out = {}
     for key in tensor.keys():
         f = tensor.component(chart, *key)
         label = "^" + "".join(str(i + 1) for i in key[0]) + \
                 "_" + "".join(str(i + 1) for i in key[1])
-        if isinstance(f, ExprField):
+        try:
             out[label] = expr_to_text(f.expr)
-        else:
-            out[label] = f"<{type(f).__name__}>"
+        except TypeError:
+            out[label] = "<piecewise>"
     return out
 
 
@@ -210,16 +185,15 @@ def _tensor_box_norm(tensor: TensorField, box: BoxDomain, e, q, shape) -> float:
     return total
 
 
-def _norm_for_route(u, route, e, q, N, pou) -> float:
+def _norm_for_route(u, route, e, q, shape, pou) -> float:
     atlas, tensor = _as_tensor(u)
     if route == "box":
         if atlas.family != "torus":
             raise ValueError("the box route integrates one exact period; "
                              "it applies to the torus manifolds")
         box = BoxDomain(tuple((0.0, 1.0) for _ in range(atlas.dim)))
-        shape = N if isinstance(N, tuple) else ((N,) * atlas.dim if N else None)
         return _tensor_box_norm(tensor, box, e, q, shape)
-    return chart_sobolev_norm(u, atlas, pou, e, q, N).value
+    return chart_sobolev_norm(u, atlas, pou, e, q, shape).value
 
 
 def _chart_domain_class(atlas: Atlas) -> DomainClass:
@@ -267,6 +241,7 @@ def empirical_bound(op: LocalOperator, from_exponents, to_exponents, family,
 
     if N is None:
         N = 256 if atlas.dim == 1 else 32
+    shape = grid_shape(atlas.dim, N)
 
     def sup_at(resolution):
         ratios = []
@@ -277,17 +252,16 @@ def empirical_bound(op: LocalOperator, from_exponents, to_exponents, family,
             ratios.append(nop / nu)
         return ratios
 
-    ratios = sup_at(N)
-    coarse = sup_at(N // 2 if isinstance(N, int) else
-                    tuple(k // 2 for k in N))
+    ratios = sup_at(shape)
+    coarse = sup_at(coarse_shape(shape))
     sup_fine = max(ratios)
     sup_coarse = max(coarse)
     # scale invariance spot check on the worst function
     worst = int(np.argmax(ratios))
     u5 = family[worst].scaled(5.0) if isinstance(family[worst], ManifoldFunction) \
         else scale_tensor(family[worst], 5.0)
-    r5 = (_norm_for_route(apply_operator(op, u5), route, et, qt, N, pou)
-          / _norm_for_route(u5, route, e, q, N, pou))
+    r5 = (_norm_for_route(apply_operator(op, u5), route, et, qt, shape, pou)
+          / _norm_for_route(u5, route, e, q, shape, pou))
     return {
         "schema": "v1",
         "kind": "operator_bound",
@@ -321,8 +295,7 @@ def divergence_integral(X, g: MetricField, pou: PartitionOfUnity = None,
         pou = build_partition_of_unity(atlas)
     op = build_operator("div", g)
     divX = apply_operator(op, X)
-    shape = (N,) * atlas.dim if isinstance(N, int) else \
-        ((256 if atlas.dim == 1 else 64,) * atlas.dim if N is None else N)
+    shape = grid_shape(atlas.dim, N)
 
     def signed_integral(shp):
         total = 0.0
@@ -335,7 +308,7 @@ def divergence_integral(X, g: MetricField, pou: PartitionOfUnity = None,
         return total
 
     value = signed_integral(shape)
-    coarse = signed_integral(tuple(max(1, k // 2) for k in shape))
+    coarse = signed_integral(coarse_shape(shape))
     err = abs(value - coarse)
     return {
         "schema": "v1",

@@ -30,11 +30,12 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from sobolev.fields import BoxRegion, Field, as_field
+from sobolev.funcexpr import ZERO, Piecewise
 
 __all__ = [
     "BoxDomain", "GridFunction", "NormReport", "SupportViolation",
     "lp_norm", "gagliardo_seminorm", "sobolev_norm", "extend_by_zero",
-    "gagliardo_double_sum", "multi_indices",
+    "gagliardo_double_sum", "multi_indices", "grid_shape", "coarse_shape",
 ]
 
 
@@ -87,15 +88,29 @@ def box(*bounds) -> BoxDomain:
     return BoxDomain(tuple(bounds))
 
 
-def _shape(box: BoxDomain, N) -> tuple[int, ...]:
+def grid_shape(n: int, N=None) -> tuple[int, ...]:
+    """Per-axis cell counts from N: one count for every axis, a per-axis
+    tuple, or None for the default (256 cells for n=1, 64 per axis
+    otherwise).
+
+    Every axis needs at least 2 cells, because the two-grid error
+    estimate halves each count.  The fractional seminorm also takes its
+    double sum on the halved grid, so it needs at least 4.
+    """
     if N is None:
-        N = 256 if box.n == 1 else 64
-    if isinstance(N, int):
-        return (N,) * box.n
-    shape = tuple(int(k) for k in N)
-    if len(shape) != box.n:
+        N = 256 if n == 1 else 64
+    shape = (N,) * n if isinstance(N, int) else tuple(int(k) for k in N)
+    if len(shape) != n:
         raise ValueError("per-axis resolution length must match dimension")
+    if min(shape) < 2:
+        raise ValueError(
+            f"grid resolution must be at least 2 per axis, got {list(shape)}")
     return shape
+
+
+def coarse_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The half-resolution grid of the two-grid error estimate."""
+    return tuple(k // 2 for k in shape)
 
 
 def midpoint_grid(box: BoxDomain, shape: tuple[int, ...]):
@@ -206,10 +221,9 @@ def lp_norm(u, box: BoxDomain = None, p: float = 2.0, N=None) -> NormReport:
         if box is None:
             raise ValueError("a box domain is required")
         f = as_field(u, box.n)
-        shape = _shape(box, N)
+        shape = grid_shape(box.n, N)
         value = _lp_value(f, box, p, shape)
-        coarse_shape = tuple(max(1, k // 2) for k in shape)
-        err = abs(value - _lp_value(f, box, p, coarse_shape))
+        err = abs(value - _lp_value(f, box, p, coarse_shape(shape)))
     return NormReport(
         value=value,
         terms=[{"kind": "lp", "p": p, "value": value}],
@@ -240,7 +254,7 @@ def gagliardo_double_sum(u, box: BoxDomain, theta: float, p: float,
     if not (0.0 < theta < 1.0):
         raise ValueError(f"theta must lie strictly in (0, 1), got {theta}")
     f = as_field(u, box.n)
-    shape = _shape(box, N)
+    shape = grid_shape(box.n, N)
     pts, cellvol, _ = midpoint_grid(box, shape)
     vals = f.values(pts)
     alpha = box.n + theta * p
@@ -308,12 +322,12 @@ def gagliardo_seminorm(u, box: BoxDomain, theta: float, p: float = 2.0,
     """
     p = _check_p(p)
     f = as_field(u, box.n)
-    shape = _shape(box, N)
+    shape = grid_shape(box.n, N)
     S = gagliardo_double_sum(f, box, theta, p, shape)
     value = S ** (1.0 / p)
 
-    coarse_shape = tuple(max(1, k // 2) for k in shape)
-    coarse = gagliardo_double_sum(f, box, theta, p, coarse_shape) ** (1.0 / p)
+    coarse = gagliardo_double_sum(f, box, theta, p,
+                                  coarse_shape(shape)) ** (1.0 / p)
     D = _diagonal_model(f, box, theta, p, shape)
     diag_effect = (S + D) ** (1.0 / p) - value
     err = abs(value - coarse) + diag_effect
@@ -367,7 +381,7 @@ def sobolev_norm(u, box: BoxDomain, s: float, p: float = 2.0, N=None,
         raise ValueError("variant must be 'seminorm' or 'full'")
     p = _check_p(p)
     f = as_field(u, box.n)
-    shape = _shape(box, N)
+    shape = grid_shape(box.n, N)
     k = int(math.floor(s))
     theta = s - k
 
@@ -428,7 +442,7 @@ def extend_by_zero(u, inner: BoxDomain, outer: BoxDomain, N=None,
     if not outer.contains(inner):
         raise ValueError("inner box must be contained in the outer box")
     f = as_field(u, inner.n)
-    shape = _shape(inner, N)
+    shape = grid_shape(inner.n, N)
     pts, _, hs = midpoint_grid(inner, shape)
     vals = f.values(pts).reshape(shape)
 
@@ -464,30 +478,11 @@ def extend_by_zero(u, inner: BoxDomain, outer: BoxDomain, N=None,
     sl = tuple(slice(off, off + k) for off, k in zip(offsets, shape))
     big[sl] = vals
 
-    lo = [b[0] for b in inner.bounds]
-    hi = [b[1] for b in inner.bounds]
-    return GridFunction(outer, big, _ZeroOutsideField(f, lo, hi))
-
-
-class _ZeroOutsideField(Field):
-    """Zero extension of an arbitrary field outside an open box."""
-
-    def __init__(self, f: Field, lo, hi):
-        self.f = f
-        self.n = f.n
-        self.region = BoxRegion(lo, hi, lo_closed=False, hi_closed=False)
-
-    def values(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        out = np.zeros(pts.shape[0])
-        mask = self.region.contains(pts)
-        if mask.any():
-            out[mask] = self.f.values(pts[mask])
-        return out
-
-    def partial(self, axis):
-        return _ZeroOutsideField(self.f.partial(axis),
-                                 self.region.lo, self.region.hi)
+    interior = BoxRegion([b[0] for b in inner.bounds],
+                         [b[1] for b in inner.bounds],
+                         lo_closed=False, hi_closed=False)
+    return GridFunction(outer, big,
+                        Field(Piecewise(interior, f.expr, ZERO), inner.n))
 
 
 def _boundary_probe(box: BoxDomain, shape, per_facet: int = 64):

@@ -84,6 +84,13 @@ class TestNormCommands:
                         "--box", "0,2", "--s", "0", "--grid", "16")
         assert code == 3
 
+    @pytest.mark.parametrize("grid", ["-4", "0", "1"])
+    def test_euclid_grid_below_two_rejected(self, capsys, grid):
+        code, rep = run(capsys, "norm", "euclid", "--expr", "x1",
+                        "--box", "0,1", "--s", "1", "--grid", grid)
+        assert code == 3
+        assert "at least 2" in rep["error"]
+
     def test_manifold_norm(self, capsys):
         code, rep = run(capsys, "norm", "manifold", "--manifold", "torus1",
                         "--expr", "sin(2*pi*x1)", "--e", "1", "--grid", "128")
@@ -126,6 +133,26 @@ class TestCompareAndOps:
         assert code == 0
         assert rep["kind"] == "operator_apply"
         assert rep["target_valence"] == [0, 0]
+        # torus local representations are glued from shifted pieces
+        assert rep["charts"]["cell-a"]["^_"] == "<piecewise>"
+
+    def test_op_apply_components_parse_back(self, capsys):
+        from sobolev.atlas import builtin_manifold
+        from sobolev.funcexpr import parse_expr
+        from sobolev.manifold_norms import ManifoldFunction
+        from sobolev.operators import apply_operator, build_operator
+        code, rep = run(capsys, "op", "apply", "--manifold", "s2-stereo",
+                        "--op", "grad", "--expr", "x1*x3")
+        assert code == 0
+        atlas, _, g = builtin_manifold("s2-stereo")
+        grad = apply_operator(build_operator("grad", g),
+                              ManifoldFunction.from_ambient(atlas, "x1*x3"))
+        for ci, chart in enumerate(atlas.charts):
+            comps = rep["charts"][chart.name]
+            assert set(comps) == {"^1_", "^2_"}
+            for a in range(2):
+                text = comps[f"^{a + 1}_"]
+                assert parse_expr(text, 2) == grad.component(ci, (a,), ()).expr
 
     def test_op_bound(self, capsys):
         code, rep = run(capsys, "op", "bound", "--manifold", "torus1",

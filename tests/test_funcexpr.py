@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sobolev.fields import AnnulusRegion, BoxRegion
 from sobolev.funcexpr import (
     Add, Call, Const, ExprDomainError, ExprSyntaxError, Mul, Neg, Pi,
-    Pow, Sub, Var, diff_expr, eval_expr, eval_on_points, expr_to_text,
+    Piecewise, Pow, Sub, Var, diff_expr, eval_expr, eval_on_points, expr_to_text,
     parse_expr, subst_expr,
 )
 
@@ -204,3 +205,43 @@ def test_symbolic_derivative_matches_central_differences():
         scale = max(1.0, abs(sym))
         assert abs(sym - fd) <= 1e-6 * scale
         checked += 1
+
+
+POSITIVE = BoxRegion([0.0], [None], lo_closed=False)
+
+
+class TestPiecewise:
+    def test_branches_see_only_their_points(self):
+        # log(x1) is never evaluated at the non-positive points
+        e = Piecewise(POSITIVE, parse_expr("log(x1)", 1),
+                      Const(Fraction(0)))
+        pts = np.array([[-1.0], [0.0], [1.0], [math.e]])
+        assert eval_on_points(e, pts).tolist() == [0.0, 0.0, 0.0, 1.0]
+        assert eval_on_points(e, np.empty((0, 1))).shape == (0,)
+
+    def test_nesting_is_first_match(self):
+        left = BoxRegion([None], [0.5])
+        e = Piecewise(left, Const(Fraction(1)),
+                      Piecewise(POSITIVE, Const(Fraction(2)),
+                                Const(Fraction(3))))
+        pts = np.array([[-1.0], [0.25], [0.75]])
+        assert eval_on_points(e, pts).tolist() == [1.0, 1.0, 2.0]
+
+    def test_diff_maps_branches(self):
+        x = parse_expr("x1^3", 1)
+        e = Piecewise(POSITIVE, x, Const(Fraction(0)))
+        assert diff_expr(e, 1) == Piecewise(POSITIVE, diff_expr(x, 1),
+                                            Const(Fraction(0)))
+
+    def test_text_and_substitution_rejected(self):
+        e = Piecewise(POSITIVE, Var(1), Const(Fraction(0)))
+        with pytest.raises(TypeError):
+            expr_to_text(e)
+        with pytest.raises(TypeError):
+            subst_expr(e, {1: Var(1)})
+
+    def test_regions_hash_by_value(self):
+        a = BoxRegion([0.0, None], [1.0, 2.0], lo_closed=False)
+        b = BoxRegion((0.0, None), (1.0, 2.0), lo_closed=(False, False))
+        assert a == b and hash(a) == hash(b)
+        assert hash(AnnulusRegion(1.0, None)) == hash(AnnulusRegion(1.0, None))

@@ -231,9 +231,10 @@ class TestFiberNormAndMusical:
                   ((1,), ()): ExprField(parse_expr("x2^2", 2), 2)}
                  for _ in range(2)]
         X = TensorField(atlas, 0, 1, comps)
-        from sobolev.fields import ScaledField
+        from sobolev.funcexpr import const, mul
         cX = TensorField(atlas, 0, 1, [
-            {k: ScaledField(-2.5, f) for k, f in block.items()}
+            {k: ExprField(mul(const(-2.5), f.expr), 2)
+             for k, f in block.items()}
             for block in comps])
         pts = chart_points(atlas, per_axis=4)
         a = fiber_norm_values(X, g, 0, pts)

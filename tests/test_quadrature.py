@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sobolev.fields import ScaledField, as_field, box_bump
-from sobolev.funcexpr import parse_expr
+from sobolev.fields import box_bump
+from sobolev.funcexpr import const, mul, parse_expr
 from sobolev.quadrature import (
     BoxDomain, GridAlignmentError, SupportViolation, extend_by_zero,
     gagliardo_double_sum, gagliardo_seminorm, lp_norm, multi_indices,
@@ -88,6 +88,14 @@ class TestGagliardo:
 
 
 class TestSobolevNorm:
+    @pytest.mark.parametrize("N", [-4, 0, 1])
+    def test_resolution_below_two_rejected(self, N):
+        with pytest.raises(ValueError, match="at least 2"):
+            sobolev_norm(X, UNIT, s=1, p=2, N=N)
+        square = BoxDomain(((0.0, 1.0), (0.0, 1.0)))
+        with pytest.raises(ValueError, match="at least 2"):
+            lp_norm(parse_expr("x1*x2", 2), square, p=2, N=(8, N))
+
     def test_s_zero_collapses_to_lp(self):
         a = sobolev_norm(X, UNIT, s=0, p=2, N=128)
         b = lp_norm(X, UNIT, p=2, N=128)
@@ -102,7 +110,7 @@ class TestSobolevNorm:
         u = parse_expr("sin(2*pi*x1)", 1)
         c = 3.75
         a = sobolev_norm(u, UNIT, s=1.5, p=2, N=64)
-        b = sobolev_norm(ScaledField(c, as_field(u, 1)), UNIT, s=1.5, p=2, N=64)
+        b = sobolev_norm(mul(const(c), u), UNIT, s=1.5, p=2, N=64)
         assert b.value == pytest.approx(c * a.value, rel=1e-10)
 
     def test_triangle_inequality(self):
