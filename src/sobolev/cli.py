@@ -1,11 +1,13 @@
 """Command-line front end; every subcommand emits a JSON report.
 
 Exit codes: 0 = computed, 1 = a check verdict of NotGuaranteed (so
-shells can branch on admissibility), 2 = usage or parse error, 3 =
-numerical domain error.  Every report echoes the fully resolved run
-configuration under "config", so a run is reproducible from its own
-output.  Rational arguments are given as "a/b" or decimal strings and
-are converted exactly; no floats reach the exponent checks.
+shells can branch on admissibility), 2 = usage or parse error (also a
+malformed number or box, or a --grid or --k out of range), 3 = numerical
+domain error or a result that is not finite.  Every report echoes the
+fully resolved run configuration under "config", so a run is
+reproducible from its own output.  Rational arguments are given as "a/b"
+or decimal strings and are converted exactly; no floats reach the
+exponent checks.
 """
 
 from __future__ import annotations
@@ -36,12 +38,19 @@ class _Parser(argparse.ArgumentParser):
 _DOMAINS = {d.value: d for d in ex.DomainClass}
 
 
-def _pair(text: str) -> ex.Exponent:
+def _rationals(text: str, what: str) -> tuple:
     parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"expected 's,p' exponent pair, got {text!r}")
-    return ex.Exponent(ex.rational(parts[0].strip()),
-                       ex.rational(parts[1].strip()))
+    try:
+        if len(parts) == 2:
+            return ex.rational(parts[0].strip()), ex.rational(parts[1].strip())
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise UsageError(
+        f"expected a rational {what} such as '3/2,2', got {text!r}")
+
+
+def _pair(text: str) -> ex.Exponent:
+    return ex.Exponent(*_rationals(text, "'s,p' exponent pair"))
 
 
 def _box(text: str) -> quad.BoxDomain:
@@ -52,6 +61,40 @@ def _box(text: str) -> quad.BoxDomain:
             raise UsageError(f"expected 'lo,hi' for each axis, got {text!r}")
         bounds.append((float(parts[0]), float(parts[1])))
     return quad.BoxDomain(tuple(bounds))
+
+
+def _grid(text: str) -> int:
+    n = int(text)
+    if n < 2:  # the two-grid error estimate halves every axis
+        raise ValueError(
+            f"grid resolution must be at least 2 per axis, got {n}")
+    return n
+
+
+def _order(text: str) -> int:
+    k = int(text)
+    if k < 0:
+        raise ValueError(f"k must be a nonnegative integer, got {k}")
+    return k
+
+
+def _checked(convert, keep_text=False):
+    """An argparse type: a failed ``convert`` is a usage error (exit 2).
+
+    With ``keep_text`` the argument keeps its text, which the report's
+    config echo shows and the command converts again.
+    """
+    def check(text):
+        try:
+            value = convert(text)
+        except (ValueError, ZeroDivisionError) as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+        return text if keep_text else value
+    return check
+
+
+_RATIONAL = _checked(ex.rational, keep_text=True)
+_GRID = _checked(_grid)
 
 
 def _build_parser() -> _Parser:
@@ -101,10 +144,11 @@ def _build_parser() -> _Parser:
 
     c = nsub.add_parser("euclid")
     c.add_argument("--expr", required=True)
-    c.add_argument("--box", required=True, help="lo,hi per axis, ';'-separated")
-    c.add_argument("--s", required=True)
-    c.add_argument("--p", default="2")
-    c.add_argument("--grid", type=int, default=None)
+    c.add_argument("--box", type=_checked(_box, keep_text=True),
+                   required=True, help="lo,hi per axis, ';'-separated")
+    c.add_argument("--s", type=_RATIONAL, required=True)
+    c.add_argument("--p", type=_RATIONAL, default="2")
+    c.add_argument("--grid", type=_GRID, default=None)
     c.add_argument("--variant", default="seminorm",
                    choices=["seminorm", "full"])
     c.add_argument("--seminorm", action="store_true",
@@ -113,9 +157,9 @@ def _build_parser() -> _Parser:
     c = nsub.add_parser("manifold")
     c.add_argument("--manifold", required=True)
     c.add_argument("--expr", required=True)
-    c.add_argument("--e", default="1")
-    c.add_argument("--q", default="2")
-    c.add_argument("--grid", type=int, default=None)
+    c.add_argument("--e", type=_RATIONAL, default="1")
+    c.add_argument("--q", type=_RATIONAL, default="2")
+    c.add_argument("--grid", type=_GRID, default=None)
     c.add_argument("--pou", default="default", choices=["default", "alt"])
     c.add_argument("--intrinsic", action="store_true",
                    help="with --e 0: report both Lebesgue-norm variants")
@@ -124,17 +168,17 @@ def _build_parser() -> _Parser:
     c = nsub.add_parser("connection")
     c.add_argument("--manifold", required=True)
     c.add_argument("--expr", required=True)
-    c.add_argument("--k", type=int, default=1)
-    c.add_argument("--q", default="2")
-    c.add_argument("--grid", type=int, default=None)
+    c.add_argument("--k", type=_checked(_order), default=1)
+    c.add_argument("--q", type=_RATIONAL, default="2")
+    c.add_argument("--grid", type=_GRID, default=None)
 
     c = sub.add_parser("compare", help="norm-equivalence ratio brackets")
     c.add_argument("--manifold", required=True)
     c.add_argument("--expr", action="append", required=True,
                    help="repeat for each family member")
-    c.add_argument("--e", default="1")
-    c.add_argument("--q", default="2")
-    c.add_argument("--grid", type=int, default=None)
+    c.add_argument("--e", type=_RATIONAL, default="1")
+    c.add_argument("--q", type=_RATIONAL, default="2")
+    c.add_argument("--grid", type=_GRID, default=None)
     c.add_argument("--against", default="pou-alt",
                    choices=["pou-alt", "connection"])
 
@@ -154,7 +198,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--from", dest="frm", required=True, metavar="E,Q")
     c.add_argument("--to", required=True, metavar="ET,QT")
     c.add_argument("--expr", action="append", required=True)
-    c.add_argument("--grid", type=int, default=None)
+    c.add_argument("--grid", type=_GRID, default=None)
     c.add_argument("--route", default=None, choices=["box", "chart"])
 
     c = sub.add_parser("atlas", help="atlas descriptors")
@@ -272,12 +316,10 @@ def _dispatch(args) -> tuple[dict, int]:
         family = [mn.ManifoldFunction.from_ambient(atlas, t)
                   for t in args.expr]
         op = ops.build_operator(args.op_id, g)
-        frm = tuple(s.strip() for s in args.frm.split(","))
-        to = tuple(s.strip() for s in args.to.split(","))
         route = args.route or ("box" if atlas.family == "torus" else "chart")
         out = ops.empirical_bound(
-            op, (ex.rational(frm[0]), ex.rational(frm[1])),
-            (ex.rational(to[0]), ex.rational(to[1])),
+            op, _rationals(args.frm, "'e,q' pair"),
+            _rationals(args.to, "'e,q' pair"),
             family, N=args.grid, route=route, pou=pou)
         return out, 0
 
@@ -341,12 +383,19 @@ def execute(argv=None) -> int:
         return 3
 
     report["config"] = _config_echo(args)
-    _emit(report, args.pretty, args.output)
+    try:
+        _emit(report, args.pretty, args.output)
+    except ValueError:  # NaN or infinity: not JSON, and not a result
+        _emit({"schema": "v1",
+               "error": "the computed report is not finite (NaN or infinity)",
+               "config": _config_echo(args)}, args.pretty, args.output)
+        return 3
     return code
 
 
 def _emit(report: dict, pretty: bool, output: str | None):
-    text = json.dumps(report, indent=2 if pretty else None, sort_keys=False)
+    text = json.dumps(report, indent=2 if pretty else None, sort_keys=False,
+                      allow_nan=False)
     print(text)
     if output:
         with open(output, "w") as fh:

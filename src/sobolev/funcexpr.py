@@ -19,12 +19,16 @@ Precedence: ``^`` binds tightest, then unary minus, then ``* /``, then
 ``+ -``.  Exponents are rational literals only, so the AST is closed
 under differentiation.  Numeric literals are converted exactly to
 rationals; the only rewriting applied anywhere is constant folding.
+
+Expressions are hash-consed DAGs (see :class:`Expr`): derivatives are
+memoized per node and evaluation runs each distinct node once.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -55,73 +59,118 @@ class ExprDomainError(ArithmeticError):
 # AST
 # ---------------------------------------------------------------------------
 
+# The intern table: (class, child ids..., scalar fields) -> the live node.
+# It holds nodes weakly, so it never keeps a dropped expression alive.  A
+# key's child ids stay valid as long as its entry exists: the node holds
+# its children, and its entry is removed when the node dies, before the
+# children are released.
+_INTERNED = weakref.WeakValueDictionary()
+
+
 class Expr:
-    """Base class for expression nodes. Immutable and hashable."""
+    """Base class for expression nodes.
+
+    Nodes are hash-consed: every constructor call goes through
+    ``Expr.__new__``, which returns the live node with the same class,
+    the same children and the same scalar fields if there is one.  So
+    structurally equal expressions are the same object, ``==`` and
+    ``hash`` are identity checks that cost O(1), and an expression is a
+    DAG whose shared subexpressions are stored once.  Nodes are immutable.
+    Besides its dataclass fields a node may carry two caches that are not
+    fields: its partial derivatives (see :func:`diff_expr`) and, once it
+    has been evaluated as a root, its evaluation program.
+    """
 
     __slots__ = ()
+    _names: tuple = ()      # dataclass field names, in order
+    _exact: int = -1        # index of a Fraction-valued field, if any
+
+    def __new__(cls, *args):
+        if len(args) != len(cls._names):
+            raise TypeError(f"{cls.__name__} takes fields {cls._names}")
+        i = cls._exact
+        if i >= 0 and type(args[i]) is not Fraction:
+            args = args[:i] + (Fraction(args[i]),) + args[i + 1:]
+        key = (cls, *[id(a) if isinstance(a, Expr) else a for a in args])
+        node = _INTERNED.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls._names, args):
+                object.__setattr__(node, name, value)
+            _INTERNED[key] = node
+        return node
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """Make ``cls`` a frozen, identity-compared node dataclass."""
+    cls = dataclass(frozen=True, eq=False, init=False)(cls)
+    cls._names = tuple(f.name for f in fields(cls))
+    cls._exact = next((i for i, f in enumerate(fields(cls))
+                       if f.type in ("Fraction", Fraction)), -1)
+    return cls
+
+
+@_node
 class Const(Expr):
     value: Fraction
 
 
-@dataclass(frozen=True)
+@_node
 class Pi(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     index: int  # 1-based, matching the surface syntax x1..xn
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Pow(Expr):
     base: Expr
     power: Fraction
 
 
-@dataclass(frozen=True)
+@_node
 class Call(Expr):
     func: str
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Piecewise(Expr):
     """``inside`` on the points of ``region``, ``outside`` elsewhere.
 
-    ``region`` is any hashable object with a vectorized
+    ``region`` is any object that hashes by value and has a vectorized
     ``contains(pts) -> bool mask``.  Nesting in ``outside`` gives
     first-match semantics.  Differentiation acts branch by branch, which
     is valid only where the glued function is smooth across the region
@@ -470,7 +519,19 @@ def diff_expr(e: Expr, axis: int) -> Expr:
 
     The derivative of abs is represented as arg/abs(arg) * arg'; where the
     argument vanishes this raises a domain error at evaluation time.
+    Derivatives are memoized per (node, axis), so the cost is linear in
+    the number of distinct nodes and asking twice returns the same node.
     """
+    if not isinstance(e, Expr):
+        raise TypeError(f"not an Expr: {e!r}")
+    memo = e.__dict__.setdefault("_derivs", {})
+    d = memo.get(axis)
+    if d is None:
+        d = memo[axis] = _diff_rule(e, axis)
+    return d
+
+
+def _diff_rule(e: Expr, axis: int) -> Expr:
     if isinstance(e, (Const, Pi)):
         return ZERO
     if isinstance(e, Var):
@@ -548,74 +609,157 @@ def subst_expr(e: Expr, mapping: dict[int, Expr]) -> Expr:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _eval(e: Expr, pts: np.ndarray) -> np.ndarray:
-    if isinstance(e, Const):
-        return np.full(pts.shape[0], float(e.value))
-    if isinstance(e, Pi):
-        return np.full(pts.shape[0], np.pi)
-    if isinstance(e, Var):
-        if e.index > pts.shape[1]:
-            raise ExprDomainError(
-                f"variable x{e.index} exceeds point dimension {pts.shape[1]}")
-        return pts[:, e.index - 1].astype(float, copy=True)
-    if isinstance(e, Neg):
-        return -_eval(e.arg, pts)
-    if isinstance(e, Add):
-        return _eval(e.left, pts) + _eval(e.right, pts)
-    if isinstance(e, Sub):
-        return _eval(e.left, pts) - _eval(e.right, pts)
-    if isinstance(e, Mul):
-        return _eval(e.left, pts) * _eval(e.right, pts)
-    if isinstance(e, Div):
-        num = _eval(e.left, pts)
-        den = _eval(e.right, pts)
-        if np.any(den == 0.0):
-            raise ExprDomainError("division by zero")
-        return num / den
-    if isinstance(e, Pow):
-        base = _eval(e.base, pts)
-        p = e.power
-        if p.denominator == 1:
-            k = p.numerator
-            if k < 0 and np.any(base == 0.0):
-                raise ExprDomainError("zero raised to a negative power")
-            return base ** float(k)
-        if np.any(base < 0.0):
-            raise ExprDomainError(
-                f"negative base for fractional power {_frac_text(p)}")
-        if p < 0 and np.any(base == 0.0):
+# A root is evaluated through its program: its distinct nodes in
+# post-order, children left to right and each node at its first
+# occurrence, which is the order in which a recursive walk of the tree
+# first finishes them.  So every node runs the numpy operation of that walk
+# on the same inputs, but once.  An instruction is (operation, scalar data,
+# argument slots, slots whose last use it is); those slots are freed as
+# soon as it has run.  A Piecewise node is a leaf of its program: each
+# branch is a root of its own, evaluated on the branch's points only, so a
+# branch is never evaluated where it may be undefined.
+
+
+def _full(value, pts):
+    return np.full(pts.shape[0], value)
+
+
+def _var(index, pts):
+    if index > pts.shape[1]:
+        raise ExprDomainError(
+            f"variable x{index} exceeds point dimension {pts.shape[1]}")
+    return pts[:, index - 1].astype(float, copy=True)
+
+
+def _neg(_, pts, a):
+    return -a
+
+
+def _add(_, pts, a, b):
+    return a + b
+
+
+def _sub(_, pts, a, b):
+    return a - b
+
+
+def _mul(_, pts, a, b):
+    return a * b
+
+
+def _div(_, pts, num, den):
+    if np.any(den == 0.0):
+        raise ExprDomainError("division by zero")
+    return num / den
+
+
+def _pow(p, pts, base):
+    if p.denominator == 1:
+        k = p.numerator
+        if k < 0 and np.any(base == 0.0):
             raise ExprDomainError("zero raised to a negative power")
-        return base ** float(p)
+        return base ** float(k)
+    if np.any(base < 0.0):
+        raise ExprDomainError(
+            f"negative base for fractional power {_frac_text(p)}")
+    if p < 0 and np.any(base == 0.0):
+        raise ExprDomainError("zero raised to a negative power")
+    return base ** float(p)
+
+
+def _call(func, pts, a):
+    if func == "sin":
+        return np.sin(a)
+    if func == "cos":
+        return np.cos(a)
+    if func == "exp":
+        with np.errstate(over="ignore"):
+            return np.exp(a)
+    if func == "log":
+        if np.any(a <= 0.0):
+            raise ExprDomainError("log of a non-positive value")
+        return np.log(a)
+    if func == "sqrt":
+        if np.any(a < 0.0):
+            raise ExprDomainError("sqrt of a negative value")
+        return np.sqrt(a)
+    if func == "abs":
+        return np.abs(a)
+    raise ValueError(f"unknown function {func!r}")
+
+
+def _piecewise(branches, pts):
+    region, inside, outside = branches
+    mask = region.contains(pts)
+    out = np.empty(pts.shape[0])
+    if mask.any():
+        out[mask] = _evaluate(inside, pts[mask])
+    if not mask.all():
+        out[~mask] = _evaluate(outside, pts[~mask])
+    return out
+
+
+_BINARY = {Add: _add, Sub: _sub, Mul: _mul, Div: _div}
+
+
+def _step(e: Expr) -> tuple:
+    """(operation, scalar data, children) of one node."""
+    if isinstance(e, Const):
+        return _full, float(e.value), ()
+    if isinstance(e, Pi):
+        return _full, np.pi, ()
+    if isinstance(e, Var):
+        return _var, e.index, ()
+    if isinstance(e, Neg):
+        return _neg, None, (e.arg,)
+    if type(e) in _BINARY:
+        return _BINARY[type(e)], None, (e.left, e.right)
+    if isinstance(e, Pow):
+        return _pow, e.power, (e.base,)
     if isinstance(e, Call):
-        a = _eval(e.arg, pts)
-        if e.func == "sin":
-            return np.sin(a)
-        if e.func == "cos":
-            return np.cos(a)
-        if e.func == "exp":
-            with np.errstate(over="ignore"):
-                return np.exp(a)
-        if e.func == "log":
-            if np.any(a <= 0.0):
-                raise ExprDomainError("log of a non-positive value")
-            return np.log(a)
-        if e.func == "sqrt":
-            if np.any(a < 0.0):
-                raise ExprDomainError("sqrt of a negative value")
-            return np.sqrt(a)
-        if e.func == "abs":
-            return np.abs(a)
+        return _call, e.func, (e.arg,)
     if isinstance(e, Piecewise):
-        # each branch sees only its own points, so a branch is never
-        # evaluated where it may be undefined
-        mask = e.region.contains(pts)
-        out = np.empty(pts.shape[0])
-        if mask.any():
-            out[mask] = _eval(e.inside, pts[mask])
-        if not mask.all():
-            out[~mask] = _eval(e.outside, pts[~mask])
-        return out
+        # the branches, not the node: a program never refers to its root
+        return _piecewise, (e.region, e.inside, e.outside), ()
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def _compile(root: Expr) -> list:
+    steps = []
+    slot = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in slot:
+            stack.pop()
+            continue
+        op, data, children = _step(node)
+        pending = [c for c in children if c not in slot]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        slot[node] = len(steps)
+        steps.append((op, data, tuple(slot[c] for c in children)))
+    dead = [[] for _ in steps]
+    last_use = {j: i for i, (_, _, args) in enumerate(steps) for j in args}
+    for j, i in last_use.items():
+        dead[i].append(j)
+    return [(*step, tuple(d)) for step, d in zip(steps, dead)]
+
+
+def _evaluate(root: Expr, pts: np.ndarray) -> np.ndarray:
+    try:
+        program = root._program
+    except AttributeError:
+        program = _compile(root)
+        root.__dict__["_program"] = program
+    vals = [None] * len(program)
+    for i, (op, data, args, dead) in enumerate(program):
+        vals[i] = op(data, pts, *[vals[j] for j in args])
+        for j in dead:
+            vals[j] = None
+    return vals[-1]
 
 
 def eval_on_points(e: Expr, pts: np.ndarray) -> np.ndarray:
@@ -623,7 +767,7 @@ def eval_on_points(e: Expr, pts: np.ndarray) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2d array of shape (m, n)")
-    out = _eval(e, pts)
+    out = _evaluate(e, pts)
     if np.any(np.isnan(out)):
         raise ExprDomainError("evaluation produced NaN")
     return out

@@ -387,10 +387,7 @@ def check_overlap_consistency(field: TensorField, npts: int = 100) -> float:
         chart_b = atlas.charts[b]
         mask = chart_b.contains(pts)
         coords_b = chart_b.to_chart(pts[mask])
-        inside = np.ones(coords_b.shape[0], dtype=bool)
-        for ax, (lo, hi) in enumerate(chart_b.truncation.bounds):
-            inside &= (coords_b[:, ax] > lo) & (coords_b[:, ax] < hi)
-        coords_b = coords_b[inside]
+        coords_b = coords_b[chart_b.truncation.interior(coords_b)]
         for a in range(len(atlas.charts)):
             if a == b:
                 continue
@@ -401,12 +398,7 @@ def check_overlap_consistency(field: TensorField, npts: int = 100) -> float:
             if atlas.family == "stereo":
                 r = np.sqrt(np.sum(cb * cb, axis=1))
                 cb = cb[r > 0.05]
-            trunc_a = atlas.charts[a].truncation
-            ca = t_ba(cb)
-            keep = np.ones(ca.shape[0], dtype=bool)
-            for ax, (lo, hi) in enumerate(trunc_a.bounds):
-                keep &= (ca[:, ax] > lo) & (ca[:, ax] < hi)
-            cb = cb[keep]
+            cb = cb[atlas.charts[a].truncation.interior(t_ba(cb))]
             if cb.shape[0] == 0:
                 continue
             predicted = transform_components(field, a, b, cb)

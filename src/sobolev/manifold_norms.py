@@ -101,10 +101,7 @@ def check_function_consistency(u, npts: int = 200) -> float:
         chart_a = atlas.charts[a]
         mask = chart_a.contains(pts)
         coords = chart_a.to_chart(pts[mask])
-        keep = np.ones(coords.shape[0], dtype=bool)
-        for ax, (lo, hi) in enumerate(chart_a.truncation.bounds):
-            keep &= (coords[:, ax] > lo) & (coords[:, ax] < hi)
-        coords = coords[keep]
+        coords = coords[chart_a.truncation.interior(coords)]
         vals_a = tensor.component(a, (), ()).values(coords)
         for b in range(atlas.chart_count()):
             if a == b:
@@ -112,9 +109,7 @@ def check_function_consistency(u, npts: int = 200) -> float:
             tm = transition_map(atlas, a, b)
             ok = tm.domain_mask(coords)
             cb = tm(coords[ok])
-            inside = np.ones(cb.shape[0], dtype=bool)
-            for ax, (lo, hi) in enumerate(atlas.charts[b].truncation.bounds):
-                inside &= (cb[:, ax] > lo) & (cb[:, ax] < hi)
+            inside = atlas.charts[b].truncation.interior(cb)
             if not inside.any():
                 continue
             vals_b = tensor.component(b, (), ()).values(cb[inside])
@@ -204,11 +199,9 @@ def manifold_lq_norm(u, g: MetricField, atlas: Atlas = None,
             chart_terms.append({"chart": chart.name, "component": list(map(list, key)),
                                 "value": rep.value})
 
-    extras = {
-        "intrinsic_value": value,
-        "chart_sum_value": chart_sum,
-        "variant_ratio": chart_sum / value if value > 0 else float("nan"),
-    }
+    extras = {"intrinsic_value": value, "chart_sum_value": chart_sum}
+    if value > 0:
+        extras["variant_ratio"] = chart_sum / value
     terms = [{"kind": "intrinsic", "chart": atlas.charts[ci].name,
               "value": per_chart[ci]} for ci in range(atlas.chart_count())]
     terms += [{"kind": "chart-sum", **t} for t in chart_terms]

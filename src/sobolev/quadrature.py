@@ -80,6 +80,13 @@ class BoxDomain:
         return all(lo <= olo and ohi <= hi
                    for (lo, hi), (olo, ohi) in zip(self.bounds, other.bounds))
 
+    def interior(self, pts: np.ndarray) -> np.ndarray:
+        """Mask of the points strictly inside the box."""
+        inside = np.ones(pts.shape[0], dtype=bool)
+        for ax, (lo, hi) in enumerate(self.bounds):
+            inside &= (pts[:, ax] > lo) & (pts[:, ax] < hi)
+        return inside
+
     def to_json(self):
         return [list(b) for b in self.bounds]
 

@@ -6,10 +6,17 @@ import pytest
 from sobolev.cli import main
 
 
+def strict_json(text):
+    """Parse as JSON proper: NaN and Infinity are rejected."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, strict_json(out)
 
 
 class TestCheckCommands:
@@ -88,8 +95,45 @@ class TestNormCommands:
     def test_euclid_grid_below_two_rejected(self, capsys, grid):
         code, rep = run(capsys, "norm", "euclid", "--expr", "x1",
                         "--box", "0,1", "--s", "1", "--grid", grid)
-        assert code == 3
+        assert code == 2
         assert "at least 2" in rep["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ("norm", "euclid", "--expr", "x1", "--box", "0,a", "--s", "1"),
+        ("norm", "euclid", "--expr", "x1", "--box", "1,0", "--s", "1"),
+        ("norm", "euclid", "--expr", "x1", "--box", "0,1", "--s", "1",
+         "--p", "inf"),
+        ("norm", "euclid", "--expr", "x1", "--box", "0,1", "--s", "1",
+         "--grid", "x"),
+        ("norm", "connection", "--manifold", "torus1", "--expr", "x1",
+         "--k", "-1"),
+        ("norm", "manifold", "--manifold", "torus1", "--expr", "x1",
+         "--e", "1/0"),
+        ("check", "embed", "--n", "2", "--from", "2,a", "--to", "1,4"),
+        ("op", "bound", "--manifold", "torus1", "--op", "laplace",
+         "--from", "2", "--to", "0,2", "--expr", "x1"),
+    ])
+    def test_malformed_arguments_are_usage_errors(self, capsys, argv):
+        code, rep = run(capsys, *argv)
+        assert code == 2
+        assert rep["error"]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_result_is_numerical_error(self, capsys):
+        code, rep = run(capsys, "norm", "euclid", "--expr", "exp(1000*x1)",
+                        "--box", "0,1", "--s", "1/2", "--grid", "8")
+        assert code == 3
+        assert "not finite" in rep["error"]
+        assert rep["config"]["expr"] == "exp(1000*x1)"
+
+    def test_intrinsic_zero_function_is_strict_json(self, capsys):
+        code, rep = run(capsys, "norm", "manifold", "--manifold", "s1-stereo",
+                        "--expr", "0", "--e", "0", "--grid", "16",
+                        "--intrinsic")
+        assert code == 0
+        assert rep["value"] == 0.0
+        assert "variant_ratio" not in rep["extras"]
 
     def test_manifold_norm(self, capsys):
         code, rep = run(capsys, "norm", "manifold", "--manifold", "torus1",

@@ -140,6 +140,13 @@ class TestSobolevNorm:
             sobolev_norm(X, UNIT, s=-0.5, p=2, N=32)
 
 
+def test_box_interior_is_open():
+    square = BoxDomain(((0.0, 1.0), (-1.0, 1.0)))
+    pts = np.array([[0.5, 0.0], [0.0, 0.0], [0.5, 1.0], [1.5, 0.0],
+                    [0.999, -0.999]])
+    assert square.interior(pts).tolist() == [True, False, False, False, True]
+
+
 class TestMultiIndices:
     def test_enumeration(self):
         assert multi_indices(1, 2) == [(0,), (1,), (2,)]
