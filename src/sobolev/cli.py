@@ -2,7 +2,8 @@
 
 Exit codes: 0 = computed, 1 = a check verdict of NotGuaranteed (so
 shells can branch on admissibility), 2 = usage or parse error (also a
-malformed number or box, or a --grid or --k out of range), 3 = numerical
+malformed number or box, an integrability --p/--q or pair p/q at or below
+1, or a --grid or --k out of range), 3 = numerical
 domain error or a result that is not finite.  Every report echoes the
 fully resolved run configuration under "config", so a run is
 reproducible from its own output.  Rational arguments are given as "a/b"
@@ -13,6 +14,7 @@ exponent checks.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -63,6 +65,13 @@ def _box(text: str) -> quad.BoxDomain:
     return quad.BoxDomain(tuple(bounds))
 
 
+def _integrability(text: str):
+    p = ex.rational(text)
+    if p <= 1:
+        raise ValueError(f"integrability must be > 1, got {text}")
+    return p
+
+
 def _grid(text: str) -> int:
     n = int(text)
     if n < 2:  # the two-grid error estimate halves every axis
@@ -94,9 +103,22 @@ def _checked(convert, keep_text=False):
 
 
 _RATIONAL = _checked(ex.rational, keep_text=True)
+_INTEGRABILITY = _checked(_integrability, keep_text=True)
+_PAIR = _checked(_pair, keep_text=True)
 _GRID = _checked(_grid)
 
 
+def _check_grid(grid, *orders, coarse_sups=0):
+    """--grid against the halvings below it: the two-grid estimate halves
+    it, a fractional order takes its double sum on the halved grid, and
+    ``op bound`` also takes every norm on the halved grid."""
+    fractional = any(ex.rational(o).denominator > 1 for o in orders)
+    need = 2 << (fractional + coarse_sups)
+    if grid is not None and grid < need:
+        raise UsageError(f"--grid must be at least {need} here, got {grid}")
+
+
+@functools.cache  # parsing does not change the parser
 def _build_parser() -> _Parser:
     p = _Parser(prog="sobolev", description=__doc__)
     p.add_argument("--pretty", action="store_true",
@@ -109,33 +131,34 @@ def _build_parser() -> _Parser:
 
     c = csub.add_parser("embed")
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--from", dest="frm", required=True, metavar="S,P")
-    c.add_argument("--to", required=True, metavar="T,Q")
+    c.add_argument("--from", dest="frm", type=_PAIR, required=True,
+                   metavar="S,P")
+    c.add_argument("--to", type=_PAIR, required=True, metavar="T,Q")
     c.add_argument("--domain", default="fullspace", choices=sorted(_DOMAINS))
 
     c = csub.add_parser("multiply")
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--a", required=True, metavar="S1,P1")
-    c.add_argument("--b", required=True, metavar="S2,P2")
-    c.add_argument("--target", required=True, metavar="S,P")
+    c.add_argument("--a", type=_PAIR, required=True, metavar="S1,P1")
+    c.add_argument("--b", type=_PAIR, required=True, metavar="S2,P2")
+    c.add_argument("--target", type=_PAIR, required=True, metavar="S,P")
     c.add_argument("--domain", default="fullspace",
                    choices=["fullspace", "lipschitz"])
 
     c = csub.add_parser("pointwise")
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--space", required=True, metavar="S,P")
+    c.add_argument("--space", type=_PAIR, required=True, metavar="S,P")
     c.add_argument("--mode", required=True, choices=ex.POINTWISE_MODES)
     c.add_argument("--domain", default="fullspace", choices=sorted(_DOMAINS))
 
     c = csub.add_parser("derivative")
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--space", required=True, metavar="S,P")
+    c.add_argument("--space", type=_PAIR, required=True, metavar="S,P")
     c.add_argument("--order", type=int, required=True)
     c.add_argument("--domain", default="fullspace", choices=sorted(_DOMAINS))
 
     c = csub.add_parser("extend")
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--space", required=True, metavar="S,P")
+    c.add_argument("--space", type=_PAIR, required=True, metavar="S,P")
     c.add_argument("--enclosing", default="general",
                    choices=["general", "lipschitz", "fullspace"])
 
@@ -147,7 +170,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--box", type=_checked(_box, keep_text=True),
                    required=True, help="lo,hi per axis, ';'-separated")
     c.add_argument("--s", type=_RATIONAL, required=True)
-    c.add_argument("--p", type=_RATIONAL, default="2")
+    c.add_argument("--p", type=_INTEGRABILITY, default="2")
     c.add_argument("--grid", type=_GRID, default=None)
     c.add_argument("--variant", default="seminorm",
                    choices=["seminorm", "full"])
@@ -158,7 +181,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--manifold", required=True)
     c.add_argument("--expr", required=True)
     c.add_argument("--e", type=_RATIONAL, default="1")
-    c.add_argument("--q", type=_RATIONAL, default="2")
+    c.add_argument("--q", type=_INTEGRABILITY, default="2")
     c.add_argument("--grid", type=_GRID, default=None)
     c.add_argument("--pou", default="default", choices=["default", "alt"])
     c.add_argument("--intrinsic", action="store_true",
@@ -169,7 +192,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--manifold", required=True)
     c.add_argument("--expr", required=True)
     c.add_argument("--k", type=_checked(_order), default=1)
-    c.add_argument("--q", type=_RATIONAL, default="2")
+    c.add_argument("--q", type=_INTEGRABILITY, default="2")
     c.add_argument("--grid", type=_GRID, default=None)
 
     c = sub.add_parser("compare", help="norm-equivalence ratio brackets")
@@ -177,7 +200,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--expr", action="append", required=True,
                    help="repeat for each family member")
     c.add_argument("--e", type=_RATIONAL, default="1")
-    c.add_argument("--q", type=_RATIONAL, default="2")
+    c.add_argument("--q", type=_INTEGRABILITY, default="2")
     c.add_argument("--grid", type=_GRID, default=None)
     c.add_argument("--against", default="pou-alt",
                    choices=["pou-alt", "connection"])
@@ -195,8 +218,9 @@ def _build_parser() -> _Parser:
     c.add_argument("--manifold", required=True)
     c.add_argument("--op", dest="op_id", required=True,
                    choices=ops.OPERATOR_IDS)
-    c.add_argument("--from", dest="frm", required=True, metavar="E,Q")
-    c.add_argument("--to", required=True, metavar="ET,QT")
+    c.add_argument("--from", dest="frm", type=_PAIR, required=True,
+                   metavar="E,Q")
+    c.add_argument("--to", type=_PAIR, required=True, metavar="ET,QT")
     c.add_argument("--expr", action="append", required=True)
     c.add_argument("--grid", type=_GRID, default=None)
     c.add_argument("--route", default=None, choices=["box", "chart"])
@@ -245,6 +269,7 @@ def _dispatch(args) -> tuple[dict, int]:
         return report, 0 if verdict.admissible else 1
 
     if cmd == "norm" and args.norm_command == "euclid":
+        _check_grid(args.grid, args.s)
         box = _box(args.box)
         expr = parse_expr(args.expr, box.n)
         s = float(ex.rational(args.s))
@@ -259,6 +284,7 @@ def _dispatch(args) -> tuple[dict, int]:
         return rep.to_json(), 0
 
     if cmd == "norm" and args.norm_command == "manifold":
+        _check_grid(args.grid, args.e)
         atlas, pou, g = _load_manifold(args)
         if getattr(args, "pou", "default") == "alt":
             pou = _pou_by_name(atlas, "alt")
@@ -282,6 +308,7 @@ def _dispatch(args) -> tuple[dict, int]:
         return rep.to_json(), 0
 
     if cmd == "compare":
+        _check_grid(args.grid, args.e)
         atlas, pou, g = _load_manifold(args)
         family = [mn.ManifoldFunction.from_ambient(atlas, t)
                   for t in args.expr]
@@ -312,15 +339,16 @@ def _dispatch(args) -> tuple[dict, int]:
         }, 0
 
     if cmd == "op" and args.op_command == "bound":
+        frm = _rationals(args.frm, "'e,q' pair")
+        to = _rationals(args.to, "'e,q' pair")
+        _check_grid(args.grid, frm[0], to[0], coarse_sups=1)
         atlas, pou, g = _load_manifold(args)
         family = [mn.ManifoldFunction.from_ambient(atlas, t)
                   for t in args.expr]
         op = ops.build_operator(args.op_id, g)
         route = args.route or ("box" if atlas.family == "torus" else "chart")
-        out = ops.empirical_bound(
-            op, _rationals(args.frm, "'e,q' pair"),
-            _rationals(args.to, "'e,q' pair"),
-            family, N=args.grid, route=route, pou=pou)
+        out = ops.empirical_bound(op, frm, to, family, N=args.grid,
+                                  route=route, pou=pou)
         return out, 0
 
     if cmd == "atlas" and args.atlas_command == "show":

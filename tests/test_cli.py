@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from sobolev.cli import main
+from sobolev.cli import _build_parser, main
 
 
 def strict_json(text):
@@ -117,6 +117,62 @@ class TestNormCommands:
         code, rep = run(capsys, *argv)
         assert code == 2
         assert rep["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ("norm", "euclid", "--expr", "x1", "--box", "0,1", "--s", "1",
+         "--p", "1/2"),
+        ("norm", "euclid", "--expr", "x1", "--box", "0,1", "--s", "1",
+         "--p", "1"),
+        ("norm", "manifold", "--manifold", "torus1", "--expr", "x1",
+         "--q", "1"),
+        ("norm", "connection", "--manifold", "torus1", "--expr", "x1",
+         "--q", "1/2"),
+        ("compare", "--manifold", "torus1", "--expr", "x1", "--q", "0.9"),
+        ("op", "bound", "--manifold", "torus1", "--op", "laplace",
+         "--from", "2,2", "--to", "0,1/2", "--expr", "x1"),
+        ("check", "multiply", "--n", "3", "--a", "1,2", "--b", "1,1",
+         "--target", "0,2"),
+    ])
+    def test_integrability_at_or_below_one_is_usage_error(self, capsys,
+                                                          argv):
+        code, rep = run(capsys, *argv)
+        assert code == 2
+        assert rep["error"].startswith("argument --")
+
+    @pytest.mark.parametrize("argv, need", [
+        (("norm", "euclid", "--expr", "x1", "--box", "0,1", "--s", "1/2",
+          "--seminorm", "--grid", "3"), 4),
+        (("norm", "euclid", "--expr", "x1", "--box", "0,1", "--s", "3/2",
+          "--grid", "2"), 4),
+        (("norm", "manifold", "--manifold", "torus1", "--expr", "x1",
+          "--e", "1/2", "--grid", "3"), 4),
+        (("compare", "--manifold", "torus1", "--expr", "x1", "--e", "1/2",
+          "--grid", "2"), 4),
+        (("op", "bound", "--manifold", "torus1", "--op", "laplace",
+          "--from", "2,2", "--to", "0,2", "--expr", "x1", "--grid", "3"), 4),
+        (("op", "bound", "--manifold", "torus1", "--op", "laplace",
+          "--from", "5/2,2", "--to", "1/2,2", "--expr", "x1",
+          "--grid", "7"), 8),
+    ])
+    def test_grid_too_small_for_its_halvings_is_usage_error(self, capsys,
+                                                            argv, need):
+        code, rep = run(capsys, *argv)
+        assert code == 2
+        assert f"at least {need}" in rep["error"]
+        assert rep["config"]["grid"] == int(argv[-1])
+
+    @pytest.mark.parametrize("argv", [
+        ("norm", "euclid", "--expr", "x1", "--box", "0,1", "--s", "1",
+         "--grid", "3"),
+        ("norm", "euclid", "--expr", "x1", "--box", "0,1", "--s", "1/2",
+         "--grid", "4"),
+        ("op", "bound", "--manifold", "torus1", "--op", "laplace",
+         "--from", "5/2,2", "--to", "1/2,2", "--expr", "sin(2*pi*x1)",
+         "--grid", "8"),
+    ])
+    def test_smallest_grids_still_run(self, capsys, argv):
+        code, rep = run(capsys, *argv)
+        assert code == 0
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
@@ -246,3 +302,31 @@ class TestPlumbing:
                         "--e", "0", "--grid", "64", "--intrinsic")
         assert code == 0
         assert rep["value"] == pytest.approx(1.0, rel=1e-4)
+
+
+def test_reused_parser_matches_fresh_parser(capsys):
+    """The parser is built once per process; parsing must not change it."""
+    def compare(*exprs):
+        argv = ["compare", "--manifold", "torus1", "--e", "1", "--grid",
+                "16"]
+        for e in exprs:
+            argv += ["--expr", e]
+        return argv
+
+    calls = [
+        compare("sin(2*pi*x1)", "cos(2*pi*x1)", "sin(4*pi*x1)"),
+        ["norm", "euclid", "--expr", "x1", "--box", "0,1", "--s", "1",
+         "--p", "1/2"],
+        compare("cos(2*pi*x1)"),
+        ["check", "embed", "--n", "2", "--from", "2,2", "--to", "1,4"],
+        compare("sin(2*pi*x1)", "cos(4*pi*x1)"),
+    ]
+    reused = []
+    for argv in calls:
+        reused.append((main(argv), capsys.readouterr().out))
+    for argv, got in zip(calls, reused):
+        _build_parser.cache_clear()
+        assert (main(argv), capsys.readouterr().out) == got
+    assert [code for code, _ in reused] == [0, 2, 0, 0, 0]
+    assert [len(strict_json(out)["ratios"]) for code, out in reused
+            if '"norm_comparison"' in out] == [3, 1, 2]

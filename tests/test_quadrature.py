@@ -1,19 +1,56 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sobolev.fields import box_bump
+from sobolev.fields import as_field, box_bump
 from sobolev.funcexpr import const, mul, parse_expr
 from sobolev.quadrature import (
     BoxDomain, GridAlignmentError, SupportViolation, extend_by_zero,
-    gagliardo_double_sum, gagliardo_seminorm, lp_norm, multi_indices,
-    sobolev_norm,
+    gagliardo_double_sum, gagliardo_seminorm, grid_shape, lp_norm,
+    midpoint_grid, multi_indices, sobolev_norm,
 )
 
 UNIT = BoxDomain(((0.0, 1.0),))
 X = parse_expr("x1", 1)
 ONE = parse_expr("1", 1)
+
+
+def dense_double_sum(u, box, theta, p, N=None, half=True):
+    """Test-only oracle: the pair sum cell pair by cell pair.
+
+    Every pair's distance and kernel are computed from the midpoints.
+    With ``half=True`` the x<y half is summed and doubled; with
+    ``half=False`` all ordered pairs are summed directly.
+    """
+    f = as_field(u, box.n)
+    shape = grid_shape(box.n, N)
+    pts, cellvol, _ = midpoint_grid(box, shape)
+    vals = f.values(pts)
+    alpha = box.n + theta * p
+    M = vals.size
+    chunk = max(1, int(4_000_000 / max(M, 1)))
+    total = 0.0
+    for i0 in range(0, M, chunk):
+        i1 = min(i0 + chunk, M)
+        j0 = i0 if half else 0
+        dv = vals[i0:i1, None] - vals[None, j0:]
+        d2 = np.zeros((i1 - i0, M - j0))
+        for ax in range(box.n):
+            diff = pts[i0:i1, ax, None] - pts[None, j0:, ax]
+            d2 += diff * diff
+        if half:  # strictly above the diagonal
+            keep = np.arange(M - j0)[None, :] > np.arange(i1 - i0)[:, None]
+        else:
+            keep = d2 > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            contrib = np.where(keep, np.abs(dv) ** p / np.where(
+                keep, d2, 1.0) ** (alpha / 2.0), 0.0)
+        total += float(np.sum(contrib))
+    total *= cellvol * cellvol
+    return 2.0 * total if half else total
 
 
 class TestLpNorm:
@@ -59,11 +96,13 @@ class TestGagliardo:
         with pytest.raises(ValueError):
             gagliardo_seminorm(X, UNIT, theta=0.0, p=2, N=32)
 
-    def test_symmetry_half_vs_full(self):
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_matches_oracle_half_and_full(self, p):
         u = parse_expr("sin(2*pi*x1)", 1)
-        half = gagliardo_double_sum(u, UNIT, 0.5, 2, N=64, half=True)
-        full = gagliardo_double_sum(u, UNIT, 0.5, 2, N=64, half=False)
-        assert half == pytest.approx(full, rel=1e-12)
+        got = gagliardo_double_sum(u, UNIT, 0.5, p, N=64)
+        for half in (True, False):
+            want = dense_double_sum(u, UNIT, 0.5, p, N=64, half=half)
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_grid_convergence_within_error_estimate(self):
         for theta in (0.25, 0.5):
@@ -85,6 +124,68 @@ class TestGagliardo:
         box2 = BoxDomain(((0.0, 1.0), (0.0, 1.0)))
         rep = gagliardo_seminorm(u2, box2, theta=0.5, p=2, N=24)
         assert rep.value > 0
+
+
+@st.composite
+def pair_sum_cases(draw):
+    """A smooth function on an anisotropic 1d, 2d or 3d box, with a
+    per-axis grid small enough for the dense oracle."""
+    n = draw(st.integers(1, 3))
+    top = {1: 96, 2: 16, 3: 7}[n]
+    shape = tuple(draw(st.integers(2, top)) for _ in range(n))
+    bounds = []
+    terms = ["x1*x2"] if n > 1 else []
+    for ax in range(1, n + 1):
+        lo = draw(st.integers(-4, 4)) / 4
+        bounds.append((lo, lo + draw(st.integers(2, 12)) / 4))
+        c = draw(st.sampled_from([1, -2, 3]))
+        fn = draw(st.sampled_from(["sin", "cos", "exp"]))
+        terms.append(f"{c}*{fn}(x{ax}/2)")
+    return parse_expr(" + ".join(terms), n), BoxDomain(tuple(bounds)), shape
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_sum_cases(),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.one_of(st.just(2.0), st.floats(1.0, 4.0, exclude_min=True)))
+def test_pair_sum_matches_dense_oracle(case, theta, p):
+    u, box, shape = case
+    got = gagliardo_double_sum(u, box, theta, p, shape)
+    want = dense_double_sum(u, box, theta, p, shape)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+class TestPairSumEdgeCases:
+    SQUARE = BoxDomain(((0.0, 1.0), (0.0, 2.0)))
+
+    @pytest.mark.parametrize("c", ["1", "0.1", "-7/3", "1000000.1"])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_constant_is_exactly_zero(self, c, p):
+        for box, N in ((UNIT, 100), (self.SQUARE, (7, 13))):
+            u = parse_expr(c, box.n)
+            assert gagliardo_double_sum(u, box, 0.5, p, N) == 0.0
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_tiny_variation_on_large_offset(self, p):
+        u = parse_expr("5 + x1/1000000000", 1)
+        got = gagliardo_double_sum(u, UNIT, 0.5, p, 64)
+        want = dense_double_sum(u, UNIT, 0.5, p, 64)
+        assert math.isfinite(got) and got >= 0.0
+        assert got == pytest.approx(want, rel=1e-10)
+
+    def test_large_one_dimensional_grid(self):
+        # |x-y|^2 / |x-y|^2 = 1 over the unit square: the seminorm is 1
+        start = time.perf_counter()
+        S = gagliardo_double_sum(X, UNIT, 0.5, 2, 65536)
+        assert time.perf_counter() - start < 1.0
+        assert S ** 0.5 == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_same_input_same_bits(self, p):
+        u = parse_expr("sin(x1)*x2", 2)
+        a = gagliardo_double_sum(u, self.SQUARE, 0.3, p, (24, 17))
+        b = gagliardo_double_sum(u, self.SQUARE, 0.3, p, (24, 17))
+        assert a.hex() == b.hex()
 
 
 class TestSobolevNorm:
