@@ -281,7 +281,7 @@ def _dispatch(args) -> tuple[dict, int]:
         else:
             rep = quad.sobolev_norm(expr, box, s=s, p=p, N=args.grid,
                                     variant=args.variant)
-        return rep.to_json(), 0
+        return rep, 0
 
     if cmd == "norm" and args.norm_command == "manifold":
         _check_grid(args.grid, args.e)
@@ -297,7 +297,7 @@ def _dispatch(args) -> tuple[dict, int]:
             rep = mn.manifold_lq_norm(u, g, atlas, pou, q=q, N=args.grid)
         else:
             rep = mn.chart_sobolev_norm(u, atlas, pou, e=e, q=q, N=args.grid)
-        return rep.to_json(), 0
+        return rep, 0
 
     if cmd == "norm" and args.norm_command == "connection":
         atlas, pou, g = _load_manifold(args)
@@ -305,7 +305,7 @@ def _dispatch(args) -> tuple[dict, int]:
         rep = mn.connection_sobolev_norm(
             u, g, k=args.k, q=float(ex.rational(args.q)), N=args.grid,
             pou=pou)
-        return rep.to_json(), 0
+        return rep, 0
 
     if cmd == "compare":
         _check_grid(args.grid, args.e)
@@ -329,14 +329,10 @@ def _dispatch(args) -> tuple[dict, int]:
         charts = {}
         for ci, chart in enumerate(atlas.charts):
             charts[chart.name] = ops.describe_components(result, ci)
-        return {
-            "schema": "v1",
-            "kind": "operator_apply",
-            "operator": args.op_id,
-            "source_valence": list(op.source_valence),
-            "target_valence": list(op.target_valence),
-            "charts": charts,
-        }, 0
+        return quad.Report("operator_apply", operator=args.op_id,
+                           source_valence=list(op.source_valence),
+                           target_valence=list(op.target_valence),
+                           charts=charts), 0
 
     if cmd == "op" and args.op_command == "bound":
         frm = _rationals(args.frm, "'e,q' pair")

@@ -22,7 +22,7 @@ regardless of any parallel schedule an embedder might choose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,11 +35,12 @@ from sobolev.geometry import (
     scalar_field,
 )
 from sobolev.quadrature import (
-    coarse_shape, grid_shape, lp_norm, midpoint_grid, sobolev_norm,
+    Report, _check_p, _norm_report, coarse_shape, grid_shape, midpoint_grid,
+    sobolev_norm,
 )
 
 __all__ = [
-    "ManifoldFunction", "ManifoldNormReport", "manifold_lq_norm",
+    "ManifoldFunction", "manifold_lq_norm",
     "chart_sobolev_norm", "connection_sobolev_norm", "compare_norms",
     "NormVariant", "check_function_consistency", "scale_tensor",
 ]
@@ -118,55 +119,35 @@ def check_function_consistency(u, npts: int = 200) -> float:
     return worst
 
 
-@dataclass
-class ManifoldNormReport:
-    """Norm value with per-chart breakdown and reproducibility metadata."""
-
-    value: float
-    manifold: str
-    atlas_id: str
-    pou_id: str
-    terms: list = dataclass_field(default_factory=list)
-    grid: dict = dataclass_field(default_factory=dict)
-    error_estimate: float = 0.0
-    extras: dict = dataclass_field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "schema": "v1",
-            "kind": "manifold_norm_report",
-            "value": self.value,
-            "manifold": self.manifold,
-            "atlas": self.atlas_id,
-            "pou": self.pou_id,
-            "terms": self.terms,
-            "grid": self.grid,
-            "error_estimate": self.error_estimate,
-            **({"extras": self.extras} if self.extras else {}),
-        }
-
-
-def _intrinsic_lq_power(tensor: TensorField, g: MetricField,
-                        pou: PartitionOfUnity, q: float, shape) -> tuple:
-    """sum_alpha integral psi_alpha |u|_E^q sqrt(det g): the q-th power of
-    the intrinsic norm, with per-chart contributions."""
-    atlas = tensor.atlas
+def _pou_integral(integrand, atlas: Atlas, g: MetricField,
+                  pou: PartitionOfUnity, shape) -> tuple:
+    """sum_alpha integral psi_alpha X sqrt(det g) with
+    X = integrand(chart index, points): the total and the per-chart
+    contributions, in chart order."""
     per_chart = []
     total = 0.0
     for ci, chart in enumerate(atlas.charts):
         pts, cellvol, _ = midpoint_grid(chart.truncation, shape)
         psi = pou.fields[ci].values(pts)
         dens = g.sqrt_det_field(ci).values(pts)
-        fib = fiber_norm_values(tensor, g, ci, pts)
-        contrib = float(np.sum(psi * fib ** q * dens) * cellvol)
+        contrib = float(np.sum(psi * integrand(ci, pts) * dens) * cellvol)
         per_chart.append(contrib)
         total += contrib
     return total, per_chart
 
 
+def _intrinsic_lq_power(tensor: TensorField, g: MetricField,
+                        pou: PartitionOfUnity, q: float, shape) -> tuple:
+    """sum_alpha integral psi_alpha |u|_E^q sqrt(det g): the q-th power of
+    the intrinsic norm, with per-chart contributions."""
+    return _pou_integral(
+        lambda ci, pts: fiber_norm_values(tensor, g, ci, pts) ** q,
+        tensor.atlas, g, pou, shape)
+
+
 def manifold_lq_norm(u, g: MetricField, atlas: Atlas = None,
                      pou: PartitionOfUnity = None, q: float = 2.0,
-                     N=None) -> ManifoldNormReport:
+                     N=None) -> Report:
     """Intrinsic L^q norm, reported together with the chart-sum variant.
 
     The primary value integrates |u|_E^q against the volume density; the
@@ -178,9 +159,7 @@ def manifold_lq_norm(u, g: MetricField, atlas: Atlas = None,
     atlas = atlas or atlas_u
     if pou is None:
         pou = build_partition_of_unity(atlas)
-    q = float(q)
-    if not q > 1:
-        raise ValueError("q must be > 1")
+    q = _check_p(q)
     shape = grid_shape(atlas.dim, N)
 
     total, per_chart = _intrinsic_lq_power(tensor, g, pou, q, shape)
@@ -188,33 +167,21 @@ def manifold_lq_norm(u, g: MetricField, atlas: Atlas = None,
     coarse, _ = _intrinsic_lq_power(tensor, g, pou, q, coarse_shape(shape))
     err = abs(value - coarse ** (1.0 / q))
 
-    chart_sum = 0.0
-    chart_terms = []
-    for ci, chart in enumerate(atlas.charts):
-        for key in tensor.keys():
-            f = Field(mul(pou.fields[ci].expr,
-                          tensor.component(ci, *key).expr), atlas.dim)
-            rep = lp_norm(f, chart.truncation, q, shape)
-            chart_sum += rep.value
-            chart_terms.append({"chart": chart.name, "component": list(map(list, key)),
-                                "value": rep.value})
-
-    extras = {"intrinsic_value": value, "chart_sum_value": chart_sum}
+    chart_sum = chart_sobolev_norm(tensor, atlas, pou, e=0, q=q, N=shape)
+    extras = {"intrinsic_value": value, "chart_sum_value": chart_sum.value}
     if value > 0:
-        extras["variant_ratio"] = chart_sum / value
+        extras["variant_ratio"] = chart_sum.value / value
     terms = [{"kind": "intrinsic", "chart": atlas.charts[ci].name,
               "value": per_chart[ci]} for ci in range(atlas.chart_count())]
-    terms += [{"kind": "chart-sum", **t} for t in chart_terms]
-    return ManifoldNormReport(
-        value=value, manifold=atlas.manifold, atlas_id=atlas.manifold,
-        pou_id=pou.name, terms=terms,
-        grid={"resolution": list(shape)},
-        error_estimate=err, extras=extras)
+    terms += [{"kind": "chart-sum", **t} for t in chart_sum.terms]
+    return _norm_report(value, terms, {"resolution": list(shape)}, err,
+                        extras, manifold=atlas.manifold,
+                        atlas=atlas.manifold, pou=pou.name)
 
 
 def chart_sobolev_norm(u, atlas: Atlas = None, pou: PartitionOfUnity = None,
                        e: float = 1.0, q: float = 2.0, N=None,
-                       variant: str = "seminorm") -> ManifoldNormReport:
+                       variant: str = "seminorm") -> Report:
     """Chart-based W^{e,q} norm: each chart term is a compactly supported
     Euclidean norm of the partition-weighted local representation."""
     atlas_u, tensor = _as_tensor(u)
@@ -239,16 +206,14 @@ def chart_sobolev_norm(u, atlas: Atlas = None, pou: PartitionOfUnity = None,
             terms.append({"chart": chart.name,
                           "component": list(map(list, key)),
                           "value": rep.value})
-    return ManifoldNormReport(
-        value=value, manifold=atlas.manifold, atlas_id=atlas.manifold,
-        pou_id=pou.name, terms=terms,
-        grid={"resolution": list(shape), "e": float(e), "q": float(q)},
-        error_estimate=err)
+    return _norm_report(
+        value, terms, {"resolution": list(shape), "e": float(e), "q": float(q)},
+        err, manifold=atlas.manifold, atlas=atlas.manifold, pou=pou.name)
 
 
 def connection_sobolev_norm(u, g: MetricField, k: int = 1, q: float = 2.0,
                             N=None, pou: PartitionOfUnity = None
-                            ) -> ManifoldNormReport:
+                            ) -> Report:
     """Connection-route W^{k,q} norm for integer k:
 
         ( sum_{i=0..k} || |nabla^i u|_F ||_{L^q}^q )^{1/q}
@@ -259,7 +224,7 @@ def connection_sobolev_norm(u, g: MetricField, k: int = 1, q: float = 2.0,
         raise ValueError("k must be a nonnegative integer")
     if pou is None:
         pou = build_partition_of_unity(atlas)
-    q = float(q)
+    q = _check_p(q)
     shape = grid_shape(atlas.dim, N)
 
     total = 0.0
@@ -277,11 +242,9 @@ def connection_sobolev_norm(u, g: MetricField, k: int = 1, q: float = 2.0,
         terms.append({"order": i, "lq_value": power ** (1.0 / q)})
     value = total ** (1.0 / q)
     err = abs(value - coarse_total ** (1.0 / q))
-    return ManifoldNormReport(
-        value=value, manifold=atlas.manifold, atlas_id=atlas.manifold,
-        pou_id=pou.name, terms=terms,
-        grid={"resolution": list(shape), "k": k, "q": q},
-        error_estimate=err)
+    return _norm_report(
+        value, terms, {"resolution": list(shape), "k": k, "q": q}, err,
+        manifold=atlas.manifold, atlas=atlas.manifold, pou=pou.name)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +281,7 @@ class NormVariant:
 
 def compare_norms(family, variant_a: NormVariant, variant_b: NormVariant,
                   e: float, q: float = 2.0, N=None,
-                  scale_check: float = 5.0) -> dict:
+                  scale_check: float = 5.0) -> Report:
     """Per-function ratios A/B with min/max bracket and scale invariance.
 
     Each ratio is recomputed with the function scaled by ``scale_check``;
@@ -339,14 +302,9 @@ def compare_norms(family, variant_a: NormVariant, variant_b: NormVariant,
         a2 = variant_a.compute(us, e, q, N)
         b2 = variant_b.compute(us, e, q, N)
         scale_dev = max(scale_dev, abs(a2 / b2 - ratio) / ratio)
-    return {
-        "schema": "v1",
-        "kind": "norm_comparison",
-        "variant_a": variant_a.describe(),
-        "variant_b": variant_b.describe(),
-        "e": float(e),
-        "q": float(q),
-        "ratios": ratios,
-        "bracket": [min(ratios), max(ratios)],
-        "scale_invariance_max_rel_dev": scale_dev,
-    }
+    return Report("norm_comparison",
+                  variant_a=variant_a.describe(),
+                  variant_b=variant_b.describe(),
+                  e=float(e), q=float(q), ratios=ratios,
+                  bracket=[min(ratios), max(ratios)],
+                  scale_invariance_max_rel_dev=scale_dev)

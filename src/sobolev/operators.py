@@ -32,10 +32,11 @@ from sobolev.fields import Field
 from sobolev.funcexpr import ONE, diff_expr, div, expr_to_text, mul, sum_exprs
 from sobolev.geometry import MetricField, TensorField
 from sobolev.manifold_norms import (
-    ManifoldFunction, _as_tensor, chart_sobolev_norm, scale_tensor,
+    ManifoldFunction, _as_tensor, _pou_integral, chart_sobolev_norm,
+    scale_tensor,
 )
 from sobolev.quadrature import (
-    BoxDomain, coarse_shape, grid_shape, midpoint_grid, sobolev_norm,
+    BoxDomain, Report, coarse_shape, grid_shape, sobolev_norm,
 )
 
 __all__ = [
@@ -121,10 +122,6 @@ class LocalOperator:
     def order(self) -> int:
         return _VALENCES[self.op_id][2]
 
-    def exponent_map(self, e, q):
-        """Declared mapping on Sobolev exponents: (e, q) -> (e - order, q)."""
-        return (e - self.order, q)
-
     def block(self, chart_index: int) -> LocalOperatorBlock:
         return LocalOperatorBlock(self.op_id, self.metric, chart_index)
 
@@ -204,7 +201,7 @@ def _chart_domain_class(atlas: Atlas) -> DomainClass:
 def empirical_bound(op: LocalOperator, from_exponents, to_exponents, family,
                     N=None, route: str = "box",
                     pou: PartitionOfUnity | None = None,
-                    screen: bool = True) -> dict:
+                    screen: bool = True) -> Report:
     """Empirical operator norm: sup over the family of
     ||op u||_{to} / ||u||_{from}, at two grid resolutions.
 
@@ -239,8 +236,6 @@ def empirical_bound(op: LocalOperator, from_exponents, to_exponents, family,
     if pou is None and route == "chart":
         pou = build_partition_of_unity(atlas)
 
-    if N is None:
-        N = 256 if atlas.dim == 1 else 32
     shape = grid_shape(atlas.dim, N)
 
     def sup_at(resolution):
@@ -262,26 +257,19 @@ def empirical_bound(op: LocalOperator, from_exponents, to_exponents, family,
         else scale_tensor(family[worst], 5.0)
     r5 = (_norm_for_route(apply_operator(op, u5), route, et, qt, shape, pou)
           / _norm_for_route(u5, route, e, q, shape, pou))
-    return {
-        "schema": "v1",
-        "kind": "operator_bound",
-        "operator": op.op_id,
-        "from": [e, q],
-        "to": [et, qt],
-        "route": route,
-        "ratios": ratios,
-        "sup": sup_fine,
-        "sup_coarse": sup_coarse,
-        "relative_change": abs(sup_fine - sup_coarse) / sup_fine
+    return Report(
+        "operator_bound", operator=op.op_id,
+        **{"from": [e, q]}, to=[et, qt], route=route, ratios=ratios,
+        sup=sup_fine, sup_coarse=sup_coarse,
+        relative_change=abs(sup_fine - sup_coarse) / sup_fine
         if sup_fine > 0 else 0.0,
-        "scale_invariance_rel_dev": abs(r5 - ratios[worst]) / ratios[worst]
+        scale_invariance_rel_dev=abs(r5 - ratios[worst]) / ratios[worst]
         if ratios[worst] > 0 else 0.0,
-        **({"screen": verdict_json} if verdict_json else {}),
-    }
+        **({"screen": verdict_json} if verdict_json else {}))
 
 
 def divergence_integral(X, g: MetricField, pou: PartitionOfUnity = None,
-                        N=None) -> dict:
+                        N=None) -> Report:
     """integral_M (div X) dV_g, which vanishes on a closed manifold.
 
     Returns the signed integral and a two-grid error estimate; computed
@@ -298,21 +286,11 @@ def divergence_integral(X, g: MetricField, pou: PartitionOfUnity = None,
     shape = grid_shape(atlas.dim, N)
 
     def signed_integral(shp):
-        total = 0.0
-        for ci, chart in enumerate(atlas.charts):
-            pts, cellvol, _ = midpoint_grid(chart.truncation, shp)
-            psi = pou.fields[ci].values(pts)
-            dens = g.sqrt_det_field(ci).values(pts)
-            vals = divX.tensor.component(ci, (), ()).values(pts)
-            total += float(np.sum(psi * vals * dens) * cellvol)
-        return total
+        return _pou_integral(
+            lambda ci, pts: divX.tensor.component(ci, (), ()).values(pts),
+            atlas, g, pou, shp)[0]
 
     value = signed_integral(shape)
     coarse = signed_integral(coarse_shape(shape))
-    err = abs(value - coarse)
-    return {
-        "schema": "v1",
-        "kind": "divergence_integral",
-        "value": value,
-        "error_estimate": err,
-    }
+    return Report("divergence_integral", value=value,
+                  error_estimate=abs(value - coarse))

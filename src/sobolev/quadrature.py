@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from sobolev.fields import BoxRegion, Field, as_field
 from sobolev.funcexpr import ZERO, Piecewise
 
 __all__ = [
-    "BoxDomain", "GridFunction", "NormReport", "SupportViolation",
+    "BoxDomain", "GridFunction", "Report", "SupportViolation",
     "lp_norm", "gagliardo_seminorm", "sobolev_norm", "extend_by_zero",
     "gagliardo_double_sum", "multi_indices", "grid_shape", "coarse_shape",
 ]
@@ -73,9 +73,6 @@ class BoxDomain:
         for lo, hi in self.bounds:
             v *= hi - lo
         return v
-
-    def lengths(self) -> np.ndarray:
-        return np.array([hi - lo for lo, hi in self.bounds])
 
     def contains(self, other: "BoxDomain") -> bool:
         return all(lo <= olo and ohi <= hi
@@ -169,26 +166,29 @@ class GridFunction:
         return GridFunction(sub, self.values[tuple(slices)], self.source)
 
 
-@dataclass
-class NormReport:
-    """Value with its per-term breakdown, grid metadata and error estimate."""
+class Report(dict):
+    """A JSON report, ``{"schema": "v1", "kind": kind, **fields}`` in
+    output order, whose fields also read as attributes (``rep.value``)."""
 
-    value: float
-    terms: list = dataclass_field(default_factory=list)
-    grid: dict = dataclass_field(default_factory=dict)
-    error_estimate: float = 0.0
-    extras: dict = dataclass_field(default_factory=dict)
+    def __init__(self, kind: str, **fields):
+        super().__init__(schema="v1", kind=kind, **fields)
 
-    def to_json(self) -> dict:
-        return {
-            "schema": "v1",
-            "kind": "norm_report",
-            "value": self.value,
-            "terms": self.terms,
-            "grid": self.grid,
-            "error_estimate": self.error_estimate,
-            **({"extras": self.extras} if self.extras else {}),
-        }
+    def __getattr__(self, name):
+        try:
+            return self[name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+
+def _norm_report(value, terms, grid, error_estimate, extras=None,
+                 **where) -> Report:
+    """The report of a norm route.  A manifold route passes ``manifold``,
+    ``atlas`` and ``pou``, which go between the value and the terms;
+    empty ``extras`` are left out."""
+    kind = "manifold_norm_report" if where else "norm_report"
+    return Report(kind, value=value, **where, terms=terms, grid=grid,
+                  error_estimate=error_estimate,
+                  **({"extras": extras} if extras else {}))
 
 
 def _check_p(p: float):
@@ -212,7 +212,7 @@ def _lp_value(f: Field, box: BoxDomain, p: float, shape) -> float:
     return float(np.sum(np.abs(vals) ** p) * cellvol) ** (1.0 / p)
 
 
-def lp_norm(u, box: BoxDomain = None, p: float = 2.0, N=None) -> NormReport:
+def lp_norm(u, box: BoxDomain = None, p: float = 2.0, N=None) -> Report:
     """Composite-midpoint L^p norm of an expression, field or grid function."""
     p = _check_p(p)
     if isinstance(u, GridFunction):
@@ -232,12 +232,8 @@ def lp_norm(u, box: BoxDomain = None, p: float = 2.0, N=None) -> NormReport:
         shape = grid_shape(box.n, N)
         value = _lp_value(f, box, p, shape)
         err = abs(value - _lp_value(f, box, p, coarse_shape(shape)))
-    return NormReport(
-        value=value,
-        terms=[{"kind": "lp", "p": p, "value": value}],
-        grid=_grid_meta(box, shape),
-        error_estimate=err,
-    )
+    return _norm_report(value, [{"kind": "lp", "p": p, "value": value}],
+                        _grid_meta(box, shape), err)
 
 
 def _strided_coarse_lp(u: GridFunction, p: float) -> float:
@@ -369,7 +365,7 @@ def _diagonal_model(f: Field, box: BoxDomain, theta: float, p: float, shape):
 
 
 def gagliardo_seminorm(u, box: BoxDomain, theta: float, p: float = 2.0,
-                       N=None) -> NormReport:
+                       N=None) -> Report:
     """Fractional-smoothness seminorm by the cell-pair midpoint rule.
 
     The exact-diagonal pairs are excluded from the value; a Lipschitz
@@ -388,14 +384,11 @@ def gagliardo_seminorm(u, box: BoxDomain, theta: float, p: float = 2.0,
     diag_effect = (S + D) ** (1.0 / p) - value
     err = abs(value - coarse) + diag_effect
 
-    return NormReport(
-        value=value,
-        terms=[{"kind": "gagliardo", "theta": float(theta), "p": p,
-                "value": value}],
-        grid=_grid_meta(box, shape),
-        error_estimate=err,
-        extras={"diagonal_model": D, "two_grid_difference": abs(value - coarse)},
-    )
+    return _norm_report(
+        value, [{"kind": "gagliardo", "theta": float(theta), "p": p,
+                 "value": value}],
+        _grid_meta(box, shape), err,
+        {"diagonal_model": D, "two_grid_difference": abs(value - coarse)})
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +414,7 @@ def _derivative(f: Field, nu) -> Field:
 
 
 def sobolev_norm(u, box: BoxDomain, s: float, p: float = 2.0, N=None,
-                 variant: str = "seminorm") -> NormReport:
+                 variant: str = "seminorm") -> Report:
     """W^{s,p} norm: lower-order L^p terms plus top-order fractional terms.
 
     value = sum_{|nu| <= k} ||d^nu u||_p  +  sum_{|nu| = k} |d^nu u|_{theta,p}
@@ -476,9 +469,7 @@ def sobolev_norm(u, box: BoxDomain, s: float, p: float = 2.0, N=None,
               "full_variant_value": value_full}
     if value_semi > 0:
         extras["variant_ratio"] = value_full / value_semi
-    return NormReport(value=value, terms=terms,
-                      grid=_grid_meta(box, shape),
-                      error_estimate=err, extras=extras)
+    return _norm_report(value, terms, _grid_meta(box, shape), err, extras)
 
 
 # ---------------------------------------------------------------------------

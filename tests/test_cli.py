@@ -261,6 +261,15 @@ class TestCompareAndOps:
         assert code == 0
         assert rep["sup"] <= 1.0
 
+    def test_op_bound_default_grid_is_64_in_2d(self, capsys):
+        argv = ("op", "bound", "--manifold", "s2-stereo", "--op", "laplace",
+                "--from", "2,2", "--to", "0,2", "--expr", "x1*x3")
+        code, default = run(capsys, *argv)
+        assert code == 0
+        code, explicit = run(capsys, *argv, "--grid", "64")
+        assert code == 0
+        assert default["ratios"] == explicit["ratios"]
+
     def test_atlas_show(self, capsys):
         code, rep = run(capsys, "atlas", "show", "--manifold", "s2-stereo")
         assert code == 0

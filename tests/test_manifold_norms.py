@@ -166,6 +166,16 @@ class TestConnectionNorm:
             assert rep.value == pytest.approx(abs(c), rel=1e-6)
 
 
+@pytest.mark.parametrize("q", [0.5, 1.0, math.inf])
+def test_integrability_out_of_range_rejected(t1, q):
+    atlas, pou, g = t1
+    u = ManifoldFunction.from_ambient(atlas, "sin(2*pi*x1)")
+    with pytest.raises(ValueError, match="integrability p must be finite"):
+        connection_sobolev_norm(u, g, k=1, q=q, N=64, pou=pou)
+    with pytest.raises(ValueError, match="integrability p must be finite"):
+        manifold_lq_norm(u, g, atlas, pou, q=q, N=64)
+
+
 TRIG_FAMILY = [
     "x1", "x2", "x1*x2", "x1^2 - x2^2", "x1^3",
     "x1 + 0.5*x2", "x2^2", "x1*x2^2", "0.25 + x1", "x2 - x1",
