@@ -29,8 +29,8 @@ from fractions import Fraction
 import numpy as np
 
 from sobolev.fields import (
-    AnnulusRegion, BoxRegion, Field, box_bump, radial_bump, radius_squared,
-    smoothstep_expr,
+    _SEAM, AnnulusRegion, BoxRegion, Field, _band_expr, box_bump, radial_bump,
+    radius_squared,
 )
 from sobolev.funcexpr import (
     ONE, ZERO, Call, Const, Expr, Piecewise, Var, add, div, mul,
@@ -241,18 +241,14 @@ def _pulled_bump(atlas: Atlas, seed: BumpSeed, beta: int, alpha: int) -> Expr:
 
 def _inverted_radial_bump(n: int, plateau: float, support: float) -> Expr:
     # bump(1/|x|): plateau |x| >= 1/a, vanishing for |x| <= 1/b; smooth
-    # across the origin because it is constant there.  Seam margins keep
-    # the band expression away from the smoothstep endpoints (where the
-    # profile is 1.0/0.0 to double precision anyway).
+    # across the origin because it is constant there.  The seams are those
+    # of radial_bump, mapped through the inversion.
     a, b = float(plateau), float(support)
-    seam = 1e-9
-    r = Call("sqrt", radius_squared(n))
-    tau = div(sub(Const(Fraction(b)), div(ONE, r)),
-              Const(Fraction(b) - Fraction(a)))
-    band = AnnulusRegion(1.0 / b * (1.0 + seam), 1.0 / a * (1.0 - seam),
+    band = AnnulusRegion(1.0 / b * (1.0 + _SEAM), 1.0 / a * (1.0 - _SEAM),
                          lo_closed=False, hi_closed=False)
-    return Piecewise(AnnulusRegion(1.0 / a * (1.0 - seam), None), ONE,
-                     Piecewise(band, smoothstep_expr(tau), ZERO))
+    r = Call("sqrt", radius_squared(n))
+    return Piecewise(AnnulusRegion(1.0 / a * (1.0 - _SEAM), None), ONE,
+                     Piecewise(band, _band_expr(div(ONE, r), a, b), ZERO))
 
 
 def _torus_pulled_bump(atlas: Atlas, seed: BumpSeed, beta: int,
@@ -338,7 +334,8 @@ class TransitionMap:
     b: int
 
     def __post_init__(self):
-        pts, _, _ = _trunc_grid(self.atlas.charts[self.a], 8)
+        pts, _, _ = midpoint_grid(self.atlas.charts[self.a].truncation,
+                                  (8,) * self.atlas.dim)
         if not self.domain_mask(pts).any():
             raise EmptyOverlap(
                 f"charts {self.a} and {self.b} have no sampled overlap")
@@ -358,9 +355,7 @@ class TransitionMap:
         """(m, n, n) array of d(transition)/d(coords)."""
         coords = np.asarray(coords, dtype=float)
         m, n = coords.shape
-        if self.a == self.b:
-            return np.broadcast_to(np.eye(n), (m, n, n)).copy()
-        if self.atlas.family == "torus":
+        if self.a == self.b or self.atlas.family == "torus":
             return np.broadcast_to(np.eye(n), (m, n, n)).copy()
         # stereographic pair: inversion x / |x|^2
         r2 = np.sum(coords * coords, axis=1)
@@ -374,10 +369,6 @@ class TransitionMap:
 
 def transition_map(atlas: Atlas, a: int, b: int) -> TransitionMap:
     return TransitionMap(atlas, a, b)
-
-
-def _trunc_grid(chart: Chart, per_axis: int):
-    return midpoint_grid(chart.truncation, (per_axis,) * chart.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from sobolev import manifold_norms as mn
 from sobolev import operators as ops
 from sobolev import quadrature as quad
 from sobolev.funcexpr import ExprDomainError, ExprSyntaxError, parse_expr
+from sobolev.geometry import builtin_metric
 
 __all__ = ["main", "execute"]
 
@@ -246,7 +247,6 @@ def _load_manifold(args):
         with open(cfg_path) as fh:
             cfg = json.load(fh)
         atlas, pou = atlas_mod.atlas_from_config(cfg)
-        from sobolev.geometry import builtin_metric
         if pou is None:
             pou = atlas_mod.build_partition_of_unity(atlas)
         return atlas, pou, builtin_metric(atlas)
@@ -309,6 +309,9 @@ def _dispatch(args) -> tuple[dict, int]:
 
     if cmd == "compare":
         _check_grid(args.grid, args.e)
+        if args.against == "connection" and \
+                ex.rational(args.e).denominator != 1:
+            raise UsageError("the connection route needs integer order")
         atlas, pou, g = _load_manifold(args)
         family = [mn.ManifoldFunction.from_ambient(atlas, t)
                   for t in args.expr]
@@ -343,6 +346,9 @@ def _dispatch(args) -> tuple[dict, int]:
                   for t in args.expr]
         op = ops.build_operator(args.op_id, g)
         route = args.route or ("box" if atlas.family == "torus" else "chart")
+        if route == "box" and atlas.family != "torus":
+            raise UsageError("--route box integrates one exact period; it "
+                             "applies to the torus manifolds")
         out = ops.empirical_bound(op, frm, to, family, N=args.grid,
                                   route=route, pou=pou)
         return out, 0

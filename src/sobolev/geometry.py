@@ -19,8 +19,8 @@ import numpy as np
 from sobolev.atlas import Atlas, transition_map
 from sobolev.fields import Field, radius_squared
 from sobolev.funcexpr import (
-    ONE, ZERO, Call, Const, Expr, add, diff_expr, div, eval_on_points, mul,
-    neg, pow_, sub, sum_exprs,
+    ONE, ZERO, Call, Const, Expr, add, const, diff_expr, div, eval_on_points,
+    mul, neg, pow_, sub, sum_exprs,
 )
 
 __all__ = [
@@ -194,6 +194,13 @@ class TensorField:
         cons = list(itertools.product(range(n), repeat=self.l_con))
         covs = list(itertools.product(range(n), repeat=self.k_cov))
         return [(c, v) for c in cons for v in covs]
+
+    def scaled(self, c: float) -> "TensorField":
+        """Every component multiplied by the constant c."""
+        return TensorField(self.atlas, self.k_cov, self.l_con,
+                           [{k: Field(mul(const(c), f.expr), f.n)
+                             for k, f in block.items()}
+                            for block in self.comps])
 
 
 def scalar_field(atlas: Atlas, chart_fields: list[Field]) -> TensorField:

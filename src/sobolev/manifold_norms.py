@@ -26,13 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sobolev.atlas import Atlas, PartitionOfUnity, build_partition_of_unity, \
-    transition_map
+from sobolev.atlas import Atlas, PartitionOfUnity, build_partition_of_unity
 from sobolev.fields import Field
-from sobolev.funcexpr import Expr, const, mul, parse_expr
+from sobolev.funcexpr import mul, parse_expr
 from sobolev.geometry import (
-    MetricField, TensorField, covariant_derivative, fiber_norm_values,
-    scalar_field,
+    MetricField, TensorField, check_overlap_consistency, covariant_derivative,
+    fiber_norm_values, scalar_field,
 )
 from sobolev.quadrature import (
     Report, _check_p, _norm_report, coarse_shape, grid_shape, midpoint_grid,
@@ -42,8 +41,14 @@ from sobolev.quadrature import (
 __all__ = [
     "ManifoldFunction", "manifold_lq_norm",
     "chart_sobolev_norm", "connection_sobolev_norm", "compare_norms",
-    "NormVariant", "check_function_consistency", "scale_tensor",
+    "NormVariant", "check_function_consistency", "SCALE_CHECK",
 ]
+
+
+# The factor of the homogeneity spot checks of ``compare_norms`` and
+# ``operators.empirical_bound``: every norm here is 1-homogeneous, so a
+# ratio of two norms must not change when the function is scaled.
+SCALE_CHECK = 5.0
 
 
 @dataclass
@@ -56,29 +61,20 @@ class ManifoldFunction:
 
     atlas: Atlas
     tensor: TensorField
-    ambient_expr: Expr | None = None
 
     @classmethod
     def from_ambient(cls, atlas: Atlas, u) -> "ManifoldFunction":
         expr = parse_expr(u, atlas.ambient_dim) if isinstance(u, str) else u
         fields = [atlas.local_representation(expr, ci)
                   for ci in range(atlas.chart_count())]
-        return cls(atlas, scalar_field(atlas, fields), expr)
+        return cls(atlas, scalar_field(atlas, fields))
 
     @classmethod
     def from_chart_fields(cls, atlas: Atlas, fields: list[Field]):
         return cls(atlas, scalar_field(atlas, fields))
 
     def scaled(self, c: float) -> "ManifoldFunction":
-        return ManifoldFunction(self.atlas, scale_tensor(self.tensor, c),
-                                None)
-
-
-def scale_tensor(t: TensorField, c: float) -> TensorField:
-    return TensorField(t.atlas, t.k_cov, t.l_con,
-                       [{k: Field(mul(const(c), f.expr), f.n)
-                         for k, f in block.items()}
-                        for block in t.comps])
+        return ManifoldFunction(self.atlas, self.tensor.scaled(c))
 
 
 def _as_tensor(u) -> tuple[Atlas, TensorField]:
@@ -91,32 +87,10 @@ def _as_tensor(u) -> tuple[Atlas, TensorField]:
 
 
 def check_function_consistency(u, npts: int = 200) -> float:
-    """Max disagreement of scalar local representations across overlaps."""
-    atlas, tensor = _as_tensor(u)
-    if tensor.k_cov or tensor.l_con:
-        from sobolev.geometry import check_overlap_consistency
-        return check_overlap_consistency(tensor, npts)
-    worst = 0.0
-    pts = atlas.sample_points(npts)
-    for a in range(atlas.chart_count()):
-        chart_a = atlas.charts[a]
-        mask = chart_a.contains(pts)
-        coords = chart_a.to_chart(pts[mask])
-        coords = coords[chart_a.truncation.interior(coords)]
-        vals_a = tensor.component(a, (), ()).values(coords)
-        for b in range(atlas.chart_count()):
-            if a == b:
-                continue
-            tm = transition_map(atlas, a, b)
-            ok = tm.domain_mask(coords)
-            cb = tm(coords[ok])
-            inside = atlas.charts[b].truncation.interior(cb)
-            if not inside.any():
-                continue
-            vals_b = tensor.component(b, (), ()).values(cb[inside])
-            worst = max(worst, float(np.max(np.abs(
-                vals_a[ok][inside] - vals_b))))
-    return worst
+    """Max disagreement of the local representations of a function or
+    tensor field across chart overlaps (see
+    :func:`sobolev.geometry.check_overlap_consistency`)."""
+    return check_overlap_consistency(_as_tensor(u)[1], npts)
 
 
 def _pou_integral(integrand, atlas: Atlas, g: MetricField,
@@ -180,8 +154,7 @@ def manifold_lq_norm(u, g: MetricField, atlas: Atlas = None,
 
 
 def chart_sobolev_norm(u, atlas: Atlas = None, pou: PartitionOfUnity = None,
-                       e: float = 1.0, q: float = 2.0, N=None,
-                       variant: str = "seminorm") -> Report:
+                       e: float = 1.0, q: float = 2.0, N=None) -> Report:
     """Chart-based W^{e,q} norm: each chart term is a compactly supported
     Euclidean norm of the partition-weighted local representation."""
     atlas_u, tensor = _as_tensor(u)
@@ -199,8 +172,7 @@ def chart_sobolev_norm(u, atlas: Atlas = None, pou: PartitionOfUnity = None,
         for key in tensor.keys():
             f = Field(mul(pou.fields[ci].expr,
                           tensor.component(ci, *key).expr), atlas.dim)
-            rep = sobolev_norm(f, chart.truncation, e, q, shape,
-                               variant=variant)
+            rep = sobolev_norm(f, chart.truncation, e, q, shape)
             value += rep.value
             err += rep.error_estimate
             terms.append({"chart": chart.name,
@@ -259,7 +231,6 @@ class NormVariant:
     kind: str                      # "chart" | "connection"
     pou: PartitionOfUnity | None = None
     metric: MetricField | None = None
-    label: str = ""
 
     def compute(self, u, e, q, N) -> float:
         if self.kind == "chart":
@@ -272,19 +243,16 @@ class NormVariant:
         raise ValueError(f"unknown norm variant {self.kind!r}")
 
     def describe(self) -> str:
-        if self.label:
-            return self.label
         if self.kind == "chart":
             return f"chart[{self.pou.name}]"
         return "connection"
 
 
 def compare_norms(family, variant_a: NormVariant, variant_b: NormVariant,
-                  e: float, q: float = 2.0, N=None,
-                  scale_check: float = 5.0) -> Report:
+                  e: float, q: float = 2.0, N=None) -> Report:
     """Per-function ratios A/B with min/max bracket and scale invariance.
 
-    Each ratio is recomputed with the function scaled by ``scale_check``;
+    Each ratio is recomputed with the function scaled by ``SCALE_CHECK``;
     homogeneity of both norms makes the ratio invariant (to roundoff),
     which is asserted in the report rather than silently assumed.
     """
@@ -297,8 +265,7 @@ def compare_norms(family, variant_a: NormVariant, variant_b: NormVariant,
         b = variant_b.compute(u, e, q, N)
         ratio = a / b
         ratios.append(ratio)
-        us = u.scaled(scale_check) if isinstance(u, ManifoldFunction) \
-            else scale_tensor(u, scale_check)
+        us = _as_tensor(u)[1].scaled(SCALE_CHECK)
         a2 = variant_a.compute(us, e, q, N)
         b2 = variant_b.compute(us, e, q, N)
         scale_dev = max(scale_dev, abs(a2 / b2 - ratio) / ratio)

@@ -32,8 +32,8 @@ from sobolev.fields import Field
 from sobolev.funcexpr import ONE, diff_expr, div, expr_to_text, mul, sum_exprs
 from sobolev.geometry import MetricField, TensorField
 from sobolev.manifold_norms import (
-    ManifoldFunction, _as_tensor, _pou_integral, chart_sobolev_norm,
-    scale_tensor,
+    SCALE_CHECK, ManifoldFunction, _as_tensor, _pou_integral,
+    chart_sobolev_norm,
 )
 from sobolev.quadrature import (
     BoxDomain, Report, coarse_shape, grid_shape, sobolev_norm,
@@ -200,15 +200,16 @@ def _chart_domain_class(atlas: Atlas) -> DomainClass:
 
 def empirical_bound(op: LocalOperator, from_exponents, to_exponents, family,
                     N=None, route: str = "box",
-                    pou: PartitionOfUnity | None = None,
-                    screen: bool = True) -> Report:
+                    pou: PartitionOfUnity | None = None) -> Report:
     """Empirical operator norm: sup over the family of
     ||op u||_{to} / ||u||_{from}, at two grid resolutions.
 
     ``from_exponents``/``to_exponents`` are (e, q) pairs with e >= 0.
-    The pair is pre-screened against the chartwise differentiation
-    theorem (chart images are the whole space or Lipschitz boxes) unless
-    ``screen=False``.
+    The pair is first screened against the chartwise differentiation
+    theorem (chart images are the whole space or Lipschitz boxes), whose
+    verdict the report carries under ``screen``; the ratio at the worst
+    function is then recomputed with that function scaled by
+    ``SCALE_CHECK``.
     """
     if not family:
         raise ValueError("the function family is empty")
@@ -217,22 +218,18 @@ def empirical_bound(op: LocalOperator, from_exponents, to_exponents, family,
     if e < 0 or et < 0:
         raise ValueError("numerical norms require nonnegative orders")
     atlas = op.atlas
-    verdict_json = None
-    if screen:
-        frm = space(Fraction(str(from_exponents[0])),
-                    Fraction(str(from_exponents[1])),
-                    atlas.dim, _chart_domain_class(atlas))
-        verdict = check_derivative(frm, op.order)
-        verdict_json = verdict.to_json()
-        if not verdict.admissible:
-            raise ValueError(
-                f"exponent screen failed for {op.op_id}: the chartwise "
-                f"differentiation theorem does not cover order {op.order} "
-                f"from W^({e},{q}); pass screen=False to force")
-        if et > e - op.order:
-            raise ValueError(
-                f"target order {et} exceeds the declared map "
-                f"(e - {op.order}); pass screen=False to force")
+    frm = space(Fraction(str(from_exponents[0])),
+                Fraction(str(from_exponents[1])),
+                atlas.dim, _chart_domain_class(atlas))
+    verdict = check_derivative(frm, op.order)
+    if not verdict.admissible:
+        raise ValueError(
+            f"exponent screen failed for {op.op_id}: the chartwise "
+            f"differentiation theorem does not cover order {op.order} "
+            f"from W^({e},{q})")
+    if et > e - op.order:
+        raise ValueError(
+            f"target order {et} exceeds the declared map (e - {op.order})")
     if pou is None and route == "chart":
         pou = build_partition_of_unity(atlas)
 
@@ -253,19 +250,18 @@ def empirical_bound(op: LocalOperator, from_exponents, to_exponents, family,
     sup_coarse = max(coarse)
     # scale invariance spot check on the worst function
     worst = int(np.argmax(ratios))
-    u5 = family[worst].scaled(5.0) if isinstance(family[worst], ManifoldFunction) \
-        else scale_tensor(family[worst], 5.0)
-    r5 = (_norm_for_route(apply_operator(op, u5), route, et, qt, shape, pou)
-          / _norm_for_route(u5, route, e, q, shape, pou))
+    us = _as_tensor(family[worst])[1].scaled(SCALE_CHECK)
+    rs = (_norm_for_route(apply_operator(op, us), route, et, qt, shape, pou)
+          / _norm_for_route(us, route, e, q, shape, pou))
     return Report(
         "operator_bound", operator=op.op_id,
         **{"from": [e, q]}, to=[et, qt], route=route, ratios=ratios,
         sup=sup_fine, sup_coarse=sup_coarse,
         relative_change=abs(sup_fine - sup_coarse) / sup_fine
         if sup_fine > 0 else 0.0,
-        scale_invariance_rel_dev=abs(r5 - ratios[worst]) / ratios[worst]
+        scale_invariance_rel_dev=abs(rs - ratios[worst]) / ratios[worst]
         if ratios[worst] > 0 else 0.0,
-        **({"screen": verdict_json} if verdict_json else {}))
+        screen=verdict.to_json())
 
 
 def divergence_integral(X, g: MetricField, pou: PartitionOfUnity = None,

@@ -213,18 +213,19 @@ def _lp_value(f: Field, box: BoxDomain, p: float, shape) -> float:
 
 
 def lp_norm(u, box: BoxDomain = None, p: float = 2.0, N=None) -> Report:
-    """Composite-midpoint L^p norm of an expression, field or grid function."""
+    """Composite-midpoint L^p norm of an expression, field or grid function.
+
+    A grid function's coarse value for the two-grid estimate is the norm
+    of its 2^n-cell block means, so it needs an even count on every axis.
+    """
     p = _check_p(p)
     if isinstance(u, GridFunction):
         if box is not None and box != u.domain:
             raise ValueError("grid function carries its own box")
         box = u.domain
         shape = u.shape
-        vals = np.abs(u.values.ravel()) ** p
-        cellvol = box.volume / vals.size
-        value = float(np.sum(vals) * cellvol) ** (1.0 / p)
-        coarse = _strided_coarse_lp(u, p)
-        err = abs(value - coarse)
+        value = _samples_lp(u.values, box, p)
+        err = abs(value - _samples_lp(_block_means(u), box, p))
     else:
         if box is None:
             raise ValueError("a box domain is required")
@@ -236,10 +237,19 @@ def lp_norm(u, box: BoxDomain = None, p: float = 2.0, N=None) -> Report:
                         _grid_meta(box, shape), err)
 
 
-def _strided_coarse_lp(u: GridFunction, p: float) -> float:
-    sub = u.values[tuple(slice(None, None, 2) for _ in u.shape)]
-    cellvol = u.domain.volume / sub.size
-    return float(np.sum(np.abs(sub) ** p) * cellvol) ** (1.0 / p)
+def _samples_lp(vals: np.ndarray, box: BoxDomain, p: float) -> float:
+    """L^p norm of cell samples on a uniform grid of the box."""
+    vals = np.abs(vals.ravel()) ** p
+    return float(np.sum(vals) * (box.volume / vals.size)) ** (1.0 / p)
+
+
+def _block_means(u: GridFunction) -> np.ndarray:
+    """The means of the 2^n-cell blocks: the samples of the coarse cells."""
+    if any(k % 2 for k in u.shape):
+        raise ValueError("the two-grid estimate of a grid function needs an "
+                         f"even cell count per axis, got {list(u.shape)}")
+    blocks = u.values.reshape([m for k in u.shape for m in (k // 2, 2)])
+    return blocks.mean(axis=tuple(range(1, blocks.ndim, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -476,13 +486,17 @@ def sobolev_norm(u, box: BoxDomain, s: float, p: float = 2.0, N=None,
 # Extension by zero
 # ---------------------------------------------------------------------------
 
-def extend_by_zero(u, inner: BoxDomain, outer: BoxDomain, N=None,
-                   support_tol: float = 1e-9) -> GridFunction:
+_SUPPORT_TOL = 1e-9  # the largest |u| extend_by_zero accepts on the margin
+
+
+def extend_by_zero(u, inner: BoxDomain, outer: BoxDomain,
+                   N=None) -> GridFunction:
     """Extend a compactly supported function by zero to a larger box.
 
-    ``u`` must vanish (within ``support_tol``) on the outermost cell
-    layer of the inner grid; the outer box must extend the inner box by
-    whole cells so that restriction reproduces the inner samples exactly.
+    ``u`` must vanish (within ``_SUPPORT_TOL`` = 1e-9) on the outermost
+    cell layer of the inner grid; the outer box must extend the inner box
+    by whole cells so that restriction reproduces the inner samples
+    exactly.
     The returned grid function carries a piecewise source field usable in
     norm computations on the outer box.
     """
@@ -504,10 +518,10 @@ def extend_by_zero(u, inner: BoxDomain, outer: BoxDomain, N=None,
     worst = float(np.max(np.abs(vals[margin_mask]))) if margin_mask.any() else 0.0
     boundary_pts = _boundary_probe(inner, shape)
     worst = max(worst, float(np.max(np.abs(f.values(boundary_pts)))))
-    if worst > support_tol:
+    if worst > _SUPPORT_TOL:
         raise SupportViolation(
             f"|u| reaches {worst:.3e} on the support margin of the inner box "
-            f"(tolerance {support_tol:.1e})")
+            f"(tolerance {_SUPPORT_TOL:.1e})")
 
     out_shape = []
     offsets = []

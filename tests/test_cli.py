@@ -19,6 +19,11 @@ def run(capsys, *argv):
     return code, strict_json(out)
 
 
+def no_norms(*args, **kwargs):
+    """Stands in for a norm route that a usage error must never reach."""
+    raise AssertionError("a norm was computed")
+
+
 class TestCheckCommands:
     def test_multiply_admissible(self, capsys):
         code, rep = run(capsys, "check", "multiply", "--n", "3",
@@ -269,6 +274,27 @@ class TestCompareAndOps:
         code, explicit = run(capsys, *argv, "--grid", "64")
         assert code == 0
         assert default["ratios"] == explicit["ratios"]
+
+    def test_compare_connection_fractional_order_is_usage_error(
+            self, capsys, monkeypatch):
+        import sobolev.manifold_norms as mn
+        monkeypatch.setattr(mn, "compare_norms", no_norms)
+        code, rep = run(capsys, "compare", "--manifold", "s1-stereo",
+                        "--expr", "x1", "--e", "1/2", "--grid", "16",
+                        "--against", "connection")
+        assert code == 2
+        assert rep["error"] == "the connection route needs integer order"
+
+    @pytest.mark.parametrize("manifold", ["s1-stereo", "s2-stereo"])
+    def test_op_bound_box_route_off_torus_is_usage_error(
+            self, capsys, monkeypatch, manifold):
+        import sobolev.operators as ops
+        monkeypatch.setattr(ops, "empirical_bound", no_norms)
+        code, rep = run(capsys, "op", "bound", "--manifold", manifold,
+                        "--op", "d", "--from", "1,2", "--to", "0,2",
+                        "--expr", "x1", "--grid", "16", "--route", "box")
+        assert code == 2
+        assert "--route box" in rep["error"]
 
     def test_atlas_show(self, capsys):
         code, rep = run(capsys, "atlas", "show", "--manifold", "s2-stereo")
