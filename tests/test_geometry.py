@@ -286,3 +286,37 @@ class TestFiberNormAndMusical:
                                  for _ in range(2)])
         with pytest.raises(ValueError):
             musical(u, g, "flat", 0)
+
+
+def _scalar(atlas, text):
+    expr = parse_expr(text, atlas.ambient_dim)
+    return scalar_field(atlas, [atlas.local_representation(expr, ci)
+                                for ci in range(atlas.chart_count())])
+
+
+class TestTensorLaw:
+    """Derived tensors obey the transformation law on every chart overlap;
+    this pins the component order of each valence, mixed ones included."""
+
+    @pytest.mark.parametrize("name,text", [
+        ("s2-stereo", "x1*x3"), ("s1-stereo", "x1*x2"),
+        ("torus2", "sin(2*pi*x1)*cos(2*pi*x2)")])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_iterated_covariant_derivative(self, name, text, k):
+        atlas, _, g = builtin_manifold(name)
+        du = covariant_derivative(_scalar(atlas, text), g, k)
+        assert check_overlap_consistency(du) <= 1e-10
+
+    @pytest.mark.parametrize("name,text", [
+        ("s2-stereo", "x1*x3"), ("s1-stereo", "x1*x2")])
+    def test_gradient_family(self, name, text):
+        from sobolev.operators import apply_operator, build_operator
+        atlas, _, g = builtin_manifold(name)
+        grad = apply_operator(build_operator("grad", g), _scalar(atlas, text))
+        derived = [grad, covariant_derivative(grad, g, 1),
+                   covariant_derivative(grad, g, 2),
+                   musical(grad, g, "flat", 0)]
+        assert [(t.k_cov, t.l_con) for t in derived] == \
+            [(0, 1), (1, 1), (2, 1), (1, 0)]
+        for t in derived:
+            assert check_overlap_consistency(t) <= 1e-10
