@@ -14,9 +14,10 @@ from sobolev.atlas import (
     alternate_seeds, build_partition_of_unity, builtin_manifold,
     quasirandom_points, transition_map,
 )
+from sobolev.geometry import TensorField
 from sobolev.manifold_norms import (
-    ManifoldFunction, NormVariant, chart_sobolev_norm, compare_norms,
-    connection_sobolev_norm, manifold_lq_norm,
+    NormVariant, chart_sobolev_norm, compare_norms, connection_sobolev_norm,
+    manifold_lq_norm,
 )
 
 atlas, pou, g = builtin_manifold("s1-stereo")
@@ -34,7 +35,7 @@ sums = pou.values_at(pts).sum(axis=0)
 print(f"partition sum deviation: {np.max(np.abs(sums - 1)):.2e}")
 
 # intrinsic L^2 norm of u = 1 is the square root of the circumference
-one = ManifoldFunction.from_ambient(atlas, "1")
+one = TensorField.from_ambient(atlas, "1")
 rep = manifold_lq_norm(one, g, atlas, pou, q=2, N=512)
 print(f"||1||_L2(S^1) = {rep.value:.5f}   sqrt(2 pi) = "
       f"{math.sqrt(2 * math.pi):.5f}")
@@ -43,7 +44,7 @@ print(f"   chart-sum variant = {rep.extras['chart_sum_value']:.5f}, "
 
 # chart norm and connection norm of the same function on the flat torus
 t_atlas, t_pou, t_g = builtin_manifold("torus1")
-u = ManifoldFunction.from_ambient(t_atlas, "sin(2*pi*x1)")
+u = TensorField.from_ambient(t_atlas, "sin(2*pi*x1)")
 print("torus1, u = sin(2 pi x):")
 print(f"   chart W^(1,2) norm      = "
       f"{chart_sobolev_norm(u, t_atlas, t_pou, e=1, q=2, N=512).value:.5f}")
@@ -54,7 +55,7 @@ print(f"   connection W^(1,2) norm = {conn:.5f} "
 # norm equivalence in action: two different partitions of unity give
 # uniformly comparable chart norms over a whole family of functions
 pou_alt = build_partition_of_unity(atlas, alternate_seeds(atlas), "alt")
-family = [ManifoldFunction.from_ambient(atlas, txt)
+family = [TensorField.from_ambient(atlas, txt)
           for txt in ("x1", "x2", "x1*x2", "x1^2 - x2^2", "x2^3")]
 out = compare_norms(family, NormVariant("chart", pou=pou),
                     NormVariant("chart", pou=pou_alt), e=1, q=2, N=256)

@@ -11,15 +11,14 @@ import math
 import numpy as np
 
 from sobolev.atlas import builtin_manifold
-from sobolev.geometry import christoffel
-from sobolev.manifold_norms import ManifoldFunction
+from sobolev.geometry import TensorField, christoffel
 from sobolev.operators import (
     apply_operator, build_operator, describe_components, divergence_integral,
     empirical_bound,
 )
 
 atlas, pou, g = builtin_manifold("torus1")
-u = ManifoldFunction.from_ambient(atlas, "sin(2*pi*x1)")
+u = TensorField.from_ambient(atlas, "sin(2*pi*x1)")
 
 lap = build_operator("laplace", g)
 print("laplace of sin(2 pi x) per chart:")
@@ -29,7 +28,7 @@ for ci, chart in enumerate(atlas.charts):
 
 # empirical boundedness of d: W^{1,2} -> L^2; the ratio never exceeds 1
 # because the W^{1,2} norm contains the derivative term
-family = [ManifoldFunction.from_ambient(atlas, f"sin(2*pi*{k}*x1)")
+family = [TensorField.from_ambient(atlas, f"sin(2*pi*{k}*x1)")
           for k in (1, 2, 3)]
 b = empirical_bound(build_operator("d", g), ("1", "2"), ("0", "2"),
                     family, N=256, route="box")
@@ -47,7 +46,7 @@ for k, ratio in zip((1, 2, 3), b["ratios"]):
 # on a closed manifold the divergence integrates to zero; we use the
 # gradient of the ambient height function on the round sphere
 s_atlas, s_pou, s_g = builtin_manifold("s2-stereo")
-f = ManifoldFunction.from_ambient(s_atlas, "x3")
+f = TensorField.from_ambient(s_atlas, "x3")
 X = apply_operator(build_operator("grad", s_g), f)
 ident = divergence_integral(X, s_g, s_pou, N=96)
 print(f"sphere: int div(grad x3) dV = {ident['value']:.2e} "

@@ -29,12 +29,12 @@ from fractions import Fraction
 import numpy as np
 
 from sobolev.fields import (
-    _SEAM, AnnulusRegion, BoxRegion, Field, _band_expr, box_bump, radial_bump,
+    _SEAM, AnnulusRegion, BoxRegion, _band_expr, box_bump, radial_bump,
     radius_squared,
 )
 from sobolev.funcexpr import (
-    ONE, ZERO, Call, Const, Expr, Piecewise, Var, add, div, mul,
-    prod_exprs, sub, subst_expr, sum_exprs,
+    ONE, ZERO, Call, Const, Expr, Piecewise, Var, add, div, eval_on_points,
+    mul, prod_exprs, sub, subst_expr, sum_exprs,
 )
 from sobolev.quadrature import BoxDomain, midpoint_grid
 
@@ -134,26 +134,22 @@ class Atlas:
 
     # -- local representations of ambient-coordinate functions ------------
 
-    def local_representation(self, ambient_expr: Expr, chart_index: int) -> Field:
+    def local_representation(self, ambient_expr: Expr, chart_index: int) -> Expr:
         """The function u written in the coordinates of one chart.
 
         For tori the ambient representative is coords mod 1, handled as a
-        piecewise unit shift per axis; agreement across the seams (i.e.
-        periodicity of the input) is the caller's contract, checked by
-        sampling in the norm layer.
+        piecewise unit shift per axis; the input must be 1-periodic in
+        every ambient coordinate, and nothing checks that yet.
         """
         chart = self.charts[chart_index]
         if self.family == "stereo":
             mapping = {i + 1: chart.inverse_exprs[i]
                        for i in range(self.ambient_dim)}
-            return Field(subst_expr(ambient_expr, mapping), self.dim)
+            return subst_expr(ambient_expr, mapping)
         return _torus_local_rep(ambient_expr, chart, self.dim)
 
-    def sample_points(self, m: int) -> np.ndarray:
-        return quasirandom_points(self.manifold, m)
 
-
-def _torus_local_rep(ambient_expr: Expr, chart: Chart, n: int) -> Field:
+def _torus_local_rep(ambient_expr: Expr, chart: Chart, n: int) -> Expr:
     # pieces: per-axis regions where coords - k lie in the unit cell
     pieces = []
     lo = [b[0] for b in chart.truncation.bounds]
@@ -172,7 +168,7 @@ def _torus_local_rep(ambient_expr: Expr, chart: Chart, n: int) -> Field:
     out = ZERO
     for region, expr in reversed(pieces):
         out = Piecewise(region, expr, out)
-    return Field(out, n)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +193,7 @@ class BumpSeed:
             out["center"] = list(self.center)
         return out
 
-    def field(self, n: int) -> Field:
+    def field(self, n: int) -> Expr:
         if self.kind == "radial":
             return radial_bump(n, self.plateau, self.support)
         return box_bump(n, self.center, Fraction(str(self.plateau)),
@@ -206,12 +202,12 @@ class BumpSeed:
 
 @dataclass
 class PartitionOfUnity:
-    """Subordinate partition of unity; one field per chart, in that
+    """Subordinate partition of unity; one expression per chart, in that
     chart's coordinates."""
 
     atlas: Atlas
     name: str
-    fields: list[Field]
+    fields: list[Expr]
     seeds: list[BumpSeed]
 
     def values_at(self, ambient: np.ndarray) -> np.ndarray:
@@ -222,7 +218,7 @@ class PartitionOfUnity:
             mask = chart.contains(ambient)
             if mask.any():
                 coords = chart.to_chart(ambient[mask])
-                out[a, mask] = f.values(coords)
+                out[a, mask] = eval_on_points(f, coords)
         return out
 
     def to_json(self) -> dict:
@@ -233,7 +229,7 @@ def _pulled_bump(atlas: Atlas, seed: BumpSeed, beta: int, alpha: int) -> Expr:
     """eta_beta written in chart alpha's coordinates."""
     n = atlas.dim
     if alpha == beta:
-        return seed.field(n).expr
+        return seed.field(n)
     if atlas.family == "stereo":
         return _inverted_radial_bump(n, seed.plateau, seed.support)
     return _torus_pulled_bump(atlas, seed, beta, alpha)
@@ -268,7 +264,7 @@ def _torus_pulled_bump(atlas: Atlas, seed: BumpSeed, beta: int,
                 break
         if ok:
             terms.append(box_bump(n, center, Fraction(str(seed.plateau)),
-                                  Fraction(str(seed.support))).expr)
+                                  Fraction(str(seed.support))))
     return sum_exprs(terms)
 
 
@@ -289,10 +285,10 @@ def build_partition_of_unity(atlas: Atlas, seeds=None,
         factors = [_pulled_bump(atlas, seeds[a], a, a)]
         for b in range(a):
             factors.append(sub(ONE, _pulled_bump(atlas, seeds[b], b, a)))
-        fields.append(Field(prod_exprs(factors), atlas.dim))
+        fields.append(prod_exprs(factors))
     pou = PartitionOfUnity(atlas, name, fields, list(seeds))
 
-    pts = atlas.sample_points(2000)
+    pts = quasirandom_points(atlas.manifold, 2000)
     sums = pou.values_at(pts).sum(axis=0)
     worst = int(np.argmin(sums))
     if sums[worst] < 1.0 - 1e-9:

@@ -3,7 +3,8 @@
 Exit codes: 0 = computed, 1 = a check verdict of NotGuaranteed (so
 shells can branch on admissibility), 2 = usage or parse error (also a
 malformed number or box, an integrability --p/--q or pair p/q at or below
-1, or a --grid or --k out of range), 3 = numerical
+1, a --grid or --k out of range, or an op bound exponent pair that fails
+its screen), 3 = numerical
 domain error or a result that is not finite.  Every report echoes the
 fully resolved run configuration under "config", so a run is
 reproducible from its own output.  Rational arguments are given as "a/b"
@@ -24,7 +25,7 @@ from sobolev import manifold_norms as mn
 from sobolev import operators as ops
 from sobolev import quadrature as quad
 from sobolev.funcexpr import ExprDomainError, ExprSyntaxError, parse_expr
-from sobolev.geometry import builtin_metric
+from sobolev.geometry import TensorField, builtin_metric
 
 __all__ = ["main", "execute"]
 
@@ -288,7 +289,7 @@ def _dispatch(args) -> tuple[dict, int]:
         atlas, pou, g = _load_manifold(args)
         if getattr(args, "pou", "default") == "alt":
             pou = _pou_by_name(atlas, "alt")
-        u = mn.ManifoldFunction.from_ambient(atlas, args.expr)
+        u = TensorField.from_ambient(atlas, args.expr)
         e = float(ex.rational(args.e))
         q = float(ex.rational(args.q))
         if args.intrinsic:
@@ -301,7 +302,7 @@ def _dispatch(args) -> tuple[dict, int]:
 
     if cmd == "norm" and args.norm_command == "connection":
         atlas, pou, g = _load_manifold(args)
-        u = mn.ManifoldFunction.from_ambient(atlas, args.expr)
+        u = TensorField.from_ambient(atlas, args.expr)
         rep = mn.connection_sobolev_norm(
             u, g, k=args.k, q=float(ex.rational(args.q)), N=args.grid,
             pou=pou)
@@ -313,7 +314,7 @@ def _dispatch(args) -> tuple[dict, int]:
                 ex.rational(args.e).denominator != 1:
             raise UsageError("the connection route needs integer order")
         atlas, pou, g = _load_manifold(args)
-        family = [mn.ManifoldFunction.from_ambient(atlas, t)
+        family = [TensorField.from_ambient(atlas, t)
                   for t in args.expr]
         a = mn.NormVariant("chart", pou=pou)
         if args.against == "connection":
@@ -326,7 +327,7 @@ def _dispatch(args) -> tuple[dict, int]:
 
     if cmd == "op" and args.op_command == "apply":
         atlas, pou, g = _load_manifold(args)
-        u = mn.ManifoldFunction.from_ambient(atlas, args.expr)
+        u = TensorField.from_ambient(atlas, args.expr)
         op = ops.build_operator(args.op_id, g)
         result = ops.apply_operator(op, u)
         charts = {}
@@ -342,7 +343,7 @@ def _dispatch(args) -> tuple[dict, int]:
         to = _rationals(args.to, "'e,q' pair")
         _check_grid(args.grid, frm[0], to[0], coarse_sups=1)
         atlas, pou, g = _load_manifold(args)
-        family = [mn.ManifoldFunction.from_ambient(atlas, t)
+        family = [TensorField.from_ambient(atlas, t)
                   for t in args.expr]
         op = ops.build_operator(args.op_id, g)
         route = args.route or ("box" if atlas.family == "torus" else "chart")

@@ -1,13 +1,15 @@
-"""Scalar fields on R^n: an expression together with its dimension.
+"""Scalar data on R^n: regions, mollifier bumps and the quadrature input.
 
-Quadrature routines take a :class:`Field`: vectorized values plus analytic
-partial derivatives.  Globally smooth data are plain expressions;
-compactly supported data (mollifier bumps, zero extensions, pulled-back
-partition-of-unity factors) are expressions with
-:class:`~sobolev.funcexpr.Piecewise` nodes whose branches are glued along
-seams where all derivatives agree, so differentiation may act branch by
-branch.  Products, sums and scalar multiples of fields are built as
-expressions with the folding constructors of :mod:`sobolev.funcexpr`.
+Every scalar function is a bare :class:`~sobolev.funcexpr.Expr`.  Globally
+smooth data are plain expressions; compactly supported data (mollifier
+bumps, zero extensions, pulled-back partition-of-unity factors) are
+expressions with :class:`~sobolev.funcexpr.Piecewise` nodes whose branches
+are glued along seams where all derivatives agree, so differentiation may
+act branch by branch.
+
+:class:`Field` is only the input of the quadrature routines: an expression
+together with the dimension of the box it is integrated over, made by
+:func:`as_field`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from sobolev.funcexpr import (
 )
 
 __all__ = [
-    "Field", "ExprField", "BoxRegion", "AnnulusRegion", "as_field",
+    "Field", "BoxRegion", "AnnulusRegion", "as_field",
     "smoothstep_expr", "interval_bump", "box_bump", "radial_bump",
     "radius_squared",
 ]
@@ -31,7 +33,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Field:
-    """A scalar field: vectorized evaluation plus analytic partials."""
+    """The quadrature input: vectorized evaluation plus analytic partials."""
 
     expr: Expr
     n: int
@@ -42,9 +44,6 @@ class Field:
     def partial(self, axis: int) -> "Field":
         """Partial derivative along x<axis> (1-based)."""
         return Field(diff_expr(self.expr, axis), self.n)
-
-
-ExprField = Field
 
 
 def _per_axis(flag, k: int) -> tuple:
@@ -144,7 +143,7 @@ def _band_expr(distance: Expr, plateau: float, support: float) -> Expr:
     return smoothstep_expr(tau)
 
 
-def interval_bump(n: int, axis: int, center, plateau, support) -> Field:
+def interval_bump(n: int, axis: int, center, plateau, support) -> Expr:
     """1-variable bump in x<axis>: 1 on [c-a, c+a], 0 outside (c-b, c+b)."""
     center = Fraction(center)
     a = Fraction(plateau)
@@ -161,21 +160,21 @@ def interval_bump(n: int, axis: int, center, plateau, support) -> Field:
     band_lo[axis - 1] = float(center - b) + _SEAM
     band_hi[axis - 1] = float(center + b) - _SEAM
     band = BoxRegion(band_lo, band_hi, lo_closed=False, hi_closed=False)
-    return Field(Piecewise(BoxRegion(plat_lo, plat_hi), ONE,
-                           Piecewise(band, _band_expr(dist, float(a), float(b)),
-                                     ZERO)), n)
+    return Piecewise(BoxRegion(plat_lo, plat_hi), ONE,
+                     Piecewise(band, _band_expr(dist, float(a), float(b)),
+                               ZERO))
 
 
-def box_bump(n: int, center, plateau, support) -> Field:
+def box_bump(n: int, center, plateau, support) -> Expr:
     """Tensor-product bump: 1 on the plateau box, 0 outside the support box."""
     center = [Fraction(c) for c in center]
     plateau = [Fraction(plateau)] * n if not isinstance(plateau, (list, tuple)) \
         else [Fraction(a) for a in plateau]
     support = [Fraction(support)] * n if not isinstance(support, (list, tuple)) \
         else [Fraction(b) for b in support]
-    return Field(prod_exprs(
-        interval_bump(n, ax + 1, center[ax], plateau[ax], support[ax]).expr
-        for ax in range(n)), n)
+    return prod_exprs(
+        interval_bump(n, ax + 1, center[ax], plateau[ax], support[ax])
+        for ax in range(n))
 
 
 def radius_squared(n: int) -> Expr:
@@ -186,7 +185,7 @@ def radius_squared(n: int) -> Expr:
     return r2
 
 
-def radial_bump(n: int, plateau, support) -> Field:
+def radial_bump(n: int, plateau, support) -> Expr:
     """Radial bump about the origin: 1 for |x| <= plateau, 0 for |x| >= support."""
     a = float(plateau)
     b = float(support)
@@ -194,7 +193,6 @@ def radial_bump(n: int, plateau, support) -> Field:
         raise ValueError("need 0 < plateau < support")
     band = AnnulusRegion(a + _SEAM, b - _SEAM, lo_closed=False,
                          hi_closed=False)
-    return Field(Piecewise(AnnulusRegion(None, a + _SEAM), ONE,
-                           Piecewise(band, _band_expr(
-                               Call("sqrt", radius_squared(n)), a, b), ZERO)),
-                 n)
+    return Piecewise(AnnulusRegion(None, a + _SEAM), ONE,
+                     Piecewise(band, _band_expr(
+                         Call("sqrt", radius_squared(n)), a, b), ZERO))

@@ -10,17 +10,18 @@ term; fiber norms contract all indices with g and its inverse.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 import numpy as np
 
-from sobolev.atlas import Atlas, transition_map
-from sobolev.fields import Field, radius_squared
+from sobolev.atlas import Atlas, quasirandom_points, transition_map
+from sobolev.fields import radius_squared
 from sobolev.funcexpr import (
     ONE, ZERO, Call, Const, Expr, add, const, diff_expr, div, eval_on_points,
-    mul, neg, pow_, sub, sum_exprs,
+    mul, neg, parse_expr, pow_, sub, sum_exprs,
 )
 
 __all__ = [
@@ -29,6 +30,17 @@ __all__ = [
     "metric_aux", "scalar_field", "transform_components",
     "check_overlap_consistency",
 ]
+
+
+def _values(exprs, pts) -> np.ndarray:
+    """(m, len(exprs)) values at chart points: one ``eval_on_points`` call
+    per expression, in order."""
+    pts = np.asarray(pts, dtype=float)
+    out = np.empty((pts.shape[0], len(exprs)))
+    for i, e in enumerate(exprs):
+        out[:, i] = eval_on_points(e, pts)
+    return out
+
 
 def _det_expr(m: list[list[Expr]]) -> Expr:
     n = len(m)
@@ -72,14 +84,11 @@ class ChristoffelField:
     gamma: list  # n x n x n expressions
 
     def values(self, pts: np.ndarray) -> np.ndarray:
+        """(m, n, n, n) array of gamma[k][i][j] at chart points."""
         n = self.atlas.dim
-        pts = np.asarray(pts, dtype=float)
-        out = np.zeros((pts.shape[0], n, n, n))
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    out[:, k, i, j] = eval_on_points(self.gamma[k][i][j], pts)
-        return out
+        return _values([self.gamma[k][i][j] for k in range(n)
+                        for i in range(n) for j in range(n)],
+                       pts).reshape(-1, n, n, n)
 
 
 @dataclass
@@ -130,18 +139,11 @@ class MetricField:
                     gamma[k][j][i] = val
         return ChristoffelField(self.atlas, ci, gamma)
 
-    def sqrt_det_field(self, ci: int) -> Field:
-        return Field(self.sqrt_det[ci], self.atlas.dim)
-
     def matrix_values(self, ci: int, pts: np.ndarray, inverse=False) -> np.ndarray:
         n = self.atlas.dim
         comps = self.inv_comps[ci] if inverse else self.comps[ci]
-        pts = np.asarray(pts, dtype=float)
-        out = np.empty((pts.shape[0], n, n))
-        for i in range(n):
-            for j in range(n):
-                out[:, i, j] = eval_on_points(comps[i][j], pts)
-        return out
+        return _values([e for row in comps for e in row],
+                       pts).reshape(-1, n, n)
 
 
 def builtin_metric(atlas: Atlas) -> MetricField:
@@ -173,40 +175,56 @@ def christoffel(g: MetricField, chart: int) -> ChristoffelField:
 # Tensor fields
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _positions(n: int, k_cov: int, l_con: int) -> dict:
+    """Component key -> position in a chart block, in ``keys()`` order."""
+    covs = list(itertools.product(range(n), repeat=k_cov))
+    keys = [(c, v) for c in itertools.product(range(n), repeat=l_con)
+            for v in covs]
+    return {key: i for i, key in enumerate(keys)}
+
+
 @dataclass
 class TensorField:
-    """Per-chart components of a (k covariant, l contravariant) tensor.
+    """A function or a (k covariant, l contravariant) tensor field on a
+    manifold, chart by chart; a function is the valence (0, 0).
 
-    Component keys are (contra_indices, cov_indices) pairs of 0-based
-    index tuples; values are scalar fields in chart coordinates.
+    Each chart block is a tuple of component expressions in that chart's
+    coordinates, in ``keys()`` order.  A key is a (contra_indices,
+    cov_indices) pair of 0-based index tuples; contravariant indices vary
+    slowest, and each group runs in lexicographic order.
     """
 
     atlas: Atlas
     k_cov: int
     l_con: int
-    comps: list  # per chart: dict[(tuple, tuple)] -> Field
+    comps: list  # per chart: tuple of Expr in keys() order
 
-    def component(self, chart: int, con: tuple, cov: tuple) -> Field:
-        return self.comps[chart][(tuple(con), tuple(cov))]
+    @classmethod
+    def from_ambient(cls, atlas: Atlas, u) -> "TensorField":
+        """The function given by an expression (or its text) in the
+        ambient coordinates x1..xm."""
+        expr = parse_expr(u, atlas.ambient_dim) if isinstance(u, str) else u
+        return scalar_field(atlas, [atlas.local_representation(expr, ci)
+                                    for ci in range(atlas.chart_count())])
 
-    def keys(self):
-        n = self.atlas.dim
-        cons = list(itertools.product(range(n), repeat=self.l_con))
-        covs = list(itertools.product(range(n), repeat=self.k_cov))
-        return [(c, v) for c in cons for v in covs]
+    def component(self, chart: int, con: tuple, cov: tuple) -> Expr:
+        pos = _positions(self.atlas.dim, self.k_cov, self.l_con)
+        return self.comps[chart][pos[(tuple(con), tuple(cov))]]
+
+    def keys(self) -> list:
+        return list(_positions(self.atlas.dim, self.k_cov, self.l_con))
 
     def scaled(self, c: float) -> "TensorField":
         """Every component multiplied by the constant c."""
         return TensorField(self.atlas, self.k_cov, self.l_con,
-                           [{k: Field(mul(const(c), f.expr), f.n)
-                             for k, f in block.items()}
+                           [tuple(mul(const(c), e) for e in block)
                             for block in self.comps])
 
 
-def scalar_field(atlas: Atlas, chart_fields: list[Field]) -> TensorField:
-    """Wrap per-chart scalar fields as a valence-(0,0) tensor field."""
-    return TensorField(atlas, 0, 0,
-                       [{((), ()): f} for f in chart_fields])
+def scalar_field(atlas: Atlas, chart_exprs: list[Expr]) -> TensorField:
+    """A function from its per-chart local representations."""
+    return TensorField(atlas, 0, 0, [(e,) for e in chart_exprs])
 
 
 def covariant_derivative(field: TensorField, g: MetricField,
@@ -234,30 +252,30 @@ def covariant_derivative(field: TensorField, g: MetricField,
 
 def _cov_step(field: TensorField, g: MetricField) -> TensorField:
     n = field.atlas.dim
+    new_keys = _positions(n, field.k_cov + 1, field.l_con)
     new_comps = []
     for ci in range(len(field.atlas.charts)):
         gamma = g._christoffel[ci].gamma
 
         def comp(con, cov):
-            return field.component(ci, con, cov).expr
+            return field.component(ci, con, cov)
 
-        block = {}
-        for (con, cov) in field.keys():
-            base = comp(con, cov)
-            for m in range(n):
-                total = diff_expr(base, m + 1)
-                for t, a in enumerate(con):
-                    for b in range(n):
-                        total = add(total, mul(
-                            gamma[a][m][b],
-                            comp(con[:t] + (b,) + con[t + 1:], cov)))
-                for t, i in enumerate(cov):
-                    for b in range(n):
-                        total = sub(total, mul(
-                            gamma[b][m][i],
-                            comp(con, cov[:t] + (b,) + cov[t + 1:])))
-                block[(con, (m,) + cov)] = Field(total, n)
-        new_comps.append(block)
+        block = []
+        for con, mcov in new_keys:
+            m, cov = mcov[0], mcov[1:]
+            total = diff_expr(comp(con, cov), m + 1)
+            for t, a in enumerate(con):
+                for b in range(n):
+                    total = add(total, mul(
+                        gamma[a][m][b],
+                        comp(con[:t] + (b,) + con[t + 1:], cov)))
+            for t, i in enumerate(cov):
+                for b in range(n):
+                    total = sub(total, mul(
+                        gamma[b][m][i],
+                        comp(con, cov[:t] + (b,) + cov[t + 1:])))
+            block.append(total)
+        new_comps.append(tuple(block))
     return TensorField(field.atlas, field.k_cov + 1, field.l_con, new_comps)
 
 
@@ -270,18 +288,16 @@ def fiber_norm_values(field: TensorField, g: MetricField, chart: int,
     """|A|_F at chart points: every covariant slot contracts with the
     inverse metric, every contravariant slot with the metric."""
     pts = np.asarray(pts, dtype=float)
-    m = pts.shape[0]
-    vals = {key: field.component(chart, *key).values(pts)
-            for key in field.keys()}
+    vals = _values(field.comps[chart], pts)
     if field.k_cov == 0 and field.l_con == 0:
-        v = vals[((), ())]
-        return np.abs(v)
+        return np.abs(vals[:, 0])
     G = g.matrix_values(chart, pts)           # g_ij
     Ginv = g.matrix_values(chart, pts, inverse=True)  # g^ij
-    total = np.zeros(m)
-    for (con1, cov1) in field.keys():
-        for (con2, cov2) in field.keys():
-            factor = vals[(con1, cov1)] * vals[(con2, cov2)]
+    total = np.zeros(pts.shape[0])
+    keys = field.keys()
+    for p1, (con1, cov1) in enumerate(keys):
+        for p2, (con2, cov2) in enumerate(keys):
+            factor = vals[:, p1] * vals[:, p2]
             for a, b in zip(con1, con2):
                 factor = factor * G[:, a, b]
             for i, r in zip(cov1, cov2):
@@ -314,29 +330,27 @@ def musical(field: TensorField, g: MetricField, direction: str,
     else:
         raise ValueError("direction must be 'flat' or 'sharp'")
 
+    if direction == "flat":
+        new_l, new_k = field.l_con - 1, field.k_cov + 1
+    else:
+        new_l, new_k = field.l_con + 1, field.k_cov - 1
     new_comps = []
     for ci in range(len(field.atlas.charts)):
-        block = {}
+        block = []
         mat = g.comps[ci] if direction == "flat" else g.inv_comps[ci]
-        if direction == "flat":
-            new_l, new_k = field.l_con - 1, field.k_cov + 1
-        else:
-            new_l, new_k = field.l_con + 1, field.k_cov - 1
-        for con in itertools.product(range(n), repeat=new_l):
-            for cov in itertools.product(range(n), repeat=new_k):
-                if direction == "flat":
-                    olds = [field.component(
-                        ci, con[:slot] + (b,) + con[slot:], cov[1:])
-                        for b in range(n)]
-                    row = mat[cov[0]]
-                else:
-                    olds = [field.component(
-                        ci, con[1:], cov[:slot] + (b,) + cov[slot:])
-                        for b in range(n)]
-                    row = mat[con[0]]
-                block[(con, cov)] = Field(sum_exprs(
-                    mul(row[b], olds[b].expr) for b in range(n)), n)
-        new_comps.append(block)
+        for con, cov in _positions(n, new_k, new_l):
+            if direction == "flat":
+                olds = [field.component(
+                    ci, con[:slot] + (b,) + con[slot:], cov[1:])
+                    for b in range(n)]
+                row = mat[cov[0]]
+            else:
+                olds = [field.component(
+                    ci, con[1:], cov[:slot] + (b,) + cov[slot:])
+                    for b in range(n)]
+                row = mat[con[0]]
+            block.append(sum_exprs(mul(row[b], olds[b]) for b in range(n)))
+        new_comps.append(tuple(block))
     return TensorField(field.atlas, new_k, new_l, new_comps)
 
 
@@ -345,8 +359,9 @@ def musical(field: TensorField, g: MetricField, direction: str,
 # ---------------------------------------------------------------------------
 
 def transform_components(field: TensorField, a: int, b: int,
-                         coords_b: np.ndarray) -> dict:
-    """Components in chart b predicted from chart a by the tensor law.
+                         coords_b: np.ndarray) -> np.ndarray:
+    """Components in chart b predicted from chart a by the tensor law, as
+    an (m, components) array in ``keys()`` order.
 
     covariant slots pull back with the Jacobian of (phi_a o phi_b^{-1});
     contravariant slots push forward with its inverse.
@@ -356,32 +371,25 @@ def transform_components(field: TensorField, a: int, b: int,
     coords_a = t_ba(coords_b)
     J = t_ba.jacobian(coords_b)         # d coords_a / d coords_b
     Jinv = np.linalg.inv(J)
-    vals_a = {key: field.component(a, *key).values(coords_a)
-              for key in field.keys()}
-    out = {}
-    for (con, cov) in field.keys():
+    vals_a = _values(field.comps[a], coords_a)
+    keys = field.keys()
+    out = np.empty((coords_b.shape[0], len(keys)))
+    for p, (con, cov) in enumerate(keys):
         acc = np.zeros(coords_b.shape[0])
-        for (con2, cov2) in field.keys():
-            factor = vals_a[(con2, cov2)]
+        for p2, (con2, cov2) in enumerate(keys):
+            factor = vals_a[:, p2]
             for t in range(len(con)):
                 factor = factor * Jinv[:, con[t], con2[t]]
             for t in range(len(cov)):
                 factor = factor * J[:, cov2[t], cov[t]]
             acc += factor
-        out[(con, cov)] = acc
+        out[:, p] = acc
     return out
 
 
 def metric_as_tensor(g: MetricField) -> TensorField:
-    n = g.atlas.dim
-    comps = []
-    for ci in range(len(g.atlas.charts)):
-        block = {}
-        for i in range(n):
-            for j in range(n):
-                block[((), (i, j))] = Field(g.comps[ci][i][j], n)
-        comps.append(block)
-    return TensorField(g.atlas, 2, 0, comps)
+    return TensorField(g.atlas, 2, 0, [tuple(e for row in comps for e in row)
+                                       for comps in g.comps])
 
 
 def check_overlap_consistency(field: TensorField, npts: int = 100) -> float:
@@ -389,7 +397,7 @@ def check_overlap_consistency(field: TensorField, npts: int = 100) -> float:
     transform of chart-a components, over sampled overlap points."""
     atlas = field.atlas
     worst = 0.0
-    pts = atlas.sample_points(npts)
+    pts = quasirandom_points(atlas.manifold, npts)
     for b in range(len(atlas.charts)):
         chart_b = atlas.charts[b]
         mask = chart_b.contains(pts)
@@ -409,7 +417,6 @@ def check_overlap_consistency(field: TensorField, npts: int = 100) -> float:
             if cb.shape[0] == 0:
                 continue
             predicted = transform_components(field, a, b, cb)
-            for key in field.keys():
-                direct = field.component(b, *key).values(cb)
-                worst = max(worst, float(np.max(np.abs(direct - predicted[key]))))
+            direct = _values(field.comps[b], cb)
+            worst = max(worst, float(np.max(np.abs(direct - predicted))))
     return worst

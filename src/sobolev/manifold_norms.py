@@ -27,11 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from sobolev.atlas import Atlas, PartitionOfUnity, build_partition_of_unity
-from sobolev.fields import Field
-from sobolev.funcexpr import mul, parse_expr
+from sobolev.funcexpr import eval_on_points, mul
 from sobolev.geometry import (
     MetricField, TensorField, check_overlap_consistency, covariant_derivative,
-    fiber_norm_values, scalar_field,
+    fiber_norm_values,
 )
 from sobolev.quadrature import (
     Report, _check_p, _norm_report, coarse_shape, grid_shape, midpoint_grid,
@@ -39,7 +38,7 @@ from sobolev.quadrature import (
 )
 
 __all__ = [
-    "ManifoldFunction", "manifold_lq_norm",
+    "manifold_lq_norm",
     "chart_sobolev_norm", "connection_sobolev_norm", "compare_norms",
     "NormVariant", "check_function_consistency", "SCALE_CHECK",
 ]
@@ -51,46 +50,11 @@ __all__ = [
 SCALE_CHECK = 5.0
 
 
-@dataclass
-class ManifoldFunction:
-    """A function on a manifold via per-chart local representations.
-
-    Constructed either from an expression in ambient coordinates (x1..xm
-    for the ambient dimension) or from explicit per-chart fields.
-    """
-
-    atlas: Atlas
-    tensor: TensorField
-
-    @classmethod
-    def from_ambient(cls, atlas: Atlas, u) -> "ManifoldFunction":
-        expr = parse_expr(u, atlas.ambient_dim) if isinstance(u, str) else u
-        fields = [atlas.local_representation(expr, ci)
-                  for ci in range(atlas.chart_count())]
-        return cls(atlas, scalar_field(atlas, fields))
-
-    @classmethod
-    def from_chart_fields(cls, atlas: Atlas, fields: list[Field]):
-        return cls(atlas, scalar_field(atlas, fields))
-
-    def scaled(self, c: float) -> "ManifoldFunction":
-        return ManifoldFunction(self.atlas, self.tensor.scaled(c))
-
-
-def _as_tensor(u) -> tuple[Atlas, TensorField]:
-    if isinstance(u, ManifoldFunction):
-        return u.atlas, u.tensor
-    if isinstance(u, TensorField):
-        return u.atlas, u
-    raise TypeError(
-        f"expected a ManifoldFunction or TensorField, got {type(u).__name__}")
-
-
-def check_function_consistency(u, npts: int = 200) -> float:
+def check_function_consistency(u: TensorField, npts: int = 200) -> float:
     """Max disagreement of the local representations of a function or
     tensor field across chart overlaps (see
     :func:`sobolev.geometry.check_overlap_consistency`)."""
-    return check_overlap_consistency(_as_tensor(u)[1], npts)
+    return check_overlap_consistency(u, npts)
 
 
 def _pou_integral(integrand, atlas: Atlas, g: MetricField,
@@ -102,8 +66,8 @@ def _pou_integral(integrand, atlas: Atlas, g: MetricField,
     total = 0.0
     for ci, chart in enumerate(atlas.charts):
         pts, cellvol, _ = midpoint_grid(chart.truncation, shape)
-        psi = pou.fields[ci].values(pts)
-        dens = g.sqrt_det_field(ci).values(pts)
+        psi = eval_on_points(pou.fields[ci], pts)
+        dens = eval_on_points(g.sqrt_det[ci], pts)
         contrib = float(np.sum(psi * integrand(ci, pts) * dens) * cellvol)
         per_chart.append(contrib)
         total += contrib
@@ -119,7 +83,7 @@ def _intrinsic_lq_power(tensor: TensorField, g: MetricField,
         tensor.atlas, g, pou, shape)
 
 
-def manifold_lq_norm(u, g: MetricField, atlas: Atlas = None,
+def manifold_lq_norm(u: TensorField, g: MetricField, atlas: Atlas = None,
                      pou: PartitionOfUnity = None, q: float = 2.0,
                      N=None) -> Report:
     """Intrinsic L^q norm, reported together with the chart-sum variant.
@@ -129,19 +93,18 @@ def manifold_lq_norm(u, g: MetricField, atlas: Atlas = None,
     charts and components of Euclidean L^q norms of the weighted local
     representations) and the ratio of the two.
     """
-    atlas_u, tensor = _as_tensor(u)
-    atlas = atlas or atlas_u
+    atlas = atlas or u.atlas
     if pou is None:
         pou = build_partition_of_unity(atlas)
     q = _check_p(q)
     shape = grid_shape(atlas.dim, N)
 
-    total, per_chart = _intrinsic_lq_power(tensor, g, pou, q, shape)
+    total, per_chart = _intrinsic_lq_power(u, g, pou, q, shape)
     value = total ** (1.0 / q)
-    coarse, _ = _intrinsic_lq_power(tensor, g, pou, q, coarse_shape(shape))
+    coarse, _ = _intrinsic_lq_power(u, g, pou, q, coarse_shape(shape))
     err = abs(value - coarse ** (1.0 / q))
 
-    chart_sum = chart_sobolev_norm(tensor, atlas, pou, e=0, q=q, N=shape)
+    chart_sum = chart_sobolev_norm(u, atlas, pou, e=0, q=q, N=shape)
     extras = {"intrinsic_value": value, "chart_sum_value": chart_sum.value}
     if value > 0:
         extras["variant_ratio"] = chart_sum.value / value
@@ -153,12 +116,12 @@ def manifold_lq_norm(u, g: MetricField, atlas: Atlas = None,
                         atlas=atlas.manifold, pou=pou.name)
 
 
-def chart_sobolev_norm(u, atlas: Atlas = None, pou: PartitionOfUnity = None,
-                       e: float = 1.0, q: float = 2.0, N=None) -> Report:
+def chart_sobolev_norm(u: TensorField, atlas: Atlas = None,
+                       pou: PartitionOfUnity = None, e: float = 1.0,
+                       q: float = 2.0, N=None) -> Report:
     """Chart-based W^{e,q} norm: each chart term is a compactly supported
     Euclidean norm of the partition-weighted local representation."""
-    atlas_u, tensor = _as_tensor(u)
-    atlas = atlas or atlas_u
+    atlas = atlas or u.atlas
     if pou is None:
         pou = build_partition_of_unity(atlas)
     if e < 0:
@@ -169,10 +132,9 @@ def chart_sobolev_norm(u, atlas: Atlas = None, pou: PartitionOfUnity = None,
     err = 0.0
     terms = []
     for ci, chart in enumerate(atlas.charts):
-        for key in tensor.keys():
-            f = Field(mul(pou.fields[ci].expr,
-                          tensor.component(ci, *key).expr), atlas.dim)
-            rep = sobolev_norm(f, chart.truncation, e, q, shape)
+        for key, comp in zip(u.keys(), u.comps[ci]):
+            rep = sobolev_norm(mul(pou.fields[ci], comp), chart.truncation,
+                               e, q, shape)
             value += rep.value
             err += rep.error_estimate
             terms.append({"chart": chart.name,
@@ -183,14 +145,14 @@ def chart_sobolev_norm(u, atlas: Atlas = None, pou: PartitionOfUnity = None,
         err, manifold=atlas.manifold, atlas=atlas.manifold, pou=pou.name)
 
 
-def connection_sobolev_norm(u, g: MetricField, k: int = 1, q: float = 2.0,
-                            N=None, pou: PartitionOfUnity = None
-                            ) -> Report:
+def connection_sobolev_norm(u: TensorField, g: MetricField, k: int = 1,
+                            q: float = 2.0, N=None,
+                            pou: PartitionOfUnity = None) -> Report:
     """Connection-route W^{k,q} norm for integer k:
 
         ( sum_{i=0..k} || |nabla^i u|_F ||_{L^q}^q )^{1/q}
     """
-    atlas, tensor = _as_tensor(u)
+    atlas = u.atlas
     k = int(k)
     if k < 0:
         raise ValueError("k must be a nonnegative integer")
@@ -203,7 +165,7 @@ def connection_sobolev_norm(u, g: MetricField, k: int = 1, q: float = 2.0,
     coarse_total = 0.0
     coarse = coarse_shape(shape)
     terms = []
-    current = tensor
+    current = u
     for i in range(k + 1):
         if i > 0:
             current = covariant_derivative(current, g, 1)
@@ -265,7 +227,7 @@ def compare_norms(family, variant_a: NormVariant, variant_b: NormVariant,
         b = variant_b.compute(u, e, q, N)
         ratio = a / b
         ratios.append(ratio)
-        us = _as_tensor(u)[1].scaled(SCALE_CHECK)
+        us = u.scaled(SCALE_CHECK)
         a2 = variant_a.compute(us, e, q, N)
         b2 = variant_b.compute(us, e, q, N)
         scale_dev = max(scale_dev, abs(a2 / b2 - ratio) / ratio)

@@ -1,7 +1,7 @@
 """Chartwise differential operators and empirical operator norms.
 
 The four built-in operators act through their chart local
-representations on component fields:
+representations on component expressions:
 
     d        : f |-> (d_1 f, ..., d_n f)            (function -> 1-form)
     grad     : f |-> g^{ij} d_j f                   (function -> vector)
@@ -27,22 +27,23 @@ from fractions import Fraction
 import numpy as np
 
 from sobolev.atlas import Atlas, PartitionOfUnity, build_partition_of_unity
-from sobolev.exponents import DomainClass, check_derivative, space
-from sobolev.fields import Field
-from sobolev.funcexpr import ONE, diff_expr, div, expr_to_text, mul, sum_exprs
+from sobolev.exponents import (
+    DomainClass, ExponentError, check_derivative, space,
+)
+from sobolev.funcexpr import (
+    ONE, diff_expr, div, eval_on_points, expr_to_text, mul, sum_exprs,
+)
 from sobolev.geometry import MetricField, TensorField
 from sobolev.manifold_norms import (
-    SCALE_CHECK, ManifoldFunction, _as_tensor, _pou_integral,
-    chart_sobolev_norm,
+    SCALE_CHECK, _pou_integral, chart_sobolev_norm,
 )
 from sobolev.quadrature import (
     BoxDomain, Report, coarse_shape, grid_shape, sobolev_norm,
 )
 
 __all__ = [
-    "LocalOperator", "OPERATOR_IDS", "build_operator", "local_representation",
-    "apply_operator", "empirical_bound", "divergence_integral",
-    "describe_components",
+    "LocalOperator", "OPERATOR_IDS", "build_operator", "apply_operator",
+    "empirical_bound", "divergence_integral", "describe_components",
 ]
 
 OPERATOR_IDS = ("d", "grad", "div", "laplace")
@@ -62,31 +63,31 @@ class ValenceMismatch(TypeError):
 
 @dataclass
 class LocalOperatorBlock:
-    """The local representation on one chart: a map of component fields."""
+    """The local representation on one chart: a map of component blocks,
+    each a tuple of expressions in ``TensorField.keys()`` order."""
 
     op_id: str
     metric: MetricField
     chart_index: int
 
-    def apply(self, comps: dict) -> dict:
+    def apply(self, comps: tuple) -> tuple:
         n = self.metric.atlas.dim
         g = self.metric
         ci = self.chart_index
         if self.op_id == "d":
-            f = comps[((), ())]
-            return {((), (i,)): f.partial(i + 1) for i in range(n)}
+            f, = comps
+            return tuple(diff_expr(f, i + 1) for i in range(n))
         if self.op_id == "grad":
-            f = comps[((), ())].expr
+            f, = comps
             ginv = g.inv_comps[ci]
-            return {((a,), ()): Field(sum_exprs(
-                mul(ginv[a][j], diff_expr(f, j + 1)) for j in range(n)), n)
-                for a in range(n)}
+            return tuple(sum_exprs(
+                mul(ginv[a][j], diff_expr(f, j + 1)) for j in range(n))
+                for a in range(n))
         if self.op_id == "div":
             sqrtdet = g.sqrt_det[ci]
-            total = sum_exprs(
-                diff_expr(mul(sqrtdet, comps[((j,), ())].expr), j + 1)
-                for j in range(n))
-            return {((), ()): Field(mul(div(ONE, sqrtdet), total), n)}
+            total = sum_exprs(diff_expr(mul(sqrtdet, comps[j]), j + 1)
+                              for j in range(n))
+            return (mul(div(ONE, sqrtdet), total),)
         if self.op_id == "laplace":
             grad_block = LocalOperatorBlock("grad", g, ci)
             div_block = LocalOperatorBlock("div", g, ci)
@@ -130,41 +131,27 @@ def build_operator(op_id: str, g: MetricField) -> LocalOperator:
     return LocalOperator(op_id, g)
 
 
-def local_representation(op_id: str, g: MetricField,
-                         chart: int) -> LocalOperatorBlock:
-    """The chart block of a built-in operator."""
-    return build_operator(op_id, g).block(chart)
-
-
-def apply_operator(op: LocalOperator, u):
-    """Apply chartwise; returns a ManifoldFunction for scalar output,
-    otherwise a TensorField."""
-    atlas, tensor = _as_tensor(u)
-    if (tensor.k_cov, tensor.l_con) != op.source_valence:
+def apply_operator(op: LocalOperator, u: TensorField) -> TensorField:
+    """Apply chartwise."""
+    if (u.k_cov, u.l_con) != op.source_valence:
         raise ValenceMismatch(
             f"operator {op.op_id} expects valence {op.source_valence}, "
-            f"got ({tensor.k_cov}, {tensor.l_con})")
-    out_comps = [op.block(ci).apply(tensor.comps[ci])
-                 for ci in range(atlas.chart_count())]
-    k, l = op.target_valence
-    out = TensorField(atlas, k, l, out_comps)
-    if (k, l) == (0, 0):
-        return ManifoldFunction(atlas, out)
-    return out
+            f"got ({u.k_cov}, {u.l_con})")
+    out_comps = [op.block(ci).apply(u.comps[ci])
+                 for ci in range(u.atlas.chart_count())]
+    return TensorField(u.atlas, *op.target_valence, out_comps)
 
 
-def describe_components(u, chart: int) -> dict:
+def describe_components(u: TensorField, chart: int) -> dict:
     """Printable component expressions of a function/tensor field on one
     chart, in the syntax of :func:`sobolev.funcexpr.parse_expr`; a
     component containing a piecewise node renders as ``"<piecewise>"``."""
-    _, tensor = _as_tensor(u)
     out = {}
-    for key in tensor.keys():
-        f = tensor.component(chart, *key)
+    for key, comp in zip(u.keys(), u.comps[chart]):
         label = "^" + "".join(str(i + 1) for i in key[0]) + \
                 "_" + "".join(str(i + 1) for i in key[1])
         try:
-            out[label] = expr_to_text(f.expr)
+            out[label] = expr_to_text(comp)
         except TypeError:
             out[label] = "<piecewise>"
     return out
@@ -174,22 +161,21 @@ def describe_components(u, chart: int) -> dict:
 # Empirical operator norms
 # ---------------------------------------------------------------------------
 
-def _tensor_box_norm(tensor: TensorField, box: BoxDomain, e, q, shape) -> float:
+def _tensor_box_norm(u: TensorField, box: BoxDomain, e, q, shape) -> float:
     total = 0.0
-    for key in tensor.keys():
-        total += sobolev_norm(tensor.component(0, *key), box, e, q,
-                              shape).value
+    for comp in u.comps[0]:
+        total += sobolev_norm(comp, box, e, q, shape).value
     return total
 
 
-def _norm_for_route(u, route, e, q, shape, pou) -> float:
-    atlas, tensor = _as_tensor(u)
+def _norm_for_route(u: TensorField, route, e, q, shape, pou) -> float:
+    atlas = u.atlas
     if route == "box":
         if atlas.family != "torus":
             raise ValueError("the box route integrates one exact period; "
                              "it applies to the torus manifolds")
         box = BoxDomain(tuple((0.0, 1.0) for _ in range(atlas.dim)))
-        return _tensor_box_norm(tensor, box, e, q, shape)
+        return _tensor_box_norm(u, box, e, q, shape)
     return chart_sobolev_norm(u, atlas, pou, e, q, shape).value
 
 
@@ -207,7 +193,9 @@ def empirical_bound(op: LocalOperator, from_exponents, to_exponents, family,
     ``from_exponents``/``to_exponents`` are (e, q) pairs with e >= 0.
     The pair is first screened against the chartwise differentiation
     theorem (chart images are the whole space or Lipschitz boxes), whose
-    verdict the report carries under ``screen``; the ratio at the worst
+    verdict the report carries under ``screen``; a pair it does not
+    cover, or a target order above ``e - order``, raises
+    :class:`~sobolev.exponents.ExponentError`.  The ratio at the worst
     function is then recomputed with that function scaled by
     ``SCALE_CHECK``.
     """
@@ -223,12 +211,12 @@ def empirical_bound(op: LocalOperator, from_exponents, to_exponents, family,
                 atlas.dim, _chart_domain_class(atlas))
     verdict = check_derivative(frm, op.order)
     if not verdict.admissible:
-        raise ValueError(
+        raise ExponentError(
             f"exponent screen failed for {op.op_id}: the chartwise "
             f"differentiation theorem does not cover order {op.order} "
             f"from W^({e},{q})")
     if et > e - op.order:
-        raise ValueError(
+        raise ExponentError(
             f"target order {et} exceeds the declared map (e - {op.order})")
     if pou is None and route == "chart":
         pou = build_partition_of_unity(atlas)
@@ -250,7 +238,7 @@ def empirical_bound(op: LocalOperator, from_exponents, to_exponents, family,
     sup_coarse = max(coarse)
     # scale invariance spot check on the worst function
     worst = int(np.argmax(ratios))
-    us = _as_tensor(family[worst])[1].scaled(SCALE_CHECK)
+    us = family[worst].scaled(SCALE_CHECK)
     rs = (_norm_for_route(apply_operator(op, us), route, et, qt, shape, pou)
           / _norm_for_route(us, route, e, q, shape, pou))
     return Report(
@@ -264,16 +252,16 @@ def empirical_bound(op: LocalOperator, from_exponents, to_exponents, family,
         screen=verdict.to_json())
 
 
-def divergence_integral(X, g: MetricField, pou: PartitionOfUnity = None,
-                        N=None) -> Report:
+def divergence_integral(X: TensorField, g: MetricField,
+                        pou: PartitionOfUnity = None, N=None) -> Report:
     """integral_M (div X) dV_g, which vanishes on a closed manifold.
 
     Returns the signed integral and a two-grid error estimate; computed
     as the intrinsic integral of the scalar div X through the partition
     of unity.
     """
-    atlas, tensor = _as_tensor(X)
-    if (tensor.k_cov, tensor.l_con) != (0, 1):
+    atlas = X.atlas
+    if (X.k_cov, X.l_con) != (0, 1):
         raise ValenceMismatch("divergence needs a vector field")
     if pou is None:
         pou = build_partition_of_unity(atlas)
@@ -283,7 +271,7 @@ def divergence_integral(X, g: MetricField, pou: PartitionOfUnity = None,
 
     def signed_integral(shp):
         return _pou_integral(
-            lambda ci, pts: divX.tensor.component(ci, (), ()).values(pts),
+            lambda ci, pts: eval_on_points(divX.comps[ci][0], pts),
             atlas, g, pou, shp)[0]
 
     value = signed_integral(shape)

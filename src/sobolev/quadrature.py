@@ -89,10 +89,6 @@ class BoxDomain:
         return [list(b) for b in self.bounds]
 
 
-def box(*bounds) -> BoxDomain:
-    return BoxDomain(tuple(bounds))
-
-
 def grid_shape(n: int, N=None) -> tuple[int, ...]:
     """Per-axis cell counts from N: one count for every axis, a per-axis
     tuple, or None for the default (256 cells for n=1, 64 per axis

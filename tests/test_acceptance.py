@@ -20,11 +20,10 @@ from sobolev.atlas import (
 )
 from sobolev.cli import main as cli_main
 from sobolev.fields import box_bump
-from sobolev.funcexpr import diff_expr, eval_expr, parse_expr
-from sobolev.geometry import christoffel
+from sobolev.funcexpr import diff_expr, eval_expr, eval_on_points, parse_expr
+from sobolev.geometry import TensorField, christoffel
 from sobolev.manifold_norms import (
-    ManifoldFunction, NormVariant, compare_norms, connection_sobolev_norm,
-    manifold_lq_norm,
+    NormVariant, compare_norms, connection_sobolev_norm, manifold_lq_norm,
 )
 from sobolev.operators import (
     apply_operator, build_operator, divergence_integral, empirical_bound,
@@ -281,12 +280,12 @@ def test_criterion_05_christoffel():
 
 def test_criterion_06_manifold_l2_values():
     atlas, pou, g = builtin_manifold("s1-stereo")
-    one = ManifoldFunction.from_ambient(atlas, "1")
+    one = TensorField.from_ambient(atlas, "1")
     circle = manifold_lq_norm(one, g, atlas, pou, q=2, N=512)
     assert circle.value == pytest.approx(math.sqrt(2 * math.pi), rel=0.005)
 
     t_atlas, t_pou, t_g = builtin_manifold("torus1")
-    sine = ManifoldFunction.from_ambient(t_atlas, "sin(2*pi*x1)")
+    sine = TensorField.from_ambient(t_atlas, "sin(2*pi*x1)")
     torus = manifold_lq_norm(sine, t_g, t_atlas, t_pou, q=2, N=512)
     assert torus.value == pytest.approx(1.0 / math.sqrt(2.0), rel=0.005)
     _report(6, f"||1|| on the circle = {circle.value:.4f} "
@@ -301,7 +300,7 @@ def test_criterion_06_manifold_l2_values():
 
 def test_criterion_07_connection_norm_closed_form():
     atlas, pou, g = builtin_manifold("torus1")
-    u = ManifoldFunction.from_ambient(atlas, "sin(2*pi*x1)")
+    u = TensorField.from_ambient(atlas, "sin(2*pi*x1)")
     rep = connection_sobolev_norm(u, g, k=1, q=2, N=512, pou=pou)
     expected = math.sqrt(0.5 + (2 * math.pi) ** 2 / 2.0)
     assert rep.value == pytest.approx(expected, rel=0.005)
@@ -324,7 +323,7 @@ FROZEN_CONN_BRACKET = (2.0276, 2.9688)
 def test_criterion_08_equivalence_brackets():
     atlas, pou, g = builtin_manifold("s1-stereo")
     pou_alt = build_partition_of_unity(atlas, alternate_seeds(atlas), "alt")
-    family = [ManifoldFunction.from_ambient(atlas, t) for t in TRIG_FAMILY]
+    family = [TensorField.from_ambient(atlas, t) for t in TRIG_FAMILY]
     assert len(family) == 10
 
     chart_default = NormVariant("chart", pou=pou)
@@ -372,7 +371,8 @@ def test_criterion_09_extension_by_zero():
     for bump in bumps:
         ext = extend_by_zero(bump, inner, outer, N=N)
         back = ext.restrict(inner)
-        assert np.array_equal(back.values, bump.values(pts).reshape(N))
+        assert np.array_equal(back.values,
+                              eval_on_points(bump, pts).reshape(N))
         for s in (0.0, 0.5, 1.0):
             inner_rep = sobolev_norm(bump, inner, s=s, p=2, N=N)
             outer_rep = sobolev_norm(ext.source, outer, s=s, p=2, N=3 * N)
@@ -392,7 +392,7 @@ def test_criterion_09_extension_by_zero():
 
 def test_criterion_10_operator_boundedness():
     atlas, pou, g = builtin_manifold("torus1")
-    family = [ManifoldFunction.from_ambient(atlas, f"sin(2*pi*{k}*x1)")
+    family = [TensorField.from_ambient(atlas, f"sin(2*pi*{k}*x1)")
               for k in (1, 2, 3, 4, 5)]
 
     d_out = empirical_bound(build_operator("d", g), ("1", "2"), ("0", "2"),
@@ -414,7 +414,7 @@ def test_criterion_10_operator_boundedness():
                            ("torus1", "sin(2*pi*x1)", 512),
                            ("torus2", "sin(2*pi*x1)*cos(2*pi*x2)", 64)):
         m_atlas, m_pou, m_g = builtin_manifold(name)
-        f = ManifoldFunction.from_ambient(m_atlas, f_txt)
+        f = TensorField.from_ambient(m_atlas, f_txt)
         X = apply_operator(build_operator("grad", m_g), f)
         out = divergence_integral(X, m_g, m_pou, N=N)
         div_values[name] = out["value"]

@@ -244,20 +244,20 @@ class TestCompareAndOps:
     def test_op_apply_components_parse_back(self, capsys):
         from sobolev.atlas import builtin_manifold
         from sobolev.funcexpr import parse_expr
-        from sobolev.manifold_norms import ManifoldFunction
+        from sobolev.geometry import TensorField
         from sobolev.operators import apply_operator, build_operator
         code, rep = run(capsys, "op", "apply", "--manifold", "s2-stereo",
                         "--op", "grad", "--expr", "x1*x3")
         assert code == 0
         atlas, _, g = builtin_manifold("s2-stereo")
         grad = apply_operator(build_operator("grad", g),
-                              ManifoldFunction.from_ambient(atlas, "x1*x3"))
+                              TensorField.from_ambient(atlas, "x1*x3"))
         for ci, chart in enumerate(atlas.charts):
             comps = rep["charts"][chart.name]
             assert set(comps) == {"^1_", "^2_"}
             for a in range(2):
                 text = comps[f"^{a + 1}_"]
-                assert parse_expr(text, 2) == grad.component(ci, (a,), ()).expr
+                assert parse_expr(text, 2) == grad.component(ci, (a,), ())
 
     def test_op_bound(self, capsys):
         code, rep = run(capsys, "op", "bound", "--manifold", "torus1",
@@ -295,6 +295,20 @@ class TestCompareAndOps:
                         "--expr", "x1", "--grid", "16", "--route", "box")
         assert code == 2
         assert "--route box" in rep["error"]
+
+    @pytest.mark.parametrize("frm, to, message", [
+        ("1,2", "1,2", "target order 1.0 exceeds the declared map (e - 1)"),
+        ("1/2,2", "0,2", "exponent screen failed for d: the chartwise "
+                         "differentiation theorem does not cover order 1 "
+                         "from W^(0.5,2.0)"),
+    ])
+    def test_op_bound_screen_failure_is_usage_error(self, capsys, frm, to,
+                                                    message):
+        code, rep = run(capsys, "op", "bound", "--manifold", "torus1",
+                        "--op", "d", "--from", frm, "--to", to,
+                        "--expr", "sin(2*pi*x1)", "--grid", "16")
+        assert code == 2
+        assert rep["error"] == message
 
     def test_atlas_show(self, capsys):
         code, rep = run(capsys, "atlas", "show", "--manifold", "s2-stereo")

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from sobolev.atlas import builtin_manifold
-from sobolev.fields import ExprField
-from sobolev.funcexpr import parse_expr
+from sobolev.funcexpr import eval_on_points, parse_expr
 from sobolev.geometry import (
     check_overlap_consistency, christoffel, covariant_derivative,
     fiber_norm, fiber_norm_values, metric_as_tensor, metric_aux, musical,
@@ -38,7 +37,7 @@ class TestMetric:
         atlas, _, g = t2
         inv, sqrt_det = metric_aux(g, 0)
         pts = chart_points(atlas)
-        assert np.allclose(ExprField(sqrt_det, 2).values(pts), 1.0)
+        assert np.allclose(eval_on_points(sqrt_det, pts), 1.0)
         assert np.allclose(g.matrix_values(0, pts, inverse=True),
                            np.eye(2)[None, :, :])
 
@@ -48,7 +47,7 @@ class TestMetric:
         r2 = np.sum(pts * pts, axis=1)
         expected = 4.0 / (1.0 + r2) ** 2
         _, sqrt_det = metric_aux(g, 0)
-        assert np.allclose(ExprField(sqrt_det, 2).values(pts), expected,
+        assert np.allclose(eval_on_points(sqrt_det, pts), expected,
                            rtol=1e-12)
 
     def test_metric_inverse_pointwise(self, s2):
@@ -142,18 +141,18 @@ class TestCovariantDerivative:
         du = covariant_derivative(u, g, 1)
         assert du.k_cov == 1 and du.l_con == 0
         pts = chart_points(atlas)
-        vals = du.component(0, (), (0,)).values(pts)
+        vals = eval_on_points(du.component(0, (), (0,)), pts)
         expected = 2 * np.pi * np.cos(2 * np.pi * pts[:, 0])
         assert np.allclose(vals, expected, rtol=1e-12)
 
     def test_flat_vector_field(self, t1):
         atlas, _, g = t1
-        comps = [{((0,), ()): atlas.local_representation(
-            parse_expr("sin(2*pi*x1)", 1), ci)} for ci in range(2)]
+        comps = [(atlas.local_representation(
+            parse_expr("sin(2*pi*x1)", 1), ci),) for ci in range(2)]
         X = TensorField(atlas, 0, 1, comps)
         dX = covariant_derivative(X, g, 1)
         pts = chart_points(atlas)
-        vals = dX.component(0, (0,), (0,)).values(pts)
+        vals = eval_on_points(dX.component(0, (0,), (0,)), pts)
         assert np.allclose(vals, 2 * np.pi * np.cos(2 * np.pi * pts[:, 0]),
                            rtol=1e-12)
 
@@ -165,11 +164,11 @@ class TestCovariantDerivative:
         hess = covariant_derivative(u, g, 2)
         pts = chart_points(atlas)
         x, y = pts[:, 0], pts[:, 1]
-        got_xy = hess.component(0, (), (0, 1)).values(pts)
+        got_xy = eval_on_points(hess.component(0, (), (0, 1)), pts)
         expected = -(2 * np.pi) ** 2 * np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y)
         assert np.allclose(got_xy, expected, rtol=1e-10)
         # flat metric: full symmetry of second derivatives
-        got_yx = hess.component(0, (), (1, 0)).values(pts)
+        got_yx = eval_on_points(hess.component(0, (), (1, 0)), pts)
         assert np.allclose(got_xy, got_yx, rtol=1e-12)
 
     def test_metric_compatibility(self, s2):
@@ -180,15 +179,14 @@ class TestCovariantDerivative:
         worst = 0.0
         for key in nabla_g.keys():
             worst = max(worst, np.max(np.abs(
-                nabla_g.component(0, *key).values(pts))))
+                eval_on_points(nabla_g.component(0, *key), pts))))
         assert worst <= 1e-8
 
     def test_sphere_second_derivative_correction(self, s2):
         # (nabla^2 f)_{ji} = d_j d_i f - Gamma^k_{ji} d_k f
         atlas, _, g = s2
         expr = parse_expr("x1^2 + x2", 2)
-        fields = [ExprField(expr, 2), ExprField(expr, 2)]
-        u = scalar_field(atlas, fields)
+        u = scalar_field(atlas, [expr, expr])
         hess = covariant_derivative(u, g, 2)
         pts = chart_points(atlas, per_axis=5)
         gamma = christoffel(g, 0).values(pts)
@@ -200,15 +198,15 @@ class TestCovariantDerivative:
             for i in range(2):
                 expected = dd[:, j, i] - sum(
                     gamma[:, k, j, i] * df[:, k] for k in range(2))
-                got = hess.component(0, (), (j, i)).values(pts)
+                got = eval_on_points(hess.component(0, (), (j, i)), pts)
                 assert np.max(np.abs(got - expected)) <= 1e-10
 
 
 class TestFiberNormAndMusical:
     def test_flat_vector_length(self, t2):
         atlas, _, g = t2
-        comps = [{((0,), ()): ExprField(parse_expr("3", 2), 2),
-                  ((1,), ()): ExprField(parse_expr("4", 2), 2)}
+        comps = [(parse_expr("3", 2),
+                  parse_expr("4", 2))
                  for _ in range(4)]
         X = TensorField(atlas, 0, 1, comps)
         assert fiber_norm(X, g, 0, [0.5, 0.5]) == pytest.approx(5.0)
@@ -216,8 +214,8 @@ class TestFiberNormAndMusical:
     def test_one_form_diagonal_metric(self, s2):
         # |omega|^2 = g^{ij} w_i w_j; on the round sphere g^{ii} = (1+r^2)^2/4
         atlas, _, g = s2
-        comps = [{((), (0,)): ExprField(parse_expr("1", 2), 2),
-                  ((), (1,)): ExprField(parse_expr("2", 2), 2)}
+        comps = [(parse_expr("1", 2),
+                  parse_expr("2", 2))
                  for _ in range(2)]
         w = TensorField(atlas, 1, 0, comps)
         pt = [0.3, -0.4]
@@ -227,14 +225,13 @@ class TestFiberNormAndMusical:
 
     def test_homogeneity(self, s2):
         atlas, _, g = s2
-        comps = [{((0,), ()): ExprField(parse_expr("x1", 2), 2),
-                  ((1,), ()): ExprField(parse_expr("x2^2", 2), 2)}
+        comps = [(parse_expr("x1", 2),
+                  parse_expr("x2^2", 2))
                  for _ in range(2)]
         X = TensorField(atlas, 0, 1, comps)
         from sobolev.funcexpr import const, mul
         cX = TensorField(atlas, 0, 1, [
-            {k: ExprField(mul(const(-2.5), f.expr), 2)
-             for k, f in block.items()}
+            tuple(mul(const(-2.5), f) for f in block)
             for block in comps])
         pts = chart_points(atlas, per_axis=4)
         a = fiber_norm_values(X, g, 0, pts)
@@ -243,55 +240,49 @@ class TestFiberNormAndMusical:
 
     def test_flat_lowers_with_metric_factor(self, s2):
         atlas, _, g = s2
-        comps = [{((0,), ()): ExprField(parse_expr("1", 2), 2),
-                  ((1,), ()): ExprField(parse_expr("0", 2), 2)}
+        comps = [(parse_expr("1", 2),
+                  parse_expr("0", 2))
                  for _ in range(2)]
         X = TensorField(atlas, 0, 1, comps)
         flat = musical(X, g, "flat", 0)
         assert flat.k_cov == 1 and flat.l_con == 0
         pts = chart_points(atlas, per_axis=4)
         r2 = np.sum(pts * pts, axis=1)
-        got = flat.component(0, (), (0,)).values(pts)
+        got = eval_on_points(flat.component(0, (), (0,)), pts)
         assert np.allclose(got, 4.0 / (1 + r2) ** 2, rtol=1e-12)
 
     def test_sharp_flat_identity(self, s2):
         atlas, _, g = s2
-        comps = [{((0,), ()): ExprField(parse_expr("x2", 2), 2),
-                  ((1,), ()): ExprField(parse_expr("x1*x2", 2), 2)}
+        comps = [(parse_expr("x2", 2),
+                  parse_expr("x1*x2", 2))
                  for _ in range(2)]
         X = TensorField(atlas, 0, 1, comps)
         back = musical(musical(X, g, "flat", 0), g, "sharp", 0)
         pts = chart_points(atlas, per_axis=5)
         for key in X.keys():
-            a = X.component(0, *key).values(pts)
-            b = back.component(0, *key).values(pts)
+            a = eval_on_points(X.component(0, *key), pts)
+            b = eval_on_points(back.component(0, *key), pts)
             assert np.max(np.abs(a - b)) <= 1e-10
 
     def test_flat_metric_musical_is_identity_on_components(self, t2):
         atlas, _, g = t2
-        comps = [{((0,), ()): ExprField(parse_expr("sin(2*pi*x1)", 2), 2),
-                  ((1,), ()): ExprField(parse_expr("x2", 2), 2)}
+        comps = [(parse_expr("sin(2*pi*x1)", 2),
+                  parse_expr("x2", 2))
                  for _ in range(4)]
         X = TensorField(atlas, 0, 1, comps)
         flat = musical(X, g, "flat", 0)
         pts = chart_points(atlas, per_axis=5)
         for j in range(2):
-            a = X.component(0, (j,), ()).values(pts)
-            b = flat.component(0, (), (j,)).values(pts)
+            a = eval_on_points(X.component(0, (j,), ()), pts)
+            b = eval_on_points(flat.component(0, (), (j,)), pts)
             assert np.array_equal(a, b)
 
     def test_musical_slot_validation(self, t1):
         atlas, _, g = t1
-        u = scalar_field(atlas, [ExprField(parse_expr("x1", 1), 1)
+        u = scalar_field(atlas, [parse_expr("x1", 1)
                                  for _ in range(2)])
         with pytest.raises(ValueError):
             musical(u, g, "flat", 0)
-
-
-def _scalar(atlas, text):
-    expr = parse_expr(text, atlas.ambient_dim)
-    return scalar_field(atlas, [atlas.local_representation(expr, ci)
-                                for ci in range(atlas.chart_count())])
 
 
 class TestTensorLaw:
@@ -304,7 +295,7 @@ class TestTensorLaw:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_iterated_covariant_derivative(self, name, text, k):
         atlas, _, g = builtin_manifold(name)
-        du = covariant_derivative(_scalar(atlas, text), g, k)
+        du = covariant_derivative(TensorField.from_ambient(atlas, text), g, k)
         assert check_overlap_consistency(du) <= 1e-10
 
     @pytest.mark.parametrize("name,text", [
@@ -312,7 +303,8 @@ class TestTensorLaw:
     def test_gradient_family(self, name, text):
         from sobolev.operators import apply_operator, build_operator
         atlas, _, g = builtin_manifold(name)
-        grad = apply_operator(build_operator("grad", g), _scalar(atlas, text))
+        grad = apply_operator(build_operator("grad", g),
+                              TensorField.from_ambient(atlas, text))
         derived = [grad, covariant_derivative(grad, g, 1),
                    covariant_derivative(grad, g, 2),
                    musical(grad, g, "flat", 0)]

@@ -5,8 +5,10 @@ import pytest
 
 from sobolev.atlas import alternate_seeds, build_partition_of_unity, \
     builtin_manifold
+from sobolev.funcexpr import eval_on_points
+from sobolev.geometry import TensorField, scalar_field
 from sobolev.manifold_norms import (
-    ManifoldFunction, NormVariant, chart_sobolev_norm,
+    NormVariant, chart_sobolev_norm,
     check_function_consistency, compare_norms, connection_sobolev_norm,
     manifold_lq_norm,
 )
@@ -25,25 +27,25 @@ def t1():
 class TestLqNorm:
     def test_unit_volume_torus(self, t1):
         atlas, pou, g = t1
-        u = ManifoldFunction.from_ambient(atlas, "1")
+        u = TensorField.from_ambient(atlas, "1")
         rep = manifold_lq_norm(u, g, atlas, pou, q=2, N=256)
         assert rep.value == pytest.approx(1.0, rel=1e-6)
 
     def test_circle_circumference(self, s1):
         atlas, pou, g = s1
-        u = ManifoldFunction.from_ambient(atlas, "1")
+        u = TensorField.from_ambient(atlas, "1")
         rep = manifold_lq_norm(u, g, atlas, pou, q=2, N=512)
         assert rep.value == pytest.approx(math.sqrt(2 * math.pi), rel=0.005)
 
     def test_sine_on_torus(self, t1):
         atlas, pou, g = t1
-        u = ManifoldFunction.from_ambient(atlas, "sin(2*pi*x1)")
+        u = TensorField.from_ambient(atlas, "sin(2*pi*x1)")
         rep = manifold_lq_norm(u, g, atlas, pou, q=2, N=512)
         assert rep.value == pytest.approx(1.0 / math.sqrt(2.0), rel=0.005)
 
     def test_two_definitions_reported(self, t1):
         atlas, pou, g = t1
-        u = ManifoldFunction.from_ambient(atlas, "sin(2*pi*x1)")
+        u = TensorField.from_ambient(atlas, "sin(2*pi*x1)")
         rep = manifold_lq_norm(u, g, atlas, pou, q=2, N=128)
         assert rep.extras["chart_sum_value"] > 0
         assert rep.extras["variant_ratio"] == pytest.approx(
@@ -51,10 +53,10 @@ class TestLqNorm:
 
     def test_overlap_consistency_check(self, t1, s1):
         atlas, _, _ = t1
-        u = ManifoldFunction.from_ambient(atlas, "sin(2*pi*x1)")
+        u = TensorField.from_ambient(atlas, "sin(2*pi*x1)")
         assert check_function_consistency(u) <= 1e-8
         s_atlas, _, _ = s1
-        v = ManifoldFunction.from_ambient(s_atlas, "x1*x2")
+        v = TensorField.from_ambient(s_atlas, "x1*x2")
         assert check_function_consistency(v) <= 1e-8
 
     def test_definition_ratio_bracket_scale_invariant(self, s1):
@@ -63,7 +65,7 @@ class TestLqNorm:
         atlas, pou, g = s1
         ratios = []
         for text in ("1", "x1", "x2^2", "x1*x2"):
-            u = ManifoldFunction.from_ambient(atlas, text)
+            u = TensorField.from_ambient(atlas, text)
             rep = manifold_lq_norm(u, g, atlas, pou, q=2, N=256)
             rep5 = manifold_lq_norm(u.scaled(5.0), g, atlas, pou, q=2, N=256)
             assert rep5.extras["variant_ratio"] == pytest.approx(
@@ -75,33 +77,33 @@ class TestLqNorm:
 class TestChartNorm:
     def test_zero_function(self, t1):
         atlas, pou, g = t1
-        u = ManifoldFunction.from_ambient(atlas, "0")
+        u = TensorField.from_ambient(atlas, "0")
         rep = chart_sobolev_norm(u, atlas, pou, e=1, q=2, N=128)
         assert rep.value == 0.0
 
     def test_homogeneity(self, s1):
         atlas, pou, g = s1
-        u = ManifoldFunction.from_ambient(atlas, "x1")
+        u = TensorField.from_ambient(atlas, "x1")
         a = chart_sobolev_norm(u, atlas, pou, e=1, q=2, N=128)
         b = chart_sobolev_norm(u.scaled(7.5), atlas, pou, e=1, q=2, N=128)
         assert b.value == pytest.approx(7.5 * a.value, rel=1e-10)
 
     def test_reproducible(self, t1):
         atlas, pou, g = t1
-        u = ManifoldFunction.from_ambient(atlas, "sin(2*pi*x1)")
+        u = TensorField.from_ambient(atlas, "sin(2*pi*x1)")
         a = chart_sobolev_norm(u, atlas, pou, e=1, q=2, N=128)
         b = chart_sobolev_norm(u, atlas, pou, e=1, q=2, N=128)
         assert a.value == b.value
 
     def test_fractional_order_runs(self, t1):
         atlas, pou, g = t1
-        u = ManifoldFunction.from_ambient(atlas, "sin(2*pi*x1)")
+        u = TensorField.from_ambient(atlas, "sin(2*pi*x1)")
         rep = chart_sobolev_norm(u, atlas, pou, e=0.5, q=2, N=96)
         assert rep.value > 0
 
     def test_negative_order_rejected(self, t1):
         atlas, pou, _ = t1
-        u = ManifoldFunction.from_ambient(atlas, "1")
+        u = TensorField.from_ambient(atlas, "1")
         with pytest.raises(ValueError):
             chart_sobolev_norm(u, atlas, pou, e=-0.5, q=2, N=32)
 
@@ -110,7 +112,7 @@ class TestChartNorm:
         # the oracle re-evaluates the definition by brute force: midpoint
         # sums of sampled psi and a finite-difference derivative.
         atlas, pou, g = t1
-        u = ManifoldFunction.from_ambient(atlas, "1")
+        u = TensorField.from_ambient(atlas, "1")
         rep = chart_sobolev_norm(u, atlas, pou, e=1, q=2, N=512)
         oracle = 0.0
         N = 1024
@@ -118,7 +120,7 @@ class TestChartNorm:
             (lo, hi), = chart.truncation.bounds
             h = (hi - lo) / N
             t = (lo + (np.arange(N) + 0.5) * h).reshape(-1, 1)
-            psi = pou.fields[ci].values(t)
+            psi = eval_on_points(pou.fields[ci], t)
             dpsi = np.gradient(psi, h)
             oracle += math.sqrt(np.sum(psi ** 2) * h) \
                 + math.sqrt(np.sum(dpsi ** 2) * h)
@@ -129,13 +131,13 @@ class TestChartNorm:
         # where the partition is identically 1 on the support, the chart
         # norm has a single nonzero term: the plain Euclidean norm of the
         # local representation
-        from sobolev.fields import ExprField, box_bump
+        from sobolev.fields import box_bump
         from sobolev.funcexpr import parse_expr
         from sobolev.quadrature import sobolev_norm
         atlas, pou, g = t1
         bump = box_bump(1, ("1/2",), "1/10", "1/5")  # inside psi_1's plateau
-        zero = ExprField(parse_expr("0", 1), 1)
-        u = ManifoldFunction.from_chart_fields(atlas, [bump, zero])
+        zero = parse_expr("0", 1)
+        u = scalar_field(atlas, [bump, zero])
         chart_rep = chart_sobolev_norm(u, atlas, pou, e=1, q=2, N=512)
         euclid = sobolev_norm(bump, atlas.charts[0].truncation, s=1, p=2,
                               N=512)
@@ -145,14 +147,14 @@ class TestChartNorm:
 class TestConnectionNorm:
     def test_k_zero_equals_lq(self, t1):
         atlas, pou, g = t1
-        u = ManifoldFunction.from_ambient(atlas, "sin(2*pi*x1)")
+        u = TensorField.from_ambient(atlas, "sin(2*pi*x1)")
         a = connection_sobolev_norm(u, g, k=0, q=2, N=256, pou=pou)
         b = manifold_lq_norm(u, g, atlas, pou, q=2, N=256)
         assert a.value == pytest.approx(b.value, rel=1e-12)
 
     def test_sine_closed_form(self, t1):
         atlas, pou, g = t1
-        u = ManifoldFunction.from_ambient(atlas, "sin(2*pi*x1)")
+        u = TensorField.from_ambient(atlas, "sin(2*pi*x1)")
         rep = connection_sobolev_norm(u, g, k=1, q=2, N=512, pou=pou)
         expected = math.sqrt(0.5 + (2 * math.pi) ** 2 / 2.0)
         assert rep.value == pytest.approx(expected, rel=0.005)
@@ -160,7 +162,7 @@ class TestConnectionNorm:
     def test_constant_any_k(self, t1):
         atlas, pou, g = t1
         c = -3.25
-        u = ManifoldFunction.from_ambient(atlas, "-3.25")
+        u = TensorField.from_ambient(atlas, "-3.25")
         for k in (0, 1, 2):
             rep = connection_sobolev_norm(u, g, k=k, q=2, N=128, pou=pou)
             assert rep.value == pytest.approx(abs(c), rel=1e-6)
@@ -169,7 +171,7 @@ class TestConnectionNorm:
 @pytest.mark.parametrize("q", [0.5, 1.0, math.inf])
 def test_integrability_out_of_range_rejected(t1, q):
     atlas, pou, g = t1
-    u = ManifoldFunction.from_ambient(atlas, "sin(2*pi*x1)")
+    u = TensorField.from_ambient(atlas, "sin(2*pi*x1)")
     with pytest.raises(ValueError, match="integrability p must be finite"):
         connection_sobolev_norm(u, g, k=1, q=q, N=64, pou=pou)
     with pytest.raises(ValueError, match="integrability p must be finite"):
@@ -185,7 +187,7 @@ TRIG_FAMILY = [
 class TestCompareNorms:
     def test_same_variant_gives_unit_ratios(self, s1):
         atlas, pou, g = s1
-        fam = [ManifoldFunction.from_ambient(atlas, t)
+        fam = [TensorField.from_ambient(atlas, t)
                for t in TRIG_FAMILY[:3]]
         v = NormVariant("chart", pou=pou)
         out = compare_norms(fam, v, v, e=1, q=2, N=64)
@@ -195,7 +197,7 @@ class TestCompareNorms:
     def test_two_pous_bracket(self, s1):
         atlas, pou, g = s1
         pou2 = build_partition_of_unity(atlas, alternate_seeds(atlas), "alt")
-        fam = [ManifoldFunction.from_ambient(atlas, t)
+        fam = [TensorField.from_ambient(atlas, t)
                for t in TRIG_FAMILY[:4]]
         out = compare_norms(fam, NormVariant("chart", pou=pou),
                             NormVariant("chart", pou=pou2), e=1, q=2, N=96)
@@ -205,8 +207,8 @@ class TestCompareNorms:
 
     def test_chart_vs_connection(self, t1):
         atlas, pou, g = t1
-        fam = [ManifoldFunction.from_ambient(atlas, "sin(2*pi*x1)"),
-               ManifoldFunction.from_ambient(atlas, "cos(2*pi*x1)")]
+        fam = [TensorField.from_ambient(atlas, "sin(2*pi*x1)"),
+               TensorField.from_ambient(atlas, "cos(2*pi*x1)")]
         out = compare_norms(fam, NormVariant("chart", pou=pou),
                             NormVariant("connection", metric=g, pou=pou),
                             e=1, q=2, N=128)

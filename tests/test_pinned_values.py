@@ -10,9 +10,9 @@ import pytest
 
 from sobolev.atlas import builtin_manifold
 from sobolev.fields import box_bump
+from sobolev.geometry import TensorField
 from sobolev.manifold_norms import (
-    ManifoldFunction, chart_sobolev_norm, connection_sobolev_norm,
-    manifold_lq_norm,
+    chart_sobolev_norm, connection_sobolev_norm, manifold_lq_norm,
 )
 from sobolev.operators import build_operator, empirical_bound
 from sobolev.quadrature import BoxDomain, extend_by_zero, sobolev_norm
@@ -31,7 +31,7 @@ def s2():
 
 def test_chart_norm_torus2():
     atlas, pou, _ = builtin_manifold("torus2")
-    u = ManifoldFunction.from_ambient(atlas, "sin(2*pi*x1)*cos(2*pi*x2)")
+    u = TensorField.from_ambient(atlas, "sin(2*pi*x1)*cos(2*pi*x2)")
     rep = chart_sobolev_norm(u, atlas, pou, e=1.5, q=2, N=24)
     assert rep.value == pinned(237.6401346604631)
     assert rep.error_estimate == pinned(136.03887688166097)
@@ -39,7 +39,7 @@ def test_chart_norm_torus2():
 
 def test_chart_norm_s2(s2):
     atlas, pou, _ = s2
-    u = ManifoldFunction.from_ambient(atlas, "x1*x3")
+    u = TensorField.from_ambient(atlas, "x1*x3")
     rep = chart_sobolev_norm(u, atlas, pou, e=1.0, q=2, N=24)
     assert rep.value == pinned(6.1301259572975475)
     assert rep.error_estimate == pinned(2.631258501880674)
@@ -47,7 +47,7 @@ def test_chart_norm_s2(s2):
 
 def test_connection_norm_s2(s2):
     atlas, pou, g = s2
-    u = ManifoldFunction.from_ambient(atlas, "x1*x3")
+    u = TensorField.from_ambient(atlas, "x1*x3")
     rep = connection_sobolev_norm(u, g, k=2, q=2, N=32, pou=pou)
     assert rep.value == pinned(5.610767019013283)
     assert rep.error_estimate == pinned(0.39873842851236674)
@@ -55,7 +55,7 @@ def test_connection_norm_s2(s2):
 
 def test_lq_norm_s1():
     atlas, pou, g = builtin_manifold("s1-stereo")
-    u = ManifoldFunction.from_ambient(atlas, "x1*x2 + x2")
+    u = TensorField.from_ambient(atlas, "x1*x2 + x2")
     rep = manifold_lq_norm(u, g, atlas, pou, q=3, N=128)
     assert rep.value == pinned(1.6216859029976594)
     assert rep.error_estimate == pinned(0.001679787018997736)
@@ -64,7 +64,7 @@ def test_lq_norm_s1():
 
 def test_laplace_bound_s2(s2):
     atlas, pou, g = s2
-    family = [ManifoldFunction.from_ambient(atlas, t) for t in ("x1*x3", "x2")]
+    family = [TensorField.from_ambient(atlas, t) for t in ("x1*x3", "x2")]
     out = empirical_bound(build_operator("laplace", g), (2, 2), (0, 2),
                           family, N=24, route="chart", pou=pou)
     assert out["ratios"] == [pinned(0.14316711897395729),

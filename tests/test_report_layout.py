@@ -11,7 +11,7 @@ from sobolev.atlas import builtin_manifold
 from sobolev.funcexpr import parse_expr
 from sobolev.geometry import TensorField
 from sobolev.operators import divergence_integral
-from sobolev.quadrature import box, lp_norm
+from sobolev.quadrature import BoxDomain, lp_norm
 
 from test_cli import run
 
@@ -68,7 +68,7 @@ def as_json(rep) -> dict:
 
 
 def test_norm_report_without_extras():
-    rep = as_json(lp_norm(parse_expr("x1", 1), box((0.0, 1.0)), 2.0, 16))
+    rep = as_json(lp_norm(parse_expr("x1", 1), BoxDomain(((0.0, 1.0),)), 2.0, 16))
     assert list(rep) == NORM
     assert rep["kind"] == "norm_report"
 
@@ -77,7 +77,7 @@ def test_divergence_integral_keys():
     atlas, pou, g = builtin_manifold("torus1")
     u = parse_expr("sin(2*pi*x1)", atlas.ambient_dim)
     X = TensorField(atlas, 0, 1, [
-        {((0,), ()): atlas.local_representation(u, ci)}
+        (atlas.local_representation(u, ci),)
         for ci in range(atlas.chart_count())])
     rep = as_json(divergence_integral(X, g, pou, N=32))
     assert list(rep) == ["schema", "kind", "value", "error_estimate"]
