@@ -11,8 +11,8 @@ import math
 import numpy as np
 
 from sobolev.atlas import (
-    alternate_seeds, build_partition_of_unity, builtin_manifold,
-    quasirandom_points, transition_map,
+    TransitionMap, alternate_seeds, build_partition_of_unity,
+    builtin_manifold, quasirandom_points,
 )
 from sobolev.geometry import TensorField
 from sobolev.manifold_norms import (
@@ -25,7 +25,7 @@ print("atlas:", atlas.manifold, "| classification:", atlas.classification)
 print("charts:", [c.name for c in atlas.charts])
 
 # the transition between the two stereographic charts is t -> 1/t
-tm = transition_map(atlas, 0, 1)
+tm = TransitionMap(atlas, 0, 1)
 t = np.array([[0.5], [2.0], [-3.0]])
 print("transition of [0.5, 2, -3]:", tm(t).ravel())
 

@@ -1,8 +1,9 @@
-"""Differential operators through their chart local representations.
+"""Differential operators from the connection and the metric.
 
-d, grad, div and the Laplace-Beltrami operator act chartwise on local
-representations; because they are local (supports never grow), the
-chartwise results patch to global objects.  Boundedness between Sobolev
+d is the covariant derivative of a function, grad its sharp, div is read
+chart by chart and the Laplace-Beltrami operator is div o grad; because
+they are local (supports never grow), the chartwise results patch to
+global objects.  Boundedness between Sobolev
 scales is probed empirically as a sup of norm ratios over a family.
 """
 
@@ -13,16 +14,14 @@ import numpy as np
 from sobolev.atlas import builtin_manifold
 from sobolev.geometry import TensorField, christoffel
 from sobolev.operators import (
-    apply_operator, build_operator, describe_components, divergence_integral,
-    empirical_bound,
+    apply_operator, describe_components, divergence_integral, empirical_bound,
 )
 
 atlas, pou, g = builtin_manifold("torus1")
 u = TensorField.from_ambient(atlas, "sin(2*pi*x1)")
 
-lap = build_operator("laplace", g)
 print("laplace of sin(2 pi x) per chart:")
-out = apply_operator(lap, u)
+out = apply_operator("laplace", g, u)
 for ci, chart in enumerate(atlas.charts):
     print(f"   {chart.name}: {describe_components(out, ci)}")
 
@@ -30,14 +29,14 @@ for ci, chart in enumerate(atlas.charts):
 # because the W^{1,2} norm contains the derivative term
 family = [TensorField.from_ambient(atlas, f"sin(2*pi*{k}*x1)")
           for k in (1, 2, 3)]
-b = empirical_bound(build_operator("d", g), ("1", "2"), ("0", "2"),
-                    family, N=256, route="box")
+b = empirical_bound("d", g, ("1", "2"), ("0", "2"), family, N=256,
+                    route="box")
 print(f"d: sup ratio = {b['sup']:.4f}  "
       f"(coarse grid {b['sup_coarse']:.4f}, change {b['relative_change']:.1%})")
 
 # the Laplace ratios have closed forms (2 pi k)^2 / (1 + 2 pi k + (2 pi k)^2)
-b = empirical_bound(build_operator("laplace", g), ("2", "2"), ("0", "2"),
-                    family, N=256, route="box")
+b = empirical_bound("laplace", g, ("2", "2"), ("0", "2"), family, N=256,
+                    route="box")
 for k, ratio in zip((1, 2, 3), b["ratios"]):
     w = 2 * math.pi * k
     print(f"laplace ratio k={k}: {ratio:.5f}   "
@@ -47,7 +46,7 @@ for k, ratio in zip((1, 2, 3), b["ratios"]):
 # gradient of the ambient height function on the round sphere
 s_atlas, s_pou, s_g = builtin_manifold("s2-stereo")
 f = TensorField.from_ambient(s_atlas, "x3")
-X = apply_operator(build_operator("grad", s_g), f)
+X = apply_operator("grad", s_g, f)
 ident = divergence_integral(X, s_g, s_pou, N=96)
 print(f"sphere: int div(grad x3) dV = {ident['value']:.2e} "
       f"(error estimate {ident['error_estimate']:.2e})")

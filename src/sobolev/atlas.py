@@ -41,7 +41,7 @@ from sobolev.quadrature import BoxDomain, midpoint_grid
 __all__ = [
     "Atlas", "Chart", "PartitionOfUnity", "BumpSeed", "TransitionMap",
     "UnknownManifold", "CoverConditionError", "EmptyOverlap",
-    "builtin_manifold", "build_partition_of_unity", "transition_map",
+    "builtin_manifold", "build_partition_of_unity",
     "default_seeds", "alternate_seeds", "quasirandom_points",
     "MANIFOLD_NAMES", "atlas_from_config",
 ]
@@ -115,9 +115,6 @@ class Atlas:
     classification: str         # "nice" | "super nice" | "GL" | "GGL"
     gl_self_compatible: bool
     params: dict = dataclass_field(default_factory=dict)
-
-    def chart_count(self) -> int:
-        return len(self.charts)
 
     def to_config(self) -> dict:
         return {
@@ -361,10 +358,6 @@ class TransitionMap:
         outer = coords[:, :, None] * coords[:, None, :]
         return (eye[None, :, :] * r2[:, None, None] - 2.0 * outer) \
             / (r2 ** 2)[:, None, None]
-
-
-def transition_map(atlas: Atlas, a: int, b: int) -> TransitionMap:
-    return TransitionMap(atlas, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 _DOMAINS = {d.value: d for d in ex.DomainClass}
+# The CLI builds functions only, so it offers the operators that take one.
+_FUNCTION_OPS = [op for op, (source, _) in ops._VALENCES.items()
+                 if source == (0, 0)]
 
 
 def _rationals(text: str, what: str) -> tuple:
@@ -213,13 +216,13 @@ def _build_parser() -> _Parser:
     c = osub.add_parser("apply")
     c.add_argument("--manifold", required=True)
     c.add_argument("--op", dest="op_id", required=True,
-                   choices=ops.OPERATOR_IDS)
+                   choices=_FUNCTION_OPS)
     c.add_argument("--expr", required=True)
 
     c = osub.add_parser("bound")
     c.add_argument("--manifold", required=True)
     c.add_argument("--op", dest="op_id", required=True,
-                   choices=ops.OPERATOR_IDS)
+                   choices=_FUNCTION_OPS)
     c.add_argument("--from", dest="frm", type=_PAIR, required=True,
                    metavar="E,Q")
     c.add_argument("--to", type=_PAIR, required=True, metavar="ET,QT")
@@ -328,14 +331,13 @@ def _dispatch(args) -> tuple[dict, int]:
     if cmd == "op" and args.op_command == "apply":
         atlas, pou, g = _load_manifold(args)
         u = TensorField.from_ambient(atlas, args.expr)
-        op = ops.build_operator(args.op_id, g)
-        result = ops.apply_operator(op, u)
+        result = ops.apply_operator(args.op_id, g, u)
         charts = {}
         for ci, chart in enumerate(atlas.charts):
             charts[chart.name] = ops.describe_components(result, ci)
         return quad.Report("operator_apply", operator=args.op_id,
-                           source_valence=list(op.source_valence),
-                           target_valence=list(op.target_valence),
+                           source_valence=[u.k_cov, u.l_con],
+                           target_valence=[result.k_cov, result.l_con],
                            charts=charts), 0
 
     if cmd == "op" and args.op_command == "bound":
@@ -345,13 +347,12 @@ def _dispatch(args) -> tuple[dict, int]:
         atlas, pou, g = _load_manifold(args)
         family = [TensorField.from_ambient(atlas, t)
                   for t in args.expr]
-        op = ops.build_operator(args.op_id, g)
         route = args.route or ("box" if atlas.family == "torus" else "chart")
         if route == "box" and atlas.family != "torus":
             raise UsageError("--route box integrates one exact period; it "
                              "applies to the torus manifolds")
-        out = ops.empirical_bound(op, frm, to, family, N=args.grid,
-                                  route=route, pou=pou)
+        out = ops.empirical_bound(args.op_id, g, frm, to, family,
+                                  N=args.grid, route=route, pou=pou)
         return out, 0
 
     if cmd == "atlas" and args.atlas_command == "show":

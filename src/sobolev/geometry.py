@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sobolev.atlas import Atlas, quasirandom_points, transition_map
+from sobolev.atlas import Atlas, TransitionMap, quasirandom_points
 from sobolev.fields import radius_squared
 from sobolev.funcexpr import (
     ONE, ZERO, Call, Const, Expr, add, const, diff_expr, div, eval_on_points,
@@ -27,7 +27,7 @@ from sobolev.funcexpr import (
 __all__ = [
     "MetricField", "ChristoffelField", "TensorField", "builtin_metric",
     "christoffel", "covariant_derivative", "fiber_norm", "musical",
-    "metric_aux", "scalar_field", "transform_components",
+    "scalar_field", "transform_components",
     "check_overlap_consistency",
 ]
 
@@ -162,11 +162,6 @@ def builtin_metric(atlas: Atlas) -> MetricField:
     return MetricField(atlas, comps)
 
 
-def metric_aux(g: MetricField, chart: int):
-    """(inverse component expressions, sqrt(det g) expression)."""
-    return g.inv_comps[chart], g.sqrt_det[chart]
-
-
 def christoffel(g: MetricField, chart: int) -> ChristoffelField:
     return g._christoffel[chart]
 
@@ -206,7 +201,7 @@ class TensorField:
         ambient coordinates x1..xm."""
         expr = parse_expr(u, atlas.ambient_dim) if isinstance(u, str) else u
         return scalar_field(atlas, [atlas.local_representation(expr, ci)
-                                    for ci in range(atlas.chart_count())])
+                                    for ci in range(len(atlas.charts))])
 
     def component(self, chart: int, con: tuple, cov: tuple) -> Expr:
         pos = _positions(self.atlas.dim, self.k_cov, self.l_con)
@@ -366,7 +361,7 @@ def transform_components(field: TensorField, a: int, b: int,
     covariant slots pull back with the Jacobian of (phi_a o phi_b^{-1});
     contravariant slots push forward with its inverse.
     """
-    t_ba = transition_map(field.atlas, b, a)  # chart-b coords -> chart-a coords
+    t_ba = TransitionMap(field.atlas, b, a)  # chart-b coords -> chart-a coords
     coords_b = np.asarray(coords_b, dtype=float)
     coords_a = t_ba(coords_b)
     J = t_ba.jacobian(coords_b)         # d coords_a / d coords_b
@@ -406,7 +401,7 @@ def check_overlap_consistency(field: TensorField, npts: int = 100) -> float:
         for a in range(len(atlas.charts)):
             if a == b:
                 continue
-            t_ba = transition_map(atlas, b, a)
+            t_ba = TransitionMap(atlas, b, a)
             ok = t_ba.domain_mask(coords_b)
             cb = coords_b[ok]
             # keep away from singular transition loci

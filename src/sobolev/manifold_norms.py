@@ -29,8 +29,7 @@ import numpy as np
 from sobolev.atlas import Atlas, PartitionOfUnity, build_partition_of_unity
 from sobolev.funcexpr import eval_on_points, mul
 from sobolev.geometry import (
-    MetricField, TensorField, check_overlap_consistency, covariant_derivative,
-    fiber_norm_values,
+    MetricField, TensorField, covariant_derivative, fiber_norm_values,
 )
 from sobolev.quadrature import (
     Report, _check_p, _norm_report, coarse_shape, grid_shape, midpoint_grid,
@@ -40,7 +39,7 @@ from sobolev.quadrature import (
 __all__ = [
     "manifold_lq_norm",
     "chart_sobolev_norm", "connection_sobolev_norm", "compare_norms",
-    "NormVariant", "check_function_consistency", "SCALE_CHECK",
+    "NormVariant", "SCALE_CHECK",
 ]
 
 
@@ -48,13 +47,6 @@ __all__ = [
 # ``operators.empirical_bound``: every norm here is 1-homogeneous, so a
 # ratio of two norms must not change when the function is scaled.
 SCALE_CHECK = 5.0
-
-
-def check_function_consistency(u: TensorField, npts: int = 200) -> float:
-    """Max disagreement of the local representations of a function or
-    tensor field across chart overlaps (see
-    :func:`sobolev.geometry.check_overlap_consistency`)."""
-    return check_overlap_consistency(u, npts)
 
 
 def _pou_integral(integrand, atlas: Atlas, g: MetricField,
@@ -109,7 +101,7 @@ def manifold_lq_norm(u: TensorField, g: MetricField, atlas: Atlas = None,
     if value > 0:
         extras["variant_ratio"] = chart_sum.value / value
     terms = [{"kind": "intrinsic", "chart": atlas.charts[ci].name,
-              "value": per_chart[ci]} for ci in range(atlas.chart_count())]
+              "value": per_chart[ci]} for ci in range(len(atlas.charts))]
     terms += [{"kind": "chart-sum", **t} for t in chart_sum.terms]
     return _norm_report(value, terms, {"resolution": list(shape)}, err,
                         extras, manifold=atlas.manifold,

@@ -1,16 +1,17 @@
-"""Chartwise differential operators and empirical operator norms.
+"""Differential operators on manifolds and empirical operator norms.
 
-The four built-in operators act through their chart local
-representations on component expressions:
+The four built-in operators come from the connection and the metric:
 
-    d        : f |-> (d_1 f, ..., d_n f)            (function -> 1-form)
-    grad     : f |-> g^{ij} d_j f                   (function -> vector)
+    d        : f |-> nabla f                        (function -> 1-form)
+    grad     : f |-> (nabla f)^sharp = g^{ij} d_j f (function -> vector)
     div      : Y |-> (det g)^{-1/2} d_j((det g)^{1/2} Y^j)
     laplace  : div o grad
 
-All are local (support never grows: every pipeline is differentiation
-and multiplication by fixed coefficient functions), so applying them
-chart by chart is consistent on overlaps.
+``d`` and ``grad`` are :func:`~sobolev.geometry.covariant_derivative`
+and its :func:`~sobolev.geometry.musical` sharp; ``div`` is read chart by
+chart.  All are local (support never grows: every pipeline is
+differentiation and multiplication by fixed coefficient functions), so
+applying them chart by chart is consistent on overlaps.
 
 Boundedness between Sobolev scales is assessed empirically: the sup of
 norm ratios over a function family, at two grid resolutions.  On tori
@@ -21,7 +22,6 @@ box, so the "box" route integrates them over one exact period; the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +33,9 @@ from sobolev.exponents import (
 from sobolev.funcexpr import (
     ONE, diff_expr, div, eval_on_points, expr_to_text, mul, sum_exprs,
 )
-from sobolev.geometry import MetricField, TensorField
+from sobolev.geometry import (
+    MetricField, TensorField, covariant_derivative, musical,
+)
 from sobolev.manifold_norms import (
     SCALE_CHECK, _pou_integral, chart_sobolev_norm,
 )
@@ -42,18 +44,16 @@ from sobolev.quadrature import (
 )
 
 __all__ = [
-    "LocalOperator", "OPERATOR_IDS", "build_operator", "apply_operator",
-    "empirical_bound", "divergence_integral", "describe_components",
+    "ValenceMismatch", "apply_operator", "empirical_bound",
+    "divergence_integral", "describe_components",
 ]
 
-OPERATOR_IDS = ("d", "grad", "div", "laplace")
-
 _VALENCES = {
-    # operator: ((k_cov, l_con) source, (k_cov, l_con) target, order)
-    "d": ((0, 0), (1, 0), 1),
-    "grad": ((0, 0), (0, 1), 1),
-    "div": ((0, 1), (0, 0), 1),
-    "laplace": ((0, 0), (0, 0), 2),
+    # operator: ((k_cov, l_con) source valence, order)
+    "d": ((0, 0), 1),
+    "grad": ((0, 0), 1),
+    "div": ((0, 1), 1),
+    "laplace": ((0, 0), 2),
 }
 
 
@@ -61,85 +61,39 @@ class ValenceMismatch(TypeError):
     pass
 
 
-@dataclass
-class LocalOperatorBlock:
-    """The local representation on one chart: a map of component blocks,
-    each a tuple of expressions in ``TensorField.keys()`` order."""
-
-    op_id: str
-    metric: MetricField
-    chart_index: int
-
-    def apply(self, comps: tuple) -> tuple:
-        n = self.metric.atlas.dim
-        g = self.metric
-        ci = self.chart_index
-        if self.op_id == "d":
-            f, = comps
-            return tuple(diff_expr(f, i + 1) for i in range(n))
-        if self.op_id == "grad":
-            f, = comps
-            ginv = g.inv_comps[ci]
-            return tuple(sum_exprs(
-                mul(ginv[a][j], diff_expr(f, j + 1)) for j in range(n))
-                for a in range(n))
-        if self.op_id == "div":
-            sqrtdet = g.sqrt_det[ci]
-            total = sum_exprs(diff_expr(mul(sqrtdet, comps[j]), j + 1)
-                              for j in range(n))
-            return (mul(div(ONE, sqrtdet), total),)
-        if self.op_id == "laplace":
-            grad_block = LocalOperatorBlock("grad", g, ci)
-            div_block = LocalOperatorBlock("div", g, ci)
-            return div_block.apply(grad_block.apply(comps))
-        raise KeyError(f"unknown operator {self.op_id!r}")
+def _divergence(X: TensorField, g: MetricField) -> TensorField:
+    """(det g)^{-1/2} d_j((det g)^{1/2} X^j) of a vector field, chart by
+    chart."""
+    n = X.atlas.dim
+    comps = []
+    for ci, block in enumerate(X.comps):
+        sqrtdet = g.sqrt_det[ci]
+        total = sum_exprs(diff_expr(mul(sqrtdet, block[j]), j + 1)
+                          for j in range(n))
+        comps.append((mul(div(ONE, sqrtdet), total),))
+    return TensorField(X.atlas, 0, 0, comps)
 
 
-@dataclass
-class LocalOperator:
-    """A local operator given by per-chart component pipelines."""
-
-    op_id: str
-    metric: MetricField
-
-    def __post_init__(self):
-        if self.op_id not in OPERATOR_IDS:
-            raise KeyError(f"unknown operator {self.op_id!r}; "
-                           f"known: {', '.join(OPERATOR_IDS)}")
-
-    @property
-    def atlas(self) -> Atlas:
-        return self.metric.atlas
-
-    @property
-    def source_valence(self):
-        return _VALENCES[self.op_id][0]
-
-    @property
-    def target_valence(self):
-        return _VALENCES[self.op_id][1]
-
-    @property
-    def order(self) -> int:
-        return _VALENCES[self.op_id][2]
-
-    def block(self, chart_index: int) -> LocalOperatorBlock:
-        return LocalOperatorBlock(self.op_id, self.metric, chart_index)
-
-
-def build_operator(op_id: str, g: MetricField) -> LocalOperator:
-    return LocalOperator(op_id, g)
-
-
-def apply_operator(op: LocalOperator, u: TensorField) -> TensorField:
-    """Apply chartwise."""
-    if (u.k_cov, u.l_con) != op.source_valence:
+def apply_operator(op_id: str, g: MetricField,
+                   u: TensorField) -> TensorField:
+    """The operator ``op_id`` (one of d, grad, div, laplace) applied to
+    ``u`` with the metric ``g``; an unknown id is a ``KeyError`` and a
+    field of the wrong valence a :class:`ValenceMismatch`."""
+    if op_id not in _VALENCES:
+        raise KeyError(f"unknown operator {op_id!r}; "
+                       f"known: {', '.join(_VALENCES)}")
+    source = _VALENCES[op_id][0]
+    if (u.k_cov, u.l_con) != source:
         raise ValenceMismatch(
-            f"operator {op.op_id} expects valence {op.source_valence}, "
+            f"operator {op_id} expects valence {source}, "
             f"got ({u.k_cov}, {u.l_con})")
-    out_comps = [op.block(ci).apply(u.comps[ci])
-                 for ci in range(u.atlas.chart_count())]
-    return TensorField(u.atlas, *op.target_valence, out_comps)
+    if op_id == "div":
+        return _divergence(u, g)
+    du = covariant_derivative(u, g)
+    if op_id == "d":
+        return du
+    grad = musical(du, g, "sharp")
+    return grad if op_id == "grad" else _divergence(grad, g)
 
 
 def describe_components(u: TensorField, chart: int) -> dict:
@@ -161,13 +115,6 @@ def describe_components(u: TensorField, chart: int) -> dict:
 # Empirical operator norms
 # ---------------------------------------------------------------------------
 
-def _tensor_box_norm(u: TensorField, box: BoxDomain, e, q, shape) -> float:
-    total = 0.0
-    for comp in u.comps[0]:
-        total += sobolev_norm(comp, box, e, q, shape).value
-    return total
-
-
 def _norm_for_route(u: TensorField, route, e, q, shape, pou) -> float:
     atlas = u.atlas
     if route == "box":
@@ -175,7 +122,8 @@ def _norm_for_route(u: TensorField, route, e, q, shape, pou) -> float:
             raise ValueError("the box route integrates one exact period; "
                              "it applies to the torus manifolds")
         box = BoxDomain(tuple((0.0, 1.0) for _ in range(atlas.dim)))
-        return _tensor_box_norm(u, box, e, q, shape)
+        return sum(sobolev_norm(comp, box, e, q, shape).value
+                   for comp in u.comps[0])
     return chart_sobolev_norm(u, atlas, pou, e, q, shape).value
 
 
@@ -184,11 +132,12 @@ def _chart_domain_class(atlas: Atlas) -> DomainClass:
         else DomainClass.BOUNDED_LIPSCHITZ
 
 
-def empirical_bound(op: LocalOperator, from_exponents, to_exponents, family,
-                    N=None, route: str = "box",
+def empirical_bound(op_id: str, g: MetricField, from_exponents,
+                    to_exponents, family, N=None, route: str = "box",
                     pou: PartitionOfUnity | None = None) -> Report:
-    """Empirical operator norm: sup over the family of
-    ||op u||_{to} / ||u||_{from}, at two grid resolutions.
+    """Empirical norm of the operator ``op_id`` with the metric ``g``: sup
+    over the family of ||op u||_{to} / ||u||_{from}, at two grid
+    resolutions.
 
     ``from_exponents``/``to_exponents`` are (e, q) pairs with e >= 0.
     The pair is first screened against the chartwise differentiation
@@ -205,19 +154,20 @@ def empirical_bound(op: LocalOperator, from_exponents, to_exponents, family,
     et, qt = float(to_exponents[0]), float(to_exponents[1])
     if e < 0 or et < 0:
         raise ValueError("numerical norms require nonnegative orders")
-    atlas = op.atlas
+    atlas = g.atlas
+    order = _VALENCES[op_id][1]
     frm = space(Fraction(str(from_exponents[0])),
                 Fraction(str(from_exponents[1])),
                 atlas.dim, _chart_domain_class(atlas))
-    verdict = check_derivative(frm, op.order)
+    verdict = check_derivative(frm, order)
     if not verdict.admissible:
         raise ExponentError(
-            f"exponent screen failed for {op.op_id}: the chartwise "
-            f"differentiation theorem does not cover order {op.order} "
+            f"exponent screen failed for {op_id}: the chartwise "
+            f"differentiation theorem does not cover order {order} "
             f"from W^({e},{q})")
-    if et > e - op.order:
+    if et > e - order:
         raise ExponentError(
-            f"target order {et} exceeds the declared map (e - {op.order})")
+            f"target order {et} exceeds the declared map (e - {order})")
     if pou is None and route == "chart":
         pou = build_partition_of_unity(atlas)
 
@@ -226,7 +176,7 @@ def empirical_bound(op: LocalOperator, from_exponents, to_exponents, family,
     def sup_at(resolution):
         ratios = []
         for u in family:
-            image = apply_operator(op, u)
+            image = apply_operator(op_id, g, u)
             nu = _norm_for_route(u, route, e, q, resolution, pou)
             nop = _norm_for_route(image, route, et, qt, resolution, pou)
             ratios.append(nop / nu)
@@ -239,10 +189,11 @@ def empirical_bound(op: LocalOperator, from_exponents, to_exponents, family,
     # scale invariance spot check on the worst function
     worst = int(np.argmax(ratios))
     us = family[worst].scaled(SCALE_CHECK)
-    rs = (_norm_for_route(apply_operator(op, us), route, et, qt, shape, pou)
+    rs = (_norm_for_route(apply_operator(op_id, g, us), route, et, qt, shape,
+                          pou)
           / _norm_for_route(us, route, e, q, shape, pou))
     return Report(
-        "operator_bound", operator=op.op_id,
+        "operator_bound", operator=op_id,
         **{"from": [e, q]}, to=[et, qt], route=route, ratios=ratios,
         sup=sup_fine, sup_coarse=sup_coarse,
         relative_change=abs(sup_fine - sup_coarse) / sup_fine
@@ -261,12 +212,9 @@ def divergence_integral(X: TensorField, g: MetricField,
     of unity.
     """
     atlas = X.atlas
-    if (X.k_cov, X.l_con) != (0, 1):
-        raise ValenceMismatch("divergence needs a vector field")
+    divX = apply_operator("div", g, X)
     if pou is None:
         pou = build_partition_of_unity(atlas)
-    op = build_operator("div", g)
-    divX = apply_operator(op, X)
     shape = grid_shape(atlas.dim, N)
 
     def signed_integral(shp):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from sobolev.atlas import (
-    BumpSeed, CoverConditionError, UnknownManifold, alternate_seeds,
-    atlas_from_config, build_partition_of_unity, builtin_manifold,
-    quasirandom_points, transition_map,
+    BumpSeed, CoverConditionError, TransitionMap, UnknownManifold,
+    alternate_seeds, atlas_from_config, build_partition_of_unity,
+    builtin_manifold, quasirandom_points,
 )
 from sobolev.funcexpr import eval_on_points, parse_expr
 from sobolev.quadrature import midpoint_grid
@@ -52,20 +52,20 @@ class TestCharts:
 
     def test_s1_transition_is_reciprocal(self, s1):
         atlas, _, _ = s1
-        tm = transition_map(atlas, 0, 1)
+        tm = TransitionMap(atlas, 0, 1)
         t = np.array([[0.5], [-2.0], [3.3], [0.01]])
         assert np.allclose(tm(t), 1.0 / t, rtol=1e-12)
 
     def test_s2_transition_is_inversion(self, s2):
         atlas, _, _ = s2
-        tm = transition_map(atlas, 0, 1)
+        tm = TransitionMap(atlas, 0, 1)
         t = np.array([[0.5, 0.25], [-1.0, 2.0]])
         r2 = np.sum(t * t, axis=1, keepdims=True)
         assert np.allclose(tm(t), t / r2, rtol=1e-12)
 
     def test_torus1_transition_is_unit_shift(self, t1):
         atlas, _, _ = t1
-        tm = transition_map(atlas, 0, 1)
+        tm = TransitionMap(atlas, 0, 1)
         t = np.array([[0.25], [0.75]])
         out = tm(t)
         # (0,1) -> (1/2,3/2): t<1/2 shifts up by 1, t>1/2 stays
@@ -74,8 +74,8 @@ class TestCharts:
 
     def test_transition_round_trip(self, s1, s2, t1, t2):
         for atlas, _, _ in (s1, s2, t1, t2):
-            tm = transition_map(atlas, 0, 1)
-            back = transition_map(atlas, 1, 0)
+            tm = TransitionMap(atlas, 0, 1)
+            back = TransitionMap(atlas, 1, 0)
             coords, _, _ = midpoint_grid(atlas.charts[0].truncation,
                                          (11,) * atlas.dim)
             mask = tm.domain_mask(coords)
@@ -175,7 +175,7 @@ class TestLocalRepresentation:
         u = parse_expr("sin(2*pi*x1) + 0.5*cos(2*pi*x1)", 1)
         f0 = atlas.local_representation(u, 0)
         f1 = atlas.local_representation(u, 1)
-        tm = transition_map(atlas, 0, 1)
+        tm = TransitionMap(atlas, 0, 1)
         t = np.linspace(0.06, 0.94, 41).reshape(-1, 1)
         t = t[tm.domain_mask(t)]  # drop the chart-1 seam point
         vals0 = eval_on_points(f0, t)
@@ -191,7 +191,7 @@ class TestConfigRoundTrip:
         cfg["pou"] = pou.to_json()
         atlas2, pou2 = atlas_from_config(cfg)
         assert atlas2.manifold == atlas.manifold
-        assert atlas2.chart_count() == atlas.chart_count()
+        assert len(atlas2.charts) == len(atlas.charts)
         pts = quasirandom_points("s1-stereo", 500)
         assert np.allclose(pou2.values_at(pts), pou.values_at(pts), atol=1e-15)
 

@@ -245,12 +245,12 @@ class TestCompareAndOps:
         from sobolev.atlas import builtin_manifold
         from sobolev.funcexpr import parse_expr
         from sobolev.geometry import TensorField
-        from sobolev.operators import apply_operator, build_operator
+        from sobolev.operators import apply_operator
         code, rep = run(capsys, "op", "apply", "--manifold", "s2-stereo",
                         "--op", "grad", "--expr", "x1*x3")
         assert code == 0
         atlas, _, g = builtin_manifold("s2-stereo")
-        grad = apply_operator(build_operator("grad", g),
+        grad = apply_operator("grad", g,
                               TensorField.from_ambient(atlas, "x1*x3"))
         for ci, chart in enumerate(atlas.charts):
             comps = rep["charts"][chart.name]
@@ -309,6 +309,19 @@ class TestCompareAndOps:
                         "--expr", "sin(2*pi*x1)", "--grid", "16")
         assert code == 2
         assert rep["error"] == message
+
+    @pytest.mark.parametrize("argv", [
+        ("op", "apply", "--manifold", "s2-stereo", "--op", "div",
+         "--expr", "x1*x3"),
+        ("op", "bound", "--manifold", "s2-stereo", "--op", "div",
+         "--from", "1,2", "--to", "0,2", "--expr", "x1*x3", "--grid", "8"),
+    ])
+    def test_op_that_takes_no_function_is_usage_error(self, capsys, argv):
+        # the CLI builds functions only; div takes a vector field
+        code, rep = run(capsys, *argv)
+        assert code == 2
+        assert list(rep) == ["schema", "error"]
+        assert "invalid choice: 'div'" in rep["error"]
 
     def test_atlas_show(self, capsys):
         code, rep = run(capsys, "atlas", "show", "--manifold", "s2-stereo")

@@ -5,7 +5,7 @@ from sobolev.atlas import builtin_manifold
 from sobolev.funcexpr import eval_on_points, parse_expr
 from sobolev.geometry import (
     check_overlap_consistency, christoffel, covariant_derivative,
-    fiber_norm, fiber_norm_values, metric_as_tensor, metric_aux, musical,
+    fiber_norm, fiber_norm_values, metric_as_tensor, musical,
     scalar_field, TensorField,
 )
 from sobolev.quadrature import midpoint_grid
@@ -33,9 +33,9 @@ def chart_points(atlas, chart=0, per_axis=7, shrink=0.5):
 
 
 class TestMetric:
-    def test_flat_metric_aux(self, t2):
+    def test_flat_metric_density(self, t2):
         atlas, _, g = t2
-        inv, sqrt_det = metric_aux(g, 0)
+        sqrt_det = g.sqrt_det[0]
         pts = chart_points(atlas)
         assert np.allclose(eval_on_points(sqrt_det, pts), 1.0)
         assert np.allclose(g.matrix_values(0, pts, inverse=True),
@@ -46,7 +46,7 @@ class TestMetric:
         pts = chart_points(atlas)
         r2 = np.sum(pts * pts, axis=1)
         expected = 4.0 / (1.0 + r2) ** 2
-        _, sqrt_det = metric_aux(g, 0)
+        sqrt_det = g.sqrt_det[0]
         assert np.allclose(eval_on_points(sqrt_det, pts), expected,
                            rtol=1e-12)
 
@@ -301,9 +301,9 @@ class TestTensorLaw:
     @pytest.mark.parametrize("name,text", [
         ("s2-stereo", "x1*x3"), ("s1-stereo", "x1*x2")])
     def test_gradient_family(self, name, text):
-        from sobolev.operators import apply_operator, build_operator
+        from sobolev.operators import apply_operator
         atlas, _, g = builtin_manifold(name)
-        grad = apply_operator(build_operator("grad", g),
+        grad = apply_operator("grad", g,
                               TensorField.from_ambient(atlas, text))
         derived = [grad, covariant_derivative(grad, g, 1),
                    covariant_derivative(grad, g, 2),

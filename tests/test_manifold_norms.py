@@ -6,10 +6,11 @@ import pytest
 from sobolev.atlas import alternate_seeds, build_partition_of_unity, \
     builtin_manifold
 from sobolev.funcexpr import eval_on_points
-from sobolev.geometry import TensorField, scalar_field
+from sobolev.geometry import (
+    TensorField, check_overlap_consistency, scalar_field,
+)
 from sobolev.manifold_norms import (
-    NormVariant, chart_sobolev_norm,
-    check_function_consistency, compare_norms, connection_sobolev_norm,
+    NormVariant, chart_sobolev_norm, compare_norms, connection_sobolev_norm,
     manifold_lq_norm,
 )
 
@@ -54,10 +55,10 @@ class TestLqNorm:
     def test_overlap_consistency_check(self, t1, s1):
         atlas, _, _ = t1
         u = TensorField.from_ambient(atlas, "sin(2*pi*x1)")
-        assert check_function_consistency(u) <= 1e-8
+        assert check_overlap_consistency(u, 200) <= 1e-8
         s_atlas, _, _ = s1
         v = TensorField.from_ambient(s_atlas, "x1*x2")
-        assert check_function_consistency(v) <= 1e-8
+        assert check_overlap_consistency(v, 200) <= 1e-8
 
     def test_definition_ratio_bracket_scale_invariant(self, s1):
         # ratio of the two Lebesgue-norm variants: finite bracket over a
