@@ -3,8 +3,8 @@
 d is the covariant derivative of a function, grad its sharp, div is read
 chart by chart and the Laplace-Beltrami operator is div o grad; because
 they are local (supports never grow), the chartwise results patch to
-global objects.  Boundedness between Sobolev
-scales is probed empirically as a sup of norm ratios over a family.
+global objects.  Boundedness between Sobolev scales is probed
+empirically as a sup of norm ratios over a family.
 """
 
 import math
