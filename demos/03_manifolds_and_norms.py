@@ -36,7 +36,7 @@ print(f"partition sum deviation: {np.max(np.abs(sums - 1)):.2e}")
 
 # intrinsic L^2 norm of u = 1 is the square root of the circumference
 one = TensorField.from_ambient(atlas, "1")
-rep = manifold_lq_norm(one, g, atlas, pou, q=2, N=512)
+rep = manifold_lq_norm(one, g, pou, q=2, N=512)
 print(f"||1||_L2(S^1) = {rep.value:.5f}   sqrt(2 pi) = "
       f"{math.sqrt(2 * math.pi):.5f}")
 print(f"   chart-sum variant = {rep.extras['chart_sum_value']:.5f}, "
@@ -47,7 +47,7 @@ t_atlas, t_pou, t_g = builtin_manifold("torus1")
 u = TensorField.from_ambient(t_atlas, "sin(2*pi*x1)")
 print("torus1, u = sin(2 pi x):")
 print(f"   chart W^(1,2) norm      = "
-      f"{chart_sobolev_norm(u, t_atlas, t_pou, e=1, q=2, N=512).value:.5f}")
+      f"{chart_sobolev_norm(u, t_pou, e=1, q=2, N=512).value:.5f}")
 conn = connection_sobolev_norm(u, t_g, k=1, q=2, N=512, pou=t_pou).value
 print(f"   connection W^(1,2) norm = {conn:.5f} "
       f"(closed form {math.sqrt(0.5 + (2 * math.pi) ** 2 / 2):.5f})")

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from sobolev.fields import (
-    _SEAM, AnnulusRegion, BoxRegion, _band_expr, box_bump, radial_bump,
+    _SEAM, AnnulusRegion, _band_expr, box_bump, radial_bump,
     radius_squared,
 )
 from sobolev.funcexpr import (
@@ -41,6 +41,7 @@ from sobolev.quadrature import BoxDomain, midpoint_grid
 __all__ = [
     "Atlas", "Chart", "PartitionOfUnity", "BumpSeed", "TransitionMap",
     "UnknownManifold", "CoverConditionError", "EmptyOverlap",
+    "PeriodicityError",
     "builtin_manifold", "build_partition_of_unity",
     "default_seeds", "alternate_seeds", "quasirandom_points",
     "MANIFOLD_NAMES", "atlas_from_config",
@@ -65,6 +66,10 @@ class CoverConditionError(ValueError):
 
 class EmptyOverlap(ValueError):
     pass
+
+
+class PeriodicityError(ValueError):
+    """A function on a torus is not 1-periodic in its ambient coordinates."""
 
 
 @dataclass
@@ -132,40 +137,44 @@ class Atlas:
     # -- local representations of ambient-coordinate functions ------------
 
     def local_representation(self, ambient_expr: Expr, chart_index: int) -> Expr:
-        """The function u written in the coordinates of one chart.
+        """The function u written in the coordinates of one chart, u o phi^{-1}.
 
-        For tori the ambient representative is coords mod 1, handled as a
-        piecewise unit shift per axis; the input must be 1-periodic in
-        every ambient coordinate, and nothing checks that yet.
+        On a sphere this substitutes the chart's inverse map.  A torus
+        chart coordinate differs from its ambient representative by an
+        integer vector, so a 1-periodic u is its own local representation:
+        ``ambient_expr`` itself is returned, after :func:`_check_periodic`.
         """
+        if self.family == "torus":
+            _check_periodic(ambient_expr, self)
+            return ambient_expr
         chart = self.charts[chart_index]
-        if self.family == "stereo":
-            mapping = {i + 1: chart.inverse_exprs[i]
-                       for i in range(self.ambient_dim)}
-            return subst_expr(ambient_expr, mapping)
-        return _torus_local_rep(ambient_expr, chart, self.dim)
+        mapping = {i + 1: chart.inverse_exprs[i]
+                   for i in range(self.ambient_dim)}
+        return subst_expr(ambient_expr, mapping)
 
 
-def _torus_local_rep(ambient_expr: Expr, chart: Chart, n: int) -> Expr:
-    # pieces: per-axis regions where coords - k lie in the unit cell
-    pieces = []
-    lo = [b[0] for b in chart.truncation.bounds]
-    hi = [b[1] for b in chart.truncation.bounds]
-    shift_ranges = []
-    for ax in range(n):
-        ks = [k for k in (-1, 0, 1) if not (hi[ax] - k <= 0.0 or lo[ax] - k >= 1.0)]
-        shift_ranges.append(ks)
-    for combo in itertools.product(*shift_ranges):
-        mapping = {ax + 1: sub(Var(ax + 1), Const(Fraction(combo[ax])))
-                   for ax in range(n)}
-        region = BoxRegion([combo[ax] + 0.0 for ax in range(n)],
-                           [combo[ax] + 1.0 for ax in range(n)],
-                           lo_closed=True, hi_closed=False)
-        pieces.append((region, subst_expr(ambient_expr, mapping)))
-    out = ZERO
-    for region, expr in reversed(pieces):
-        out = Piecewise(region, expr, out)
-    return out
+# A torus function passes the periodicity check when every sampled gap
+# |u(x + k) - u(x)| is at most this factor times the sampled max |u|.
+_PERIOD_TOL = 1e-9
+
+
+def _check_periodic(expr: Expr, atlas: Atlas) -> None:
+    """Raise :class:`PeriodicityError` unless ``expr`` is 1-periodic in
+    every ambient coordinate, sampled at 256 quasirandom points x of the
+    unit cell and every shift k in {0,1}^n other than 0."""
+    pts = quasirandom_points(atlas.manifold, 256)
+    shifts = np.array(list(itertools.product((0.0, 1.0), repeat=atlas.dim)))
+    vals = eval_on_points(expr, (shifts[:, None, :] + pts[None]).reshape(
+        -1, atlas.dim)).reshape(len(shifts), len(pts))
+    gaps = np.abs(vals[1:] - vals[0])
+    scale = np.max(np.abs(vals[0]))
+    if np.max(gaps) > _PERIOD_TOL * scale:
+        k, i = np.unravel_index(np.argmax(gaps), gaps.shape)
+        raise PeriodicityError(
+            f"the function is not 1-periodic on {atlas.manifold}: "
+            f"|u(x + {shifts[k + 1].astype(int).tolist()}) - u(x)| = "
+            f"{gaps[k, i]:.6g} at x = {pts[i].tolist()}, above "
+            f"{_PERIOD_TOL:g} * max|u| = {_PERIOD_TOL * scale:.6g}")
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +247,7 @@ def _inverted_radial_bump(n: int, plateau: float, support: float) -> Expr:
     # of radial_bump, mapped through the inversion.
     a, b = float(plateau), float(support)
     band = AnnulusRegion(1.0 / b * (1.0 + _SEAM), 1.0 / a * (1.0 - _SEAM),
-                         lo_closed=False, hi_closed=False)
+                         closed=False)
     r = Call("sqrt", radius_squared(n))
     return Piecewise(AnnulusRegion(1.0 / a * (1.0 - _SEAM), None), ONE,
                      Piecewise(band, _band_expr(div(ONE, r), a, b), ZERO))

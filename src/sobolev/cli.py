@@ -4,8 +4,8 @@ Exit codes: 0 = computed, 1 = a check verdict of NotGuaranteed (so
 shells can branch on admissibility), 2 = usage or parse error (also a
 malformed number or box, an integrability --p/--q or pair p/q at or below
 1, a --grid or --k out of range, or an op bound exponent pair that fails
-its screen), 3 = numerical
-domain error or a result that is not finite.  Every report echoes the
+its screen), 3 = numerical domain error, a torus function that is not
+1-periodic, or a result that is not finite.  Every report echoes the
 fully resolved run configuration under "config", so a run is
 reproducible from its own output.  Rational arguments are given as "a/b"
 or decimal strings and are converted exactly; no floats reach the
@@ -298,9 +298,9 @@ def _dispatch(args) -> tuple[dict, int]:
         if args.intrinsic:
             if e != 0:
                 raise UsageError("--intrinsic applies to --e 0 only")
-            rep = mn.manifold_lq_norm(u, g, atlas, pou, q=q, N=args.grid)
+            rep = mn.manifold_lq_norm(u, g, pou, q=q, N=args.grid)
         else:
-            rep = mn.chart_sobolev_norm(u, atlas, pou, e=e, q=q, N=args.grid)
+            rep = mn.chart_sobolev_norm(u, pou, e=e, q=q, N=args.grid)
         return rep, 0
 
     if cmd == "norm" and args.norm_command == "connection":

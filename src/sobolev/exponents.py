@@ -543,15 +543,11 @@ def check_derivative(spec: SpaceSpec, order: int) -> Verdict:
                        s - 1 / p, "not-integer")
             candidates.append(("derivative 4 (Lipschitz, |alpha| > s)", tr))
 
-    verdict = _decide(
+    return _decide(
         candidates,
         target=target,
         no_family_text=f"a differentiation family is encoded for domain "
                        f"class '{domain.value}'")
-    if verdict.admissible:
-        return Verdict(verdict.result, verdict.theorem_tag, verdict.conditions,
-                       verdict.candidates, target)
-    return verdict
 
 
 # ---------------------------------------------------------------------------

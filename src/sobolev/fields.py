@@ -46,57 +46,48 @@ class Field:
         return Field(diff_expr(self.expr, axis), self.n)
 
 
-def _per_axis(flag, k: int) -> tuple:
-    return tuple(flag) if isinstance(flag, (list, tuple)) else (flag,) * k
-
-
 @dataclass(frozen=True)
 class BoxRegion:
-    """Axis-aligned box; per-axis bounds may be inclusive or exclusive.
+    """Axis-aligned box, closed or open on every side.
 
     Bounds of None mean unbounded on that side.
     """
 
     lo: tuple
     hi: tuple
-    lo_closed: bool | tuple = True
-    hi_closed: bool | tuple = True
+    closed: bool = True
 
     def __post_init__(self):
-        k = len(self.lo)
         object.__setattr__(self, "lo", tuple(self.lo))
         object.__setattr__(self, "hi", tuple(self.hi))
-        object.__setattr__(self, "lo_closed", _per_axis(self.lo_closed, k))
-        object.__setattr__(self, "hi_closed", _per_axis(self.hi_closed, k))
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         mask = np.ones(pts.shape[0], dtype=bool)
-        for ax, (lo, hi, lc, hc) in enumerate(
-                zip(self.lo, self.hi, self.lo_closed, self.hi_closed)):
+        for ax, (lo, hi) in enumerate(zip(self.lo, self.hi)):
             x = pts[:, ax]
             if lo is not None:
-                mask &= (x >= lo) if lc else (x > lo)
+                mask &= (x >= lo) if self.closed else (x > lo)
             if hi is not None:
-                mask &= (x <= hi) if hc else (x < hi)
+                mask &= (x <= hi) if self.closed else (x < hi)
         return mask
 
 
 @dataclass(frozen=True)
 class AnnulusRegion:
-    """Radial shell rlo <(=) |x| <(=) rhi about the origin."""
+    """Radial shell rlo <(=) |x| <(=) rhi about the origin, closed or open
+    on both sides; a bound of None means unbounded on that side."""
 
     rlo: float | None
     rhi: float | None
-    lo_closed: bool = True
-    hi_closed: bool = True
+    closed: bool = True
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         r = np.sqrt(np.sum(pts * pts, axis=1))
         mask = np.ones(pts.shape[0], dtype=bool)
         if self.rlo is not None:
-            mask &= (r >= self.rlo) if self.lo_closed else (r > self.rlo)
+            mask &= (r >= self.rlo) if self.closed else (r > self.rlo)
         if self.rhi is not None:
-            mask &= (r <= self.rhi) if self.hi_closed else (r < self.rhi)
+            mask &= (r <= self.rhi) if self.closed else (r < self.rhi)
         return mask
 
 
@@ -159,7 +150,7 @@ def interval_bump(n: int, axis: int, center, plateau, support) -> Expr:
     band_lo, band_hi = list(lo), list(hi)
     band_lo[axis - 1] = float(center - b) + _SEAM
     band_hi[axis - 1] = float(center + b) - _SEAM
-    band = BoxRegion(band_lo, band_hi, lo_closed=False, hi_closed=False)
+    band = BoxRegion(band_lo, band_hi, closed=False)
     return Piecewise(BoxRegion(plat_lo, plat_hi), ONE,
                      Piecewise(band, _band_expr(dist, float(a), float(b)),
                                ZERO))
@@ -191,8 +182,7 @@ def radial_bump(n: int, plateau, support) -> Expr:
     b = float(support)
     if not 0 < a < b:
         raise ValueError("need 0 < plateau < support")
-    band = AnnulusRegion(a + _SEAM, b - _SEAM, lo_closed=False,
-                         hi_closed=False)
+    band = AnnulusRegion(a + _SEAM, b - _SEAM, closed=False)
     return Piecewise(AnnulusRegion(None, a + _SEAM), ONE,
                      Piecewise(band, _band_expr(
                          Call("sqrt", radius_squared(n)), a, b), ZERO))

@@ -37,7 +37,7 @@ __all__ = [
     "Expr", "Const", "Pi", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
     "Call", "Piecewise", "FUNCTIONS", "ExprSyntaxError", "ExprDomainError",
     "parse_expr", "diff_expr", "eval_expr", "eval_on_points", "subst_expr",
-    "expr_to_text", "const", "var", "sum_exprs", "prod_exprs",
+    "expr_to_text", "const", "sum_exprs", "prod_exprs",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
@@ -191,10 +191,6 @@ def const(value) -> Const:
     return Const(Fraction(value))
 
 
-def var(index: int) -> Var:
-    return Var(index)
-
-
 # ---------------------------------------------------------------------------
 # Folding constructors: constant arithmetic plus 0/1 identities, nothing more.
 # ---------------------------------------------------------------------------
@@ -279,12 +275,6 @@ def prod_exprs(factors) -> Expr:
     for f in factors:
         out = mul(out, f)
     return out
-
-
-def call(func: str, arg: Expr) -> Expr:
-    if func not in FUNCTIONS:
-        raise ValueError(f"unknown function {func!r}")
-    return Call(func, arg)
 
 
 # ---------------------------------------------------------------------------

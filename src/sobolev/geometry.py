@@ -198,7 +198,8 @@ class TensorField:
     @classmethod
     def from_ambient(cls, atlas: Atlas, u) -> "TensorField":
         """The function given by an expression (or its text) in the
-        ambient coordinates x1..xm."""
+        ambient coordinates x1..xm; on a torus it must be 1-periodic
+        (see :meth:`Atlas.local_representation`)."""
         expr = parse_expr(u, atlas.ambient_dim) if isinstance(u, str) else u
         return scalar_field(atlas, [atlas.local_representation(expr, ci)
                                     for ci in range(len(atlas.charts))])

@@ -75,7 +75,7 @@ def _intrinsic_lq_power(tensor: TensorField, g: MetricField,
         tensor.atlas, g, pou, shape)
 
 
-def manifold_lq_norm(u: TensorField, g: MetricField, atlas: Atlas = None,
+def manifold_lq_norm(u: TensorField, g: MetricField,
                      pou: PartitionOfUnity = None, q: float = 2.0,
                      N=None) -> Report:
     """Intrinsic L^q norm, reported together with the chart-sum variant.
@@ -85,7 +85,7 @@ def manifold_lq_norm(u: TensorField, g: MetricField, atlas: Atlas = None,
     charts and components of Euclidean L^q norms of the weighted local
     representations) and the ratio of the two.
     """
-    atlas = atlas or u.atlas
+    atlas = u.atlas
     if pou is None:
         pou = build_partition_of_unity(atlas)
     q = _check_p(q)
@@ -96,7 +96,7 @@ def manifold_lq_norm(u: TensorField, g: MetricField, atlas: Atlas = None,
     coarse, _ = _intrinsic_lq_power(u, g, pou, q, coarse_shape(shape))
     err = abs(value - coarse ** (1.0 / q))
 
-    chart_sum = chart_sobolev_norm(u, atlas, pou, e=0, q=q, N=shape)
+    chart_sum = chart_sobolev_norm(u, pou, e=0, q=q, N=shape)
     extras = {"intrinsic_value": value, "chart_sum_value": chart_sum.value}
     if value > 0:
         extras["variant_ratio"] = chart_sum.value / value
@@ -108,12 +108,11 @@ def manifold_lq_norm(u: TensorField, g: MetricField, atlas: Atlas = None,
                         atlas=atlas.manifold, pou=pou.name)
 
 
-def chart_sobolev_norm(u: TensorField, atlas: Atlas = None,
-                       pou: PartitionOfUnity = None, e: float = 1.0,
-                       q: float = 2.0, N=None) -> Report:
+def chart_sobolev_norm(u: TensorField, pou: PartitionOfUnity = None,
+                       e: float = 1.0, q: float = 2.0, N=None) -> Report:
     """Chart-based W^{e,q} norm: each chart term is a compactly supported
     Euclidean norm of the partition-weighted local representation."""
-    atlas = atlas or u.atlas
+    atlas = u.atlas
     if pou is None:
         pou = build_partition_of_unity(atlas)
     if e < 0:

@@ -98,16 +98,14 @@ def apply_operator(op_id: str, g: MetricField,
 
 def describe_components(u: TensorField, chart: int) -> dict:
     """Printable component expressions of a function/tensor field on one
-    chart, in the syntax of :func:`sobolev.funcexpr.parse_expr`; a
-    component containing a piecewise node renders as ``"<piecewise>"``."""
+    chart, in the syntax of :func:`sobolev.funcexpr.parse_expr`, so each
+    parses back to the same node; a piecewise component, which has no
+    text form, is a ``TypeError``."""
     out = {}
     for key, comp in zip(u.keys(), u.comps[chart]):
         label = "^" + "".join(str(i + 1) for i in key[0]) + \
                 "_" + "".join(str(i + 1) for i in key[1])
-        try:
-            out[label] = expr_to_text(comp)
-        except TypeError:
-            out[label] = "<piecewise>"
+        out[label] = expr_to_text(comp)
     return out
 
 
@@ -124,7 +122,7 @@ def _norm_for_route(u: TensorField, route, e, q, shape, pou) -> float:
         box = BoxDomain(tuple((0.0, 1.0) for _ in range(atlas.dim)))
         return sum(sobolev_norm(comp, box, e, q, shape).value
                    for comp in u.comps[0])
-    return chart_sobolev_norm(u, atlas, pou, e, q, shape).value
+    return chart_sobolev_norm(u, pou, e, q, shape).value
 
 
 def _chart_domain_class(atlas: Atlas) -> DomainClass:

@@ -536,8 +536,7 @@ def extend_by_zero(u, inner: BoxDomain, outer: BoxDomain,
     big[sl] = vals
 
     interior = BoxRegion([b[0] for b in inner.bounds],
-                         [b[1] for b in inner.bounds],
-                         lo_closed=False, hi_closed=False)
+                         [b[1] for b in inner.bounds], closed=False)
     return GridFunction(outer, big,
                         Field(Piecewise(interior, f.expr, ZERO), inner.n))
 

@@ -281,12 +281,12 @@ def test_criterion_05_christoffel():
 def test_criterion_06_manifold_l2_values():
     atlas, pou, g = builtin_manifold("s1-stereo")
     one = TensorField.from_ambient(atlas, "1")
-    circle = manifold_lq_norm(one, g, atlas, pou, q=2, N=512)
+    circle = manifold_lq_norm(one, g, pou, q=2, N=512)
     assert circle.value == pytest.approx(math.sqrt(2 * math.pi), rel=0.005)
 
     t_atlas, t_pou, t_g = builtin_manifold("torus1")
     sine = TensorField.from_ambient(t_atlas, "sin(2*pi*x1)")
-    torus = manifold_lq_norm(sine, t_g, t_atlas, t_pou, q=2, N=512)
+    torus = manifold_lq_norm(sine, t_g, t_pou, q=2, N=512)
     assert torus.value == pytest.approx(1.0 / math.sqrt(2.0), rel=0.005)
     _report(6, f"||1|| on the circle = {circle.value:.4f} "
                f"(sqrt(2 pi) = {math.sqrt(2*math.pi):.4f}); "

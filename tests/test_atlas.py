@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from sobolev.atlas import (
-    BumpSeed, CoverConditionError, TransitionMap, UnknownManifold,
-    alternate_seeds, atlas_from_config, build_partition_of_unity,
+    BumpSeed, CoverConditionError, PeriodicityError, TransitionMap,
+    UnknownManifold, alternate_seeds, atlas_from_config, build_partition_of_unity,
     builtin_manifold, quasirandom_points,
 )
 from sobolev.funcexpr import eval_on_points, parse_expr
@@ -181,6 +181,35 @@ class TestLocalRepresentation:
         vals0 = eval_on_points(f0, t)
         vals1 = eval_on_points(f1, tm(t))
         assert np.max(np.abs(vals0 - vals1)) <= 1e-12
+
+    @pytest.mark.parametrize("torus", ["t1", "t2"])
+    def test_torus_function_is_its_own_representation(self, request, torus):
+        atlas, _, _ = request.getfixturevalue(torus)
+        u = parse_expr("sin(2*pi*x1) + cos(2*pi*x1)^2", atlas.ambient_dim)
+        for ci in range(len(atlas.charts)):
+            assert atlas.local_representation(u, ci) is u
+
+    @pytest.mark.parametrize("torus, text", [
+        ("t1", "x1"), ("t1", "exp(x1)"), ("t2", "x1*x2"), ("t2", "x2"),
+        ("t2", "sin(2*pi*x1) + x2/1000"),
+        # the tolerance scales with max|u|, so a tiny seam jump still counts
+        ("t1", "(1/1000000000000)*x1"),
+    ])
+    def test_non_periodic_input_rejected(self, request, torus, text):
+        atlas, _, _ = request.getfixturevalue(torus)
+        u = parse_expr(text, atlas.ambient_dim)
+        for ci in range(len(atlas.charts)):
+            with pytest.raises(PeriodicityError, match="not 1-periodic"):
+                atlas.local_representation(u, ci)
+
+    @pytest.mark.parametrize("torus, text", [
+        ("t1", "0"), ("t1", "3"), ("t1", "abs(sin(pi*x1))"),
+        ("t2", "0"), ("t2", "abs(sin(pi*x1))*cos(2*pi*x2)"),
+    ])
+    def test_periodic_input_accepted(self, request, torus, text):
+        atlas, _, _ = request.getfixturevalue(torus)
+        u = parse_expr(text, atlas.ambient_dim)
+        assert atlas.local_representation(u, 0) is u
 
 
 class TestConfigRoundTrip:

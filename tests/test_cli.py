@@ -223,6 +223,25 @@ class TestNormCommands:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("norm", "manifold", "--manifold", "torus1", "--expr", "x1", "--e", "1"),
+    ("norm", "manifold", "--manifold", "torus2", "--expr", "x1*x2",
+     "--e", "0", "--intrinsic"),
+    ("norm", "connection", "--manifold", "torus2", "--expr", "exp(x1)"),
+    ("compare", "--manifold", "torus1", "--expr", "sin(2*pi*x1)",
+     "--expr", "x1"),
+    ("op", "apply", "--manifold", "torus2", "--op", "laplace",
+     "--expr", "x1*x2"),
+    ("op", "bound", "--manifold", "torus1", "--op", "d", "--from", "1,2",
+     "--to", "0,2", "--expr", "exp(x1)"),
+])
+def test_non_periodic_torus_input_exit_3(capsys, argv):
+    code, rep = run(capsys, *argv)
+    assert code == 3
+    assert "not 1-periodic" in rep["error"]
+    assert "value" not in rep
+
+
 class TestCompareAndOps:
     def test_compare_two_pous(self, capsys):
         code, rep = run(capsys, "compare", "--manifold", "torus1",
@@ -238,8 +257,18 @@ class TestCompareAndOps:
         assert code == 0
         assert rep["kind"] == "operator_apply"
         assert rep["target_valence"] == [0, 0]
-        # torus local representations are glued from shifted pieces
-        assert rep["charts"]["cell-a"]["^_"] == "<piecewise>"
+        # a torus function is its own local representation, so every
+        # chart prints a formula
+        from sobolev.atlas import builtin_manifold
+        from sobolev.funcexpr import parse_expr
+        from sobolev.geometry import TensorField
+        from sobolev.operators import apply_operator
+        atlas, _, g = builtin_manifold("torus1")
+        lap = apply_operator("laplace", g,
+                             TensorField.from_ambient(atlas, "sin(2*pi*x1)"))
+        for ci, chart in enumerate(atlas.charts):
+            text = rep["charts"][chart.name]["^_"]
+            assert parse_expr(text, 1) is lap.comps[ci][0]
 
     def test_op_apply_components_parse_back(self, capsys):
         from sobolev.atlas import builtin_manifold

@@ -90,8 +90,8 @@ def outcome(evaluate, e, pts):
 # --- random DAGs: every new node picks its operands from all earlier ones --
 
 REGIONS = [
-    BoxRegion([0.0, None], [None, None], lo_closed=False),
-    BoxRegion([None, -0.5], [0.5, 0.5], hi_closed=(True, False)),
+    BoxRegion([0.0, None], [None, None], closed=False),
+    BoxRegion([None, -0.5], [0.5, 0.5], closed=False),
     AnnulusRegion(None, 1.0),
 ]
 FUNCS = ("sin", "cos", "exp", "log", "sqrt", "abs")

@@ -207,7 +207,7 @@ def test_symbolic_derivative_matches_central_differences():
         checked += 1
 
 
-POSITIVE = BoxRegion([0.0], [None], lo_closed=False)
+POSITIVE = BoxRegion([0.0], [None], closed=False)
 
 
 class TestPiecewise:
@@ -241,7 +241,8 @@ class TestPiecewise:
             subst_expr(e, {1: Var(1)})
 
     def test_regions_hash_by_value(self):
-        a = BoxRegion([0.0, None], [1.0, 2.0], lo_closed=False)
-        b = BoxRegion((0.0, None), (1.0, 2.0), lo_closed=(False, False))
+        a = BoxRegion([0.0, None], [1.0, 2.0], closed=False)
+        b = BoxRegion((0.0, None), (1.0, 2.0), closed=False)
         assert a == b and hash(a) == hash(b)
+        assert a != BoxRegion((0.0, None), (1.0, 2.0))
         assert hash(AnnulusRegion(1.0, None)) == hash(AnnulusRegion(1.0, None))

@@ -29,25 +29,25 @@ class TestLqNorm:
     def test_unit_volume_torus(self, t1):
         atlas, pou, g = t1
         u = TensorField.from_ambient(atlas, "1")
-        rep = manifold_lq_norm(u, g, atlas, pou, q=2, N=256)
+        rep = manifold_lq_norm(u, g, pou, q=2, N=256)
         assert rep.value == pytest.approx(1.0, rel=1e-6)
 
     def test_circle_circumference(self, s1):
         atlas, pou, g = s1
         u = TensorField.from_ambient(atlas, "1")
-        rep = manifold_lq_norm(u, g, atlas, pou, q=2, N=512)
+        rep = manifold_lq_norm(u, g, pou, q=2, N=512)
         assert rep.value == pytest.approx(math.sqrt(2 * math.pi), rel=0.005)
 
     def test_sine_on_torus(self, t1):
         atlas, pou, g = t1
         u = TensorField.from_ambient(atlas, "sin(2*pi*x1)")
-        rep = manifold_lq_norm(u, g, atlas, pou, q=2, N=512)
+        rep = manifold_lq_norm(u, g, pou, q=2, N=512)
         assert rep.value == pytest.approx(1.0 / math.sqrt(2.0), rel=0.005)
 
     def test_two_definitions_reported(self, t1):
         atlas, pou, g = t1
         u = TensorField.from_ambient(atlas, "sin(2*pi*x1)")
-        rep = manifold_lq_norm(u, g, atlas, pou, q=2, N=128)
+        rep = manifold_lq_norm(u, g, pou, q=2, N=128)
         assert rep.extras["chart_sum_value"] > 0
         assert rep.extras["variant_ratio"] == pytest.approx(
             rep.extras["chart_sum_value"] / rep.value)
@@ -67,8 +67,8 @@ class TestLqNorm:
         ratios = []
         for text in ("1", "x1", "x2^2", "x1*x2"):
             u = TensorField.from_ambient(atlas, text)
-            rep = manifold_lq_norm(u, g, atlas, pou, q=2, N=256)
-            rep5 = manifold_lq_norm(u.scaled(5.0), g, atlas, pou, q=2, N=256)
+            rep = manifold_lq_norm(u, g, pou, q=2, N=256)
+            rep5 = manifold_lq_norm(u.scaled(5.0), g, pou, q=2, N=256)
             assert rep5.extras["variant_ratio"] == pytest.approx(
                 rep.extras["variant_ratio"], rel=1e-8)
             ratios.append(rep.extras["variant_ratio"])
@@ -79,34 +79,34 @@ class TestChartNorm:
     def test_zero_function(self, t1):
         atlas, pou, g = t1
         u = TensorField.from_ambient(atlas, "0")
-        rep = chart_sobolev_norm(u, atlas, pou, e=1, q=2, N=128)
+        rep = chart_sobolev_norm(u, pou, e=1, q=2, N=128)
         assert rep.value == 0.0
 
     def test_homogeneity(self, s1):
         atlas, pou, g = s1
         u = TensorField.from_ambient(atlas, "x1")
-        a = chart_sobolev_norm(u, atlas, pou, e=1, q=2, N=128)
-        b = chart_sobolev_norm(u.scaled(7.5), atlas, pou, e=1, q=2, N=128)
+        a = chart_sobolev_norm(u, pou, e=1, q=2, N=128)
+        b = chart_sobolev_norm(u.scaled(7.5), pou, e=1, q=2, N=128)
         assert b.value == pytest.approx(7.5 * a.value, rel=1e-10)
 
     def test_reproducible(self, t1):
         atlas, pou, g = t1
         u = TensorField.from_ambient(atlas, "sin(2*pi*x1)")
-        a = chart_sobolev_norm(u, atlas, pou, e=1, q=2, N=128)
-        b = chart_sobolev_norm(u, atlas, pou, e=1, q=2, N=128)
+        a = chart_sobolev_norm(u, pou, e=1, q=2, N=128)
+        b = chart_sobolev_norm(u, pou, e=1, q=2, N=128)
         assert a.value == b.value
 
     def test_fractional_order_runs(self, t1):
         atlas, pou, g = t1
         u = TensorField.from_ambient(atlas, "sin(2*pi*x1)")
-        rep = chart_sobolev_norm(u, atlas, pou, e=0.5, q=2, N=96)
+        rep = chart_sobolev_norm(u, pou, e=0.5, q=2, N=96)
         assert rep.value > 0
 
     def test_negative_order_rejected(self, t1):
         atlas, pou, _ = t1
         u = TensorField.from_ambient(atlas, "1")
         with pytest.raises(ValueError):
-            chart_sobolev_norm(u, atlas, pou, e=-0.5, q=2, N=32)
+            chart_sobolev_norm(u, pou, e=-0.5, q=2, N=32)
 
     def test_constant_regression_against_oracle(self, t1):
         # Frozen value v* for ||1||_{W^{1,2}} with the default bumps;
@@ -114,7 +114,7 @@ class TestChartNorm:
         # sums of sampled psi and a finite-difference derivative.
         atlas, pou, g = t1
         u = TensorField.from_ambient(atlas, "1")
-        rep = chart_sobolev_norm(u, atlas, pou, e=1, q=2, N=512)
+        rep = chart_sobolev_norm(u, pou, e=1, q=2, N=512)
         oracle = 0.0
         N = 1024
         for ci, chart in enumerate(atlas.charts):
@@ -139,7 +139,7 @@ class TestChartNorm:
         bump = box_bump(1, ("1/2",), "1/10", "1/5")  # inside psi_1's plateau
         zero = parse_expr("0", 1)
         u = scalar_field(atlas, [bump, zero])
-        chart_rep = chart_sobolev_norm(u, atlas, pou, e=1, q=2, N=512)
+        chart_rep = chart_sobolev_norm(u, pou, e=1, q=2, N=512)
         euclid = sobolev_norm(bump, atlas.charts[0].truncation, s=1, p=2,
                               N=512)
         assert chart_rep.value == pytest.approx(euclid.value, rel=1e-10)
@@ -150,7 +150,7 @@ class TestConnectionNorm:
         atlas, pou, g = t1
         u = TensorField.from_ambient(atlas, "sin(2*pi*x1)")
         a = connection_sobolev_norm(u, g, k=0, q=2, N=256, pou=pou)
-        b = manifold_lq_norm(u, g, atlas, pou, q=2, N=256)
+        b = manifold_lq_norm(u, g, pou, q=2, N=256)
         assert a.value == pytest.approx(b.value, rel=1e-12)
 
     def test_sine_closed_form(self, t1):
@@ -176,7 +176,7 @@ def test_integrability_out_of_range_rejected(t1, q):
     with pytest.raises(ValueError, match="integrability p must be finite"):
         connection_sobolev_norm(u, g, k=1, q=q, N=64, pou=pou)
     with pytest.raises(ValueError, match="integrability p must be finite"):
-        manifold_lq_norm(u, g, atlas, pou, q=q, N=64)
+        manifold_lq_norm(u, g, pou, q=q, N=64)
 
 
 TRIG_FAMILY = [
