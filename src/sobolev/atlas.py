@@ -152,6 +152,15 @@ class Atlas:
                    for i in range(self.ambient_dim)}
         return subst_expr(ambient_expr, mapping)
 
+    def local_representations(self, ambient_expr: Expr) -> list[Expr]:
+        """:meth:`local_representation` in every chart, in chart order; on
+        a torus the periodicity check runs once, not once per chart."""
+        if self.family == "torus":
+            _check_periodic(ambient_expr, self)
+            return [ambient_expr] * len(self.charts)
+        return [self.local_representation(ambient_expr, ci)
+                for ci in range(len(self.charts))]
+
 
 # A torus function passes the periodicity check when every sampled gap
 # |u(x + k) - u(x)| is at most this factor times the sampled max |u|.

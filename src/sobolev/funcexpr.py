@@ -21,7 +21,8 @@ under differentiation.  Numeric literals are converted exactly to
 rationals; the only rewriting applied anywhere is constant folding.
 
 Expressions are hash-consed DAGs (see :class:`Expr`): derivatives are
-memoized per node and evaluation runs each distinct node once.
+memoized per node, and evaluation runs each distinct node of all the
+roots of a call once.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "Pi", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
     "Call", "Piecewise", "FUNCTIONS", "ExprSyntaxError", "ExprDomainError",
-    "parse_expr", "diff_expr", "eval_expr", "eval_on_points", "subst_expr",
+    "parse_expr", "diff_expr", "eval_expr", "eval_on_points", "eval_many",
+    "subst_expr",
     "expr_to_text", "const", "sum_exprs", "prod_exprs",
 ]
 
@@ -78,7 +80,8 @@ class Expr:
     DAG whose shared subexpressions are stored once.  Nodes are immutable.
     Besides its dataclass fields a node may carry two caches that are not
     fields: its partial derivatives (see :func:`diff_expr`) and, once it
-    has been evaluated as a root, its evaluation program.
+    has been the first root of an evaluation, the evaluation programs it
+    heads, keyed weakly by the other roots (see :func:`eval_many`).
     """
 
     __slots__ = ()
@@ -599,15 +602,26 @@ def subst_expr(e: Expr, mapping: dict[int, Expr]) -> Expr:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-# A root is evaluated through its program: its distinct nodes in
-# post-order, children left to right and each node at its first
-# occurrence, which is the order in which a recursive walk of the tree
-# first finishes them.  So every node runs the numpy operation of that walk
-# on the same inputs, but once.  An instruction is (operation, scalar data,
-# argument slots, slots whose last use it is); those slots are freed as
-# soon as it has run.  A Piecewise node is a leaf of its program: each
-# branch is a root of its own, evaluated on the branch's points only, so a
-# branch is never evaluated where it may be undefined.
+# A call evaluates its roots through one program: the distinct nodes of
+# all roots in post-order, root by root, children left to right and each
+# node at its first occurrence, which is the order in which a recursive
+# walk of each tree first finishes them.  So every node runs the numpy
+# operation of that walk on the same inputs, but once per call, however
+# many roots share it.  An instruction is (operation, scalar data,
+# argument slots, slots whose last use it is, output rows): the result
+# has one row per root, a root's value is written to its rows as soon as
+# it is computed, and every slot is freed right after its last use, a
+# root's no earlier than that write.  A Piecewise node is a leaf of
+# its program: each branch is a root of its own, evaluated on the branch's
+# points only, so a branch is never evaluated where it may be undefined.
+#
+# Points run in consecutive blocks of at most _LIVE_VALUES // (peak live
+# slots) points, so a program holds at most _LIVE_VALUES float64 values
+# (2 MB) however many roots share it; the blocks of one call are of equal
+# length, which lowers that peak further.  Every operation is elementwise,
+# so the blocks change no bits.
+
+_LIVE_VALUES = 2 ** 18
 
 
 def _full(value, pts):
@@ -638,7 +652,7 @@ def _mul(_, pts, a, b):
 
 
 def _div(_, pts, num, den):
-    if np.any(den == 0.0):
+    if (den == 0.0).any():
         raise ExprDomainError("division by zero")
     return num / den
 
@@ -646,13 +660,13 @@ def _div(_, pts, num, den):
 def _pow(p, pts, base):
     if p.denominator == 1:
         k = p.numerator
-        if k < 0 and np.any(base == 0.0):
+        if k < 0 and (base == 0.0).any():
             raise ExprDomainError("zero raised to a negative power")
         return base ** float(k)
-    if np.any(base < 0.0):
+    if (base < 0.0).any():
         raise ExprDomainError(
             f"negative base for fractional power {_frac_text(p)}")
-    if p < 0 and np.any(base == 0.0):
+    if p < 0 and (base == 0.0).any():
         raise ExprDomainError("zero raised to a negative power")
     return base ** float(p)
 
@@ -666,11 +680,11 @@ def _call(func, pts, a):
         with np.errstate(over="ignore"):
             return np.exp(a)
     if func == "log":
-        if np.any(a <= 0.0):
+        if (a <= 0.0).any():
             raise ExprDomainError("log of a non-positive value")
         return np.log(a)
     if func == "sqrt":
-        if np.any(a < 0.0):
+        if (a < 0.0).any():
             raise ExprDomainError("sqrt of a negative value")
         return np.sqrt(a)
     if func == "abs":
@@ -678,14 +692,14 @@ def _call(func, pts, a):
     raise ValueError(f"unknown function {func!r}")
 
 
-def _piecewise(branches, pts):
-    region, inside, outside = branches
-    mask = region.contains(pts)
+def _piecewise(ref, pts):
+    node = ref()
+    mask = node.region.contains(pts)
     out = np.empty(pts.shape[0])
     if mask.any():
-        out[mask] = _evaluate(inside, pts[mask])
+        out[mask] = _run((node.inside,), pts[mask])[0]
     if not mask.all():
-        out[~mask] = _evaluate(outside, pts[~mask])
+        out[~mask] = _run((node.outside,), pts[~mask])[0]
     return out
 
 
@@ -709,58 +723,138 @@ def _step(e: Expr) -> tuple:
     if isinstance(e, Call):
         return _call, e.func, (e.arg,)
     if isinstance(e, Piecewise):
-        # the branches, not the node: a program never refers to its root
-        return _piecewise, (e.region, e.inside, e.outside), ()
+        # weakly: a program holds no node alive (see _run)
+        return _piecewise, weakref.ref(e), ()
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _compile(root: Expr) -> list:
+def _plan(roots: tuple) -> tuple:
+    """(instructions, peak live slots) of the program of ``roots``."""
     steps = []
     slot = {}
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if node in slot:
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if node in slot:
+                stack.pop()
+                continue
+            op, data, children = _step(node)
+            pending = [c for c in children if c not in slot]
+            if pending:
+                stack.extend(reversed(pending))
+                continue
             stack.pop()
-            continue
-        op, data, children = _step(node)
-        pending = [c for c in children if c not in slot]
-        if pending:
-            stack.extend(reversed(pending))
-            continue
-        stack.pop()
-        slot[node] = len(steps)
-        steps.append((op, data, tuple(slot[c] for c in children)))
-    dead = [[] for _ in steps]
+            slot[node] = len(steps)
+            steps.append((op, data, tuple(slot[c] for c in children)))
+    rows = [[] for _ in steps]
+    for r, root in enumerate(roots):
+        rows[slot[root]].append(r)
+    # a slot dies at its last use as an argument, a root with no such use
+    # at its own step, once its value has been written out
     last_use = {j: i for i, (_, _, args) in enumerate(steps) for j in args}
+    for i, r in enumerate(rows):
+        if r:
+            last_use.setdefault(i, i)
+    dead = [[] for _ in steps]
     for j, i in last_use.items():
         dead[i].append(j)
-    return [(*step, tuple(d)) for step, d in zip(steps, dead)]
+    live = peak = 0
+    for d in dead:
+        live += 1
+        if live > peak:
+            peak = live
+        live -= len(d)
+    return ([(*step, tuple(d), tuple(r))
+             for step, d, r in zip(steps, dead, rows)], peak)
 
 
-def _evaluate(root: Expr, pts: np.ndarray) -> np.ndarray:
-    try:
-        program = root._program
-    except AttributeError:
-        program = _compile(root)
-        root.__dict__["_program"] = program
-    vals = [None] * len(program)
-    for i, (op, data, args, dead) in enumerate(program):
-        vals[i] = op(data, pts, *[vals[j] for j in args])
+def _run_block(steps: list, pts: np.ndarray, out) -> None:
+    vals = [None] * len(steps)
+    for i, (op, data, args, dead, rows) in enumerate(steps):
+        v = vals[i] = op(data, pts, *[vals[j] for j in args])
+        if rows:
+            for r in rows:
+                out[r] = v
         for j in dead:
             vals[j] = None
-    return vals[-1]
 
 
-def eval_on_points(e: Expr, pts: np.ndarray) -> np.ndarray:
-    """Evaluate at an (m, n) array of points; returns an (m,) float array."""
+def _run(roots: tuple, pts: np.ndarray):
+    """The values of ``roots`` at ``pts``, one row per root, block by
+    block: a (len(roots), m) array, or a list holding the array of a lone
+    root evaluated in one block, which is then returned uncopied."""
+    # The programs of a first root, keyed weakly by the other roots.  A
+    # program refers to no node either, so the cache never keeps a node
+    # alive and never makes a reference cycle; entries whose other roots
+    # have died are dropped when the next program is added.
+    try:
+        plans = roots[0]._plans
+    except AttributeError:
+        plans = roots[0].__dict__["_plans"] = {}
+    key = tuple(map(weakref.ref, roots[1:])) if len(roots) > 1 else ()
+    plan = plans.get(key)
+    if plan is None:
+        for stale in [k for k in plans if any(r() is None for r in k)]:
+            del plans[stale]
+        plan = plans[key] = _plan(roots)
+    steps, peak = plan
+    m = pts.shape[0]
+    size = max(1, _LIVE_VALUES // peak)
+    if m <= size:
+        out = [None] if len(roots) == 1 else np.empty((len(roots), m))
+        _run_block(steps, pts, out)
+        return out
+    out = np.empty((len(roots), m))
+    blocks = -(-m // size)
+    size = -(-m // blocks)  # the same number of blocks, of equal length
+    try:
+        for lo in range(0, m, size):
+            _run_block(steps, pts[lo:lo + size], out[:, lo:lo + size])
+    except ExprDomainError:
+        # A domain check fails on all points if it fails on one block, so
+        # the unblocked run raises too: the error of the first node that
+        # fails anywhere, which does not depend on the block length.
+        _run_block(steps, pts, out)
+        raise
+    return out
+
+
+def _points(pts) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2d array of shape (m, n)")
-    out = _evaluate(e, pts)
-    if np.any(np.isnan(out)):
+    return pts
+
+
+def eval_on_points(e: Expr, pts: np.ndarray) -> np.ndarray:
+    """Evaluate at an (m, n) array of points; returns an (m,) float array.
+
+    This is :func:`eval_many` with the one root ``e``.
+    """
+    out = _run((e,), _points(pts))[0]
+    if np.isnan(out).any():
         raise ExprDomainError("evaluation produced NaN")
     return out
+
+
+def eval_many(roots, pts: np.ndarray) -> np.ndarray:
+    """Evaluate several expressions at an (m, n) array of points; returns
+    an (m, len(roots)) float array whose column c is ``roots[c]``.
+
+    One program runs over the union of the roots' DAGs, so a node that
+    several roots share runs once, and each column equals
+    ``eval_on_points(roots[c], pts)`` bit for bit.  If a node fails a
+    domain check, the error raised is that of the first failing node in
+    program order: the error ``eval_on_points`` raises for the first root
+    in ``roots`` whose evaluation fails a domain check, whatever the
+    blocks of points.  Only when no node fails is a NaN anywhere in the
+    result an error.
+    """
+    out = np.asarray(_run(tuple(roots), _points(pts)))
+    if np.isnan(out).any():
+        raise ExprDomainError("evaluation produced NaN")
+    return out.T
 
 
 def eval_expr(e: Expr, point) -> float:

@@ -20,8 +20,8 @@ import numpy as np
 from sobolev.atlas import Atlas, TransitionMap, quasirandom_points
 from sobolev.fields import radius_squared
 from sobolev.funcexpr import (
-    ONE, ZERO, Call, Const, Expr, add, const, diff_expr, div, eval_on_points,
-    mul, neg, parse_expr, pow_, sub, sum_exprs,
+    ONE, ZERO, Call, Const, Expr, add, const, diff_expr, div, eval_many, mul,
+    neg, parse_expr, pow_, sub, sum_exprs,
 )
 
 __all__ = [
@@ -30,16 +30,6 @@ __all__ = [
     "scalar_field", "transform_components",
     "check_overlap_consistency",
 ]
-
-
-def _values(exprs, pts) -> np.ndarray:
-    """(m, len(exprs)) values at chart points: one ``eval_on_points`` call
-    per expression, in order."""
-    pts = np.asarray(pts, dtype=float)
-    out = np.empty((pts.shape[0], len(exprs)))
-    for i, e in enumerate(exprs):
-        out[:, i] = eval_on_points(e, pts)
-    return out
 
 
 def _det_expr(m: list[list[Expr]]) -> Expr:
@@ -86,9 +76,9 @@ class ChristoffelField:
     def values(self, pts: np.ndarray) -> np.ndarray:
         """(m, n, n, n) array of gamma[k][i][j] at chart points."""
         n = self.atlas.dim
-        return _values([self.gamma[k][i][j] for k in range(n)
-                        for i in range(n) for j in range(n)],
-                       pts).reshape(-1, n, n, n)
+        return eval_many([self.gamma[k][i][j] for k in range(n)
+                          for i in range(n) for j in range(n)],
+                         pts).reshape(-1, n, n, n)
 
 
 @dataclass
@@ -142,8 +132,8 @@ class MetricField:
     def matrix_values(self, ci: int, pts: np.ndarray, inverse=False) -> np.ndarray:
         n = self.atlas.dim
         comps = self.inv_comps[ci] if inverse else self.comps[ci]
-        return _values([e for row in comps for e in row],
-                       pts).reshape(-1, n, n)
+        return eval_many([e for row in comps for e in row],
+                         pts).reshape(-1, n, n)
 
 
 def builtin_metric(atlas: Atlas) -> MetricField:
@@ -198,11 +188,10 @@ class TensorField:
     @classmethod
     def from_ambient(cls, atlas: Atlas, u) -> "TensorField":
         """The function given by an expression (or its text) in the
-        ambient coordinates x1..xm; on a torus it must be 1-periodic
-        (see :meth:`Atlas.local_representation`)."""
+        ambient coordinates x1..xm; on a torus it must be 1-periodic, which
+        is checked once (see :meth:`Atlas.local_representations`)."""
         expr = parse_expr(u, atlas.ambient_dim) if isinstance(u, str) else u
-        return scalar_field(atlas, [atlas.local_representation(expr, ci)
-                                    for ci in range(len(atlas.charts))])
+        return scalar_field(atlas, atlas.local_representations(expr))
 
     def component(self, chart: int, con: tuple, cov: tuple) -> Expr:
         pos = _positions(self.atlas.dim, self.k_cov, self.l_con)
@@ -282,22 +271,32 @@ def _cov_step(field: TensorField, g: MetricField) -> TensorField:
 def fiber_norm_values(field: TensorField, g: MetricField, chart: int,
                       pts: np.ndarray) -> np.ndarray:
     """|A|_F at chart points: every covariant slot contracts with the
-    inverse metric, every contravariant slot with the metric."""
-    pts = np.asarray(pts, dtype=float)
-    vals = _values(field.comps[chart], pts)
+    inverse metric, every contravariant slot with the metric.  The
+    components and the metric factors the contraction uses (g_ij if there
+    is a contravariant slot, g^ij if there is a covariant one) are
+    evaluated in one :func:`eval_many` call, so the nodes they share run
+    once."""
+    block = field.comps[chart]
     if field.k_cov == 0 and field.l_con == 0:
-        return np.abs(vals[:, 0])
-    G = g.matrix_values(chart, pts)           # g_ij
-    Ginv = g.matrix_values(chart, pts, inverse=True)  # g^ij
-    total = np.zeros(pts.shape[0])
+        return np.abs(eval_many(block, pts)[:, 0])
+    n, K = field.atlas.dim, len(block)
+    roots = list(block)
+    if field.l_con:
+        roots += [e for row in g.comps[chart] for e in row]
+    if field.k_cov:
+        roots += [e for row in g.inv_comps[chart] for e in row]
+    rows = eval_many(roots, pts).T  # one row per root, without a copy
+    G = rows[K:K + n * n].reshape(n, n, -1) if field.l_con else None
+    Ginv = rows[-n * n:].reshape(n, n, -1) if field.k_cov else None
+    total = np.zeros(rows.shape[1])
     keys = field.keys()
     for p1, (con1, cov1) in enumerate(keys):
         for p2, (con2, cov2) in enumerate(keys):
-            factor = vals[:, p1] * vals[:, p2]
+            factor = rows[p1] * rows[p2]
             for a, b in zip(con1, con2):
-                factor = factor * G[:, a, b]
+                factor = factor * G[a, b]
             for i, r in zip(cov1, cov2):
-                factor = factor * Ginv[:, i, r]
+                factor = factor * Ginv[i, r]
             total += factor
     return np.sqrt(np.maximum(total, 0.0))
 
@@ -367,7 +366,7 @@ def transform_components(field: TensorField, a: int, b: int,
     coords_a = t_ba(coords_b)
     J = t_ba.jacobian(coords_b)         # d coords_a / d coords_b
     Jinv = np.linalg.inv(J)
-    vals_a = _values(field.comps[a], coords_a)
+    vals_a = eval_many(field.comps[a], coords_a)
     keys = field.keys()
     out = np.empty((coords_b.shape[0], len(keys)))
     for p, (con, cov) in enumerate(keys):
@@ -413,6 +412,6 @@ def check_overlap_consistency(field: TensorField, npts: int = 100) -> float:
             if cb.shape[0] == 0:
                 continue
             predicted = transform_components(field, a, b, cb)
-            direct = _values(field.comps[b], cb)
+            direct = eval_many(field.comps[b], cb)
             worst = max(worst, float(np.max(np.abs(direct - predicted))))
     return worst

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import sobolev.atlas as atlas_module
 from sobolev.atlas import (
     BumpSeed, CoverConditionError, PeriodicityError, TransitionMap,
     UnknownManifold, alternate_seeds, atlas_from_config, build_partition_of_unity,
     builtin_manifold, quasirandom_points,
 )
 from sobolev.funcexpr import eval_on_points, parse_expr
+from sobolev.geometry import TensorField
 from sobolev.quadrature import midpoint_grid
 
 
@@ -210,6 +212,33 @@ class TestLocalRepresentation:
         atlas, _, _ = request.getfixturevalue(torus)
         u = parse_expr(text, atlas.ambient_dim)
         assert atlas.local_representation(u, 0) is u
+
+    @pytest.mark.parametrize("torus, text, ok", [
+        ("t2", "sin(2*pi*x1)*cos(2*pi*x2)", True), ("t2", "x2", False),
+        ("t1", "cos(2*pi*x1)", True), ("t1", "x1", False),
+    ])
+    def test_field_checks_periodicity_once(self, request, monkeypatch,
+                                           torus, text, ok):
+        atlas, _, _ = request.getfixturevalue(torus)
+        calls = []
+        check = atlas_module._check_periodic
+        monkeypatch.setattr(atlas_module, "_check_periodic",
+                            lambda *args: calls.append(1) or check(*args))
+        if ok:
+            u = TensorField.from_ambient(atlas, text)
+            assert all(block == (parse_expr(text, atlas.ambient_dim),)
+                       for block in u.comps)
+        else:
+            with pytest.raises(PeriodicityError, match="not 1-periodic"):
+                TensorField.from_ambient(atlas, text)
+        assert len(calls) == 1
+
+    def test_sphere_representations_are_per_chart(self, s2):
+        atlas, _, _ = s2
+        u = parse_expr("x1*x3 + x2", atlas.ambient_dim)
+        assert atlas.local_representations(u) == [
+            atlas.local_representation(u, ci)
+            for ci in range(len(atlas.charts))]
 
 
 class TestConfigRoundTrip:

@@ -2,7 +2,9 @@
 
 The evaluator is checked bit for bit against a recursive tree walk kept
 here as a test-only oracle, on random expressions that share subtrees and
-contain piecewise nodes; ``diff_expr`` is checked against sympy.
+contain piecewise nodes, one root at a time and several roots in one
+program, at point counts around the block length of the memory bound;
+``diff_expr`` is checked against sympy.
 """
 
 import gc
@@ -14,11 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sobolev import funcexpr
 from sobolev.fields import AnnulusRegion, BoxRegion
 from sobolev.funcexpr import (
     _INTERNED, Add, Call, Const, Div, ExprDomainError, Mul, Neg, Pi,
-    Piecewise, Pow, Sub, Var, diff_expr, eval_expr, eval_on_points,
-    parse_expr,
+    Piecewise, Pow, Sub, Var, _plan, diff_expr, eval_expr, eval_many,
+    eval_on_points, parse_expr,
 )
 
 
@@ -101,7 +104,8 @@ COORDS = [-1.5, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0]
 
 
 @st.composite
-def dags(draw, funcs=FUNCS, piecewise=True):
+def pools(draw, funcs=FUNCS, piecewise=True):
+    """Leaves, then 1-14 nodes, each built on earlier ones."""
     pool = [Var(1), Var(2), Const(0), Const(1), Const(Fraction(-3, 2)), Pi()]
     kinds = ["neg", "add", "sub", "mul", "div", "pow", "call"]
     if piecewise:
@@ -124,7 +128,11 @@ def dags(draw, funcs=FUNCS, piecewise=True):
             cls = {"add": Add, "sub": Sub, "mul": Mul, "div": Div}[kind]
             node = cls(pick(), pick())
         pool.append(node)
-    return pool[-1]
+    return pool
+
+
+def dags(funcs=FUNCS, piecewise=True):
+    return pools(funcs, piecewise).map(lambda pool: pool[-1])
 
 
 points = st.lists(st.tuples(st.sampled_from(COORDS), st.sampled_from(COORDS)),
@@ -194,6 +202,150 @@ def test_deep_sharing_is_linear():
         x = Mul(x, x)
     assert eval_expr(x, [1.0]) == 1.0
     assert eval_expr(diff_expr(x, 1), [1.0]) == 2.0 ** 60
+
+
+# --- several roots in one program ----------------------------------------
+
+def tree_eval_many(roots, pts):
+    """The oracle of ``eval_many``: each column by tree walk; the first root
+    whose walk fails a domain check decides the error, and only without
+    one does a NaN anywhere count."""
+    cols = []
+    for root in roots:
+        col = outcome(tree_eval, root, pts)
+        if isinstance(col, ExprDomainError):
+            return col
+        cols.append(col)
+    out = np.stack(cols, axis=1)
+    if np.any(np.isnan(out)):
+        return ExprDomainError("evaluation produced NaN")
+    return out
+
+
+def check_many(roots, pts):
+    want = tree_eval_many(roots, pts)
+    got = outcome(eval_many, roots, pts)
+    if isinstance(want, ExprDomainError):
+        assert isinstance(got, ExprDomainError)
+        assert str(got) == str(want)
+        return
+    assert got.shape == (pts.shape[0], len(roots))
+    assert got.tobytes() == want.tobytes()
+    for c, root in enumerate(roots):
+        assert got[:, c].tobytes() == outcome(eval_on_points, root,
+                                              pts).tobytes()
+
+
+def block_length(roots, budget):
+    return max(1, budget // _plan(tuple(roots))[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(pools(), st.data())
+def test_eval_many_matches_tree_walk_at_block_boundaries(pool, data):
+    # roots drawn from the whole pool: repeats, roots inside other roots
+    roots = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                               max_size=5))
+    budget = data.draw(st.sampled_from([1, 5, 16, 64]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(funcexpr, "_LIVE_VALUES", budget)
+        size = block_length(roots, budget)
+        m = max(1, data.draw(st.sampled_from([1, 2])) * size
+                + data.draw(st.sampled_from([-1, 0, 1])))
+        pts = np.array(data.draw(st.lists(
+            st.tuples(st.sampled_from(COORDS), st.sampled_from(COORDS)),
+            min_size=m, max_size=m)))
+        check_many(roots, pts)
+
+
+SHARED = Mul(Call("sin", Var(1)), Add(Var(2), Pi()))
+PIECE = Piecewise(REGIONS[0], Call("sqrt", Var(1)), Neg(SHARED))
+ROOT_SETS = {
+    "shared subtree": [Add(SHARED, Var(1)), Sub(Const(1), SHARED)],
+    "repeated root": [SHARED, Var(2), SHARED, SHARED],
+    "root inside another": [Div(SHARED, Const(3)), SHARED, Call("sin", Var(1))],
+    "piecewise roots": [PIECE, Mul(PIECE, SHARED), PIECE],
+    "constant and variable": [Const(Fraction(1, 3)), Var(1), Pi()],
+}
+
+
+@pytest.mark.parametrize("budget", [None, 1, 10, 40])
+@pytest.mark.parametrize("name", sorted(ROOT_SETS))
+def test_eval_many_cases(name, budget):
+    roots = ROOT_SETS[name]
+    rng = np.random.default_rng(3)
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(funcexpr, "_LIVE_VALUES", budget)
+        size = block_length(roots, funcexpr._LIVE_VALUES)
+        for m in sorted({0, 1, size - 1, size, size + 1, 3 * size + 2}):
+            check_many(roots, rng.uniform(-2.0, 2.0, size=(m, 2)))
+
+
+def test_error_does_not_depend_on_blocks():
+    # log fails at x1 = 0.5, the division at x1 = 2; with one point per
+    # block the division fails first, but the log is first in program order
+    bad_log = Call("log", Sub(Var(1), Const(1)))
+    bad_div = Div(Const(1), Sub(Var(1), Const(2)))
+    roots = [Var(1), Add(bad_log, bad_div)]
+    pts = np.array([[2.0], [0.5]])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(funcexpr, "_LIVE_VALUES", 1)
+        assert block_length(roots, 1) == 1
+        with pytest.raises(ExprDomainError, match="log of a non-positive"):
+            eval_many(roots, pts)
+        with pytest.raises(ExprDomainError, match="division by zero"):
+            eval_many(roots, pts[:1])
+
+
+def test_domain_error_of_any_root_raises():
+    ok = Call("cos", Var(1))
+    bad = Call("sqrt", Var(1))
+    pts = np.array([[1.0], [-1.0]])
+    for roots in ([ok, bad], [bad, ok], [ok, Neg(bad), ok]):
+        with pytest.raises(ExprDomainError, match="sqrt of a negative"):
+            eval_many(roots, pts)
+    nan = Mul(Const(0), Call("exp", Mul(Const(1000), Var(1))))
+    with pytest.raises(ExprDomainError, match="NaN"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            eval_many([ok, nan], pts)
+    # a domain error anywhere wins over a NaN in an earlier column
+    with pytest.raises(ExprDomainError, match="sqrt"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            eval_many([nan, bad], pts)
+
+
+def test_one_program_per_root_tuple():
+    first = Mul(Call("cos", Var(1)), Add(Var(2), Pi()))
+    roots = (first, Add(first, Var(1)))
+    pts = np.array([[0.5, 1.0]])
+    eval_many(roots, pts)
+    plans = first.__dict__["_plans"]
+    assert len(plans) == 1
+    (steps, _), = plans.values()
+    assert len(steps) == 7  # x1, cos, x2, pi, +, *, and the second +
+    eval_many(list(roots), pts)
+    eval_on_points(first, pts)
+    assert len(plans) == 2
+    assert any(plan[0] is steps for plan in plans.values())
+
+
+def test_programs_keep_no_node_alive():
+    # no reference cycle either: the nodes die without the cycle collector
+    marker = Fraction(123456791, 1000033)
+    x = Mul(Const(marker), Var(1))
+    pw = Piecewise(REGIONS[0], Call("sin", x), Neg(x))
+    roots = [x, Add(pw, x), x, pw]
+    probes = [weakref.ref(r) for r in roots]
+    pts = np.array([[0.5, 1.0], [-0.5, 2.0]])
+    gc.disable()
+    try:
+        eval_many(roots, pts)
+        eval_on_points(roots[1], pts)
+        del roots, x, pw
+        assert [p() for p in probes] == [None] * 4
+    finally:
+        gc.enable()
 
 
 # --- interning ---------------------------------------------------------------

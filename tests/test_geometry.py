@@ -312,3 +312,48 @@ class TestTensorLaw:
             [(0, 1), (1, 1), (2, 1), (1, 0)]
         for t in derived:
             assert check_overlap_consistency(t) <= 1e-10
+
+
+class TestFiberNormProgram:
+    """The fiber norm evaluates a block's components, g_ij and g^ij in one
+    program; its points run in blocks that keep at most 2**18 values live."""
+
+    @staticmethod
+    def live_peak(steps):
+        """Peak live slots of a program, replayed from its instructions; no
+        slot may be freed before its last use, and none may stay live."""
+        live, peak = set(), 0
+        for i, (_, _, args, dead, _) in enumerate(steps):
+            assert live.issuperset(args)
+            live.add(i)
+            peak = max(peak, len(live))
+            live -= set(dead)
+        assert not live
+        return peak
+
+    @pytest.mark.parametrize("name,text,k,blocks", [
+        ("s2-stereo", "x1*x3", 3, 2),
+        ("torus2", "sin(2*pi*x1)*cos(2*pi*x2)", 4, 1)])
+    def test_live_values_bounded(self, monkeypatch, name, text, k, blocks):
+        from sobolev import funcexpr
+        atlas, _, g = builtin_manifold(name)
+        du = covariant_derivative(TensorField.from_ambient(atlas, text), g, k)
+        pts, _, _ = midpoint_grid(atlas.charts[0].truncation, (64, 64))
+        runs = []
+        run_block = funcexpr._run_block
+
+        def recording(steps, block_pts, out):
+            runs.append((steps, block_pts.shape[0]))
+            run_block(steps, block_pts, out)
+
+        monkeypatch.setattr(funcexpr, "_run_block", recording)
+        fiber_norm_values(du, g, 0, pts)
+        steps = runs[0][0]
+        assert all(s is steps for s, _ in runs)  # one program per call
+        assert len(runs) == blocks
+        assert sum(m for _, m in runs) == pts.shape[0]
+        plan = next(p for p in du.comps[0][0]._plans.values()
+                    if p[0] is steps)
+        peak = self.live_peak(steps)
+        assert plan[1] == peak
+        assert max(m for _, m in runs) * peak <= 2 ** 18
