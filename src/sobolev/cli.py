@@ -3,13 +3,13 @@
 Exit codes: 0 = computed, 1 = a check verdict of NotGuaranteed (so
 shells can branch on admissibility), 2 = usage or parse error (also a
 malformed number or box, an integrability --p/--q or pair p/q at or below
-1, a --grid or --k out of range, or an op bound exponent pair that fails
-its screen), 3 = numerical domain error, a torus function that is not
-1-periodic, or a result that is not finite.  Every report echoes the
-fully resolved run configuration under "config", so a run is
-reproducible from its own output.  Rational arguments are given as "a/b"
-or decimal strings and are converted exactly; no floats reach the
-exponent checks.
+1, a --grid or --k out of range, a negative order on a numerical route,
+or an op bound exponent pair that fails its screen), 3 = numerical
+domain error, a torus function that is not 1-periodic, or a result that
+is not finite.  Every report echoes the fully resolved run configuration
+under "config", so a run is reproducible from its own output.  Rational
+arguments are given as "a/b" or decimal strings and are converted
+exactly; no floats reach the exponent checks.
 """
 
 from __future__ import annotations
@@ -92,6 +92,13 @@ def _order(text: str) -> int:
     return k
 
 
+def _nonnegative(order, text: str):
+    if order < 0:
+        raise ValueError(
+            f"a numerical route needs a nonnegative order, got {text}")
+    return order
+
+
 def _checked(convert, keep_text=False):
     """An argparse type: a failed ``convert`` is a usage error (exit 2).
 
@@ -107,10 +114,13 @@ def _checked(convert, keep_text=False):
     return check
 
 
-_RATIONAL = _checked(ex.rational, keep_text=True)
 _INTEGRABILITY = _checked(_integrability, keep_text=True)
 _PAIR = _checked(_pair, keep_text=True)
 _GRID = _checked(_grid)
+# The order of a numerical norm, alone or as the order of an 'e,q' pair.
+_NORM_ORDER = _checked(lambda t: _nonnegative(ex.rational(t), t),
+                       keep_text=True)
+_NORM_PAIR = _checked(lambda t: _nonnegative(_pair(t).s, t), keep_text=True)
 
 
 def _check_grid(grid, *orders, coarse_sups=0):
@@ -174,7 +184,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--expr", required=True)
     c.add_argument("--box", type=_checked(_box, keep_text=True),
                    required=True, help="lo,hi per axis, ';'-separated")
-    c.add_argument("--s", type=_RATIONAL, required=True)
+    c.add_argument("--s", type=_NORM_ORDER, required=True)
     c.add_argument("--p", type=_INTEGRABILITY, default="2")
     c.add_argument("--grid", type=_GRID, default=None)
     c.add_argument("--variant", default="seminorm",
@@ -185,7 +195,7 @@ def _build_parser() -> _Parser:
     c = nsub.add_parser("manifold")
     c.add_argument("--manifold", required=True)
     c.add_argument("--expr", required=True)
-    c.add_argument("--e", type=_RATIONAL, default="1")
+    c.add_argument("--e", type=_NORM_ORDER, default="1")
     c.add_argument("--q", type=_INTEGRABILITY, default="2")
     c.add_argument("--grid", type=_GRID, default=None)
     c.add_argument("--pou", default="default", choices=["default", "alt"])
@@ -204,7 +214,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--manifold", required=True)
     c.add_argument("--expr", action="append", required=True,
                    help="repeat for each family member")
-    c.add_argument("--e", type=_RATIONAL, default="1")
+    c.add_argument("--e", type=_NORM_ORDER, default="1")
     c.add_argument("--q", type=_INTEGRABILITY, default="2")
     c.add_argument("--grid", type=_GRID, default=None)
     c.add_argument("--against", default="pou-alt",
@@ -223,9 +233,9 @@ def _build_parser() -> _Parser:
     c.add_argument("--manifold", required=True)
     c.add_argument("--op", dest="op_id", required=True,
                    choices=_FUNCTION_OPS)
-    c.add_argument("--from", dest="frm", type=_PAIR, required=True,
+    c.add_argument("--from", dest="frm", type=_NORM_PAIR, required=True,
                    metavar="E,Q")
-    c.add_argument("--to", type=_PAIR, required=True, metavar="ET,QT")
+    c.add_argument("--to", type=_NORM_PAIR, required=True, metavar="ET,QT")
     c.add_argument("--expr", action="append", required=True)
     c.add_argument("--grid", type=_GRID, default=None)
     c.add_argument("--route", default=None, choices=["box", "chart"])

@@ -88,14 +88,12 @@ class MetricField:
     atlas: Atlas
     comps: list  # per chart: n x n expressions
 
-    det: list = dataclass_field(init=False)
     inv_comps: list = dataclass_field(init=False)
     sqrt_det: list = dataclass_field(init=False)
     _christoffel: list = dataclass_field(init=False)
 
     def __post_init__(self):
         n = self.atlas.dim
-        self.det = []
         self.inv_comps = []
         self.sqrt_det = []
         self._christoffel = []
@@ -103,7 +101,6 @@ class MetricField:
             det = _det_expr(g)
             if det == ZERO:
                 raise ValueError(f"metric determinant vanishes on chart {ci}")
-            self.det.append(det)
             self.inv_comps.append(_adjugate_over_det(g, det))
             self.sqrt_det.append(
                 ONE if det == ONE else Call("sqrt", det))
@@ -240,7 +237,7 @@ def _cov_step(field: TensorField, g: MetricField) -> TensorField:
     new_keys = _positions(n, field.k_cov + 1, field.l_con)
     new_comps = []
     for ci in range(len(field.atlas.charts)):
-        gamma = g._christoffel[ci].gamma
+        gamma = christoffel(g, ci).gamma
 
         def comp(con, cov):
             return field.component(ci, con, cov)

@@ -12,6 +12,13 @@ Three norm routes are provided:
 * the connection norm for integer k: the q-sum of intrinsic L^q norms
   of iterated covariant derivatives.
 
+The intrinsic routes integrate sum_alpha psi_alpha (...) sqrt(det g)
+chart by chart.  Each samples a chart grid once: the midpoints, the cell
+volume, and psi_alpha and sqrt(det g) there, shared by every integrand
+on that grid (all orders of the connection norm).  psi_alpha and
+sqrt(det g) are kept as separate arrays so that each integrand is still
+multiplied as psi * X * sqrt(det g), in that order, which keeps the bits.
+
 Equivalence statements between routes are verified empirically as ratio
 brackets over function families; no equivalence constants are claimed.
 
@@ -32,8 +39,8 @@ from sobolev.geometry import (
     MetricField, TensorField, covariant_derivative, fiber_norm_values,
 )
 from sobolev.quadrature import (
-    Report, _check_p, _norm_report, coarse_shape, grid_shape, midpoint_grid,
-    sobolev_norm,
+    BoxDomain, Report, _check_p, _norm_report, coarse_shape, grid_shape,
+    midpoint_grid, sobolev_norm,
 )
 
 __all__ = [
@@ -49,30 +56,25 @@ __all__ = [
 SCALE_CHECK = 5.0
 
 
-def _pou_integral(integrand, atlas: Atlas, g: MetricField,
-                  pou: PartitionOfUnity, shape) -> tuple:
-    """sum_alpha integral psi_alpha X sqrt(det g) with
-    X = integrand(chart index, points): the total and the per-chart
-    contributions, in chart order."""
-    per_chart = []
-    total = 0.0
+def _chart_grids(atlas: Atlas, g: MetricField, pou: PartitionOfUnity,
+                 shape) -> list:
+    """Per chart, in chart order: (midpoints, cell volume, psi_alpha
+    values, sqrt(det g) values) on the midpoint grid of ``shape``."""
+    grids = []
     for ci, chart in enumerate(atlas.charts):
         pts, cellvol, _ = midpoint_grid(chart.truncation, shape)
-        psi = eval_on_points(pou.fields[ci], pts)
-        dens = eval_on_points(g.sqrt_det[ci], pts)
-        contrib = float(np.sum(psi * integrand(ci, pts) * dens) * cellvol)
-        per_chart.append(contrib)
-        total += contrib
-    return total, per_chart
+        grids.append((pts, cellvol, eval_on_points(pou.fields[ci], pts),
+                      eval_on_points(g.sqrt_det[ci], pts)))
+    return grids
 
 
-def _intrinsic_lq_power(tensor: TensorField, g: MetricField,
-                        pou: PartitionOfUnity, q: float, shape) -> tuple:
-    """sum_alpha integral psi_alpha |u|_E^q sqrt(det g): the q-th power of
-    the intrinsic norm, with per-chart contributions."""
-    return _pou_integral(
-        lambda ci, pts: fiber_norm_values(tensor, g, ci, pts) ** q,
-        tensor.atlas, g, pou, shape)
+def _pou_integral(integrand, grids) -> list:
+    """integral psi_alpha X sqrt(det g) over each chart of ``grids`` (from
+    :func:`_chart_grids`) with X = integrand(chart index, points): the
+    per-chart contributions, in chart order, which sum to the integral
+    over M."""
+    return [float(np.sum(psi * integrand(ci, pts) * dens) * cellvol)
+            for ci, (pts, cellvol, psi, dens) in enumerate(grids)]
 
 
 def manifold_lq_norm(u: TensorField, g: MetricField,
@@ -91,17 +93,21 @@ def manifold_lq_norm(u: TensorField, g: MetricField,
     q = _check_p(q)
     shape = grid_shape(atlas.dim, N)
 
-    total, per_chart = _intrinsic_lq_power(u, g, pou, q, shape)
-    value = total ** (1.0 / q)
-    coarse, _ = _intrinsic_lq_power(u, g, pou, q, coarse_shape(shape))
-    err = abs(value - coarse ** (1.0 / q))
+    def lq_power(shp):
+        return _pou_integral(
+            lambda ci, pts: fiber_norm_values(u, g, ci, pts) ** q,
+            _chart_grids(atlas, g, pou, shp))
+
+    per_chart = lq_power(shape)
+    value = sum(per_chart) ** (1.0 / q)
+    err = abs(value - sum(lq_power(coarse_shape(shape))) ** (1.0 / q))
 
     chart_sum = chart_sobolev_norm(u, pou, e=0, q=q, N=shape)
     extras = {"intrinsic_value": value, "chart_sum_value": chart_sum.value}
     if value > 0:
         extras["variant_ratio"] = chart_sum.value / value
-    terms = [{"kind": "intrinsic", "chart": atlas.charts[ci].name,
-              "value": per_chart[ci]} for ci in range(len(atlas.charts))]
+    terms = [{"kind": "intrinsic", "chart": chart.name, "value": v}
+             for chart, v in zip(atlas.charts, per_chart)]
     terms += [{"kind": "chart-sum", **t} for t in chart_sum.terms]
     return _norm_report(value, terms, {"resolution": list(shape)}, err,
                         extras, manifold=atlas.manifold,
@@ -152,21 +158,21 @@ def connection_sobolev_norm(u: TensorField, g: MetricField, k: int = 1,
     q = _check_p(q)
     shape = grid_shape(atlas.dim, N)
 
-    total = 0.0
-    coarse_total = 0.0
-    coarse = coarse_shape(shape)
-    terms = []
-    current = u
-    for i in range(k + 1):
-        if i > 0:
-            current = covariant_derivative(current, g, 1)
-        power, _ = _intrinsic_lq_power(current, g, pou, q, shape)
-        cpower, _ = _intrinsic_lq_power(current, g, pou, q, coarse)
-        total += power
-        coarse_total += cpower
-        terms.append({"order": i, "lq_value": power ** (1.0 / q)})
-    value = total ** (1.0 / q)
-    err = abs(value - coarse_total ** (1.0 / q))
+    derivatives = [u]  # u, nabla u, ..., nabla^k u
+    for _ in range(k):
+        derivatives.append(covariant_derivative(derivatives[-1], g, 1))
+
+    def powers(shp):
+        grids = _chart_grids(atlas, g, pou, shp)
+        return [sum(_pou_integral(
+            lambda ci, pts: fiber_norm_values(t, g, ci, pts) ** q, grids))
+            for t in derivatives]
+
+    fine = powers(shape)
+    value = sum(fine) ** (1.0 / q)
+    err = abs(value - sum(powers(coarse_shape(shape))) ** (1.0 / q))
+    terms = [{"order": i, "lq_value": power ** (1.0 / q)}
+             for i, power in enumerate(fine)]
     return _norm_report(
         value, terms, {"resolution": list(shape), "k": k, "q": q}, err,
         manifold=atlas.manifold, atlas=atlas.manifold, pou=pou.name)
@@ -178,10 +184,11 @@ def connection_sobolev_norm(u: TensorField, g: MetricField, k: int = 1,
 
 @dataclass
 class NormVariant:
-    """One side of a norm comparison: a chart norm for a given partition
-    of unity, or the connection norm for a metric."""
+    """One norm route: a chart norm for a given partition of unity, the
+    connection norm for a metric, or (on a torus) the box norm of the
+    local representation over one exact period."""
 
-    kind: str                      # "chart" | "connection"
+    kind: str                      # "chart" | "connection" | "box"
     pou: PartitionOfUnity | None = None
     metric: MetricField | None = None
 
@@ -193,12 +200,19 @@ class NormVariant:
                 raise ValueError("the connection route needs integer order")
             return connection_sobolev_norm(u, self.metric, k=int(round(e)),
                                            q=q, N=N, pou=self.pou).value
+        if self.kind == "box":
+            if u.atlas.family != "torus":
+                raise ValueError("the box route integrates one exact period; "
+                                 "it applies to the torus manifolds")
+            box = BoxDomain(tuple((0.0, 1.0) for _ in range(u.atlas.dim)))
+            return sum(sobolev_norm(comp, box, e, q, N).value
+                       for comp in u.comps[0])
         raise ValueError(f"unknown norm variant {self.kind!r}")
 
     def describe(self) -> str:
         if self.kind == "chart":
             return f"chart[{self.pou.name}]"
-        return "connection"
+        return self.kind
 
 
 def compare_norms(family, variant_a: NormVariant, variant_b: NormVariant,

@@ -37,11 +37,9 @@ from sobolev.geometry import (
     MetricField, TensorField, covariant_derivative, musical,
 )
 from sobolev.manifold_norms import (
-    SCALE_CHECK, _pou_integral, chart_sobolev_norm,
+    SCALE_CHECK, NormVariant, _chart_grids, _pou_integral,
 )
-from sobolev.quadrature import (
-    BoxDomain, Report, coarse_shape, grid_shape, sobolev_norm,
-)
+from sobolev.quadrature import Report, coarse_shape, grid_shape
 
 __all__ = [
     "ValenceMismatch", "apply_operator", "empirical_bound",
@@ -113,18 +111,6 @@ def describe_components(u: TensorField, chart: int) -> dict:
 # Empirical operator norms
 # ---------------------------------------------------------------------------
 
-def _norm_for_route(u: TensorField, route, e, q, shape, pou) -> float:
-    atlas = u.atlas
-    if route == "box":
-        if atlas.family != "torus":
-            raise ValueError("the box route integrates one exact period; "
-                             "it applies to the torus manifolds")
-        box = BoxDomain(tuple((0.0, 1.0) for _ in range(atlas.dim)))
-        return sum(sobolev_norm(comp, box, e, q, shape).value
-                   for comp in u.comps[0])
-    return chart_sobolev_norm(u, pou, e, q, shape).value
-
-
 def _chart_domain_class(atlas: Atlas) -> DomainClass:
     return DomainClass.FULL_SPACE if atlas.classification == "super nice" \
         else DomainClass.BOUNDED_LIPSCHITZ
@@ -170,14 +156,14 @@ def empirical_bound(op_id: str, g: MetricField, from_exponents,
         pou = build_partition_of_unity(atlas)
 
     shape = grid_shape(atlas.dim, N)
+    norm = NormVariant(route, pou=pou).compute
 
     def sup_at(resolution):
         ratios = []
         for u in family:
             image = apply_operator(op_id, g, u)
-            nu = _norm_for_route(u, route, e, q, resolution, pou)
-            nop = _norm_for_route(image, route, et, qt, resolution, pou)
-            ratios.append(nop / nu)
+            nu = norm(u, e, q, resolution)
+            ratios.append(norm(image, et, qt, resolution) / nu)
         return ratios
 
     ratios = sup_at(shape)
@@ -187,9 +173,8 @@ def empirical_bound(op_id: str, g: MetricField, from_exponents,
     # scale invariance spot check on the worst function
     worst = int(np.argmax(ratios))
     us = family[worst].scaled(SCALE_CHECK)
-    rs = (_norm_for_route(apply_operator(op_id, g, us), route, et, qt, shape,
-                          pou)
-          / _norm_for_route(us, route, e, q, shape, pou))
+    rs = (norm(apply_operator(op_id, g, us), et, qt, shape)
+          / norm(us, e, q, shape))
     return Report(
         "operator_bound", operator=op_id,
         **{"from": [e, q]}, to=[et, qt], route=route, ratios=ratios,
@@ -216,9 +201,9 @@ def divergence_integral(X: TensorField, g: MetricField,
     shape = grid_shape(atlas.dim, N)
 
     def signed_integral(shp):
-        return _pou_integral(
+        return sum(_pou_integral(
             lambda ci, pts: eval_on_points(divX.comps[ci][0], pts),
-            atlas, g, pou, shp)[0]
+            _chart_grids(atlas, g, pou, shp)))
 
     value = signed_integral(shape)
     coarse = signed_integral(coarse_shape(shape))

@@ -441,9 +441,9 @@ def sobolev_norm(u, box: BoxDomain, s: float, p: float = 2.0, N=None,
     theta = s - k
 
     terms = []
+    top = []  # the L^p terms of the top-order derivatives
     err = 0.0
     value_semi = 0.0
-    top_lp = 0.0
     for nu in multi_indices(box.n, k):
         dnu = _derivative(f, nu)
         rep = lp_norm(dnu, box, p, shape)
@@ -452,7 +452,8 @@ def sobolev_norm(u, box: BoxDomain, s: float, p: float = 2.0, N=None,
         value_semi += rep.value
         err += rep.error_estimate
         if sum(nu) == k:
-            top_lp += rep.value
+            top.append({"kind": "lp (fractional-term part)",
+                        "multi_index": list(nu), "p": p, "value": rep.value})
         if theta > 0.0 and sum(nu) == k:
             grep = gagliardo_seminorm(dnu, box, theta, p, shape)
             terms.append({"kind": "gagliardo", "multi_index": list(nu),
@@ -460,15 +461,11 @@ def sobolev_norm(u, box: BoxDomain, s: float, p: float = 2.0, N=None,
             value_semi += grep.value
             err += grep.error_estimate
 
+    top_lp = sum(t["value"] for t in top)
     value_full = value_semi + (top_lp if theta > 0.0 else 0.0)
     value = value_full if variant == "full" else value_semi
     if variant == "full" and theta > 0.0:
-        for nu in multi_indices(box.n, k):
-            if sum(nu) == k:
-                lp_val = next(t["value"] for t in terms
-                              if t["kind"] == "lp" and t["multi_index"] == list(nu))
-                terms.append({"kind": "lp (fractional-term part)",
-                              "multi_index": list(nu), "p": p, "value": lp_val})
+        terms += top
 
     extras = {"variant": variant,
               "seminorm_variant_value": value_semi,

@@ -117,6 +117,15 @@ class TestNormCommands:
         ("check", "embed", "--n", "2", "--from", "2,a", "--to", "1,4"),
         ("op", "bound", "--manifold", "torus1", "--op", "laplace",
          "--from", "2", "--to", "0,2", "--expr", "x1"),
+        # a negative order on a numerical route
+        ("norm", "euclid", "--expr", "x1", "--box", "0,1", "--s", "-1"),
+        ("compare", "--manifold", "s1-stereo", "--expr", "x1", "--e", "-1"),
+        ("norm", "manifold", "--manifold", "torus1", "--expr",
+         "sin(2*pi*x1)", "--e=-1/2"),
+        ("op", "bound", "--manifold", "torus1", "--op", "d", "--from=-1,2",
+         "--to=-2,2", "--expr", "sin(2*pi*x1)"),
+        ("op", "bound", "--manifold", "torus1", "--op", "d", "--from", "1,2",
+         "--to=-1,2", "--expr", "sin(2*pi*x1)"),
     ])
     def test_malformed_arguments_are_usage_errors(self, capsys, argv):
         code, rep = run(capsys, *argv)

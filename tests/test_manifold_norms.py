@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import sobolev.manifold_norms
 from sobolev.atlas import alternate_seeds, build_partition_of_unity, \
     builtin_manifold
 from sobolev.funcexpr import eval_on_points
@@ -151,7 +153,27 @@ class TestConnectionNorm:
         u = TensorField.from_ambient(atlas, "sin(2*pi*x1)")
         a = connection_sobolev_norm(u, g, k=0, q=2, N=256, pou=pou)
         b = manifold_lq_norm(u, g, pou, q=2, N=256)
-        assert a.value == pytest.approx(b.value, rel=1e-12)
+        assert (a.value, a.error_estimate) == (b.value, b.error_estimate)
+
+    def test_chart_sample_once_per_chart_and_grid(self, monkeypatch):
+        # psi_alpha and sqrt(det g) are sampled once per chart and grid,
+        # not once per order of the derivative list
+        atlas, pou, g = builtin_manifold("s2-stereo")
+        u = TensorField.from_ambient(atlas, "x1*x3")
+        calls = Counter()
+
+        def counting(expr, pts):
+            calls[id(expr), len(pts)] += 1
+            return eval_on_points(expr, pts)
+
+        monkeypatch.setattr(sobolev.manifold_norms, "eval_on_points",
+                            counting)
+        connection_sobolev_norm(u, g, k=2, q=2, N=16, pou=pou)
+        expected = Counter(
+            (id(e), n) for n in (16 * 16, 8 * 8)
+            for ci in range(len(atlas.charts))
+            for e in (pou.fields[ci], g.sqrt_det[ci]))
+        assert calls == expected
 
     def test_sine_closed_form(self, t1):
         atlas, pou, g = t1
