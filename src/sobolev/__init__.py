@@ -6,8 +6,8 @@ plus numerical norms via midpoint quadrature: Lebesgue norms, the
 singular Gagliardo double integral, chart/partition-of-unity norms on
 built-in manifolds, connection norms, and local differential operators.
 
-Submodules: ``exponents``, ``funcexpr``, ``quadrature``, ``atlas``,
-``geometry``, ``manifold_norms``, ``operators``, ``cli``.
+Submodules: ``exponents``, ``funcexpr``, ``fields``, ``quadrature``,
+``atlas``, ``geometry``, ``manifold_norms``, ``operators``, ``cli``.
 """
 
 __version__ = "0.1.0"

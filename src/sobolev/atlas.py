@@ -41,7 +41,7 @@ from sobolev.quadrature import BoxDomain, midpoint_grid
 __all__ = [
     "Atlas", "Chart", "PartitionOfUnity", "BumpSeed", "TransitionMap",
     "UnknownManifold", "CoverConditionError", "EmptyOverlap",
-    "PeriodicityError",
+    "PeriodicityError", "AtlasConfigError",
     "builtin_manifold", "build_partition_of_unity",
     "default_seeds", "alternate_seeds", "quasirandom_points",
     "MANIFOLD_NAMES", "atlas_from_config",
@@ -52,8 +52,12 @@ MANIFOLD_NAMES = ("s1-stereo", "s2-stereo", "torus1", "torus2")
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-class UnknownManifold(KeyError):
+class UnknownManifold(LookupError):
     pass
+
+
+class AtlasConfigError(ValueError):
+    """An atlas-config descriptor that does not describe a built-in atlas."""
 
 
 class CoverConditionError(ValueError):
@@ -136,30 +140,22 @@ class Atlas:
 
     # -- local representations of ambient-coordinate functions ------------
 
-    def local_representation(self, ambient_expr: Expr, chart_index: int) -> Expr:
-        """The function u written in the coordinates of one chart, u o phi^{-1}.
+    def local_representations(self, ambient_expr: Expr) -> list[Expr]:
+        """The function u written in the coordinates of every chart,
+        u o phi^{-1}, in chart order.
 
-        On a sphere this substitutes the chart's inverse map.  A torus
+        On a sphere this substitutes each chart's inverse map.  A torus
         chart coordinate differs from its ambient representative by an
         integer vector, so a 1-periodic u is its own local representation:
-        ``ambient_expr`` itself is returned, after :func:`_check_periodic`.
+        ``ambient_expr`` itself is returned for every chart, after one
+        :func:`_check_periodic`.
         """
         if self.family == "torus":
             _check_periodic(ambient_expr, self)
-            return ambient_expr
-        chart = self.charts[chart_index]
-        mapping = {i + 1: chart.inverse_exprs[i]
-                   for i in range(self.ambient_dim)}
-        return subst_expr(ambient_expr, mapping)
-
-    def local_representations(self, ambient_expr: Expr) -> list[Expr]:
-        """:meth:`local_representation` in every chart, in chart order; on
-        a torus the periodicity check runs once, not once per chart."""
-        if self.family == "torus":
-            _check_periodic(ambient_expr, self)
             return [ambient_expr] * len(self.charts)
-        return [self.local_representation(ambient_expr, ci)
-                for ci in range(len(self.charts))]
+        return [subst_expr(ambient_expr, dict(enumerate(chart.inverse_exprs,
+                                                        start=1)))
+                for chart in self.charts]
 
 
 # A torus function passes the periodicity check when every sampled gap
@@ -515,22 +511,28 @@ _CONFIG_KEYS = {"schema", "kind", "manifold", "family", "dim",
 
 def atlas_from_config(config: dict):
     """Rebuild a built-in-family atlas (and optional partition of unity)
-    from its JSON descriptor.  Unknown keys are rejected."""
+    from its JSON descriptor.  A descriptor that is not an object with a
+    ``manifold`` key, or that has unknown keys, raises
+    :class:`AtlasConfigError`."""
+    if not isinstance(config, dict) or "manifold" not in config:
+        raise AtlasConfigError(
+            "an atlas config is a JSON object with a 'manifold' key")
     unknown = set(config) - _CONFIG_KEYS
     if unknown:
-        raise ValueError(f"unknown atlas-config keys: {sorted(unknown)}")
-    name = config["manifold"]
+        raise AtlasConfigError(f"unknown atlas-config keys: {sorted(unknown)}")
     params = config.get("params", {})
     if set(params) - {"truncation_radius"}:
-        raise ValueError("unknown atlas-config params")
-    atlas = _builtin_atlas(name, float(params.get("truncation_radius", 4.0)))
+        raise AtlasConfigError("unknown atlas-config params")
+    atlas = _builtin_atlas(config["manifold"],
+                           float(params.get("truncation_radius", 4.0)))
     pou = None
     if "pou" in config:
         seeds = []
         for s in config["pou"].get("seeds", []):
             unknown = set(s) - {"kind", "plateau", "support", "center"}
             if unknown:
-                raise ValueError(f"unknown bump-seed keys: {sorted(unknown)}")
+                raise AtlasConfigError(
+                    f"unknown bump-seed keys: {sorted(unknown)}")
             seeds.append(BumpSeed(s["kind"], float(s["plateau"]),
                                   float(s["support"]),
                                   tuple(s.get("center", ()))))

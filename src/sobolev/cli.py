@@ -3,8 +3,10 @@
 Exit codes: 0 = computed, 1 = a check verdict of NotGuaranteed (so
 shells can branch on admissibility), 2 = usage or parse error (also a
 malformed number or box, an integrability --p/--q or pair p/q at or below
-1, a --grid or --k out of range, a negative order on a numerical route,
-or an op bound exponent pair that fails its screen), 3 = numerical
+1, a --grid or --k out of range, a negative order on a numerical route, a
+check derivative --order below 1, an --atlas-config file that cannot be
+read, is not an atlas descriptor or describes another manifold, or an op
+bound exponent pair that fails its screen), 3 = numerical
 domain error, a torus function that is not 1-periodic, or a result that
 is not finite.  Every report echoes the fully resolved run configuration
 under "config", so a run is reproducible from its own output.  Rational
@@ -187,8 +189,6 @@ def _build_parser() -> _Parser:
     c.add_argument("--s", type=_NORM_ORDER, required=True)
     c.add_argument("--p", type=_INTEGRABILITY, default="2")
     c.add_argument("--grid", type=_GRID, default=None)
-    c.add_argument("--variant", default="seminorm",
-                   choices=["seminorm", "full"])
     c.add_argument("--seminorm", action="store_true",
                    help="with 0 < s < 1: the fractional seminorm alone")
 
@@ -256,22 +256,30 @@ def _config_echo(args) -> dict:
 
 
 def _load_manifold(args):
-    cfg_path = getattr(args, "atlas_config", None)
-    if cfg_path:
-        with open(cfg_path) as fh:
+    """(atlas, partition of unity, metric) of --manifold, rebuilt from
+    --atlas-config where given."""
+    path = getattr(args, "atlas_config", None)
+    if not path:
+        return atlas_mod.builtin_manifold(args.manifold)
+    try:
+        with open(path) as fh:
             cfg = json.load(fh)
-        atlas, pou = atlas_mod.atlas_from_config(cfg)
-        if pou is None:
-            pou = atlas_mod.build_partition_of_unity(atlas)
-        return atlas, pou, builtin_metric(atlas)
-    return atlas_mod.builtin_manifold(args.manifold)
+    except (OSError, ValueError) as err:  # ValueError: not JSON
+        raise UsageError(f"cannot read --atlas-config as JSON: {err}") \
+            from None
+    atlas, pou = atlas_mod.atlas_from_config(cfg)
+    if atlas.manifold != args.manifold:
+        raise UsageError(f"--atlas-config describes {atlas.manifold!r}, "
+                         f"not --manifold {args.manifold!r}")
+    if pou is None:
+        pou = atlas_mod.build_partition_of_unity(atlas)
+    return atlas, pou, builtin_metric(atlas)
 
 
-def _pou_by_name(atlas, name):
-    if name == "alt":
-        return atlas_mod.build_partition_of_unity(
-            atlas, atlas_mod.alternate_seeds(atlas), "alt")
-    return atlas_mod.build_partition_of_unity(atlas)
+def _alt_pou(atlas):
+    """The partition of unity from the atlas's alternate bump seeds."""
+    return atlas_mod.build_partition_of_unity(
+        atlas, atlas_mod.alternate_seeds(atlas), "alt")
 
 
 def _dispatch(args) -> tuple[dict, int]:
@@ -293,15 +301,14 @@ def _dispatch(args) -> tuple[dict, int]:
                 raise UsageError("--seminorm needs 0 < s < 1")
             rep = quad.gagliardo_seminorm(expr, box, theta=s, p=p, N=args.grid)
         else:
-            rep = quad.sobolev_norm(expr, box, s=s, p=p, N=args.grid,
-                                    variant=args.variant)
+            rep = quad.sobolev_norm(expr, box, s=s, p=p, N=args.grid)
         return rep, 0
 
     if cmd == "norm" and args.norm_command == "manifold":
         _check_grid(args.grid, args.e)
         atlas, pou, g = _load_manifold(args)
-        if getattr(args, "pou", "default") == "alt":
-            pou = _pou_by_name(atlas, "alt")
+        if args.pou == "alt":
+            pou = _alt_pou(atlas)
         u = TensorField.from_ambient(atlas, args.expr)
         e = float(ex.rational(args.e))
         q = float(ex.rational(args.q))
@@ -333,7 +340,7 @@ def _dispatch(args) -> tuple[dict, int]:
         if args.against == "connection":
             b = mn.NormVariant("connection", metric=g, pou=pou)
         else:
-            b = mn.NormVariant("chart", pou=_pou_by_name(atlas, "alt"))
+            b = mn.NormVariant("chart", pou=_alt_pou(atlas))
         out = mn.compare_norms(family, a, b, e=float(ex.rational(args.e)),
                                q=float(ex.rational(args.q)), N=args.grid)
         return out, 0
@@ -357,12 +364,11 @@ def _dispatch(args) -> tuple[dict, int]:
         atlas, pou, g = _load_manifold(args)
         family = [TensorField.from_ambient(atlas, t)
                   for t in args.expr]
-        route = args.route or ("box" if atlas.family == "torus" else "chart")
-        if route == "box" and atlas.family != "torus":
+        if args.route == "box" and atlas.family != "torus":
             raise UsageError("--route box integrates one exact period; it "
                              "applies to the torus manifolds")
         out = ops.empirical_bound(args.op_id, g, frm, to, family,
-                                  N=args.grid, route=route, pou=pou)
+                                  N=args.grid, route=args.route, pou=pou)
         return out, 0
 
     if cmd == "atlas" and args.atlas_command == "show":
@@ -413,7 +419,7 @@ def execute(argv=None) -> int:
         report, code = _dispatch(args)
     except (UsageError, ExprSyntaxError, ex.ExponentError,
             ex.DimensionMismatch, ex.WrongDomainClass,
-            atlas_mod.UnknownManifold) as err:
+            atlas_mod.UnknownManifold, atlas_mod.AtlasConfigError) as err:
         _emit({"schema": "v1", "error": str(err),
                "config": _config_echo(args)}, args.pretty, args.output)
         return 2

@@ -24,10 +24,6 @@ class ExponentError(ValueError):
     """Invalid exponent data (p out of range, float input, ...)."""
 
 
-class InfiniteIntegrabilityError(ExponentError):
-    """p = infinity is representable for classification but not checkable."""
-
-
 class DimensionMismatch(ValueError):
     pass
 
@@ -42,9 +38,6 @@ def rational(x) -> Fraction:
         raise ExponentError(
             "floats are not accepted here; pass an int, Fraction or string")
     return Fraction(x)
-
-
-INFINITY = "inf"
 
 
 class DomainClass(Enum):
@@ -64,41 +57,17 @@ _OPEN_CLASSES = (
 
 @dataclass(frozen=True)
 class Exponent:
-    """Smoothness order s (any rational) and integrability p in (1, inf).
-
-    ``p`` may be the string ``"inf"`` purely to classify a space; every
-    checker rejects infinite p with :class:`InfiniteIntegrabilityError`.
-    """
+    """Smoothness order s (any rational) and integrability p in (1, inf)."""
 
     s: Fraction
-    p: Fraction | str
+    p: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "s", rational(self.s))
-        if self.p == INFINITY:
-            return
         p = rational(self.p)
         if p <= 1:
             raise ExponentError(f"integrability p must satisfy p > 1, got {p}")
         object.__setattr__(self, "p", p)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.p == INFINITY
-
-    def fractional_part(self) -> Fraction:
-        k = self.s.numerator // self.s.denominator  # floor for any sign
-        return self.s - k
-
-    def is_exceptional(self) -> bool:
-        """True when s - 1/p is an integer."""
-        self._require_finite()
-        return (self.s - 1 / self.p).denominator == 1
-
-    def _require_finite(self):
-        if self.is_infinite:
-            raise InfiniteIntegrabilityError(
-                "p = inf is allowed for classification only, not for checks")
 
 
 @dataclass(frozen=True)
@@ -127,7 +96,6 @@ class SpaceSpec:
 
     @property
     def p(self) -> Fraction:
-        self.exponent._require_finite()
         return self.exponent.p
 
 
@@ -514,7 +482,7 @@ def check_derivative(spec: SpaceSpec, order: int) -> Verdict:
     """Decide whether d^alpha maps W^{s,p} into W^{s-|alpha|,p}."""
     order = int(order)
     if order < 1:
-        raise ValueError(f"derivative order must be >= 1, got {order}")
+        raise ExponentError(f"derivative order must be >= 1, got {order}")
     s, p = spec.s, spec.p
     domain = spec.domain_class
     target = (s - order, p)
@@ -561,7 +529,6 @@ def check_extension(spec: SpaceSpec) -> Verdict:
             "extension by zero applies to compactly supported spaces "
             f"(domain class 'compact-support'), got '{spec.domain_class.value}'")
     s = spec.s
-    spec.p  # force the finite-p validation
 
     candidates: list[tuple[str, _Trace]] = []
 

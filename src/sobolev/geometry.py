@@ -26,7 +26,7 @@ from sobolev.funcexpr import (
 
 __all__ = [
     "MetricField", "ChristoffelField", "TensorField", "builtin_metric",
-    "christoffel", "covariant_derivative", "fiber_norm", "musical",
+    "christoffel", "covariant_derivative", "fiber_norm_values", "musical",
     "scalar_field", "transform_components",
     "check_overlap_consistency",
 ]
@@ -93,7 +93,6 @@ class MetricField:
     _christoffel: list = dataclass_field(init=False)
 
     def __post_init__(self):
-        n = self.atlas.dim
         self.inv_comps = []
         self.sqrt_det = []
         self._christoffel = []
@@ -298,48 +297,33 @@ def fiber_norm_values(field: TensorField, g: MetricField, chart: int,
     return np.sqrt(np.maximum(total, 0.0))
 
 
-def fiber_norm(field: TensorField, g: MetricField, chart: int, point) -> float:
-    """Pointwise fiber norm at a single chart-coordinate point."""
-    pt = np.asarray(point, dtype=float).reshape(1, -1)
-    return float(fiber_norm_values(field, g, chart, pt)[0])
+def musical(field: TensorField, g: MetricField, direction: str) -> TensorField:
+    """Lower ("flat") or raise ("sharp") the first index of its group by
+    metric contraction.
 
-
-def musical(field: TensorField, g: MetricField, direction: str,
-            slot: int = 0) -> TensorField:
-    """Lower ("flat") or raise ("sharp") one index by metric contraction.
-
-    ``slot`` picks the index within its group (0-based); the moved index
-    lands at the front of the other group, so sharp(flat(X)) returns the
-    original component layout.
+    The moved index lands at the front of the other group, so
+    sharp(flat(X)) returns the original component layout.
     """
-    n = field.atlas.dim
-    if direction == "flat":
-        if not 0 <= slot < field.l_con:
-            raise ValueError("flat needs a contravariant slot")
-    elif direction == "sharp":
-        if not 0 <= slot < field.k_cov:
-            raise ValueError("sharp needs a covariant slot")
-    else:
+    if direction not in ("flat", "sharp"):
         raise ValueError("direction must be 'flat' or 'sharp'")
-
-    if direction == "flat":
-        new_l, new_k = field.l_con - 1, field.k_cov + 1
-    else:
-        new_l, new_k = field.l_con + 1, field.k_cov - 1
+    flat = direction == "flat"
+    if not (field.l_con if flat else field.k_cov):
+        raise ValueError("flat needs a contravariant slot" if flat
+                         else "sharp needs a covariant slot")
+    shift = -1 if flat else 1
+    n, new_l, new_k = field.atlas.dim, field.l_con + shift, field.k_cov - shift
     new_comps = []
     for ci in range(len(field.atlas.charts)):
         block = []
-        mat = g.comps[ci] if direction == "flat" else g.inv_comps[ci]
+        mat = g.comps[ci] if flat else g.inv_comps[ci]
         for con, cov in _positions(n, new_k, new_l):
-            if direction == "flat":
-                olds = [field.component(
-                    ci, con[:slot] + (b,) + con[slot:], cov[1:])
-                    for b in range(n)]
+            if flat:
+                olds = [field.component(ci, (b,) + con, cov[1:])
+                        for b in range(n)]
                 row = mat[cov[0]]
             else:
-                olds = [field.component(
-                    ci, con[1:], cov[:slot] + (b,) + cov[slot:])
-                    for b in range(n)]
+                olds = [field.component(ci, con[1:], (b,) + cov)
+                        for b in range(n)]
                 row = mat[con[0]]
             block.append(sum_exprs(mul(row[b], olds[b]) for b in range(n)))
         new_comps.append(tuple(block))

@@ -117,7 +117,7 @@ def _chart_domain_class(atlas: Atlas) -> DomainClass:
 
 
 def empirical_bound(op_id: str, g: MetricField, from_exponents,
-                    to_exponents, family, N=None, route: str = "box",
+                    to_exponents, family, N=None, route: str | None = None,
                     pou: PartitionOfUnity | None = None) -> Report:
     """Empirical norm of the operator ``op_id`` with the metric ``g``: sup
     over the family of ||op u||_{to} / ||u||_{from}, at two grid
@@ -130,7 +130,8 @@ def empirical_bound(op_id: str, g: MetricField, from_exponents,
     cover, or a target order above ``e - order``, raises
     :class:`~sobolev.exponents.ExponentError`.  The ratio at the worst
     function is then recomputed with that function scaled by
-    ``SCALE_CHECK``.
+    ``SCALE_CHECK``.  Without ``route`` the norms take the "box" route
+    on a torus and the "chart" route on any other manifold.
     """
     if not family:
         raise ValueError("the function family is empty")
@@ -152,6 +153,8 @@ def empirical_bound(op_id: str, g: MetricField, from_exponents,
     if et > e - order:
         raise ExponentError(
             f"target order {et} exceeds the declared map (e - {order})")
+    if route is None:
+        route = "box" if atlas.family == "torus" else "chart"
     if pou is None and route == "chart":
         pou = build_partition_of_unity(atlas)
 

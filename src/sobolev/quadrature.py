@@ -148,11 +148,9 @@ class GridFunction:
     def restrict(self, sub: BoxDomain) -> "GridFunction":
         """Restriction by exact index slicing onto an aligned sub-box."""
         slices = []
-        hs = []
         for (lo, hi), (slo, shi), k in zip(self.domain.bounds, sub.bounds,
                                            self.shape):
             h = (hi - lo) / k
-            hs.append(h)
             i0 = (slo - lo) / h
             i1 = (shi - lo) / h
             if abs(i0 - round(i0)) > 1e-9 or abs(i1 - round(i1)) > 1e-9:
@@ -419,21 +417,19 @@ def _derivative(f: Field, nu) -> Field:
     return g
 
 
-def sobolev_norm(u, box: BoxDomain, s: float, p: float = 2.0, N=None,
-                 variant: str = "seminorm") -> Report:
+def sobolev_norm(u, box: BoxDomain, s: float, p: float = 2.0,
+                 N=None) -> Report:
     """W^{s,p} norm: lower-order L^p terms plus top-order fractional terms.
 
     value = sum_{|nu| <= k} ||d^nu u||_p  +  sum_{|nu| = k} |d^nu u|_{theta,p}
-    with k = floor(s), theta = s - k.  ``variant="full"`` additionally
-    counts the L^p norm of each top-order derivative inside its
-    fractional term (the equivalent-norm variant); both values and their
-    ratio are always reported.
+    with k = floor(s), theta = s - k.  ``extras`` also carries the
+    equivalent full Slobodeckij form, which counts the L^p norm of each
+    top-order derivative once more inside its fractional term, and its
+    ratio to ``value``; its error is not estimated.
     """
     s = float(s)
     if s < 0:
         raise ValueError(f"smoothness s must be >= 0 here, got {s}")
-    if variant not in ("seminorm", "full"):
-        raise ValueError("variant must be 'seminorm' or 'full'")
     p = _check_p(p)
     f = as_field(u, box.n)
     shape = grid_shape(box.n, N)
@@ -441,37 +437,29 @@ def sobolev_norm(u, box: BoxDomain, s: float, p: float = 2.0, N=None,
     theta = s - k
 
     terms = []
-    top = []  # the L^p terms of the top-order derivatives
     err = 0.0
-    value_semi = 0.0
+    value = 0.0
+    top_lp = 0.0  # the L^p norms of the top-order derivatives, summed
     for nu in multi_indices(box.n, k):
         dnu = _derivative(f, nu)
         rep = lp_norm(dnu, box, p, shape)
         terms.append({"kind": "lp", "multi_index": list(nu), "p": p,
                       "value": rep.value})
-        value_semi += rep.value
+        value += rep.value
         err += rep.error_estimate
-        if sum(nu) == k:
-            top.append({"kind": "lp (fractional-term part)",
-                        "multi_index": list(nu), "p": p, "value": rep.value})
         if theta > 0.0 and sum(nu) == k:
+            top_lp += rep.value
             grep = gagliardo_seminorm(dnu, box, theta, p, shape)
             terms.append({"kind": "gagliardo", "multi_index": list(nu),
                           "theta": theta, "p": p, "value": grep.value})
-            value_semi += grep.value
+            value += grep.value
             err += grep.error_estimate
 
-    top_lp = sum(t["value"] for t in top)
-    value_full = value_semi + (top_lp if theta > 0.0 else 0.0)
-    value = value_full if variant == "full" else value_semi
-    if variant == "full" and theta > 0.0:
-        terms += top
-
-    extras = {"variant": variant,
-              "seminorm_variant_value": value_semi,
+    value_full = value + top_lp
+    extras = {"variant": "seminorm", "seminorm_variant_value": value,
               "full_variant_value": value_full}
-    if value_semi > 0:
-        extras["variant_ratio"] = value_full / value_semi
+    if value > 0:
+        extras["variant_ratio"] = value_full / value
     return _norm_report(value, terms, _grid_meta(box, shape), err, extras)
 
 
@@ -509,7 +497,7 @@ def extend_by_zero(u, inner: BoxDomain, outer: BoxDomain,
         sl[ax] = shape[ax] - 1
         margin_mask[tuple(sl)] = True
     worst = float(np.max(np.abs(vals[margin_mask]))) if margin_mask.any() else 0.0
-    boundary_pts = _boundary_probe(inner, shape)
+    boundary_pts = _boundary_probe(inner)
     worst = max(worst, float(np.max(np.abs(f.values(boundary_pts)))))
     if worst > _SUPPORT_TOL:
         raise SupportViolation(
@@ -538,18 +526,14 @@ def extend_by_zero(u, inner: BoxDomain, outer: BoxDomain,
                         Field(Piecewise(interior, f.expr, ZERO), inner.n))
 
 
-def _boundary_probe(box: BoxDomain, shape, per_facet: int = 64):
-    """Deterministic probe points on each boundary facet."""
+def _boundary_probe(box: BoxDomain):
+    """Deterministic probe points, 64 on each boundary facet."""
+    t = (np.arange(64) + 0.5) / 64
     pts = []
-    n = box.n
-    for ax in range(n):
+    for ax in range(box.n):
         for side in (0, 1):
-            facet = []
-            for j, ((lo, hi), k) in enumerate(zip(box.bounds, shape)):
-                if j == ax:
-                    facet.append(np.full(per_facet, lo if side == 0 else hi))
-                else:
-                    t = (np.arange(per_facet) + 0.5) / per_facet
-                    facet.append(lo + t * (hi - lo))
-            pts.append(np.stack(facet, axis=1))
+            pts.append(np.stack([
+                np.full_like(t, (lo, hi)[side]) if j == ax
+                else lo + t * (hi - lo)
+                for j, (lo, hi) in enumerate(box.bounds)], axis=1))
     return np.concatenate(pts, axis=0)

@@ -158,14 +158,14 @@ class TestLocalRepresentation:
         atlas, _, _ = s1
         # ambient x1 restricted to the circle, in chart-0 coordinates:
         # x = 2t/(1+t^2)
-        f = atlas.local_representation(parse_expr("x1", 2), 0)
+        f = atlas.local_representations(parse_expr("x1", 2))[0]
         t = np.array([[0.3], [2.0]])
         assert np.allclose(eval_on_points(f, t),
                            2 * t[:, 0] / (1 + t[:, 0] ** 2), rtol=1e-14)
 
     def test_torus_periodic_shift(self, t1):
         atlas, _, _ = t1
-        f = atlas.local_representation(parse_expr("sin(2*pi*x1)", 1), 1)
+        f = atlas.local_representations(parse_expr("sin(2*pi*x1)", 1))[1]
         # chart 1 has image (1/2, 3/2); value at 1.25 equals value at 0.25
         t = np.array([[1.25], [0.75]])
         vals = eval_on_points(f, t)
@@ -175,8 +175,7 @@ class TestLocalRepresentation:
     def test_overlap_agreement_for_periodic_input(self, t1):
         atlas, _, _ = t1
         u = parse_expr("sin(2*pi*x1) + 0.5*cos(2*pi*x1)", 1)
-        f0 = atlas.local_representation(u, 0)
-        f1 = atlas.local_representation(u, 1)
+        f0, f1 = atlas.local_representations(u)
         tm = TransitionMap(atlas, 0, 1)
         t = np.linspace(0.06, 0.94, 41).reshape(-1, 1)
         t = t[tm.domain_mask(t)]  # drop the chart-1 seam point
@@ -188,8 +187,10 @@ class TestLocalRepresentation:
     def test_torus_function_is_its_own_representation(self, request, torus):
         atlas, _, _ = request.getfixturevalue(torus)
         u = parse_expr("sin(2*pi*x1) + cos(2*pi*x1)^2", atlas.ambient_dim)
-        for ci in range(len(atlas.charts)):
-            assert atlas.local_representation(u, ci) is u
+        reps = atlas.local_representations(u)
+        assert len(reps) == len(atlas.charts)
+        for f in reps:
+            assert f is u
 
     @pytest.mark.parametrize("torus, text", [
         ("t1", "x1"), ("t1", "exp(x1)"), ("t2", "x1*x2"), ("t2", "x2"),
@@ -200,9 +201,8 @@ class TestLocalRepresentation:
     def test_non_periodic_input_rejected(self, request, torus, text):
         atlas, _, _ = request.getfixturevalue(torus)
         u = parse_expr(text, atlas.ambient_dim)
-        for ci in range(len(atlas.charts)):
-            with pytest.raises(PeriodicityError, match="not 1-periodic"):
-                atlas.local_representation(u, ci)
+        with pytest.raises(PeriodicityError, match="not 1-periodic"):
+            atlas.local_representations(u)
 
     @pytest.mark.parametrize("torus, text", [
         ("t1", "0"), ("t1", "3"), ("t1", "abs(sin(pi*x1))"),
@@ -211,7 +211,7 @@ class TestLocalRepresentation:
     def test_periodic_input_accepted(self, request, torus, text):
         atlas, _, _ = request.getfixturevalue(torus)
         u = parse_expr(text, atlas.ambient_dim)
-        assert atlas.local_representation(u, 0) is u
+        assert atlas.local_representations(u)[0] is u
 
     @pytest.mark.parametrize("torus, text, ok", [
         ("t2", "sin(2*pi*x1)*cos(2*pi*x2)", True), ("t2", "x2", False),
@@ -236,9 +236,13 @@ class TestLocalRepresentation:
     def test_sphere_representations_are_per_chart(self, s2):
         atlas, _, _ = s2
         u = parse_expr("x1*x3 + x2", atlas.ambient_dim)
-        assert atlas.local_representations(u) == [
-            atlas.local_representation(u, ci)
-            for ci in range(len(atlas.charts))]
+        reps = atlas.local_representations(u)
+        assert len(reps) == len(atlas.charts)
+        t = np.array([[0.3, -0.4], [1.5, 2.0], [0.0, 0.0]])
+        for chart, f in zip(atlas.charts, reps):
+            assert np.allclose(eval_on_points(f, t),
+                               eval_on_points(u, chart.to_manifold(t)),
+                               rtol=1e-13, atol=1e-15)
 
 
 class TestConfigRoundTrip:

@@ -126,6 +126,10 @@ class TestNormCommands:
          "--to=-2,2", "--expr", "sin(2*pi*x1)"),
         ("op", "bound", "--manifold", "torus1", "--op", "d", "--from", "1,2",
          "--to=-1,2", "--expr", "sin(2*pi*x1)"),
+        # a derivative order below 1
+        ("check", "derivative", "--n", "1", "--space", "1,2", "--order", "0"),
+        ("check", "derivative", "--n", "1", "--space", "1,2",
+         "--order=-2"),
     ])
     def test_malformed_arguments_are_usage_errors(self, capsys, argv):
         code, rep = run(capsys, *argv)
@@ -361,6 +365,13 @@ class TestCompareAndOps:
         assert list(rep) == ["schema", "error"]
         assert "invalid choice: 'div'" in rep["error"]
 
+    def test_unknown_manifold_message_is_plain(self, capsys):
+        code, rep = run(capsys, "norm", "manifold", "--manifold", "s9",
+                        "--expr", "x1")
+        assert code == 2
+        assert rep["error"].startswith("unknown manifold 's9'")
+        assert rep["config"]["manifold"] == "s9"
+
     def test_atlas_show(self, capsys):
         code, rep = run(capsys, "atlas", "show", "--manifold", "s2-stereo")
         assert code == 0
@@ -402,6 +413,40 @@ class TestPlumbing:
                         "--e", "0", "--grid", "64", "--intrinsic")
         assert code == 0
         assert rep["value"] == pytest.approx(1.0, rel=1e-4)
+
+    @pytest.mark.parametrize("content, manifold, message", [
+        (None, "torus1", "No such file"),
+        ("{not json", "torus1", "Expecting property name"),
+        ('["torus1"]', "torus1", "'manifold' key"),
+        ('{"family": "torus"}', "torus1", "'manifold' key"),
+        ('{"manifold": "torus1", "frobnicate": 1}', "torus1",
+         "unknown atlas-config keys"),
+        ('{"manifold": "torus1"}', "s2-stereo", "describes 'torus1'"),
+    ])
+    def test_atlas_config_faults_are_usage_errors(self, tmp_path, capsys,
+                                                  content, manifold,
+                                                  message):
+        path = tmp_path / "atlas.json"
+        if content is not None:
+            path.write_text(content)
+        code, rep = run(capsys, "atlas", "show", "--manifold", manifold,
+                        "--atlas-config", str(path))
+        assert code == 2
+        assert list(rep) == ["schema", "error", "config"]
+        assert message in rep["error"]
+        assert rep["config"]["atlas_config"] == str(path)
+
+    def test_atlas_config_seeds_that_fail_to_cover_exit_3(self, tmp_path,
+                                                          capsys):
+        seed = {"kind": "radial", "plateau": 0.2, "support": 0.3}
+        path = tmp_path / "atlas.json"
+        path.write_text(json.dumps({"manifold": "s1-stereo",
+                                    "pou": {"seeds": [seed, seed]}}))
+        code, rep = run(capsys, "norm", "manifold", "--manifold",
+                        "s1-stereo", "--atlas-config", str(path),
+                        "--expr", "1", "--e", "0", "--grid", "16")
+        assert code == 3
+        assert "do not cover" in rep["error"]
 
 
 def test_reused_parser_matches_fresh_parser(capsys):

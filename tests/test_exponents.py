@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from sobolev.exponents import (
     ADMISSIBLE, NOT_GUARANTEED, DimensionMismatch, DomainClass, Exponent,
-    ExponentError, InfiniteIntegrabilityError, SpaceSpec, WrongDomainClass,
+    ExponentError, WrongDomainClass,
     check_derivative, check_embedding, check_extension, check_multiplication,
     check_pointwise, space,
 )
@@ -26,21 +26,6 @@ class TestTypes:
     def test_floats_rejected(self):
         with pytest.raises(ExponentError):
             Exponent(0.5, Fraction(2))
-
-    def test_infinite_p_for_classification_only(self):
-        e = Exponent(Fraction(1), "inf")
-        assert e.is_infinite
-        sp = SpaceSpec(e, 2)
-        with pytest.raises(InfiniteIntegrabilityError):
-            check_pointwise(sp, "algebra")
-        with pytest.raises(InfiniteIntegrabilityError):
-            check_embedding(sp, sp)
-
-    def test_fractional_part_and_exceptional(self):
-        assert Exponent(Fraction(3, 2), Fraction(2)).fractional_part() == Fraction(1, 2)
-        assert Exponent(Fraction(-1, 2), Fraction(2)).fractional_part() == Fraction(1, 2)
-        assert Exponent(Fraction(3, 2), Fraction(2)).is_exceptional()
-        assert not Exponent(Fraction(3, 2), Fraction(3)).is_exceptional()
 
     def test_dimension_positive(self):
         with pytest.raises(ExponentError):
@@ -177,7 +162,7 @@ class TestDerivative:
         assert v.theorem_tag.startswith("derivative 3")
 
     def test_order_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ExponentError):
             check_derivative(space(1, 2, 1, FS), 0)
 
     def test_lipschitz_nonexceptional_high_order(self):

@@ -32,14 +32,9 @@ def s2():
 
 
 def vector_field(atlas, texts):
-    comps = []
-    for ci in range(len(atlas.charts)):
-        block = []
-        for t in texts:
-            block.append(atlas.local_representation(
-                parse_expr(t, atlas.ambient_dim), ci))
-        comps.append(tuple(block))
-    return TensorField(atlas, 0, 1, comps)
+    reps = [atlas.local_representations(parse_expr(t, atlas.ambient_dim))
+            for t in texts]
+    return TensorField(atlas, 0, 1, list(zip(*reps)))
 
 
 class TestLocalRepresentations:
@@ -207,6 +202,18 @@ class TestEmpiricalBound:
                               self.family(atlas, ks=(1, 2)), N=128,
                               route="chart", pou=pou)
         assert out["sup"] > 0
+
+    @pytest.mark.parametrize("manifold, text, route", [
+        ("t1", "sin(2*pi*x1)", "box"), ("s1", "x1*x2", "chart"),
+    ])
+    def test_route_follows_the_manifold_family(self, request, manifold,
+                                               text, route):
+        atlas, pou, g = request.getfixturevalue(manifold)
+        family = [TensorField.from_ambient(atlas, text)]
+        out = empirical_bound("d", g, ("1", "2"), ("0", "2"), family, N=8)
+        assert out["route"] == route
+        assert out == empirical_bound("d", g, ("1", "2"), ("0", "2"),
+                                      family, N=8, route=route, pou=pou)
 
     def test_screen_rejects_uncovered_pair(self, t1):
         atlas, _, g = t1

@@ -261,10 +261,25 @@ class TestSobolevNorm:
         assert ruv.value <= ru.value + rv.value + slack
 
     def test_value_matches_breakdown(self):
-        for variant in ("seminorm", "full"):
-            rep = sobolev_norm(X, UNIT, s=1.5, p=2, N=64, variant=variant)
-            assert rep.value == pytest.approx(
-                sum(t["value"] for t in rep.terms), rel=1e-12)
+        rep = sobolev_norm(X, UNIT, s=1.5, p=2, N=64)
+        assert rep.value == pytest.approx(
+            sum(t["value"] for t in rep.terms), rel=1e-12)
+
+    def test_full_variant_adds_the_top_order_lp_terms(self):
+        """The equivalent full Slobodeckij form counts each top-order L^p
+        term once more; extras carry it bit for bit beside the value."""
+        rep = sobolev_norm(parse_expr("sin(2*pi*x1)", 1), UNIT, s=1.5, p=2,
+                           N=64)
+        top = [t["value"] for t in rep.terms
+               if t["kind"] == "lp" and sum(t["multi_index"]) == 1]
+        assert len(top) == 1
+        full = rep.value + sum(top)
+        assert rep.extras["variant"] == "seminorm"
+        assert rep.extras["seminorm_variant_value"] == rep.value
+        assert rep.extras["full_variant_value"] == full
+        assert rep.extras["variant_ratio"] == full / rep.value
+        assert rep.value == pytest.approx(28.653527291116824, rel=1e-12)
+        assert full == pytest.approx(33.09641022927519, rel=1e-12)
 
     def test_variant_ratio_reported(self):
         rep = sobolev_norm(parse_expr("sin(2*pi*x1)", 1), UNIT, s=0.5, p=2, N=64)

@@ -77,8 +77,7 @@ def test_divergence_integral_keys():
     atlas, pou, g = builtin_manifold("torus1")
     u = parse_expr("sin(2*pi*x1)", atlas.ambient_dim)
     X = TensorField(atlas, 0, 1, [
-        (atlas.local_representation(u, ci),)
-        for ci in range(len(atlas.charts))])
+        (f,) for f in atlas.local_representations(u)])
     rep = as_json(divergence_integral(X, g, pou, N=32))
     assert list(rep) == ["schema", "kind", "value", "error_estimate"]
     assert rep["kind"] == "divergence_integral"
