@@ -41,13 +41,14 @@ print(f"W^(3/2,2) norm of x = {rep.value:.6f} "
 for t in rep.terms:
     print(f"   {t['kind']:<10} d^{t['multi_index']}  -> {t['value']:.6f}")
 
-# Extension by zero of a mollifier bump: restriction returns the exact
-# samples, and the norm over the larger box dominates the inner norm.
+# Extension by zero of a mollifier bump: the extension is the expression
+# Piecewise(open unit interval, bump, 0), and its norm over the larger box
+# dominates the inner norm.
 bump = box_bump(1, ("1/2",), "1/5", "2/5")
 outer = BoxDomain(((-1.0, 2.0),))
 ext = extend_by_zero(bump, unit, outer, N=256)
 for s in (0.0, 0.5, 1.0):
     inner_v = sobolev_norm(bump, unit, s=s, p=2, N=256).value
-    outer_v = sobolev_norm(ext.source, outer, s=s, p=2, N=768).value
+    outer_v = sobolev_norm(ext, outer, s=s, p=2, N=768).value
     print(f"s = {s}:  ||u||_inner = {inner_v:.6f}   "
           f"||ext u||_outer = {outer_v:.6f}   (>= holds)")

@@ -507,13 +507,15 @@ def _builtin_atlas(name: str, trunc_radius: float = 4.0) -> Atlas:
 _CONFIG_KEYS = {"schema", "kind", "manifold", "family", "dim",
                 "classification", "gl_self_compatible", "params", "charts",
                 "pou"}
+_SEED_KEYS = {"kind", "plateau", "support", "center"}
 
 
 def atlas_from_config(config: dict):
     """Rebuild a built-in-family atlas (and optional partition of unity)
     from its JSON descriptor.  A descriptor that is not an object with a
-    ``manifold`` key, or that has unknown keys, raises
-    :class:`AtlasConfigError`."""
+    ``manifold`` key, that has unknown keys, a non-numeric truncation
+    radius or malformed bump seeds (see :func:`_seed_from_config`), or
+    not one seed per chart, raises :class:`AtlasConfigError`."""
     if not isinstance(config, dict) or "manifold" not in config:
         raise AtlasConfigError(
             "an atlas config is a JSON object with a 'manifold' key")
@@ -523,19 +525,48 @@ def atlas_from_config(config: dict):
     params = config.get("params", {})
     if set(params) - {"truncation_radius"}:
         raise AtlasConfigError("unknown atlas-config params")
-    atlas = _builtin_atlas(config["manifold"],
-                           float(params.get("truncation_radius", 4.0)))
+    radius = _config_number(params.get("truncation_radius", 4.0),
+                            "params.truncation_radius")
+    atlas = _builtin_atlas(config["manifold"], radius)
     pou = None
     if "pou" in config:
-        seeds = []
-        for s in config["pou"].get("seeds", []):
-            unknown = set(s) - {"kind", "plateau", "support", "center"}
-            if unknown:
-                raise AtlasConfigError(
-                    f"unknown bump-seed keys: {sorted(unknown)}")
-            seeds.append(BumpSeed(s["kind"], float(s["plateau"]),
-                                  float(s["support"]),
-                                  tuple(s.get("center", ()))))
+        seeds = [_seed_from_config(s, atlas.dim)
+                 for s in config["pou"].get("seeds", [])]
+        if len(seeds) != len(atlas.charts):
+            raise AtlasConfigError(
+                f"{atlas.manifold} has {len(atlas.charts)} charts, so its "
+                f"pou needs as many bump seeds, got {len(seeds)}")
         pou = build_partition_of_unity(
             atlas, seeds, name=config["pou"].get("name", "custom"))
     return atlas, pou
+
+
+def _config_number(value, what: str) -> float:
+    if not isinstance(value, (int, float)):
+        raise AtlasConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _seed_from_config(s, dim: int) -> BumpSeed:
+    """The bump seed of one JSON object: ``kind`` radial or box, numeric
+    ``plateau`` and ``support``, and for a box seed a ``center`` of
+    ``dim`` numbers."""
+    if not isinstance(s, dict) or set(s) - _SEED_KEYS:
+        raise AtlasConfigError(f"a bump seed is a JSON object with keys "
+                               f"among {sorted(_SEED_KEYS)}, got {s!r}")
+    missing = {"kind", "plateau", "support"} - set(s)
+    if missing:
+        raise AtlasConfigError(f"bump seed without {sorted(missing)}")
+    if s["kind"] not in ("radial", "box"):
+        raise AtlasConfigError(
+            f"unknown bump-seed kind {s['kind']!r}; known: radial, box")
+    center = s.get("center", [])
+    if not isinstance(center, list) or (s["kind"] == "box"
+                                        and len(center) != dim):
+        raise AtlasConfigError(f"a box seed needs a center of {dim} numbers")
+    plateau = _config_number(s["plateau"], "plateau")
+    support = _config_number(s["support"], "support")
+    if not 0 < plateau < support:
+        raise AtlasConfigError("a bump seed needs 0 < plateau < support")
+    return BumpSeed(s["kind"], plateau, support,
+                    tuple(_config_number(c, "center") for c in center))

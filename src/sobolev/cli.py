@@ -29,7 +29,7 @@ from sobolev import quadrature as quad
 from sobolev.funcexpr import ExprDomainError, ExprSyntaxError, parse_expr
 from sobolev.geometry import TensorField, builtin_metric
 
-__all__ = ["main", "execute"]
+__all__ = ["execute"]
 
 
 class UsageError(ValueError):
@@ -450,9 +450,5 @@ def _emit(report: dict, pretty: bool, output: str | None):
             fh.write(text + "\n")
 
 
-def main(argv=None) -> int:
-    return execute(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(execute())

@@ -125,12 +125,6 @@ class MetricField:
                     gamma[k][j][i] = val
         return ChristoffelField(self.atlas, ci, gamma)
 
-    def matrix_values(self, ci: int, pts: np.ndarray, inverse=False) -> np.ndarray:
-        n = self.atlas.dim
-        comps = self.inv_comps[ci] if inverse else self.comps[ci]
-        return eval_many([e for row in comps for e in row],
-                         pts).reshape(-1, n, n)
-
 
 def builtin_metric(atlas: Atlas) -> MetricField:
     """Round metric for the stereographic atlases, flat for tori."""

@@ -12,12 +12,14 @@ Three norm routes are provided:
 * the connection norm for integer k: the q-sum of intrinsic L^q norms
   of iterated covariant derivatives.
 
-The intrinsic routes integrate sum_alpha psi_alpha (...) sqrt(det g)
-chart by chart.  Each samples a chart grid once: the midpoints, the cell
-volume, and psi_alpha and sqrt(det g) there, shared by every integrand
-on that grid (all orders of the connection norm).  psi_alpha and
-sqrt(det g) are kept as separate arrays so that each integrand is still
-multiplied as psi * X * sqrt(det g), in that order, which keeps the bits.
+The intrinsic routes (and ``operators.divergence_integral``) integrate
+sum_alpha psi_alpha X sqrt(det g) chart by chart through one helper,
+:func:`_intrinsic_integrals`, which takes its two grids from
+``quadrature._two_grid``.  On each grid it samples every chart's
+midpoints, psi_alpha and sqrt(det g) once, shared by all integrands (all
+orders of the connection norm).  psi_alpha and sqrt(det g) are kept as
+separate arrays so that each integrand is still multiplied as
+psi * X * sqrt(det g), in that order, which keeps the bits.
 
 Equivalence statements between routes are verified empirically as ratio
 brackets over function families; no equivalence constants are claimed.
@@ -33,13 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sobolev.atlas import Atlas, PartitionOfUnity, build_partition_of_unity
+from sobolev.atlas import PartitionOfUnity, build_partition_of_unity
 from sobolev.funcexpr import eval_on_points, mul
 from sobolev.geometry import (
     MetricField, TensorField, covariant_derivative, fiber_norm_values,
 )
 from sobolev.quadrature import (
-    BoxDomain, Report, _check_p, _norm_report, coarse_shape, grid_shape,
+    BoxDomain, Report, _check_p, _norm_report, _two_grid, grid_shape,
     midpoint_grid, sobolev_norm,
 )
 
@@ -56,25 +58,24 @@ __all__ = [
 SCALE_CHECK = 5.0
 
 
-def _chart_grids(atlas: Atlas, g: MetricField, pou: PartitionOfUnity,
-                 shape) -> list:
-    """Per chart, in chart order: (midpoints, cell volume, psi_alpha
-    values, sqrt(det g) values) on the midpoint grid of ``shape``."""
-    grids = []
-    for ci, chart in enumerate(atlas.charts):
-        pts, cellvol, _ = midpoint_grid(chart.truncation, shape)
-        grids.append((pts, cellvol, eval_on_points(pou.fields[ci], pts),
-                      eval_on_points(g.sqrt_det[ci], pts)))
-    return grids
-
-
-def _pou_integral(integrand, grids) -> list:
-    """integral psi_alpha X sqrt(det g) over each chart of ``grids`` (from
-    :func:`_chart_grids`) with X = integrand(chart index, points): the
-    per-chart contributions, in chart order, which sum to the integral
+def _intrinsic_integrals(integrands, g: MetricField, pou: PartitionOfUnity,
+                         shape):
+    """The chart integrals of psi_alpha X sqrt(det g), for each integrand
+    X(chart index, points), on the grid of ``shape`` and on its coarse
+    grid: a pair (fine, coarse) of lists, one per integrand, of the
+    per-chart contributions in chart order, which sum to the integral
     over M."""
-    return [float(np.sum(psi * integrand(ci, pts) * dens) * cellvol)
-            for ci, (pts, cellvol, psi, dens) in enumerate(grids)]
+    def at(shp):
+        rows = [[] for _ in integrands]
+        for ci, chart in enumerate(g.atlas.charts):
+            pts, cellvol, _ = midpoint_grid(chart.truncation, shp)
+            psi = eval_on_points(pou.fields[ci], pts)
+            dens = eval_on_points(g.sqrt_det[ci], pts)
+            for row, integrand in zip(rows, integrands):
+                row.append(float(np.sum(psi * integrand(ci, pts) * dens)
+                                 * cellvol))
+        return rows
+    return _two_grid(at, shape)
 
 
 def manifold_lq_norm(u: TensorField, g: MetricField,
@@ -93,14 +94,11 @@ def manifold_lq_norm(u: TensorField, g: MetricField,
     q = _check_p(q)
     shape = grid_shape(atlas.dim, N)
 
-    def lq_power(shp):
-        return _pou_integral(
-            lambda ci, pts: fiber_norm_values(u, g, ci, pts) ** q,
-            _chart_grids(atlas, g, pou, shp))
-
-    per_chart = lq_power(shape)
+    (per_chart,), (coarse,) = _intrinsic_integrals(
+        [lambda ci, pts: fiber_norm_values(u, g, ci, pts) ** q], g, pou,
+        shape)
     value = sum(per_chart) ** (1.0 / q)
-    err = abs(value - sum(lq_power(coarse_shape(shape))) ** (1.0 / q))
+    err = abs(value - sum(coarse) ** (1.0 / q))
 
     chart_sum = chart_sobolev_norm(u, pou, e=0, q=q, N=shape)
     extras = {"intrinsic_value": value, "chart_sum_value": chart_sum.value}
@@ -162,15 +160,14 @@ def connection_sobolev_norm(u: TensorField, g: MetricField, k: int = 1,
     for _ in range(k):
         derivatives.append(covariant_derivative(derivatives[-1], g, 1))
 
-    def powers(shp):
-        grids = _chart_grids(atlas, g, pou, shp)
-        return [sum(_pou_integral(
-            lambda ci, pts: fiber_norm_values(t, g, ci, pts) ** q, grids))
-            for t in derivatives]
+    def lq_integrand(t):
+        return lambda ci, pts: fiber_norm_values(t, g, ci, pts) ** q
 
-    fine = powers(shape)
+    fine, coarse = _intrinsic_integrals(
+        [lq_integrand(t) for t in derivatives], g, pou, shape)
+    fine = list(map(sum, fine))
     value = sum(fine) ** (1.0 / q)
-    err = abs(value - sum(powers(coarse_shape(shape))) ** (1.0 / q))
+    err = abs(value - sum(map(sum, coarse)) ** (1.0 / q))
     terms = [{"order": i, "lq_value": power ** (1.0 / q)}
              for i, power in enumerate(fine)]
     return _norm_report(

@@ -37,9 +37,9 @@ from sobolev.geometry import (
     MetricField, TensorField, covariant_derivative, musical,
 )
 from sobolev.manifold_norms import (
-    SCALE_CHECK, NormVariant, _chart_grids, _pou_integral,
+    SCALE_CHECK, NormVariant, _intrinsic_integrals,
 )
-from sobolev.quadrature import Report, coarse_shape, grid_shape
+from sobolev.quadrature import Report, _two_grid, grid_shape
 
 __all__ = [
     "ValenceMismatch", "apply_operator", "empirical_bound",
@@ -169,8 +169,7 @@ def empirical_bound(op_id: str, g: MetricField, from_exponents,
             ratios.append(norm(image, et, qt, resolution) / nu)
         return ratios
 
-    ratios = sup_at(shape)
-    coarse = sup_at(coarse_shape(shape))
+    ratios, coarse = _two_grid(sup_at, shape)
     sup_fine = max(ratios)
     sup_coarse = max(coarse)
     # scale invariance spot check on the worst function
@@ -197,18 +196,12 @@ def divergence_integral(X: TensorField, g: MetricField,
     as the intrinsic integral of the scalar div X through the partition
     of unity.
     """
-    atlas = X.atlas
     divX = apply_operator("div", g, X)
     if pou is None:
-        pou = build_partition_of_unity(atlas)
-    shape = grid_shape(atlas.dim, N)
-
-    def signed_integral(shp):
-        return sum(_pou_integral(
-            lambda ci, pts: eval_on_points(divX.comps[ci][0], pts),
-            _chart_grids(atlas, g, pou, shp)))
-
-    value = signed_integral(shape)
-    coarse = signed_integral(coarse_shape(shape))
+        pou = build_partition_of_unity(X.atlas)
+    (fine,), (coarse,) = _intrinsic_integrals(
+        [lambda ci, pts: eval_on_points(divX.comps[ci][0], pts)], g, pou,
+        grid_shape(X.atlas.dim, N))
+    value = sum(fine)
     return Report("divergence_integral", value=value,
-                  error_estimate=abs(value - coarse))
+                  error_estimate=abs(value - sum(coarse)))

@@ -15,8 +15,11 @@ O(M log M) for M = N^n cells; for any other p all M^2/2 pairs are
 visited, one kernel block per axis-0 offset.  The defaults are N=256 for
 n=1 and N=64 for n=2.
 
-Error estimates are two-grid differences (value at N versus N/2) plus,
-for the fractional seminorm, the diagonal model.
+Error estimates are two-grid differences plus, for the fractional
+seminorm, the diagonal model.  Every route of the package, the manifold
+ones included, takes its two grids from :func:`_two_grid`: its value on
+k cells per axis against the same value on k // 2.  A zero extension
+(:func:`extend_by_zero`) is an expression like any other.
 
 All inputs are immutable during computation and the evaluation order is
 fixed, making every value reproducible bit for bit.
@@ -31,21 +34,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from sobolev.fields import BoxRegion, Field, as_field
-from sobolev.funcexpr import ZERO, Piecewise
+from sobolev.funcexpr import ZERO, Expr, Piecewise
 
 __all__ = [
-    "BoxDomain", "GridFunction", "Report", "SupportViolation",
+    "BoxDomain", "Report", "SupportViolation",
     "lp_norm", "gagliardo_seminorm", "sobolev_norm", "extend_by_zero",
-    "gagliardo_double_sum", "multi_indices", "grid_shape", "coarse_shape",
+    "gagliardo_double_sum", "multi_indices", "grid_shape",
 ]
 
 
 class SupportViolation(ValueError):
     """The declared compact support leaks onto the boundary margin."""
-
-
-class GridAlignmentError(ValueError):
-    """Boxes whose grids cannot share a common lattice."""
 
 
 @dataclass(frozen=True)
@@ -109,9 +108,10 @@ def grid_shape(n: int, N=None) -> tuple[int, ...]:
     return shape
 
 
-def coarse_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
-    """The half-resolution grid of the two-grid error estimate."""
-    return tuple(k // 2 for k in shape)
+def _two_grid(value_at, shape: tuple[int, ...]):
+    """(value_at(shape), value_at(coarse)) with coarse the grid of k // 2
+    cells per axis: the two values of every two-grid error estimate."""
+    return value_at(shape), value_at(tuple(k // 2 for k in shape))
 
 
 def midpoint_grid(box: BoxDomain, shape: tuple[int, ...]):
@@ -126,38 +126,6 @@ def midpoint_grid(box: BoxDomain, shape: tuple[int, ...]):
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     cellvol = float(np.prod(hs))
     return pts, cellvol, np.array(hs)
-
-
-@dataclass
-class GridFunction:
-    """Cell-midpoint samples of a function on a box (midpoint convention)."""
-
-    domain: BoxDomain
-    values: np.ndarray  # shape = per-axis resolution
-    source: Field | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != self.domain.n:
-            raise ValueError("value array rank must equal the box dimension")
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
-
-    def restrict(self, sub: BoxDomain) -> "GridFunction":
-        """Restriction by exact index slicing onto an aligned sub-box."""
-        slices = []
-        for (lo, hi), (slo, shi), k in zip(self.domain.bounds, sub.bounds,
-                                           self.shape):
-            h = (hi - lo) / k
-            i0 = (slo - lo) / h
-            i1 = (shi - lo) / h
-            if abs(i0 - round(i0)) > 1e-9 or abs(i1 - round(i1)) > 1e-9:
-                raise GridAlignmentError(
-                    "sub-box edges must lie on the grid lattice")
-            slices.append(slice(int(round(i0)), int(round(i1))))
-        return GridFunction(sub, self.values[tuple(slices)], self.source)
 
 
 class Report(dict):
@@ -206,44 +174,14 @@ def _lp_value(f: Field, box: BoxDomain, p: float, shape) -> float:
     return float(np.sum(np.abs(vals) ** p) * cellvol) ** (1.0 / p)
 
 
-def lp_norm(u, box: BoxDomain = None, p: float = 2.0, N=None) -> Report:
-    """Composite-midpoint L^p norm of an expression, field or grid function.
-
-    A grid function's coarse value for the two-grid estimate is the norm
-    of its 2^n-cell block means, so it needs an even count on every axis.
-    """
+def lp_norm(u, box: BoxDomain, p: float = 2.0, N=None) -> Report:
+    """Composite-midpoint L^p norm of an expression or field."""
     p = _check_p(p)
-    if isinstance(u, GridFunction):
-        if box is not None and box != u.domain:
-            raise ValueError("grid function carries its own box")
-        box = u.domain
-        shape = u.shape
-        value = _samples_lp(u.values, box, p)
-        err = abs(value - _samples_lp(_block_means(u), box, p))
-    else:
-        if box is None:
-            raise ValueError("a box domain is required")
-        f = as_field(u, box.n)
-        shape = grid_shape(box.n, N)
-        value = _lp_value(f, box, p, shape)
-        err = abs(value - _lp_value(f, box, p, coarse_shape(shape)))
+    f = as_field(u, box.n)
+    shape = grid_shape(box.n, N)
+    value, coarse = _two_grid(lambda shp: _lp_value(f, box, p, shp), shape)
     return _norm_report(value, [{"kind": "lp", "p": p, "value": value}],
-                        _grid_meta(box, shape), err)
-
-
-def _samples_lp(vals: np.ndarray, box: BoxDomain, p: float) -> float:
-    """L^p norm of cell samples on a uniform grid of the box."""
-    vals = np.abs(vals.ravel()) ** p
-    return float(np.sum(vals) * (box.volume / vals.size)) ** (1.0 / p)
-
-
-def _block_means(u: GridFunction) -> np.ndarray:
-    """The means of the 2^n-cell blocks: the samples of the coarse cells."""
-    if any(k % 2 for k in u.shape):
-        raise ValueError("the two-grid estimate of a grid function needs an "
-                         f"even cell count per axis, got {list(u.shape)}")
-    blocks = u.values.reshape([m for k in u.shape for m in (k // 2, 2)])
-    return blocks.mean(axis=tuple(range(1, blocks.ndim, 2)))
+                        _grid_meta(box, shape), abs(value - coarse))
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +317,10 @@ def gagliardo_seminorm(u, box: BoxDomain, theta: float, p: float = 2.0,
     p = _check_p(p)
     f = as_field(u, box.n)
     shape = grid_shape(box.n, N)
-    S = gagliardo_double_sum(f, box, theta, p, shape)
+    S, S_coarse = _two_grid(
+        lambda shp: gagliardo_double_sum(f, box, theta, p, shp), shape)
     value = S ** (1.0 / p)
-
-    coarse = gagliardo_double_sum(f, box, theta, p,
-                                  coarse_shape(shape)) ** (1.0 / p)
+    coarse = S_coarse ** (1.0 / p)
     D = _diagonal_model(f, box, theta, p, shape)
     diag_effect = (S + D) ** (1.0 / p) - value
     err = abs(value - coarse) + diag_effect
@@ -470,60 +407,30 @@ def sobolev_norm(u, box: BoxDomain, s: float, p: float = 2.0,
 _SUPPORT_TOL = 1e-9  # the largest |u| extend_by_zero accepts on the margin
 
 
-def extend_by_zero(u, inner: BoxDomain, outer: BoxDomain,
-                   N=None) -> GridFunction:
-    """Extend a compactly supported function by zero to a larger box.
+def extend_by_zero(u, inner: BoxDomain, outer: BoxDomain, N=None) -> Expr:
+    """The zero extension of a compactly supported function to a larger
+    box: ``Piecewise(open inner box, u, 0)``, an expression like any other.
 
     ``u`` must vanish (within ``_SUPPORT_TOL`` = 1e-9) on the outermost
-    cell layer of the inner grid; the outer box must extend the inner box
-    by whole cells so that restriction reproduces the inner samples
-    exactly.
-    The returned grid function carries a piecewise source field usable in
-    norm computations on the outer box.
+    cell layer of the inner grid of ``N`` and on probe points of the inner
+    box's boundary facets; otherwise :class:`SupportViolation`.
     """
     if not outer.contains(inner):
         raise ValueError("inner box must be contained in the outer box")
     f = as_field(u, inner.n)
     shape = grid_shape(inner.n, N)
-    pts, _, hs = midpoint_grid(inner, shape)
+    pts, _, _ = midpoint_grid(inner, shape)
     vals = f.values(pts).reshape(shape)
-
-    # margin check: outermost cell layer plus the exact boundary facets
-    margin_mask = np.zeros(shape, dtype=bool)
-    for ax in range(inner.n):
-        sl = [slice(None)] * inner.n
-        sl[ax] = 0
-        margin_mask[tuple(sl)] = True
-        sl[ax] = shape[ax] - 1
-        margin_mask[tuple(sl)] = True
-    worst = float(np.max(np.abs(vals[margin_mask]))) if margin_mask.any() else 0.0
-    boundary_pts = _boundary_probe(inner)
-    worst = max(worst, float(np.max(np.abs(f.values(boundary_pts)))))
+    worst = max(float(np.max(np.abs(np.take(vals, [0, -1], axis=ax))))
+                for ax in range(inner.n))
+    worst = max(worst, float(np.max(np.abs(f.values(_boundary_probe(inner))))))
     if worst > _SUPPORT_TOL:
         raise SupportViolation(
             f"|u| reaches {worst:.3e} on the support margin of the inner box "
             f"(tolerance {_SUPPORT_TOL:.1e})")
-
-    out_shape = []
-    offsets = []
-    for (ilo, ihi), (olo, ohi), k, h in zip(inner.bounds, outer.bounds,
-                                            shape, hs):
-        mlo = (ilo - olo) / h
-        mhi = (ohi - ihi) / h
-        if abs(mlo - round(mlo)) > 1e-9 or abs(mhi - round(mhi)) > 1e-9:
-            raise GridAlignmentError(
-                "outer box must extend the inner box by whole cells")
-        out_shape.append(k + int(round(mlo)) + int(round(mhi)))
-        offsets.append(int(round(mlo)))
-
-    big = np.zeros(tuple(out_shape))
-    sl = tuple(slice(off, off + k) for off, k in zip(offsets, shape))
-    big[sl] = vals
-
     interior = BoxRegion([b[0] for b in inner.bounds],
                          [b[1] for b in inner.bounds], closed=False)
-    return GridFunction(outer, big,
-                        Field(Piecewise(interior, f.expr, ZERO), inner.n))
+    return Piecewise(interior, f.expr, ZERO)
 
 
 def _boundary_probe(box: BoxDomain):

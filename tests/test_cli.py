@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from sobolev.cli import _build_parser, main
+from sobolev.cli import _build_parser, execute
 
 
 def strict_json(text):
@@ -14,7 +14,7 @@ def strict_json(text):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    code = execute(list(argv))
     out = capsys.readouterr().out
     return code, strict_json(out)
 
@@ -396,7 +396,7 @@ class TestPlumbing:
         assert on_disk == rep
 
     def test_pretty_flag(self, capsys):
-        code = main(["--pretty", "check", "pointwise", "--n", "2",
+        code = execute(["--pretty", "check", "pointwise", "--n", "2",
                      "--space", "2,2", "--mode", "linfty"])
         out = capsys.readouterr().out
         assert code == 0
@@ -422,6 +422,23 @@ class TestPlumbing:
         ('{"manifold": "torus1", "frobnicate": 1}', "torus1",
          "unknown atlas-config keys"),
         ('{"manifold": "torus1"}', "s2-stereo", "describes 'torus1'"),
+        (json.dumps({"manifold": "s1-stereo", "pou": {"seeds": [
+            {"kind": "radial", "support": 3.0}] * 2}}),
+         "s1-stereo", "bump seed without ['plateau']"),
+        (json.dumps({"manifold": "s1-stereo", "pou": {"seeds": [
+            {"kind": "blob", "plateau": 1.5, "support": 3.0}] * 2}}),
+         "s1-stereo", "unknown bump-seed kind 'blob'"),
+        (json.dumps({"manifold": "s1-stereo", "pou": {"seeds": [
+            {"kind": "radial", "plateau": 1.5, "support": 3.0}]}}),
+         "s1-stereo", "needs as many bump seeds, got 1"),
+        ('{"manifold": "s1-stereo", "params": {"truncation_radius": "4"}}',
+         "s1-stereo", "truncation_radius must be a number"),
+        (json.dumps({"manifold": "s1-stereo", "pou": {"seeds": [
+            {"kind": "radial", "plateau": 3.0, "support": 1.5}] * 2}}),
+         "s1-stereo", "0 < plateau < support"),
+        (json.dumps({"manifold": "torus1", "pou": {"seeds": [
+            {"kind": "box", "plateau": 0.3, "support": 0.45}] * 2}}),
+         "torus1", "a box seed needs a center of 1 numbers"),
     ])
     def test_atlas_config_faults_are_usage_errors(self, tmp_path, capsys,
                                                   content, manifold,
@@ -468,10 +485,10 @@ def test_reused_parser_matches_fresh_parser(capsys):
     ]
     reused = []
     for argv in calls:
-        reused.append((main(argv), capsys.readouterr().out))
+        reused.append((execute(argv), capsys.readouterr().out))
     for argv, got in zip(calls, reused):
         _build_parser.cache_clear()
-        assert (main(argv), capsys.readouterr().out) == got
+        assert (execute(argv), capsys.readouterr().out) == got
     assert [code for code, _ in reused] == [0, 2, 0, 0, 0]
     assert [len(strict_json(out)["ratios"]) for code, out in reused
             if '"norm_comparison"' in out] == [3, 1, 2]

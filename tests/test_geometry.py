@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sobolev.atlas import builtin_manifold
-from sobolev.funcexpr import eval_on_points, parse_expr
+from sobolev.funcexpr import eval_many, eval_on_points, parse_expr
 from sobolev.geometry import (
     check_overlap_consistency, christoffel, covariant_derivative,
     fiber_norm_values, metric_as_tensor, musical,
@@ -26,6 +26,13 @@ def t2():
     return builtin_manifold("torus2")
 
 
+def matrix(comps, pts):
+    """The n x n matrix of expressions ``comps`` (a metric's ``comps`` or
+    ``inv_comps`` block) at every point."""
+    n = len(comps)
+    return eval_many([e for row in comps for e in row], pts).reshape(-1, n, n)
+
+
 def chart_points(atlas, chart=0, per_axis=7, shrink=0.5):
     trunc = atlas.charts[chart].truncation
     pts, _, _ = midpoint_grid(trunc, (per_axis,) * atlas.dim)
@@ -38,7 +45,7 @@ class TestMetric:
         sqrt_det = g.sqrt_det[0]
         pts = chart_points(atlas)
         assert np.allclose(eval_on_points(sqrt_det, pts), 1.0)
-        assert np.allclose(g.matrix_values(0, pts, inverse=True),
+        assert np.allclose(matrix(g.inv_comps[0], pts),
                            np.eye(2)[None, :, :])
 
     def test_sphere_density_closed_form(self, s2):
@@ -53,15 +60,15 @@ class TestMetric:
     def test_metric_inverse_pointwise(self, s2):
         atlas, _, g = s2
         pts = chart_points(atlas)
-        G = g.matrix_values(0, pts)
-        Ginv = g.matrix_values(0, pts, inverse=True)
+        G = matrix(g.comps[0], pts)
+        Ginv = matrix(g.inv_comps[0], pts)
         prod = np.einsum("mij,mjk->mik", G, Ginv)
         assert np.max(np.abs(prod - np.eye(2)[None, :, :])) <= 1e-10
 
     def test_symmetry_and_positivity(self, s2):
         atlas, _, g = s2
         pts = chart_points(atlas)
-        G = g.matrix_values(0, pts)
+        G = matrix(g.comps[0], pts)
         assert np.allclose(G, np.transpose(G, (0, 2, 1)))
         eigs = np.linalg.eigvalsh(G)
         assert np.min(eigs) > 0
@@ -112,10 +119,10 @@ class TestChristoffel:
         h = 1e-6
         n = 2
         gamma = christoffel(g, 0).values(pts)
-        Ginv = g.matrix_values(0, pts, inverse=True)
+        Ginv = matrix(g.inv_comps[0], pts)
 
         def metric_at(q):
-            return g.matrix_values(0, q)
+            return matrix(g.comps[0], q)
 
         for i in range(n):
             for j in range(n):

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sobolev.fields import as_field, box_bump
 from sobolev.funcexpr import const, eval_on_points, mul, parse_expr
 from sobolev.quadrature import (
-    BoxDomain, GridAlignmentError, GridFunction, SupportViolation,
-    extend_by_zero,
+    BoxDomain, SupportViolation, extend_by_zero,
     gagliardo_double_sum, gagliardo_seminorm, grid_shape, lp_norm,
     midpoint_grid, multi_indices, sobolev_norm,
 )
@@ -74,40 +73,6 @@ class TestLpNorm:
     def test_value_matches_breakdown(self):
         rep = lp_norm(X, UNIT, p=2, N=64)
         assert rep.value == pytest.approx(sum(t["value"] for t in rep.terms))
-
-
-class TestGridFunctionLp:
-    """The two-grid estimate of a grid function uses the coarse cells."""
-
-    def samples_of_x(self, N):
-        pts, _, _ = midpoint_grid(UNIT, (N,))
-        return GridFunction(UNIT, pts[:, 0])
-
-    def test_estimate_matches_expression_path(self):
-        rep = lp_norm(self.samples_of_x(256), p=2)
-        expr = lp_norm(X, UNIT, p=2, N=256)
-        assert rep.value == expr.value
-        assert rep.error_estimate == pytest.approx(3.3036e-6, rel=1e-4)
-        assert rep.error_estimate == pytest.approx(expr.error_estimate,
-                                                   rel=1e-12)
-        # it covers the true error 1.10e-6 (every other sample gave 1.69e-3)
-        true_error = abs(rep.value - 1.0 / math.sqrt(3.0))
-        assert true_error == pytest.approx(1.10e-6, rel=1e-2)
-        assert true_error <= rep.error_estimate < 10 * true_error
-
-    def test_block_means_in_2d(self):
-        square = BoxDomain(((0.0, 2.0), (0.0, 1.0)))
-        vals = np.arange(24.0).reshape(4, 6) ** 2
-        rep = lp_norm(GridFunction(square, vals), p=3)
-        means = vals.reshape(2, 2, 3, 2).mean(axis=(1, 3))
-        coarse = (np.sum(means ** 3) * square.volume / 6) ** (1 / 3)
-        assert rep.error_estimate == pytest.approx(abs(rep.value - coarse),
-                                                   rel=1e-12)
-
-    def test_odd_cell_count_rejected(self):
-        square = BoxDomain(((0.0, 1.0), (0.0, 1.0)))
-        with pytest.raises(ValueError, match="even cell count"):
-            lp_norm(GridFunction(square, np.ones((4, 5))), p=2)
 
 
 class TestGagliardo:
@@ -313,32 +278,31 @@ class TestExtendByZero:
         return box_bump(1, (0.5,), "1/5", "2/5")
 
     def test_zero_outside_inner(self):
-        g = extend_by_zero(self.bump(), self.INNER, self.OUTER, N=128)
+        ext = extend_by_zero(self.bump(), self.INNER, self.OUTER, N=128)
         pts = np.linspace(-1, 2, 1024).reshape(-1, 1)
-        vals = g.source.values(pts)
+        vals = eval_on_points(ext, pts)
         outside = (pts[:, 0] <= 0.0) | (pts[:, 0] >= 1.0)
         assert np.all(vals[outside] == 0.0)
 
     def test_restriction_identity_exact(self):
-        g = extend_by_zero(self.bump(), self.INNER, self.OUTER, N=128)
-        back = g.restrict(self.INNER)
-        direct = self.bump()
-        from sobolev.quadrature import midpoint_grid
+        ext = extend_by_zero(self.bump(), self.INNER, self.OUTER, N=128)
         pts, _, _ = midpoint_grid(self.INNER, (128,))
-        assert np.array_equal(back.values,
-                              eval_on_points(direct, pts).reshape(128))
+        assert np.array_equal(eval_on_points(ext, pts),
+                              eval_on_points(self.bump(), pts))
 
     def test_support_violation_detected(self):
         with pytest.raises(SupportViolation):
             extend_by_zero(ONE, self.INNER, self.OUTER, N=64)
 
-    def test_misaligned_outer_box(self):
-        with pytest.raises(GridAlignmentError):
-            extend_by_zero(self.bump(), self.INNER,
-                           BoxDomain(((-0.37, 1.21),)), N=64)
+    def test_unaligned_outer_box_gives_the_same_extension(self):
+        # the extension is an expression, so the outer box need not share
+        # the inner grid's lattice
+        ext = extend_by_zero(self.bump(), self.INNER, self.OUTER, N=64)
+        assert extend_by_zero(self.bump(), self.INNER,
+                              BoxDomain(((-0.37, 1.21),)), N=64) == ext
 
     def test_norm_does_not_shrink(self):
-        g = extend_by_zero(self.bump(), self.INNER, self.OUTER, N=128)
+        ext = extend_by_zero(self.bump(), self.INNER, self.OUTER, N=128)
         inner_rep = sobolev_norm(self.bump(), self.INNER, s=0.5, p=2, N=128)
-        outer_rep = sobolev_norm(g.source, self.OUTER, s=0.5, p=2, N=384)
+        outer_rep = sobolev_norm(ext, self.OUTER, s=0.5, p=2, N=384)
         assert outer_rep.value >= inner_rep.value
