@@ -46,7 +46,7 @@ for t in rep.terms:
 # dominates the inner norm.
 bump = box_bump(1, ("1/2",), "1/5", "2/5")
 outer = BoxDomain(((-1.0, 2.0),))
-ext = extend_by_zero(bump, unit, outer, N=256)
+ext = extend_by_zero(bump, unit, N=256)
 for s in (0.0, 0.5, 1.0):
     inner_v = sobolev_norm(bump, unit, s=s, p=2, N=256).value
     outer_v = sobolev_norm(ext, outer, s=s, p=2, N=768).value

@@ -12,7 +12,8 @@ import math
 import numpy as np
 
 from sobolev.atlas import builtin_manifold
-from sobolev.geometry import TensorField, christoffel
+from sobolev.funcexpr import eval_many
+from sobolev.geometry import TensorField
 from sobolev.operators import (
     apply_operator, describe_components, divergence_integral, empirical_bound,
 )
@@ -53,7 +54,7 @@ print(f"sphere: int div(grad x3) dV = {ident['value']:.2e} "
 
 # round-sphere geometry cross-check: the Christoffel symbols of the
 # stereographic metric follow the conformal closed form
-gamma = christoffel(s_g, 0)
+gamma = s_g.christoffel[0]
 pt = np.array([[0.3, -0.2]])
-print("Gamma^1_{11} at (0.3, -0.2):", gamma.values(pt)[0, 0, 0, 0],
+print("Gamma^1_{11} at (0.3, -0.2):", eval_many([gamma[0][0][0]], pt)[0, 0],
       "  closed form:", -2 * 0.3 / (1 + 0.3**2 + 0.2**2))

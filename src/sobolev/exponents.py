@@ -1,12 +1,23 @@
 """Exact admissibility checks for smoothness/integrability exponent pairs.
 
-Every check evaluates the hypothesis list of one or more classical
+Every check evaluates the hypothesis lists of one or more classical
 results (embedding, pointwise multiplication, Banach algebra,
 differentiation, extension by zero, composition) in exact rational
 arithmetic and returns a :class:`Verdict` whose condition trace can be
 re-evaluated independently.  ``NotGuaranteed`` always means "none of the
 encoded sufficient conditions applies", never that the statement is
 false.
+
+Each hypothesis is stated once: a check builds one dict from its
+exponents that maps the hypothesis text to an exact comparison
+``(lhs, relation, rhs)`` (a boolean side condition is ``(1 or 0, "==",
+1)``), and module-level tables list each theorem as ``(tag, hypothesis
+names)``, per domain class and in the order tried.  The first theorem
+whose hypotheses all hold decides the verdict; otherwise the verdict
+lists the first failing hypothesis of every theorem tried.  On a general
+open set only the IV.3-IV.6 embeddings apply, so W^{1,p} need not embed
+in W^{t,p} for 0 < t < 1 there, while embedding III gives it on a
+bounded Lipschitz domain.
 
 No floats enter this module: exponents are :class:`fractions.Fraction`
 values, so boundary cases (equality against a strict or non-strict
@@ -15,6 +26,7 @@ inequality) are decided exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -46,13 +58,6 @@ class DomainClass(Enum):
     GENERAL_OPEN = "open"
     COMPACT_SUPPORT_IN_OPEN = "compact-support"
     COMPACT_MANIFOLD = "manifold"
-
-
-_OPEN_CLASSES = (
-    DomainClass.BOUNDED_LIPSCHITZ,
-    DomainClass.GENERAL_OPEN,
-    DomainClass.COMPACT_SUPPORT_IN_OPEN,
-)
 
 
 @dataclass(frozen=True)
@@ -192,43 +197,30 @@ class Verdict:
         return out
 
 
-class _Trace:
-    """Accumulates exact conditions for one candidate theorem."""
-
-    def __init__(self):
-        self.conditions: list[Condition] = []
-        self.ok = True
-
-    def require(self, text: str, lhs, relation: str, rhs=Fraction(0)) -> bool:
-        lhs = Fraction(lhs)
-        rhs = Fraction(rhs)
-        sat = _holds(lhs, relation, rhs)
-        self.conditions.append(Condition(text, lhs, relation, rhs, sat))
-        self.ok = self.ok and sat
-        return sat
-
-    def flag(self, text: str, value: bool) -> bool:
-        # boolean side conditions, rendered as an exact 1/0 comparison so
-        # the trace stays re-checkable
-        return self.require(text, Fraction(1 if value else 0), "==", Fraction(1))
+def _candidate(tag: str, hypotheses: dict, names) -> Candidate:
+    """Evaluate the named hypotheses, in order, as one candidate theorem."""
+    conditions = []
+    for name in names:
+        lhs, relation, rhs = hypotheses[name]
+        lhs, rhs = Fraction(lhs), Fraction(rhs)
+        conditions.append(
+            Condition(name, lhs, relation, rhs, _holds(lhs, relation, rhs)))
+    return Candidate(tag, tuple(conditions),
+                     all(c.satisfied for c in conditions))
 
 
-def _decide(candidates: list[tuple[str, _Trace]],
+def _decide(candidates: list[Candidate],
             target=None, no_family_text: str | None = None) -> Verdict:
-    recorded = tuple(
-        Candidate(tag, tuple(tr.conditions), tr.ok) for tag, tr in candidates)
-    for cand in recorded:
+    candidates = tuple(candidates)
+    for cand in candidates:
         if cand.matched:
             return Verdict(ADMISSIBLE, cand.theorem_tag, cand.conditions,
-                           recorded, target)
-    failing = []
-    for cand in recorded:
-        first_bad = next((c for c in cand.conditions if not c.satisfied), None)
-        if first_bad is not None:
-            failing.append(first_bad)
+                           candidates, target)
+    failing = [next(c for c in cand.conditions if not c.satisfied)
+               for cand in candidates]
     if not failing and no_family_text:
         failing = [Condition(no_family_text, Fraction(0), ">", Fraction(0), False)]
-    return Verdict(NOT_GUARANTEED, None, tuple(failing), recorded, None)
+    return Verdict(NOT_GUARANTEED, None, tuple(failing), candidates, None)
 
 
 def _same_dimension(*specs: SpaceSpec) -> int:
@@ -252,10 +244,26 @@ def _same_domain(*specs: SpaceSpec) -> DomainClass:
 # Embeddings
 # ---------------------------------------------------------------------------
 
-def _embedding_I(tr: _Trace, s, p, t, q, n):
-    tr.require("p <= q", p, "<=", q)
-    tr.require("t <= s", t, "<=", s)
-    tr.require("s - n/p >= t - n/q", s - Fraction(n) / p, ">=", t - Fraction(n) / q)
+_NONNEG_INTEGER_T = ("t is a nonnegative integer (t >= 0)",
+                     "t is a nonnegative integer")
+_EMBEDDINGS = {
+    DomainClass.FULL_SPACE: (
+        ("embedding I", ("p <= q", "t <= s", "s - n/p >= t - n/q")),),
+    DomainClass.BOUNDED_LIPSCHITZ: (
+        ("embedding III", ("0 <= t", "t <= s", "s - n/p >= t - n/q")),),
+    DomainClass.GENERAL_OPEN: (
+        ("embedding IV.3", ("q = p", "s is a nonnegative integer (s >= 0)",
+                            "s is a nonnegative integer", *_NONNEG_INTEGER_T,
+                            "t <= s")),
+        ("embedding IV.4", ("q = p", "0 <= t", "t <= s", "s < 1")),
+        ("embedding IV.5", ("q = p", "0 <= t", "t <= s",
+                            "floor(s) = floor(t)")),
+        ("embedding IV.6", ("q = p", *_NONNEG_INTEGER_T, "t <= s")),
+    ),
+    DomainClass.COMPACT_SUPPORT_IN_OPEN: (
+        ("embedding IV.2", ("p <= q", "0 <= t", "t <= s",
+                            "s - n/p >= t - n/q")),),
+}
 
 
 def check_embedding(frm: SpaceSpec, to: SpaceSpec) -> Verdict:
@@ -264,62 +272,22 @@ def check_embedding(frm: SpaceSpec, to: SpaceSpec) -> Verdict:
     domain = _same_domain(frm, to)
     s, p = frm.s, frm.p
     t, q = to.s, to.p
-    nn = Fraction(n)
-
-    candidates: list[tuple[str, _Trace]] = []
-
-    if domain == DomainClass.FULL_SPACE:
-        tr = _Trace()
-        _embedding_I(tr, s, p, t, q, n)
-        candidates.append(("embedding I", tr))
-    elif domain == DomainClass.BOUNDED_LIPSCHITZ:
-        tr = _Trace()
-        tr.require("0 <= t", Fraction(0), "<=", t)
-        tr.require("t <= s", t, "<=", s)
-        tr.require("s - n/p >= t - n/q", s - nn / p, ">=", t - nn / q)
-        candidates.append(("embedding III", tr))
-    elif domain == DomainClass.GENERAL_OPEN:
-        tr = _Trace()
-        tr.require("q = p", q, "==", p)
-        tr.require("s is a nonnegative integer (s >= 0)", s, ">=", 0)
-        tr.require("s is a nonnegative integer", s, "integer")
-        tr.require("t is a nonnegative integer (t >= 0)", t, ">=", 0)
-        tr.require("t is a nonnegative integer", t, "integer")
-        tr.require("t <= s", t, "<=", s)
-        candidates.append(("embedding IV.3", tr))
-
-        tr = _Trace()
-        tr.require("q = p", q, "==", p)
-        tr.require("0 <= t", Fraction(0), "<=", t)
-        tr.require("t <= s", t, "<=", s)
-        tr.require("s < 1", s, "<", 1)
-        candidates.append(("embedding IV.4", tr))
-
-        tr = _Trace()
-        tr.require("q = p", q, "==", p)
-        tr.require("0 <= t", Fraction(0), "<=", t)
-        tr.require("t <= s", t, "<=", s)
-        tr.require("floor(s) = floor(t)",
-                   Fraction(s.numerator // s.denominator), "==",
-                   Fraction(t.numerator // t.denominator))
-        candidates.append(("embedding IV.5", tr))
-
-        tr = _Trace()
-        tr.require("q = p", q, "==", p)
-        tr.require("t is a nonnegative integer (t >= 0)", t, ">=", 0)
-        tr.require("t is a nonnegative integer", t, "integer")
-        tr.require("t <= s", t, "<=", s)
-        candidates.append(("embedding IV.6", tr))
-    elif domain == DomainClass.COMPACT_SUPPORT_IN_OPEN:
-        tr = _Trace()
-        tr.require("p <= q", p, "<=", q)
-        tr.require("0 <= t", Fraction(0), "<=", t)
-        tr.require("t <= s", t, "<=", s)
-        tr.require("s - n/p >= t - n/q", s - nn / p, ">=", t - nn / q)
-        candidates.append(("embedding IV.2", tr))
-
+    hypotheses = {
+        "p <= q": (p, "<=", q),
+        "q = p": (q, "==", p),
+        "0 <= t": (0, "<=", t),
+        "t <= s": (t, "<=", s),
+        "s < 1": (s, "<", 1),
+        "s - n/p >= t - n/q": (s - n / p, ">=", t - n / q),
+        "s is a nonnegative integer (s >= 0)": (s, ">=", 0),
+        "s is a nonnegative integer": (s, "integer", 0),
+        "t is a nonnegative integer (t >= 0)": (t, ">=", 0),
+        "t is a nonnegative integer": (t, "integer", 0),
+        "floor(s) = floor(t)": (math.floor(s), "==", math.floor(t)),
+    }
     return _decide(
-        candidates,
+        [_candidate(tag, hypotheses, names)
+         for tag, names in _EMBEDDINGS.get(domain, ())],
         no_family_text=f"an embedding family is encoded for domain class "
                        f"'{domain.value}'")
 
@@ -328,14 +296,35 @@ def check_embedding(frm: SpaceSpec, to: SpaceSpec) -> Verdict:
 # Multiplication
 # ---------------------------------------------------------------------------
 
-def _lipschitz_transfer(tr: _Trace, spaces):
-    # the corollary transferring whole-space multiplication to Lipschitz
-    # domains needs every space to agree with its closure variant:
-    # s - 1/p must not be a negative integer
-    for label, (s, p) in spaces:
-        v = s - 1 / p
-        ok = not (v.denominator == 1 and v <= -1)
-        tr.flag(f"transfer: {label}: s - 1/p = {v} is not a negative integer", ok)
+# Banach algebra shortcut: all three spaces identical with s p > n
+_ALGEBRA = ("factors and product share s", "factors share s",
+            "factors and product share p", "factors share p", "s*p > n")
+_BOTH_SMOOTHER = ("(i) s1 >= s", "(i) s2 >= s")
+_BOTH_P_LE = ("p1 <= p", "p2 <= p")
+_III = ("(iii) s1 - s >= n(1/p1 - 1/p)", "(iii) s2 - s >= n(1/p2 - 1/p)")
+_IV_STRICT = "(iv) s1 + s2 - s > n(1/p1 + 1/p2 - 1/p)"
+_IV_NONNEG = "(iv) n(1/p1 + 1/p2 - 1/p) >= 0"
+# 4.6 with interchangeable strictness of (iii)/(iv), then 4.1
+# (nonnegative smoothness), 4.3 (some factor negative), 4.5 (nonnegative
+# factors, negative product space)
+_MULTIPLICATIONS = (
+    ("multiplication 4.6 (iii strict)", (
+        *_BOTH_SMOOTHER, "(i) s >= 0", "(ii) s is an integer",
+        "(iii) s1 - s > n(1/p1 - 1/p)", "(iii) s2 - s > n(1/p2 - 1/p)",
+        "(iv) s1 + s2 - s >= n(1/p1 + 1/p2 - 1/p)", _IV_NONNEG)),
+    ("multiplication 4.6 (iv strict)", (
+        *_BOTH_SMOOTHER, "(i) s >= 0", "(ii) s is an integer", *_III,
+        _IV_STRICT, _IV_NONNEG)),
+    ("multiplication 4.1", (
+        *_BOTH_P_LE, *_BOTH_SMOOTHER, "(ii) s >= 0", *_III, _IV_STRICT)),
+    ("multiplication 4.3", (
+        *_BOTH_P_LE, *_BOTH_SMOOTHER, "(ii) min(s1, s2) < 0", *_III,
+        _IV_STRICT, "(v) s1 + s2 >= n(1/p1 + 1/p2 - 1)",
+        "(v) n(1/p1 + 1/p2 - 1) >= 0")),
+    ("multiplication 4.5", (
+        *_BOTH_SMOOTHER, "(ii) min(s1, s2) >= 0", "(ii) s < 0", *_III,
+        _IV_STRICT, _IV_NONNEG, "(v) s1 + s2 > n(1/p1 + 1/p2 - 1) (strict)")),
+)
 
 
 def check_multiplication(a: SpaceSpec, b: SpaceSpec, target: SpaceSpec) -> Verdict:
@@ -349,134 +338,107 @@ def check_multiplication(a: SpaceSpec, b: SpaceSpec, target: SpaceSpec) -> Verdi
     s1, p1 = a.s, a.p
     s2, p2 = b.s, b.p
     s, p = target.s, target.p
-    nn = Fraction(n)
 
     if domain not in (DomainClass.FULL_SPACE, DomainClass.BOUNDED_LIPSCHITZ):
         return _decide([], no_family_text=(
             f"a multiplication family is encoded for domain class "
             f"'{domain.value}'"))
 
-    lipschitz = domain == DomainClass.BOUNDED_LIPSCHITZ
-    spaces = [("first factor", (s1, p1)), ("second factor", (s2, p2)),
-              ("product", (s, p))]
-    candidates: list[tuple[str, _Trace]] = []
-
-    # Banach algebra shortcut: all three spaces identical with s p > n
-    tr = _Trace()
-    tr.require("factors and product share s", s1, "==", s)
-    tr.require("factors share s", s2, "==", s)
-    tr.require("factors and product share p", p1, "==", p)
-    tr.require("factors share p", p2, "==", p)
-    tr.require("s*p > n", s * p, ">", nn)
-    candidates.append(("algebra 3.3", tr))
-
-    # 4.6 with interchangeable strictness of (iii)/(iv)
-    for variant, iii_rel, iv_rel in (("iii strict", ">", ">="),
-                                     ("iv strict", ">=", ">")):
-        tr = _Trace()
-        tr.require("(i) s1 >= s", s1, ">=", s)
-        tr.require("(i) s2 >= s", s2, ">=", s)
-        tr.require("(i) s >= 0", s, ">=", 0)
-        tr.require("(ii) s is an integer", s, "integer")
-        tr.require(f"(iii) s1 - s {iii_rel} n(1/p1 - 1/p)",
-                   s1 - s, iii_rel, nn * (1 / p1 - 1 / p))
-        tr.require(f"(iii) s2 - s {iii_rel} n(1/p2 - 1/p)",
-                   s2 - s, iii_rel, nn * (1 / p2 - 1 / p))
-        tr.require(f"(iv) s1 + s2 - s {iv_rel} n(1/p1 + 1/p2 - 1/p)",
-                   s1 + s2 - s, iv_rel, nn * (1 / p1 + 1 / p2 - 1 / p))
-        tr.require("(iv) n(1/p1 + 1/p2 - 1/p) >= 0",
-                   nn * (1 / p1 + 1 / p2 - 1 / p), ">=", 0)
-        if lipschitz:
-            _lipschitz_transfer(tr, spaces)
-        candidates.append((f"multiplication 4.6 ({variant})", tr))
-
-    # 4.1: nonnegative smoothness, p_i <= p
-    tr = _Trace()
-    tr.require("p1 <= p", p1, "<=", p)
-    tr.require("p2 <= p", p2, "<=", p)
-    tr.require("(i) s1 >= s", s1, ">=", s)
-    tr.require("(i) s2 >= s", s2, ">=", s)
-    tr.require("(ii) s >= 0", s, ">=", 0)
-    tr.require("(iii) s1 - s >= n(1/p1 - 1/p)", s1 - s, ">=", nn * (1 / p1 - 1 / p))
-    tr.require("(iii) s2 - s >= n(1/p2 - 1/p)", s2 - s, ">=", nn * (1 / p2 - 1 / p))
-    tr.require("(iv) s1 + s2 - s > n(1/p1 + 1/p2 - 1/p)",
-               s1 + s2 - s, ">", nn * (1 / p1 + 1 / p2 - 1 / p))
-    if lipschitz:
-        _lipschitz_transfer(tr, spaces)
-    candidates.append(("multiplication 4.1", tr))
-
-    # 4.3: some factor negative
-    tr = _Trace()
-    tr.require("p1 <= p", p1, "<=", p)
-    tr.require("p2 <= p", p2, "<=", p)
-    tr.require("(i) s1 >= s", s1, ">=", s)
-    tr.require("(i) s2 >= s", s2, ">=", s)
-    tr.require("(ii) min(s1, s2) < 0", min(s1, s2), "<", 0)
-    tr.require("(iii) s1 - s >= n(1/p1 - 1/p)", s1 - s, ">=", nn * (1 / p1 - 1 / p))
-    tr.require("(iii) s2 - s >= n(1/p2 - 1/p)", s2 - s, ">=", nn * (1 / p2 - 1 / p))
-    tr.require("(iv) s1 + s2 - s > n(1/p1 + 1/p2 - 1/p)",
-               s1 + s2 - s, ">", nn * (1 / p1 + 1 / p2 - 1 / p))
-    tr.require("(v) s1 + s2 >= n(1/p1 + 1/p2 - 1)",
-               s1 + s2, ">=", nn * (1 / p1 + 1 / p2 - 1))
-    tr.require("(v) n(1/p1 + 1/p2 - 1) >= 0",
-               nn * (1 / p1 + 1 / p2 - 1), ">=", 0)
-    if lipschitz:
-        _lipschitz_transfer(tr, spaces)
-    candidates.append(("multiplication 4.3", tr))
-
-    # 4.5: nonnegative factors, negative product space
-    tr = _Trace()
-    tr.require("(i) s1 >= s", s1, ">=", s)
-    tr.require("(i) s2 >= s", s2, ">=", s)
-    tr.require("(ii) min(s1, s2) >= 0", min(s1, s2), ">=", 0)
-    tr.require("(ii) s < 0", s, "<", 0)
-    tr.require("(iii) s1 - s >= n(1/p1 - 1/p)", s1 - s, ">=", nn * (1 / p1 - 1 / p))
-    tr.require("(iii) s2 - s >= n(1/p2 - 1/p)", s2 - s, ">=", nn * (1 / p2 - 1 / p))
-    tr.require("(iv) s1 + s2 - s > n(1/p1 + 1/p2 - 1/p)",
-               s1 + s2 - s, ">", nn * (1 / p1 + 1 / p2 - 1 / p))
-    tr.require("(iv) n(1/p1 + 1/p2 - 1/p) >= 0",
-               nn * (1 / p1 + 1 / p2 - 1 / p), ">=", 0)
-    tr.require("(v) s1 + s2 > n(1/p1 + 1/p2 - 1) (strict)",
-               s1 + s2, ">", nn * (1 / p1 + 1 / p2 - 1))
-    if lipschitz:
-        _lipschitz_transfer(tr, spaces)
-    candidates.append(("multiplication 4.5", tr))
-
-    return _decide(candidates)
+    gap1, gap2 = n * (1 / p1 - 1 / p), n * (1 / p2 - 1 / p)
+    gap12, gap12_1 = n * (1 / p1 + 1 / p2 - 1 / p), n * (1 / p1 + 1 / p2 - 1)
+    hypotheses = {
+        "factors and product share s": (s1, "==", s),
+        "factors share s": (s2, "==", s),
+        "factors and product share p": (p1, "==", p),
+        "factors share p": (p2, "==", p),
+        "s*p > n": (s * p, ">", n),
+        "p1 <= p": (p1, "<=", p),
+        "p2 <= p": (p2, "<=", p),
+        "(i) s1 >= s": (s1, ">=", s),
+        "(i) s2 >= s": (s2, ">=", s),
+        "(i) s >= 0": (s, ">=", 0),
+        "(ii) s >= 0": (s, ">=", 0),
+        "(ii) s < 0": (s, "<", 0),
+        "(ii) s is an integer": (s, "integer", 0),
+        "(ii) min(s1, s2) < 0": (min(s1, s2), "<", 0),
+        "(ii) min(s1, s2) >= 0": (min(s1, s2), ">=", 0),
+        "(iii) s1 - s > n(1/p1 - 1/p)": (s1 - s, ">", gap1),
+        "(iii) s2 - s > n(1/p2 - 1/p)": (s2 - s, ">", gap2),
+        "(iii) s1 - s >= n(1/p1 - 1/p)": (s1 - s, ">=", gap1),
+        "(iii) s2 - s >= n(1/p2 - 1/p)": (s2 - s, ">=", gap2),
+        "(iv) s1 + s2 - s >= n(1/p1 + 1/p2 - 1/p)": (s1 + s2 - s, ">=", gap12),
+        _IV_STRICT: (s1 + s2 - s, ">", gap12),
+        _IV_NONNEG: (gap12, ">=", 0),
+        "(v) s1 + s2 >= n(1/p1 + 1/p2 - 1)": (s1 + s2, ">=", gap12_1),
+        "(v) s1 + s2 > n(1/p1 + 1/p2 - 1) (strict)": (s1 + s2, ">", gap12_1),
+        "(v) n(1/p1 + 1/p2 - 1) >= 0": (gap12_1, ">=", 0),
+    }
+    # the corollary transferring whole-space multiplication to Lipschitz
+    # domains needs every space to agree with its closure variant:
+    # s - 1/p must not be a negative integer
+    transfer = ()
+    if domain == DomainClass.BOUNDED_LIPSCHITZ:
+        for label, sx, px in (("first factor", s1, p1),
+                              ("second factor", s2, p2),
+                              ("product", s, p)):
+            v = sx - 1 / px
+            text = (f"transfer: {label}: s - 1/p = {v} is not a negative "
+                    f"integer")
+            hypotheses[text] = (int(not (v.denominator == 1 and v <= -1)),
+                                "==", 1)
+            transfer += (text,)
+    return _decide([_candidate("algebra 3.3", hypotheses, _ALGEBRA)] + [
+        _candidate(tag, hypotheses, names + transfer)
+        for tag, names in _MULTIPLICATIONS])
 
 
 # ---------------------------------------------------------------------------
 # Pointwise regimes: Banach algebra, L-infinity embedding, composition
 # ---------------------------------------------------------------------------
 
-POINTWISE_MODES = ("algebra", "linfty", "composition")
+_REGULAR_DOMAIN = "domain class is fullspace or lipschitz"
+_POINTWISE = {
+    "algebra": ("algebra 3.3", (_REGULAR_DOMAIN, "s*p > n")),
+    "linfty": ("embedding II (L-infinity)", (_REGULAR_DOMAIN, "s*p > n")),
+    "composition": ("composition", ("s >= 1", "s*p > n")),
+}
+POINTWISE_MODES = tuple(_POINTWISE)
 
 
 def check_pointwise(spec: SpaceSpec, mode: str) -> Verdict:
     """Decide the s*p > n pointwise regimes for a single space."""
     if mode not in POINTWISE_MODES:
         raise ValueError(f"mode must be one of {POINTWISE_MODES}, got {mode!r}")
-    s, p = spec.s, spec.p
-    nn = Fraction(spec.n)
-
-    if mode in ("algebra", "linfty"):
-        tag = "algebra 3.3" if mode == "algebra" else "embedding II (L-infinity)"
-        tr = _Trace()
-        tr.flag("domain class is fullspace or lipschitz",
-                spec.domain_class in (DomainClass.FULL_SPACE,
-                                      DomainClass.BOUNDED_LIPSCHITZ))
-        tr.require("s*p > n", s * p, ">", nn)
-        return _decide([(tag, tr)])
-
-    tr = _Trace()
-    tr.require("s >= 1", s, ">=", 1)
-    tr.require("s*p > n", s * p, ">", nn)
-    return _decide([("composition", tr)])
+    hypotheses = {
+        _REGULAR_DOMAIN: (int(spec.domain_class in (
+            DomainClass.FULL_SPACE, DomainClass.BOUNDED_LIPSCHITZ)), "==", 1),
+        "s >= 1": (spec.s, ">=", 1),
+        "s*p > n": (spec.s * spec.p, ">", spec.n),
+    }
+    tag, names = _POINTWISE[mode]
+    return _decide([_candidate(tag, hypotheses, names)])
 
 
 # ---------------------------------------------------------------------------
 # Differentiation
 # ---------------------------------------------------------------------------
+
+_DERIVATIVES_ON_OPEN = (
+    ("derivative 2 (s < 0, any open set)", ("s < 0",)),
+    ("derivative 3 (|alpha| <= s, any open set)", ("s >= 0", "|alpha| <= s")),
+)
+_DERIVATIVES = {
+    DomainClass.FULL_SPACE: (
+        ("derivative 1 (whole space, any s)", ("|alpha| >= 1",)),),
+    DomainClass.BOUNDED_LIPSCHITZ: _DERIVATIVES_ON_OPEN + (
+        ("derivative 4 (Lipschitz, |alpha| > s)", (
+            "s >= 0", "|alpha| > s",
+            "fractional part of s differs from 1/p (s - 1/p not an integer)")),
+    ),
+    DomainClass.GENERAL_OPEN: _DERIVATIVES_ON_OPEN,
+    DomainClass.COMPACT_SUPPORT_IN_OPEN: _DERIVATIVES_ON_OPEN,
+}
+
 
 def check_derivative(spec: SpaceSpec, order: int) -> Verdict:
     """Decide whether d^alpha maps W^{s,p} into W^{s-|alpha|,p}."""
@@ -485,35 +447,19 @@ def check_derivative(spec: SpaceSpec, order: int) -> Verdict:
         raise ExponentError(f"derivative order must be >= 1, got {order}")
     s, p = spec.s, spec.p
     domain = spec.domain_class
-    target = (s - order, p)
-    o = Fraction(order)
-
-    candidates: list[tuple[str, _Trace]] = []
-    if domain == DomainClass.FULL_SPACE:
-        tr = _Trace()
-        tr.require("|alpha| >= 1", o, ">=", 1)
-        candidates.append(("derivative 1 (whole space, any s)", tr))
-    elif domain in _OPEN_CLASSES:
-        tr = _Trace()
-        tr.require("s < 0", s, "<", 0)
-        candidates.append(("derivative 2 (s < 0, any open set)", tr))
-
-        tr = _Trace()
-        tr.require("s >= 0", s, ">=", 0)
-        tr.require("|alpha| <= s", o, "<=", s)
-        candidates.append(("derivative 3 (|alpha| <= s, any open set)", tr))
-
-        if domain == DomainClass.BOUNDED_LIPSCHITZ:
-            tr = _Trace()
-            tr.require("s >= 0", s, ">=", 0)
-            tr.require("|alpha| > s", o, ">", s)
-            tr.require("fractional part of s differs from 1/p (s - 1/p not an integer)",
-                       s - 1 / p, "not-integer")
-            candidates.append(("derivative 4 (Lipschitz, |alpha| > s)", tr))
-
+    hypotheses = {
+        "|alpha| >= 1": (order, ">=", 1),
+        "s < 0": (s, "<", 0),
+        "s >= 0": (s, ">=", 0),
+        "|alpha| <= s": (order, "<=", s),
+        "|alpha| > s": (order, ">", s),
+        "fractional part of s differs from 1/p (s - 1/p not an integer)":
+            (s - 1 / p, "not-integer", 0),
+    }
     return _decide(
-        candidates,
-        target=target,
+        [_candidate(tag, hypotheses, names)
+         for tag, names in _DERIVATIVES.get(domain, ())],
+        target=(s - order, p),
         no_family_text=f"a differentiation family is encoded for domain "
                        f"class '{domain.value}'")
 
@@ -522,6 +468,16 @@ def check_derivative(spec: SpaceSpec, order: int) -> Verdict:
 # Extension by zero
 # ---------------------------------------------------------------------------
 
+_EXTENSIONS = (
+    ("extension by zero (s >= 0)", ("s >= 0 (two-sided norm comparability)",)),
+    ("extension by zero (integer s <= -1)", ("s <= -1", "s is an integer")),
+    ("extension by zero (-1 < s < 0)", ("-1 < s", "s < 0")),
+    ("extension by zero (s < 0, regular enclosing set)", (
+        "s < 0",
+        "enclosing open set is flagged Lipschitz or the whole space")),
+)
+
+
 def check_extension(spec: SpaceSpec) -> Verdict:
     """Decide norm comparability of extension by zero for W^{s,p}_K."""
     if spec.domain_class != DomainClass.COMPACT_SUPPORT_IN_OPEN:
@@ -529,27 +485,14 @@ def check_extension(spec: SpaceSpec) -> Verdict:
             "extension by zero applies to compactly supported spaces "
             f"(domain class 'compact-support'), got '{spec.domain_class.value}'")
     s = spec.s
-
-    candidates: list[tuple[str, _Trace]] = []
-
-    tr = _Trace()
-    tr.require("s >= 0 (two-sided norm comparability)", s, ">=", 0)
-    candidates.append(("extension by zero (s >= 0)", tr))
-
-    tr = _Trace()
-    tr.require("s <= -1", s, "<=", -1)
-    tr.require("s is an integer", s, "integer")
-    candidates.append(("extension by zero (integer s <= -1)", tr))
-
-    tr = _Trace()
-    tr.require("-1 < s", Fraction(-1), "<", s)
-    tr.require("s < 0", s, "<", 0)
-    candidates.append(("extension by zero (-1 < s < 0)", tr))
-
-    tr = _Trace()
-    tr.require("s < 0", s, "<", 0)
-    tr.flag("enclosing open set is flagged Lipschitz or the whole space",
-            spec.enclosing in ("lipschitz", "fullspace"))
-    candidates.append(("extension by zero (s < 0, regular enclosing set)", tr))
-
-    return _decide(candidates)
+    hypotheses = {
+        "s >= 0 (two-sided norm comparability)": (s, ">=", 0),
+        "s <= -1": (s, "<=", -1),
+        "s is an integer": (s, "integer", 0),
+        "-1 < s": (-1, "<", s),
+        "s < 0": (s, "<", 0),
+        "enclosing open set is flagged Lipschitz or the whole space":
+            (int(spec.enclosing in ("lipschitz", "fullspace")), "==", 1),
+    }
+    return _decide([_candidate(tag, hypotheses, names)
+                    for tag, names in _EXTENSIONS])

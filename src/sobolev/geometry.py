@@ -25,8 +25,8 @@ from sobolev.funcexpr import (
 )
 
 __all__ = [
-    "MetricField", "ChristoffelField", "TensorField", "builtin_metric",
-    "christoffel", "covariant_derivative", "fiber_norm_values", "musical",
+    "MetricField", "TensorField", "builtin_metric",
+    "covariant_derivative", "fiber_norm_values", "musical",
     "scalar_field", "transform_components",
     "check_overlap_consistency",
 ]
@@ -65,37 +65,24 @@ def _adjugate_over_det(m: list[list[Expr]], det: Expr) -> list[list[Expr]]:
 
 
 @dataclass
-class ChristoffelField:
-    """Connection coefficients on one chart: gamma[k][i][j] with the
-    structural symmetry gamma[k][i][j] == gamma[k][j][i]."""
-
-    atlas: Atlas
-    chart_index: int
-    gamma: list  # n x n x n expressions
-
-    def values(self, pts: np.ndarray) -> np.ndarray:
-        """(m, n, n, n) array of gamma[k][i][j] at chart points."""
-        n = self.atlas.dim
-        return eval_many([self.gamma[k][i][j] for k in range(n)
-                          for i in range(n) for j in range(n)],
-                         pts).reshape(-1, n, n, n)
-
-
-@dataclass
 class MetricField:
-    """Per-chart metric component expressions with eager symbolic caches."""
+    """Per-chart metric component expressions with eager symbolic caches.
+
+    ``christoffel[ci][k][i][j]`` is the connection coefficient
+    Gamma^k_{ij} on chart ``ci``, the same node as ``[ci][k][j][i]``.
+    """
 
     atlas: Atlas
     comps: list  # per chart: n x n expressions
 
     inv_comps: list = dataclass_field(init=False)
     sqrt_det: list = dataclass_field(init=False)
-    _christoffel: list = dataclass_field(init=False)
+    christoffel: list = dataclass_field(init=False)
 
     def __post_init__(self):
         self.inv_comps = []
         self.sqrt_det = []
-        self._christoffel = []
+        self.christoffel = []
         for ci, g in enumerate(self.comps):
             det = _det_expr(g)
             if det == ZERO:
@@ -103,9 +90,9 @@ class MetricField:
             self.inv_comps.append(_adjugate_over_det(g, det))
             self.sqrt_det.append(
                 ONE if det == ONE else Call("sqrt", det))
-            self._christoffel.append(self._christoffel_block(ci))
+            self.christoffel.append(self._christoffel_block(ci))
 
-    def _christoffel_block(self, ci: int) -> ChristoffelField:
+    def _christoffel_block(self, ci: int) -> list:
         n = self.atlas.dim
         g = self.comps[ci]
         ginv = self.inv_comps[ci]
@@ -123,7 +110,7 @@ class MetricField:
                     val = mul(half, total)
                     gamma[k][i][j] = val
                     gamma[k][j][i] = val
-        return ChristoffelField(self.atlas, ci, gamma)
+        return gamma
 
 
 def builtin_metric(atlas: Atlas) -> MetricField:
@@ -140,10 +127,6 @@ def builtin_metric(atlas: Atlas) -> MetricField:
             comps.append([[ONE if i == j else ZERO for j in range(n)]
                           for i in range(n)])
     return MetricField(atlas, comps)
-
-
-def christoffel(g: MetricField, chart: int) -> ChristoffelField:
-    return g._christoffel[chart]
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +213,7 @@ def _cov_step(field: TensorField, g: MetricField) -> TensorField:
     new_keys = _positions(n, field.k_cov + 1, field.l_con)
     new_comps = []
     for ci in range(len(field.atlas.charts)):
-        gamma = christoffel(g, ci).gamma
+        gamma = g.christoffel[ci]
 
         def comp(con, cov):
             return field.component(ci, con, cov)

@@ -73,10 +73,6 @@ class BoxDomain:
             v *= hi - lo
         return v
 
-    def contains(self, other: "BoxDomain") -> bool:
-        return all(lo <= olo and ohi <= hi
-                   for (lo, hi), (olo, ohi) in zip(self.bounds, other.bounds))
-
     def interior(self, pts: np.ndarray) -> np.ndarray:
         """Mask of the points strictly inside the box."""
         inside = np.ones(pts.shape[0], dtype=bool)
@@ -407,16 +403,14 @@ def sobolev_norm(u, box: BoxDomain, s: float, p: float = 2.0,
 _SUPPORT_TOL = 1e-9  # the largest |u| extend_by_zero accepts on the margin
 
 
-def extend_by_zero(u, inner: BoxDomain, outer: BoxDomain, N=None) -> Expr:
-    """The zero extension of a compactly supported function to a larger
+def extend_by_zero(u, inner: BoxDomain, N=None) -> Expr:
+    """The zero extension of a compactly supported function to any larger
     box: ``Piecewise(open inner box, u, 0)``, an expression like any other.
 
     ``u`` must vanish (within ``_SUPPORT_TOL`` = 1e-9) on the outermost
     cell layer of the inner grid of ``N`` and on probe points of the inner
     box's boundary facets; otherwise :class:`SupportViolation`.
     """
-    if not outer.contains(inner):
-        raise ValueError("inner box must be contained in the outer box")
     f = as_field(u, inner.n)
     shape = grid_shape(inner.n, N)
     pts, _, _ = midpoint_grid(inner, shape)

@@ -45,6 +45,12 @@ class TestCheckCommands:
         assert code == 0
         assert rep["theorem"] == "embedding I"
 
+    @pytest.mark.parametrize("domain, code", [("open", 1), ("lipschitz", 0)])
+    def test_embed_w1_into_fractional_needs_lipschitz(self, capsys, domain,
+                                                      code):
+        assert run(capsys, "check", "embed", "--n", "2", "--from", "1,2",
+                   "--to", "1/2,2", "--domain", domain)[0] == code
+
     def test_pointwise(self, capsys):
         code, rep = run(capsys, "check", "pointwise", "--n", "3",
                         "--space", "2,2", "--mode", "algebra")
@@ -130,6 +136,11 @@ class TestNormCommands:
         ("check", "derivative", "--n", "1", "--space", "1,2", "--order", "0"),
         ("check", "derivative", "--n", "1", "--space", "1,2",
          "--order=-2"),
+        # flags that apply to one order range only
+        ("norm", "euclid", "--expr", "x1", "--box", "0,1", "--s", "3/2",
+         "--seminorm"),
+        ("norm", "manifold", "--manifold", "s1-stereo", "--expr", "x1",
+         "--e", "1", "--intrinsic"),
     ])
     def test_malformed_arguments_are_usage_errors(self, capsys, argv):
         code, rep = run(capsys, *argv)
@@ -216,6 +227,13 @@ class TestNormCommands:
         assert rep["kind"] == "manifold_norm_report"
         assert rep["value"] > 0
 
+    def test_manifold_norm_alternate_pou(self, capsys):
+        code, rep = run(capsys, "norm", "manifold", "--manifold", "torus1",
+                        "--expr", "sin(2*pi*x1)", "--e", "1", "--grid", "128",
+                        "--pou", "alt")
+        assert code == 0
+        assert rep["pou"] == "alt"
+
     def test_manifold_intrinsic(self, capsys):
         code, rep = run(capsys, "norm", "manifold", "--manifold", "s1-stereo",
                         "--expr", "1", "--e", "0", "--grid", "256",
@@ -263,6 +281,14 @@ class TestCompareAndOps:
         assert code == 0
         lo, hi = rep["bracket"]
         assert 0 < lo <= hi
+
+    def test_compare_against_connection(self, capsys):
+        code, rep = run(capsys, "compare", "--manifold", "torus1",
+                        "--expr", "sin(2*pi*x1)", "--expr", "cos(2*pi*x1)",
+                        "--e", "1", "--grid", "96", "--against", "connection")
+        assert code == 0
+        assert rep["variant_b"] == "connection"
+        assert len(rep["ratios"]) == 2
 
     def test_op_apply(self, capsys):
         code, rep = run(capsys, "op", "apply", "--manifold", "torus1",

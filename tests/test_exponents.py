@@ -76,6 +76,23 @@ class TestEmbedding:
         v2 = check_embedding(space(2, 4, 2, FS), space(1, 2, 2, FS))
         assert v2.result == NOT_GUARANTEED
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("p", ["3/2", "2", "3"])
+    @pytest.mark.parametrize("t", ["1/4", "1/2", "3/4"])
+    def test_w1_into_fractional_needs_a_lipschitz_domain(self, n, p, t):
+        # on a general open set W^{1,p} need not embed in W^{t,p}, 0 < t < 1
+        v = check_embedding(space(1, p, n, GO), space(t, p, n, GO))
+        assert v.result == NOT_GUARANTEED
+        assert [c.text for c in v.conditions] == [
+            "t is a nonnegative integer", "s < 1", "floor(s) = floor(t)",
+            "t is a nonnegative integer"]
+        assert [c.theorem_tag for c in v.candidates] == [
+            "embedding IV.3", "embedding IV.4", "embedding IV.5",
+            "embedding IV.6"]
+        v = check_embedding(space(1, p, n, BL), space(t, p, n, BL))
+        assert v.result == ADMISSIBLE
+        assert v.theorem_tag == "embedding III"
+
 
 class TestMultiplication:
     def test_positive_case(self):

@@ -75,7 +75,7 @@ def test_laplace_bound_s2(s2):
 def test_norm_of_zero_extension_source():
     inner = BoxDomain(((0.0, 1.0),))
     outer = BoxDomain(((-0.25, 1.25),))
-    ext = extend_by_zero(box_bump(1, (0.5,), "1/5", "2/5"), inner, outer, N=64)
+    ext = extend_by_zero(box_bump(1, (0.5,), "1/5", "2/5"), inner, N=64)
     rep = sobolev_norm(ext, outer, s=1.5, p=2, N=96)
     assert rep.value == pinned(43.12267907283361)
     assert rep.error_estimate == pinned(4.476762096891692)

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from sobolev.atlas import builtin_manifold
-from sobolev.funcexpr import Const
-from sobolev.geometry import _adjugate_over_det, _det_expr, christoffel
+from sobolev.funcexpr import Const, eval_many
+from sobolev.geometry import _adjugate_over_det, _det_expr
 
 sp = pytest.importorskip("sympy")
 
@@ -66,7 +66,9 @@ def test_s2_stereo_christoffel_matches_sympy(chart):
     rng = random.Random(f"christoffel:{chart}")
     pts = [tuple(Fraction(rng.randint(-400, 400), 100) for _ in range(2))
            for _ in range(12)]
-    got = christoffel(g, chart).values(np.array(pts, dtype=float))
+    got = eval_many([e for plane in g.christoffel[chart] for row in plane
+                     for e in row],
+                    np.array(pts, dtype=float)).reshape(-1, 2, 2, 2)
     for p, point in enumerate(pts):
         at = dict(zip(xs, (rational(v) for v in point)))
         for k in range(2):
