@@ -36,18 +36,25 @@ from sobolev.funcexpr import (
     ONE, ZERO, Call, Const, Expr, Piecewise, Var, add, div, eval_on_points,
     mul, prod_exprs, sub, subst_expr, sum_exprs,
 )
-from sobolev.quadrature import BoxDomain, midpoint_grid
+from sobolev.quadrature import BoxDomain
 
 __all__ = [
     "Atlas", "Chart", "PartitionOfUnity", "BumpSeed", "TransitionMap",
-    "UnknownManifold", "CoverConditionError", "EmptyOverlap",
+    "UnknownManifold", "CoverConditionError",
     "PeriodicityError", "AtlasConfigError",
     "builtin_manifold", "build_partition_of_unity",
     "default_seeds", "alternate_seeds", "quasirandom_points",
     "MANIFOLD_NAMES", "atlas_from_config",
 ]
 
-MANIFOLD_NAMES = ("s1-stereo", "s2-stereo", "torus1", "torus2")
+# name: (family, dim, ambient dim, classification, GL self-compatible)
+_BUILTINS = {
+    "s1-stereo": ("stereo", 1, 2, "super nice", False),
+    "s2-stereo": ("stereo", 2, 3, "super nice", False),
+    "torus1": ("torus", 1, 1, "GL", True),
+    "torus2": ("torus", 2, 2, "GL", True),
+}
+MANIFOLD_NAMES = tuple(_BUILTINS)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -68,43 +75,27 @@ class CoverConditionError(ValueError):
         self.witness = witness
 
 
-class EmptyOverlap(ValueError):
-    pass
-
-
 class PeriodicityError(ValueError):
     """A function on a torus is not 1-periodic in its ambient coordinates."""
 
 
-@dataclass
 class Chart:
-    """One coordinate chart with numeric forward/inverse maps.
+    """One coordinate chart; a subclass gives its numeric maps
+    ``to_chart`` (ambient -> coordinates), ``to_manifold`` and the
+    ambient mask ``contains``.
 
     ``truncation`` is the compact coordinate box on which all numerics
     run; it contains the supports of every partition-of-unity function
-    assigned to this chart.
+    assigned to this chart.  ``inverse_exprs`` is the inverse map
+    (coordinates -> ambient) as expressions, where it has a closed form.
     """
 
     name: str
     dim: int
-    image_kind: str                      # "fullspace" | "ball" | "box"
     truncation: BoxDomain
-    image_bounds: tuple | None = None    # box/ball descriptor data
-    inverse_exprs: list[Expr] | None = None  # coords -> ambient, when closed form
-    offsets: tuple | None = None         # torus cell offsets
-
-    _to_chart: callable = None
-    _to_manifold: callable = None
-    _contains: callable = None
-
-    def to_chart(self, ambient: np.ndarray) -> np.ndarray:
-        return self._to_chart(np.asarray(ambient, dtype=float))
-
-    def to_manifold(self, coords: np.ndarray) -> np.ndarray:
-        return self._to_manifold(np.asarray(coords, dtype=float))
-
-    def contains(self, ambient: np.ndarray) -> np.ndarray:
-        return self._contains(np.asarray(ambient, dtype=float))
+    image_kind = "fullspace"             # "fullspace" | "box"
+    image_bounds = None                  # per-axis (lo, hi) of a box image
+    inverse_exprs = None
 
     def descriptor(self) -> dict:
         out = {"name": self.name, "image": self.image_kind,
@@ -112,6 +103,64 @@ class Chart:
         if self.image_bounds is not None:
             out["image_bounds"] = [list(b) for b in self.image_bounds]
         return out
+
+
+class StereoChart(Chart):
+    """Stereographic projection of the unit sphere S^dim in R^{dim+1} from
+    the pole (0,..,0,sign): x' / (1 - sign*z), truncated to
+    [-trunc_radius, trunc_radius]^dim."""
+
+    def __init__(self, dim: int, sign: int, trunc_radius: float):
+        self.name = "minus-north-pole" if sign > 0 else "minus-south-pole"
+        self.dim = dim
+        self.sign = sign
+        self.truncation = BoxDomain(((-trunc_radius, trunc_radius),) * dim)
+        r2 = radius_squared(dim)
+        denom = add(ONE, r2)
+        self.inverse_exprs = [div(mul(Const(Fraction(2)), Var(ax)), denom)
+                              for ax in range(1, dim + 1)]
+        self.inverse_exprs.append(mul(Const(sign), div(sub(r2, ONE), denom)))
+
+    def to_chart(self, ambient: np.ndarray) -> np.ndarray:
+        denom = 1.0 - self.sign * ambient[:, -1]
+        return ambient[:, :-1] / denom[:, None]
+
+    def to_manifold(self, coords: np.ndarray) -> np.ndarray:
+        r2 = np.sum(coords * coords, axis=1)
+        denom = 1.0 + r2
+        out = np.empty((coords.shape[0], self.dim + 1))
+        out[:, :-1] = 2.0 * coords / denom[:, None]
+        out[:, -1] = self.sign * (r2 - 1.0) / denom
+        return out
+
+    def contains(self, ambient: np.ndarray) -> np.ndarray:
+        return 1.0 - self.sign * ambient[:, -1] > 1e-12
+
+
+class TorusChart(Chart):
+    """The unit cell [offsets, offsets + 1) of R^n/Z^n, truncated to
+    [offsets + 0.02, offsets + 0.98]."""
+
+    image_kind = "box"
+
+    def __init__(self, offsets: tuple):
+        self.name = "cell-" + "".join("b" if o else "a" for o in offsets)
+        self.dim = len(offsets)
+        self.offsets = offsets
+        self.truncation = BoxDomain(tuple((o + 0.02, o + 0.98)
+                                          for o in offsets))
+        self.image_bounds = tuple((o, o + 1.0) for o in offsets)
+
+    def to_chart(self, ambient: np.ndarray) -> np.ndarray:
+        rep = np.mod(ambient, 1.0)
+        return rep + (rep < np.array(self.offsets)) * 1.0
+
+    def to_manifold(self, coords: np.ndarray) -> np.ndarray:
+        return np.mod(coords, 1.0)
+
+    def contains(self, ambient: np.ndarray) -> np.ndarray:
+        return np.all(np.abs(np.mod(ambient, 1.0) - self.offsets) > 1e-12,
+                      axis=1)
 
 
 @dataclass
@@ -267,13 +316,8 @@ def _torus_pulled_bump(atlas: Atlas, seed: BumpSeed, beta: int,
     terms = []
     for combo in itertools.product((-1, 0, 1), repeat=n):
         center = tuple(Fraction(str(c)) + k for c, k in zip(seed.center, combo))
-        ok = True
-        for ax, (lo, hi) in enumerate(trunc.bounds):
-            c = float(center[ax])
-            if c + seed.support <= lo or c - seed.support >= hi:
-                ok = False
-                break
-        if ok:
+        if all(lo < float(c) + seed.support and float(c) - seed.support < hi
+               for c, (lo, hi) in zip(center, trunc.bounds)):
             terms.append(box_bump(n, center, Fraction(str(seed.plateau)),
                                   Fraction(str(seed.support))))
     return sum_exprs(terms)
@@ -311,19 +355,22 @@ def build_partition_of_unity(atlas: Atlas, seeds=None,
 
 
 def default_seeds(atlas: Atlas) -> list[BumpSeed]:
-    if atlas.family == "stereo":
-        return [BumpSeed("radial", 1.5, 3.0) for _ in atlas.charts]
-    return [BumpSeed("box", 0.3, 0.45,
-                     center=tuple(0.5 + off for off in chart.offsets))
-            for chart in atlas.charts]
+    return _seeds(atlas, stereo=(1.5, 3.0), torus=(0.3, 0.45))
 
 
 def alternate_seeds(atlas: Atlas) -> list[BumpSeed]:
     """A second, genuinely different subordinate family (for equivalence
     experiments)."""
+    return _seeds(atlas, stereo=(1.1, 3.6), torus=(0.27, 0.38))
+
+
+def _seeds(atlas: Atlas, stereo: tuple, torus: tuple) -> list[BumpSeed]:
+    """One seed per chart from the (plateau, support) of the atlas's
+    family: radial at the origin of a sphere chart, a box at the center
+    of a torus cell."""
     if atlas.family == "stereo":
-        return [BumpSeed("radial", 1.1, 3.6) for _ in atlas.charts]
-    return [BumpSeed("box", 0.27, 0.38,
+        return [BumpSeed("radial", *stereo) for _ in atlas.charts]
+    return [BumpSeed("box", *torus,
                      center=tuple(0.5 + off for off in chart.offsets))
             for chart in atlas.charts]
 
@@ -339,13 +386,6 @@ class TransitionMap:
     atlas: Atlas
     a: int
     b: int
-
-    def __post_init__(self):
-        pts, _, _ = midpoint_grid(self.atlas.charts[self.a].truncation,
-                                  (8,) * self.atlas.dim)
-        if not self.domain_mask(pts).any():
-            raise EmptyOverlap(
-                f"charts {self.a} and {self.b} have no sampled overlap")
 
     def domain_mask(self, coords: np.ndarray) -> np.ndarray:
         amb = self.atlas.charts[self.a].to_manifold(np.asarray(coords, float))
@@ -377,80 +417,6 @@ class TransitionMap:
 # ---------------------------------------------------------------------------
 # Built-in manifolds
 # ---------------------------------------------------------------------------
-
-def _stereo_charts(dim: int, trunc_radius: float) -> list[Chart]:
-    amb = dim + 1
-    trunc = BoxDomain(tuple((-trunc_radius, trunc_radius) for _ in range(dim)))
-
-    def make(sign: float, name: str) -> Chart:
-        # sign=+1: project from (0,..,0,+1); chart formula x' / (1 - sign*z)
-        def to_chart(ambient):
-            denom = 1.0 - sign * ambient[:, -1]
-            return ambient[:, :-1] / denom[:, None]
-
-        def to_manifold(coords):
-            r2 = np.sum(coords * coords, axis=1)
-            denom = 1.0 + r2
-            out = np.empty((coords.shape[0], amb))
-            out[:, :-1] = 2.0 * coords / denom[:, None]
-            out[:, -1] = sign * (r2 - 1.0) / denom
-            return out
-
-        def contains(ambient):
-            return 1.0 - sign * ambient[:, -1] > 1e-12
-
-        # inverse map as expressions, coords -> ambient
-        r2 = radius_squared(dim)
-        denom = add(ONE, r2)
-        inv = [div(mul(Const(Fraction(2)), Var(ax)), denom)
-               for ax in range(1, dim + 1)]
-        last = div(sub(r2, ONE), denom)
-        inv.append(last if sign > 0 else mul(Const(Fraction(-1)), last))
-
-        return Chart(name=name, dim=dim, image_kind="fullspace",
-                     truncation=trunc, inverse_exprs=inv,
-                     _to_chart=to_chart, _to_manifold=to_manifold,
-                     _contains=contains)
-
-    return [make(+1.0, "minus-north-pole"), make(-1.0, "minus-south-pole")]
-
-
-def _torus_charts(dim: int) -> list[Chart]:
-    charts = []
-    for offsets in itertools.product((0.0, 0.5), repeat=dim):
-        lo = [o + 0.02 for o in offsets]
-        hi = [o + 0.98 for o in offsets]
-        image = tuple((o, o + 1.0) for o in offsets)
-
-        def make(offsets=offsets):
-            offs = np.array(offsets)
-
-            def to_chart(ambient):
-                rep = np.mod(ambient, 1.0)
-                return rep + (rep < offs[None, :]) * 1.0
-
-            def to_manifold(coords):
-                return np.mod(coords, 1.0)
-
-            def contains(ambient):
-                rep = np.mod(ambient, 1.0)
-                mask = np.ones(ambient.shape[0], dtype=bool)
-                for ax, o in enumerate(offs):
-                    seam = np.mod(o, 1.0)
-                    mask &= np.abs(rep[:, ax] - seam) > 1e-12
-                return mask
-
-            return to_chart, to_manifold, contains
-
-        to_chart, to_manifold, contains = make()
-        name = "cell-" + "".join("b" if o else "a" for o in offsets)
-        charts.append(Chart(name=name, dim=dim, image_kind="box",
-                            truncation=BoxDomain(tuple(zip(lo, hi))),
-                            image_bounds=image, offsets=offsets,
-                            _to_chart=to_chart, _to_manifold=to_manifold,
-                            _contains=contains))
-    return charts
-
 
 def quasirandom_points(manifold: str, m: int) -> np.ndarray:
     """Deterministic low-discrepancy sample of ambient manifold points."""
@@ -486,18 +452,20 @@ def builtin_manifold(name: str):
 
 
 def _builtin_atlas(name: str, trunc_radius: float = 4.0) -> Atlas:
-    if name == "s1-stereo":
-        return Atlas(name, "stereo", 1, 2, _stereo_charts(1, trunc_radius),
-                     "super nice", False, {"truncation_radius": trunc_radius})
-    if name == "s2-stereo":
-        return Atlas(name, "stereo", 2, 3, _stereo_charts(2, trunc_radius),
-                     "super nice", False, {"truncation_radius": trunc_radius})
-    if name == "torus1":
-        return Atlas(name, "torus", 1, 1, _torus_charts(1), "GL", True, {})
-    if name == "torus2":
-        return Atlas(name, "torus", 2, 2, _torus_charts(2), "GL", True, {})
-    raise UnknownManifold(f"unknown manifold {name!r}; "
-                          f"known: {', '.join(MANIFOLD_NAMES)}")
+    if name not in _BUILTINS:
+        raise UnknownManifold(f"unknown manifold {name!r}; "
+                              f"known: {', '.join(MANIFOLD_NAMES)}")
+    family, dim, ambient_dim, classification, self_compatible = \
+        _BUILTINS[name]
+    if family == "torus":
+        charts = [TorusChart(offsets)
+                  for offsets in itertools.product((0.0, 0.5), repeat=dim)]
+        params = {}
+    else:
+        charts = [StereoChart(dim, sign, trunc_radius) for sign in (1, -1)]
+        params = {"truncation_radius": trunc_radius}
+    return Atlas(name, family, dim, ambient_dim, charts, classification,
+                 self_compatible, params)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from sobolev import exponents as ex
 from sobolev import manifold_norms as mn
 from sobolev import operators as ops
 from sobolev import quadrature as quad
-from sobolev.funcexpr import ExprDomainError, ExprSyntaxError, parse_expr
+from sobolev.funcexpr import ExprSyntaxError, parse_expr
 from sobolev.geometry import TensorField, builtin_metric
 
 __all__ = ["execute"]
@@ -423,9 +423,7 @@ def execute(argv=None) -> int:
         _emit({"schema": "v1", "error": str(err),
                "config": _config_echo(args)}, args.pretty, args.output)
         return 2
-    except (ExprDomainError, quad.SupportViolation,
-            atlas_mod.CoverConditionError, atlas_mod.EmptyOverlap,
-            ArithmeticError, ValueError) as err:
+    except (ArithmeticError, ValueError) as err:
         _emit({"schema": "v1", "error": str(err),
                "config": _config_echo(args)}, args.pretty, args.output)
         return 3

@@ -573,29 +573,25 @@ def _diff_rule(e: Expr, axis: int) -> Expr:
 # Substitution
 # ---------------------------------------------------------------------------
 
+_FOLDING = {Neg: neg, Add: add, Sub: sub, Mul: mul, Div: div, Pow: pow_}
+
+
 def subst_expr(e: Expr, mapping: dict[int, Expr]) -> Expr:
-    """Substitute expressions for variables (keyed by 1-based index)."""
-    if isinstance(e, (Const, Pi)):
-        return e
+    """Substitute expressions for variables (keyed by 1-based index).
+
+    Every other node is rebuilt from its substituted children through its
+    folding constructor, or its class where it has none.
+    """
+    if not isinstance(e, Expr):
+        raise TypeError(f"not an Expr: {e!r}")
     if isinstance(e, Var):
         return mapping.get(e.index, e)
-    if isinstance(e, Neg):
-        return neg(subst_expr(e.arg, mapping))
-    if isinstance(e, Add):
-        return add(subst_expr(e.left, mapping), subst_expr(e.right, mapping))
-    if isinstance(e, Sub):
-        return sub(subst_expr(e.left, mapping), subst_expr(e.right, mapping))
-    if isinstance(e, Mul):
-        return mul(subst_expr(e.left, mapping), subst_expr(e.right, mapping))
-    if isinstance(e, Div):
-        return div(subst_expr(e.left, mapping), subst_expr(e.right, mapping))
-    if isinstance(e, Pow):
-        return pow_(subst_expr(e.base, mapping), e.power)
-    if isinstance(e, Call):
-        return Call(e.func, subst_expr(e.arg, mapping))
     if isinstance(e, Piecewise):
         raise TypeError("cannot substitute into a piecewise expression")
-    raise TypeError(f"not an Expr: {e!r}")
+    args = [getattr(e, name) for name in e._names]
+    args = [subst_expr(a, mapping) if isinstance(a, Expr) else a
+            for a in args]
+    return _FOLDING.get(type(e), type(e))(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Metric geometry on the built-in manifolds.
 
 Metric components are expressions per chart; the inverse metric (by
-symbolic adjugate, n <= 3), the volume density sqrt(det g) and all
+symbolic adjugate), the volume density sqrt(det g) and all
 Christoffel symbols are cached eagerly at construction.  Covariant
 derivatives of tensor fields iterate the one-step rule that prepends a
 covariant index and corrects every existing index with a Christoffel
@@ -33,25 +33,19 @@ __all__ = [
 
 
 def _det_expr(m: list[list[Expr]]) -> Expr:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return sub(mul(m[0][0], m[1][1]), mul(m[0][1], m[1][0]))
-    if n == 3:
-        total = ZERO
-        for j in range(3):
-            minor = [[m[r][c] for c in range(3) if c != j] for r in (1, 2)]
-            term = mul(m[0][j], _det_expr(minor))
-            total = add(total, term) if j % 2 == 0 else sub(total, term)
-        return total
-    raise ValueError("symbolic determinants implemented for n <= 3")
+    """Cofactor expansion along the first row; the empty determinant is 1."""
+    if not m:
+        return ONE
+    total = ZERO
+    for j in range(len(m)):
+        term = mul(m[0][j], _det_expr([row[:j] + row[j + 1:]
+                                       for row in m[1:]]))
+        total = add(total, term) if j % 2 == 0 else sub(total, term)
+    return total
 
 
 def _adjugate_over_det(m: list[list[Expr]], det: Expr) -> list[list[Expr]]:
     n = len(m)
-    if n == 1:
-        return [[div(ONE, m[0][0])]]
     inv = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
