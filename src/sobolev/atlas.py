@@ -68,7 +68,9 @@ class AtlasConfigError(ValueError):
 
 
 class CoverConditionError(ValueError):
-    """Bump plateaus fail to cover the manifold; carries a witness point."""
+    """A partition of unity that does not sum to 1, with a witness point,
+    or a bump whose support leaves its chart's truncation box (witness
+    None)."""
 
     def __init__(self, message, witness):
         super().__init__(message)
@@ -327,14 +329,23 @@ def build_partition_of_unity(atlas: Atlas, seeds=None,
                              name: str = "default") -> PartitionOfUnity:
     """psi_1 = eta_1, psi_a = eta_a * prod_{b<a} (1 - eta_b).
 
-    Raises :class:`CoverConditionError` (with a witness point) when the
-    plateau sets fail to cover the manifold, detected as a sampled
-    partition sum below 1 - 1e-9.
+    Raises :class:`CoverConditionError` when a seed's support (a box of
+    half-width ``support`` around its center, the origin for a radial
+    seed) leaves its chart's truncation box, and, with a witness point,
+    when a sampled partition sum differs from 1 by more than 1e-9.
     """
     if seeds is None:
         seeds = default_seeds(atlas)
     if len(seeds) != len(atlas.charts):
         raise ValueError("one bump seed per chart is required")
+    for chart, seed in zip(atlas.charts, seeds):
+        center = seed.center or (0.0,) * atlas.dim
+        if not all(lo <= c - seed.support and c + seed.support <= hi
+                   for c, (lo, hi) in zip(center, chart.truncation.bounds)):
+            raise CoverConditionError(
+                f"the bump of chart {chart.name} has support "
+                f"{seed.support:g} around {list(center)}, which leaves its "
+                f"truncation box {chart.truncation.to_json()}", None)
     fields = []
     for a in range(len(atlas.charts)):
         factors = [_pulled_bump(atlas, seeds[a], a, a)]
@@ -345,12 +356,13 @@ def build_partition_of_unity(atlas: Atlas, seeds=None,
 
     pts = quasirandom_points(atlas.manifold, 2000)
     sums = pou.values_at(pts).sum(axis=0)
-    worst = int(np.argmin(sums))
-    if sums[worst] < 1.0 - 1e-9:
+    worst = int(np.argmax(np.abs(sums - 1.0)))
+    if abs(sums[worst] - 1.0) > 1e-9:
+        what = ("bump plateaus do not cover the manifold"
+                if sums[worst] < 1.0 else "the bumps overlap beyond 1")
         raise CoverConditionError(
-            f"bump plateaus do not cover the manifold: partition sum "
-            f"{sums[worst]:.12f} at {pts[worst].tolist()}",
-            pts[worst].tolist())
+            f"{what}: partition sum {sums[worst]:.12f} at "
+            f"{pts[worst].tolist()}", pts[worst].tolist())
     return pou
 
 
@@ -482,8 +494,10 @@ def atlas_from_config(config: dict):
     """Rebuild a built-in-family atlas (and optional partition of unity)
     from its JSON descriptor.  A descriptor that is not an object with a
     ``manifold`` key, that has unknown keys, a non-numeric truncation
-    radius or malformed bump seeds (see :func:`_seed_from_config`), or
-    not one seed per chart, raises :class:`AtlasConfigError`."""
+    radius, an echoed key of :meth:`Atlas.to_config` (all but ``params``)
+    that differs from the rebuilt atlas's, malformed bump seeds (see
+    :func:`_seed_from_config`), or not one seed per chart, raises
+    :class:`AtlasConfigError`."""
     if not isinstance(config, dict) or "manifold" not in config:
         raise AtlasConfigError(
             "an atlas config is a JSON object with a 'manifold' key")
@@ -496,9 +510,14 @@ def atlas_from_config(config: dict):
     radius = _config_number(params.get("truncation_radius", 4.0),
                             "params.truncation_radius")
     atlas = _builtin_atlas(config["manifold"], radius)
+    for key, rebuilt in atlas.to_config().items():
+        if key != "params" and key in config and config[key] != rebuilt:
+            raise AtlasConfigError(
+                f"atlas-config key {key!r} is {config[key]!r}, but the "
+                f"rebuilt {atlas.manifold} atlas has {rebuilt!r}")
     pou = None
     if "pou" in config:
-        seeds = [_seed_from_config(s, atlas.dim)
+        seeds = [_seed_from_config(s, atlas)
                  for s in config["pou"].get("seeds", [])]
         if len(seeds) != len(atlas.charts):
             raise AtlasConfigError(
@@ -515,10 +534,10 @@ def _config_number(value, what: str) -> float:
     return float(value)
 
 
-def _seed_from_config(s, dim: int) -> BumpSeed:
-    """The bump seed of one JSON object: ``kind`` radial or box, numeric
-    ``plateau`` and ``support``, and for a box seed a ``center`` of
-    ``dim`` numbers."""
+def _seed_from_config(s, atlas: Atlas) -> BumpSeed:
+    """The bump seed of one JSON object: ``kind`` radial on a sphere and
+    box on a torus, numeric ``plateau`` and ``support``, and a ``center``
+    of ``atlas.dim`` numbers for a box seed and of none for a radial one."""
     if not isinstance(s, dict) or set(s) - _SEED_KEYS:
         raise AtlasConfigError(f"a bump seed is a JSON object with keys "
                                f"among {sorted(_SEED_KEYS)}, got {s!r}")
@@ -528,10 +547,15 @@ def _seed_from_config(s, dim: int) -> BumpSeed:
     if s["kind"] not in ("radial", "box"):
         raise AtlasConfigError(
             f"unknown bump-seed kind {s['kind']!r}; known: radial, box")
+    kind = "radial" if atlas.family == "stereo" else "box"
+    if s["kind"] != kind:
+        raise AtlasConfigError(f"{atlas.manifold} takes {kind} bump seeds, "
+                               f"got a {s['kind']} seed")
+    dim = atlas.dim if kind == "box" else 0
     center = s.get("center", [])
-    if not isinstance(center, list) or (s["kind"] == "box"
-                                        and len(center) != dim):
-        raise AtlasConfigError(f"a box seed needs a center of {dim} numbers")
+    if not isinstance(center, list) or len(center) != dim:
+        raise AtlasConfigError(f"a {kind} seed needs a center of {dim} "
+                               f"numbers")
     plateau = _config_number(s["plateau"], "plateau")
     support = _config_number(s["support"], "support")
     if not 0 < plateau < support:

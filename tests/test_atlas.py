@@ -129,6 +129,30 @@ class TestPartitionOfUnity:
             build_partition_of_unity(atlas, bad)
         assert exc.value.witness is not None
 
+    def test_inconsistent_bumps_fail_the_two_sided_check(self, s2):
+        # box bumps on a sphere chart, pulled as radial ones into the other
+        atlas, _, _ = s2
+        box = BumpSeed("box", 1.5, 3.0, (0.0, 0.0))
+        with pytest.raises(CoverConditionError, match="overlap beyond 1"):
+            build_partition_of_unity(atlas, [box, box])
+
+    @pytest.mark.parametrize("manifold, radius, seed", [
+        ("s1-stereo", 4.0, BumpSeed("radial", 1.5, 6.0)),
+        ("s1-stereo", 2.0, BumpSeed("radial", 1.5, 3.0)),
+        ("s2-stereo", 3.0, BumpSeed("radial", 1.5, 3.5)),
+        ("torus1", None, BumpSeed("box", 0.3, 0.49, (0.5,))),
+        ("torus1", None, BumpSeed("radial", 0.3, 0.45)),
+    ])
+    def test_supports_outside_truncation_rejected(self, manifold, radius,
+                                                  seed):
+        params = {} if radius is None else {"truncation_radius": radius}
+        atlas, _ = atlas_from_config({"manifold": manifold,
+                                      "params": params})
+        with pytest.raises(CoverConditionError,
+                           match="leaves its truncation box") as exc:
+            build_partition_of_unity(atlas, [seed] * len(atlas.charts))
+        assert exc.value.witness is None
+
     def test_alternate_pou_also_sums_to_one(self, s1):
         atlas, _, _ = s1
         pou2 = build_partition_of_unity(atlas, alternate_seeds(atlas), "alt")

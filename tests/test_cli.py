@@ -248,6 +248,25 @@ class TestNormCommands:
         expected = math.sqrt(0.5 + (2 * math.pi) ** 2 / 2)
         assert rep["value"] == pytest.approx(expected, rel=0.01)
 
+    @pytest.mark.parametrize("q", ["2", "3"])
+    @pytest.mark.parametrize("manifold, expr", [
+        ("s1-stereo", "x1*x2"), ("s2-stereo", "x1*x3 + x2"),
+        ("torus1", "sin(2*pi*x1)"), ("torus2", "sin(2*pi*x1)*cos(2*pi*x2)"),
+    ])
+    def test_intrinsic_lq_norm_is_the_order_0_connection_norm(
+            self, capsys, manifold, expr, q):
+        """Both routes integrate the same |u|^q, so they agree bit for bit."""
+        code, lq = run(capsys, "norm", "manifold", "--manifold", manifold,
+                       "--expr", expr, "--e", "0", "--q", q, "--intrinsic",
+                       "--grid", "32")
+        assert code == 0
+        code, conn = run(capsys, "norm", "connection", "--manifold",
+                         manifold, "--expr", expr, "--k", "0", "--q", q,
+                         "--grid", "32")
+        assert code == 0
+        for key in ("value", "error_estimate"):
+            assert lq[key].hex() == conn[key].hex()
+
     def test_unknown_manifold_exit_2(self, capsys):
         code, rep = run(capsys, "norm", "manifold", "--manifold", "moebius",
                         "--expr", "1")
@@ -465,6 +484,37 @@ class TestPlumbing:
         (json.dumps({"manifold": "torus1", "pou": {"seeds": [
             {"kind": "box", "plateau": 0.3, "support": 0.45}] * 2}}),
          "torus1", "a box seed needs a center of 1 numbers"),
+        # a seed's kind is the family's: radial on a sphere, box on a torus
+        (json.dumps({"manifold": "torus1", "pou": {"seeds": [
+            {"kind": "radial", "plateau": 0.3, "support": 0.45}] * 2}}),
+         "torus1", "torus1 takes box bump seeds, got a radial seed"),
+        (json.dumps({"manifold": "s2-stereo", "pou": {"seeds": [
+            {"kind": "box", "plateau": 1.5, "support": 3.0,
+             "center": [0, 0]}] * 2}}),
+         "s2-stereo", "s2-stereo takes radial bump seeds, got a box seed"),
+        (json.dumps({"manifold": "s1-stereo", "pou": {"seeds": [
+            {"kind": "radial", "plateau": 1.5, "support": 3.0,
+             "center": [1.0]}] * 2}}),
+         "s1-stereo", "a radial seed needs a center of 0 numbers"),
+        # echoed keys must agree with the rebuilt atlas
+        ('{"manifold": "s1-stereo", "dim": 7}', "s1-stereo",
+         "atlas-config key 'dim' is 7, but the rebuilt s1-stereo atlas has 1"),
+        ('{"manifold": "s1-stereo", "family": "torus"}', "s1-stereo",
+         "atlas-config key 'family' is 'torus'"),
+        ('{"manifold": "s1-stereo", "classification": "GGL"}', "s1-stereo",
+         "atlas-config key 'classification' is 'GGL'"),
+        (json.dumps({"manifold": "s1-stereo", "charts": [
+            {"name": "minus-north-pole", "image": "fullspace",
+             "truncation": [[-1, 1]]},
+            {"name": "minus-south-pole", "image": "fullspace",
+             "truncation": [[-4.0, 4.0]]}]}), "s1-stereo",
+         "atlas-config key 'charts'"),
+        ('{"manifold": "torus1", "gl_self_compatible": false}', "torus1",
+         "atlas-config key 'gl_self_compatible' is False"),
+        ('{"manifold": "torus2", "schema": "v2", "kind": "atlas"}', "torus2",
+         "atlas-config key 'schema' is 'v2'"),
+        ('{"manifold": "torus2", "kind": "atlas"}', "torus2",
+         "atlas-config key 'kind' is 'atlas'"),
     ])
     def test_atlas_config_faults_are_usage_errors(self, tmp_path, capsys,
                                                   content, manifold,
@@ -490,6 +540,22 @@ class TestPlumbing:
                         "--expr", "1", "--e", "0", "--grid", "16")
         assert code == 3
         assert "do not cover" in rep["error"]
+
+    @pytest.mark.parametrize("config", [
+        {"manifold": "s1-stereo", "params": {"truncation_radius": 2}},
+        {"manifold": "s1-stereo", "pou": {"seeds": [
+            {"kind": "radial", "plateau": 1.5, "support": 6.0}] * 2}},
+    ])
+    def test_atlas_config_supports_outside_truncation_exit_3(
+            self, tmp_path, capsys, config):
+        path = tmp_path / "atlas.json"
+        path.write_text(json.dumps(config))
+        code, rep = run(capsys, "norm", "manifold", "--manifold",
+                        "s1-stereo", "--atlas-config", str(path),
+                        "--expr", "x1*x2", "--e", "0", "--intrinsic",
+                        "--grid", "256")
+        assert code == 3
+        assert "leaves its truncation box" in rep["error"]
 
 
 def test_reused_parser_matches_fresh_parser(capsys):
