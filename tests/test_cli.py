@@ -511,7 +511,7 @@ class TestPlumbing:
          "atlas-config key 'charts'"),
         ('{"manifold": "torus1", "gl_self_compatible": false}', "torus1",
          "atlas-config key 'gl_self_compatible' is False"),
-        ('{"manifold": "torus2", "schema": "v2", "kind": "atlas"}', "torus2",
+        ('{"manifold": "torus2", "schema": "v2"}', "torus2",
          "atlas-config key 'schema' is 'v2'"),
         ('{"manifold": "torus2", "kind": "atlas"}', "torus2",
          "atlas-config key 'kind' is 'atlas'"),
