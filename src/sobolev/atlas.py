@@ -34,7 +34,7 @@ from sobolev.fields import (
 )
 from sobolev.funcexpr import (
     ONE, ZERO, Call, Const, Expr, Piecewise, Var, add, div, eval_on_points,
-    mul, prod_exprs, sub, subst_expr, sum_exprs,
+    mul, pow_, prod_exprs, sub, subst_expr, sum_exprs,
 )
 from sobolev.quadrature import BoxDomain
 
@@ -46,15 +46,6 @@ __all__ = [
     "default_seeds", "alternate_seeds", "quasirandom_points",
     "MANIFOLD_NAMES", "atlas_from_config",
 ]
-
-# name: (family, dim, ambient dim, classification, GL self-compatible)
-_BUILTINS = {
-    "s1-stereo": ("stereo", 1, 2, "super nice", False),
-    "s2-stereo": ("stereo", 2, 3, "super nice", False),
-    "torus1": ("torus", 1, 1, "GL", True),
-    "torus2": ("torus", 2, 2, "GL", True),
-}
-MANIFOLD_NAMES = tuple(_BUILTINS)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -82,14 +73,16 @@ class PeriodicityError(ValueError):
 
 
 class Chart:
-    """One coordinate chart; a subclass gives its numeric maps
-    ``to_chart`` (ambient -> coordinates), ``to_manifold`` and the
-    ambient mask ``contains``.
+    """One coordinate chart; a subclass is a family of built-in manifolds
+    and gives its maps ``to_chart`` (ambient -> coordinates),
+    ``to_manifold`` and ``contains`` and every other per-family rule.
 
     ``truncation`` is the compact coordinate box on which all numerics
     run; it contains the supports of every partition-of-unity function
     assigned to this chart.  ``inverse_exprs`` is the inverse map
     (coordinates -> ambient) as expressions, where it has a closed form.
+    ``period_box`` is the unit cell over which a function on the manifold
+    is 1-periodic in its ambient coordinates, or None.
     """
 
     name: str
@@ -98,6 +91,7 @@ class Chart:
     image_kind = "fullspace"             # "fullspace" | "box"
     image_bounds = None                  # per-axis (lo, hi) of a box image
     inverse_exprs = None
+    period_box = None
 
     def descriptor(self) -> dict:
         out = {"name": self.name, "image": self.image_kind,
@@ -106,15 +100,34 @@ class Chart:
             out["image_bounds"] = [list(b) for b in self.image_bounds]
         return out
 
+    def seed(self, which: str) -> "BumpSeed":
+        """A ``seed_kind`` bump about ``seed_center`` with the (plateau,
+        support) of ``seed_sizes[which]``, ``which`` "default" or "alt"."""
+        return BumpSeed(self.seed_kind, *self.seed_sizes[which],
+                        center=self.seed_center)
+
+    def transition_jacobian(self, coords: np.ndarray) -> np.ndarray:
+        """(m, n, n) Jacobians of the transition into another chart of the
+        cover; this base rule is a translation's, the identity."""
+        m, n = coords.shape
+        return np.broadcast_to(np.eye(n), (m, n, n)).copy()
+
 
 class StereoChart(Chart):
     """Stereographic projection of the unit sphere S^dim in R^{dim+1} from
     the pole (0,..,0,sign): x' / (1 - sign*z), truncated to
     [-trunc_radius, trunc_radius]^dim."""
 
+    family = "stereo"
+    classification = "super nice"
+    gl_self_compatible = False
+    seed_kind = "radial"
+    seed_sizes = {"default": (1.5, 3.0), "alt": (1.1, 3.6)}
+    seed_center = ()
+
     def __init__(self, dim: int, sign: int, trunc_radius: float):
         self.name = "minus-north-pole" if sign > 0 else "minus-south-pole"
-        self.dim = dim
+        self.dim, self.ambient_dim = dim, dim + 1
         self.sign = sign
         self.truncation = BoxDomain(((-trunc_radius, trunc_radius),) * dim)
         r2 = radius_squared(dim)
@@ -122,6 +135,14 @@ class StereoChart(Chart):
         self.inverse_exprs = [div(mul(Const(Fraction(2)), Var(ax)), denom)
                               for ax in range(1, dim + 1)]
         self.inverse_exprs.append(mul(Const(sign), div(sub(r2, ONE), denom)))
+        self.conformal_factor = div(Const(Fraction(4)),
+                                    pow_(denom, Fraction(2)))
+
+    @classmethod
+    def cover(cls, dim: int, trunc_radius: float):
+        """The charts from the two poles, and the atlas params."""
+        return ([cls(dim, sign, trunc_radius) for sign in (1, -1)],
+                {"truncation_radius": trunc_radius})
 
     def to_chart(self, ambient: np.ndarray) -> np.ndarray:
         denom = 1.0 - self.sign * ambient[:, -1]
@@ -138,20 +159,56 @@ class StereoChart(Chart):
     def contains(self, ambient: np.ndarray) -> np.ndarray:
         return 1.0 - self.sign * ambient[:, -1] > 1e-12
 
+    def local_representation(self, u: Expr) -> Expr:
+        """u o phi^{-1}: the inverse map substituted into u."""
+        return subst_expr(u, dict(enumerate(self.inverse_exprs, start=1)))
+
+    def pulled_bump(self, seed: "BumpSeed") -> Expr:
+        """The other chart's radial bump through the inversion x / |x|^2:
+        plateau |x| >= 1/a, vanishing for |x| <= 1/b, smooth across the
+        origin because it is constant there, with radial_bump's seams."""
+        a, b = float(seed.plateau), float(seed.support)
+        band = AnnulusRegion(1.0 / b * (1.0 + _SEAM), 1.0 / a * (1.0 - _SEAM),
+                             closed=False)
+        r = Call("sqrt", radius_squared(self.dim))
+        return Piecewise(AnnulusRegion(1.0 / a * (1.0 - _SEAM), None), ONE,
+                         Piecewise(band, _band_expr(div(ONE, r), a, b), ZERO))
+
+    def transition_jacobian(self, coords: np.ndarray) -> np.ndarray:
+        """Jacobians of the inversion x / |x|^2 into the other chart."""
+        r2 = np.sum(coords * coords, axis=1)[:, None, None]
+        if np.any(r2 == 0.0):
+            raise ValueError("transition jacobian is undefined at the origin")
+        outer = coords[:, :, None] * coords[:, None, :]
+        return (np.eye(self.dim) * r2 - 2.0 * outer) / r2 ** 2
+
 
 class TorusChart(Chart):
     """The unit cell [offsets, offsets + 1) of R^n/Z^n, truncated to
-    [offsets + 0.02, offsets + 0.98]."""
+    [offsets + 0.02, offsets + 0.98].  The metric is flat."""
 
+    family = "torus"
+    classification = "GL"
+    gl_self_compatible = True
+    seed_kind = "box"
+    seed_sizes = {"default": (0.3, 0.45), "alt": (0.27, 0.38)}
+    conformal_factor = ONE
     image_kind = "box"
 
     def __init__(self, offsets: tuple):
         self.name = "cell-" + "".join("b" if o else "a" for o in offsets)
-        self.dim = len(offsets)
+        self.dim = self.ambient_dim = len(offsets)
         self.offsets = offsets
         self.truncation = BoxDomain(tuple((o + 0.02, o + 0.98)
                                           for o in offsets))
         self.image_bounds = tuple((o, o + 1.0) for o in offsets)
+        self.period_box = BoxDomain(((0.0, 1.0),) * self.dim)
+        self.seed_center = tuple(0.5 + off for off in offsets)
+
+    @classmethod
+    def cover(cls, dim: int, trunc_radius: float):
+        """Two cells per axis, offset by 1/2, and no params."""
+        return [cls(o) for o in itertools.product((0.0, 0.5), repeat=dim)], {}
 
     def to_chart(self, ambient: np.ndarray) -> np.ndarray:
         rep = np.mod(ambient, 1.0)
@@ -164,17 +221,49 @@ class TorusChart(Chart):
         return np.all(np.abs(np.mod(ambient, 1.0) - self.offsets) > 1e-12,
                       axis=1)
 
+    def local_representation(self, u: Expr) -> Expr:
+        """A 1-periodic u itself: a chart coordinate differs from its
+        ambient representative by an integer vector."""
+        return u
+
+    def pulled_bump(self, seed: "BumpSeed") -> Expr:
+        """Another cell's box bump here: the sum of its integer translates
+        that meet this truncation box, at most one active at any point."""
+        n, b = self.dim, seed.support
+        terms = []
+        for combo in itertools.product((-1, 0, 1), repeat=n):
+            center = tuple(Fraction(str(c)) + k
+                           for c, k in zip(seed.center, combo))
+            if all(lo < float(c) + b and float(c) - b < hi
+                   for c, (lo, hi) in zip(center, self.truncation.bounds)):
+                terms.append(box_bump(n, center, Fraction(str(seed.plateau)),
+                                      Fraction(str(b))))
+        return sum_exprs(terms)
+
+
+# name: (chart class, dim)
+_BUILTINS = {"s1-stereo": (StereoChart, 1), "s2-stereo": (StereoChart, 2),
+             "torus1": (TorusChart, 1), "torus2": (TorusChart, 2)}
+MANIFOLD_NAMES = tuple(_BUILTINS)
+
 
 @dataclass
 class Atlas:
     manifold: str
-    family: str                 # "stereo" | "torus"
     dim: int
     ambient_dim: int
     charts: list[Chart]
     classification: str         # "nice" | "super nice" | "GL" | "GGL"
     gl_self_compatible: bool
     params: dict = dataclass_field(default_factory=dict)
+
+    @property
+    def family(self) -> str:  # "stereo" | "torus"
+        return self.charts[0].family
+
+    @property
+    def period_box(self):  # the unit cell of a torus, None on a sphere
+        return self.charts[0].period_box
 
     def to_config(self) -> dict:
         return {
@@ -189,23 +278,13 @@ class Atlas:
             "charts": [c.descriptor() for c in self.charts],
         }
 
-    # -- local representations of ambient-coordinate functions ------------
-
     def local_representations(self, ambient_expr: Expr) -> list[Expr]:
         """The function u written in the coordinates of every chart,
-        u o phi^{-1}, in chart order.
-
-        On a sphere this substitutes each chart's inverse map.  A torus
-        chart coordinate differs from its ambient representative by an
-        integer vector, so a 1-periodic u is its own local representation:
-        ``ambient_expr`` itself is returned for every chart, after one
-        :func:`_check_periodic`.
-        """
-        if self.family == "torus":
+        u o phi^{-1}, in chart order.  On a torus ``ambient_expr`` must be
+        1-periodic, which :func:`_check_periodic` checks once."""
+        if self.period_box is not None:
             _check_periodic(ambient_expr, self)
-            return [ambient_expr] * len(self.charts)
-        return [subst_expr(ambient_expr, dict(enumerate(chart.inverse_exprs,
-                                                        start=1)))
+        return [chart.local_representation(ambient_expr)
                 for chart in self.charts]
 
 
@@ -287,44 +366,6 @@ class PartitionOfUnity:
         return {"name": self.name, "seeds": [s.to_json() for s in self.seeds]}
 
 
-def _pulled_bump(atlas: Atlas, seed: BumpSeed, beta: int, alpha: int) -> Expr:
-    """eta_beta written in chart alpha's coordinates."""
-    n = atlas.dim
-    if alpha == beta:
-        return seed.field(n)
-    if atlas.family == "stereo":
-        return _inverted_radial_bump(n, seed.plateau, seed.support)
-    return _torus_pulled_bump(atlas, seed, beta, alpha)
-
-
-def _inverted_radial_bump(n: int, plateau: float, support: float) -> Expr:
-    # bump(1/|x|): plateau |x| >= 1/a, vanishing for |x| <= 1/b; smooth
-    # across the origin because it is constant there.  The seams are those
-    # of radial_bump, mapped through the inversion.
-    a, b = float(plateau), float(support)
-    band = AnnulusRegion(1.0 / b * (1.0 + _SEAM), 1.0 / a * (1.0 - _SEAM),
-                         closed=False)
-    r = Call("sqrt", radius_squared(n))
-    return Piecewise(AnnulusRegion(1.0 / a * (1.0 - _SEAM), None), ONE,
-                     Piecewise(band, _band_expr(div(ONE, r), a, b), ZERO))
-
-
-def _torus_pulled_bump(atlas: Atlas, seed: BumpSeed, beta: int,
-                       alpha: int) -> Expr:
-    """Periodized translate sum; at most one translate is active per
-    point because bump supports are narrower than the unit cell."""
-    n = atlas.dim
-    trunc = atlas.charts[alpha].truncation
-    terms = []
-    for combo in itertools.product((-1, 0, 1), repeat=n):
-        center = tuple(Fraction(str(c)) + k for c, k in zip(seed.center, combo))
-        if all(lo < float(c) + seed.support and float(c) - seed.support < hi
-               for c, (lo, hi) in zip(center, trunc.bounds)):
-            terms.append(box_bump(n, center, Fraction(str(seed.plateau)),
-                                  Fraction(str(seed.support))))
-    return sum_exprs(terms)
-
-
 def build_partition_of_unity(atlas: Atlas, seeds=None,
                              name: str = "default") -> PartitionOfUnity:
     """psi_1 = eta_1, psi_a = eta_a * prod_{b<a} (1 - eta_b).
@@ -347,10 +388,9 @@ def build_partition_of_unity(atlas: Atlas, seeds=None,
                 f"{seed.support:g} around {list(center)}, which leaves its "
                 f"truncation box {chart.truncation.to_json()}", None)
     fields = []
-    for a in range(len(atlas.charts)):
-        factors = [_pulled_bump(atlas, seeds[a], a, a)]
-        for b in range(a):
-            factors.append(sub(ONE, _pulled_bump(atlas, seeds[b], b, a)))
+    for a, chart in enumerate(atlas.charts):
+        factors = [seeds[a].field(atlas.dim)]
+        factors += [sub(ONE, chart.pulled_bump(seeds[b])) for b in range(a)]
         fields.append(prod_exprs(factors))
     pou = PartitionOfUnity(atlas, name, fields, list(seeds))
 
@@ -367,24 +407,13 @@ def build_partition_of_unity(atlas: Atlas, seeds=None,
 
 
 def default_seeds(atlas: Atlas) -> list[BumpSeed]:
-    return _seeds(atlas, stereo=(1.5, 3.0), torus=(0.3, 0.45))
+    return [chart.seed("default") for chart in atlas.charts]
 
 
 def alternate_seeds(atlas: Atlas) -> list[BumpSeed]:
     """A second, genuinely different subordinate family (for equivalence
     experiments)."""
-    return _seeds(atlas, stereo=(1.1, 3.6), torus=(0.27, 0.38))
-
-
-def _seeds(atlas: Atlas, stereo: tuple, torus: tuple) -> list[BumpSeed]:
-    """One seed per chart from the (plateau, support) of the atlas's
-    family: radial at the origin of a sphere chart, a box at the center
-    of a torus cell."""
-    if atlas.family == "stereo":
-        return [BumpSeed("radial", *stereo) for _ in atlas.charts]
-    return [BumpSeed("box", *torus,
-                     center=tuple(0.5 + off for off in chart.offsets))
-            for chart in atlas.charts]
+    return [chart.seed("alt") for chart in atlas.charts]
 
 
 # ---------------------------------------------------------------------------
@@ -413,17 +442,10 @@ class TransitionMap:
     def jacobian(self, coords: np.ndarray) -> np.ndarray:
         """(m, n, n) array of d(transition)/d(coords)."""
         coords = np.asarray(coords, dtype=float)
-        m, n = coords.shape
-        if self.a == self.b or self.atlas.family == "torus":
-            return np.broadcast_to(np.eye(n), (m, n, n)).copy()
-        # stereographic pair: inversion x / |x|^2
-        r2 = np.sum(coords * coords, axis=1)
-        if np.any(r2 == 0.0):
-            raise ValueError("transition jacobian is undefined at the origin")
-        eye = np.eye(n)
-        outer = coords[:, :, None] * coords[:, None, :]
-        return (eye[None, :, :] * r2[:, None, None] - 2.0 * outer) \
-            / (r2 ** 2)[:, None, None]
+        chart = self.atlas.charts[self.a]
+        if self.a == self.b:  # the identity map
+            return Chart.transition_jacobian(chart, coords)
+        return chart.transition_jacobian(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +474,8 @@ def quasirandom_points(manifold: str, m: int) -> np.ndarray:
 
 
 def builtin_manifold(name: str):
-    """Return (Atlas, default PartitionOfUnity, MetricField) for a built-in.
-
-    s1-stereo / s2-stereo carry the round metric in stereographic
-    coordinates (conformal factor 4/(1+|x|^2)^2); tori are flat.
-    """
+    """Return (Atlas, default PartitionOfUnity, MetricField) for a built-in
+    (see :func:`sobolev.geometry.builtin_metric`)."""
     atlas = _builtin_atlas(name)
     pou = build_partition_of_unity(atlas)
     from sobolev.geometry import builtin_metric
@@ -467,17 +486,10 @@ def _builtin_atlas(name: str, trunc_radius: float = 4.0) -> Atlas:
     if name not in _BUILTINS:
         raise UnknownManifold(f"unknown manifold {name!r}; "
                               f"known: {', '.join(MANIFOLD_NAMES)}")
-    family, dim, ambient_dim, classification, self_compatible = \
-        _BUILTINS[name]
-    if family == "torus":
-        charts = [TorusChart(offsets)
-                  for offsets in itertools.product((0.0, 0.5), repeat=dim)]
-        params = {}
-    else:
-        charts = [StereoChart(dim, sign, trunc_radius) for sign in (1, -1)]
-        params = {"truncation_radius": trunc_radius}
-    return Atlas(name, family, dim, ambient_dim, charts, classification,
-                 self_compatible, params)
+    cls, dim = _BUILTINS[name]
+    charts, params = cls.cover(dim, trunc_radius)
+    return Atlas(name, dim, charts[0].ambient_dim, charts, cls.classification,
+                 cls.gl_self_compatible, params)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +559,7 @@ def _seed_from_config(s, atlas: Atlas) -> BumpSeed:
     if s["kind"] not in ("radial", "box"):
         raise AtlasConfigError(
             f"unknown bump-seed kind {s['kind']!r}; known: radial, box")
-    kind = "radial" if atlas.family == "stereo" else "box"
+    kind = atlas.charts[0].seed_kind
     if s["kind"] != kind:
         raise AtlasConfigError(f"{atlas.manifold} takes {kind} bump seeds, "
                                f"got a {s['kind']} seed")

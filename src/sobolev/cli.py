@@ -364,7 +364,7 @@ def _dispatch(args) -> tuple[dict, int]:
         atlas, pou, g = _load_manifold(args)
         family = [TensorField.from_ambient(atlas, t)
                   for t in args.expr]
-        if args.route == "box" and atlas.family != "torus":
+        if args.route == "box" and atlas.period_box is None:
             raise UsageError("--route box integrates one exact period; it "
                              "applies to the torus manifolds")
         out = ops.empirical_bound(args.op_id, g, frm, to, family,

@@ -18,10 +18,9 @@ from fractions import Fraction
 import numpy as np
 
 from sobolev.atlas import Atlas, TransitionMap, quasirandom_points
-from sobolev.fields import radius_squared
 from sobolev.funcexpr import (
     ONE, ZERO, Call, Const, Expr, add, const, diff_expr, div, eval_many, mul,
-    neg, parse_expr, pow_, sub, sum_exprs,
+    neg, parse_expr, sub, sum_exprs,
 )
 
 __all__ = [
@@ -108,19 +107,11 @@ class MetricField:
 
 
 def builtin_metric(atlas: Atlas) -> MetricField:
-    """Round metric for the stereographic atlases, flat for tori."""
+    """Each chart's conformal metric: round on the spheres, flat on tori."""
     n = atlas.dim
-    comps = []
-    for _ in atlas.charts:
-        if atlas.family == "stereo":
-            conformal = div(Const(Fraction(4)),
-                            pow_(add(ONE, radius_squared(n)), Fraction(2)))
-            comps.append([[conformal if i == j else ZERO for j in range(n)]
-                          for i in range(n)])
-        else:
-            comps.append([[ONE if i == j else ZERO for j in range(n)]
-                          for i in range(n)])
-    return MetricField(atlas, comps)
+    return MetricField(atlas, [[[chart.conformal_factor if i == j else ZERO
+                                 for j in range(n)] for i in range(n)]
+                               for chart in atlas.charts])
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +347,6 @@ def check_overlap_consistency(field: TensorField, npts: int = 100) -> float:
             t_ba = TransitionMap(atlas, b, a)
             ok = t_ba.domain_mask(coords_b)
             cb = coords_b[ok]
-            # keep away from singular transition loci
-            if atlas.family == "stereo":
-                r = np.sqrt(np.sum(cb * cb, axis=1))
-                cb = cb[r > 0.05]
             cb = cb[atlas.charts[a].truncation.interior(t_ba(cb))]
             if cb.shape[0] == 0:
                 continue

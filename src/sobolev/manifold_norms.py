@@ -41,7 +41,7 @@ from sobolev.geometry import (
     MetricField, TensorField, covariant_derivative, fiber_norm_values,
 )
 from sobolev.quadrature import (
-    BoxDomain, Report, _check_p, _norm_report, _two_grid, grid_shape,
+    Report, _check_p, _norm_report, _two_grid, grid_shape,
     midpoint_grid, sobolev_norm,
 )
 
@@ -198,10 +198,10 @@ class NormVariant:
             return connection_sobolev_norm(u, self.metric, k=int(round(e)),
                                            q=q, N=N, pou=self.pou).value
         if self.kind == "box":
-            if u.atlas.family != "torus":
+            box = u.atlas.period_box
+            if box is None:
                 raise ValueError("the box route integrates one exact period; "
                                  "it applies to the torus manifolds")
-            box = BoxDomain(tuple((0.0, 1.0) for _ in range(u.atlas.dim)))
             return sum(sobolev_norm(comp, box, e, q, N).value
                        for comp in u.comps[0])
         raise ValueError(f"unknown norm variant {self.kind!r}")

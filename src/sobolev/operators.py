@@ -154,7 +154,7 @@ def empirical_bound(op_id: str, g: MetricField, from_exponents,
         raise ExponentError(
             f"target order {et} exceeds the declared map (e - {order})")
     if route is None:
-        route = "box" if atlas.family == "torus" else "chart"
+        route = "chart" if atlas.period_box is None else "box"
     if pou is None and route == "chart":
         pou = build_partition_of_unity(atlas)
 
