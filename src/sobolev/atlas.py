@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
@@ -504,44 +505,67 @@ _SEED_KEYS = {"kind", "plateau", "support", "center"}
 
 def atlas_from_config(config: dict):
     """Rebuild a built-in-family atlas (and optional partition of unity)
-    from its JSON descriptor.  A descriptor that is not an object with a
-    ``manifold`` key, that has unknown keys, a non-numeric truncation
-    radius, an echoed key of :meth:`Atlas.to_config` (all but ``params``)
-    that differs from the rebuilt atlas's, malformed bump seeds (see
-    :func:`_seed_from_config`), or not one seed per chart, raises
-    :class:`AtlasConfigError`."""
-    if not isinstance(config, dict) or "manifold" not in config:
+    from its JSON descriptor.  These raise :class:`AtlasConfigError`: a
+    descriptor that is not an object with a string ``manifold`` key; an
+    unknown key, at the top, in ``params`` (the keys of the rebuilt
+    atlas's params) or in ``pou`` (``name`` and ``seeds``); a ``params``
+    or ``pou`` that is not an object; a truncation radius that is not a
+    positive finite number; an echoed key of :meth:`Atlas.to_config` (all
+    but ``params``) that differs from the rebuilt atlas's; a ``pou.name``
+    that is not a string; a ``pou.seeds`` that is not a list of one
+    well-formed bump seed per chart (see :func:`_seed_from_config`)."""
+    if not isinstance(config, dict) or \
+            not isinstance(config.get("manifold"), str):
         raise AtlasConfigError(
-            "an atlas config is a JSON object with a 'manifold' key")
-    unknown = set(config) - _CONFIG_KEYS
-    if unknown:
-        raise AtlasConfigError(f"unknown atlas-config keys: {sorted(unknown)}")
+            "an atlas config is a JSON object with a string 'manifold' key")
+    _config_object(config, "atlas-config", _CONFIG_KEYS)
     params = config.get("params", {})
-    if set(params) - {"truncation_radius"}:
-        raise AtlasConfigError("unknown atlas-config params")
+    if not isinstance(params, dict):
+        raise AtlasConfigError(f"params must be a JSON object, got {params!r}")
     radius = _config_number(params.get("truncation_radius", 4.0),
                             "params.truncation_radius")
+    if radius <= 0:
+        raise AtlasConfigError(
+            f"params.truncation_radius must be positive, got {radius:g}")
     atlas = _builtin_atlas(config["manifold"], radius)
+    _config_object(params, f"{atlas.manifold} params", atlas.params)
     for key, rebuilt in atlas.to_config().items():
         if key != "params" and key in config and config[key] != rebuilt:
             raise AtlasConfigError(
                 f"atlas-config key {key!r} is {config[key]!r}, but the "
                 f"rebuilt {atlas.manifold} atlas has {rebuilt!r}")
-    pou = None
-    if "pou" in config:
-        seeds = [_seed_from_config(s, atlas)
-                 for s in config["pou"].get("seeds", [])]
-        if len(seeds) != len(atlas.charts):
-            raise AtlasConfigError(
-                f"{atlas.manifold} has {len(atlas.charts)} charts, so its "
-                f"pou needs as many bump seeds, got {len(seeds)}")
-        pou = build_partition_of_unity(
-            atlas, seeds, name=config["pou"].get("name", "custom"))
-    return atlas, pou
+    if "pou" not in config:
+        return atlas, None
+    spec = _config_object(config["pou"], "pou", ("name", "seeds"))
+    name, seeds = spec.get("name", "custom"), spec.get("seeds", [])
+    if not isinstance(name, str):
+        raise AtlasConfigError(f"pou.name must be a string, got {name!r}")
+    if not isinstance(seeds, list):
+        raise AtlasConfigError(f"pou.seeds must be a list, got {seeds!r}")
+    if len(seeds) != len(atlas.charts):
+        raise AtlasConfigError(
+            f"{atlas.manifold} has {len(atlas.charts)} charts, so its "
+            f"pou needs as many bump seeds, got {len(seeds)}")
+    seeds = [_seed_from_config(s, atlas) for s in seeds]
+    return atlas, build_partition_of_unity(atlas, seeds, name=name)
+
+
+def _config_object(value, what: str, known) -> dict:
+    """``value`` if it is a JSON object with no key outside ``known``."""
+    if not isinstance(value, dict):
+        raise AtlasConfigError(f"{what} must be a JSON object, got {value!r}")
+    unknown = set(value) - set(known)
+    if unknown:
+        raise AtlasConfigError(f"unknown {what} keys: {sorted(unknown)}; "
+                               f"known: {sorted(known)}")
+    return value
 
 
 def _config_number(value, what: str) -> float:
-    if not isinstance(value, (int, float)):
+    """A JSON number that is a finite float; ``true`` and ``false`` are
+    not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
+            not abs(value) <= sys.float_info.max:
         raise AtlasConfigError(f"{what} must be a number, got {value!r}")
     return float(value)
 

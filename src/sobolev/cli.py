@@ -6,9 +6,12 @@ malformed number or box, an integrability --p/--q or pair p/q at or below
 1, a --grid or --k out of range, a negative order on a numerical route, a
 check derivative --order below 1, an --atlas-config file that cannot be
 read, is not an atlas descriptor or describes another manifold, or an op
-bound exponent pair that fails its screen), 3 = numerical
-domain error, a torus function that is not 1-periodic, or a result that
-is not finite.  Every report echoes the fully resolved run configuration
+bound exponent pair that fails its screen; an atlas descriptor is also
+refused for a params, pou or pou.seeds of the wrong JSON type, an unknown
+key inside params or pou, a true/false or non-finite number, a truncation
+radius that is not positive, and a truncation radius on a torus), 3 =
+numerical domain error, a torus function that is not 1-periodic, or a
+result that is not finite.  Every report echoes the fully resolved run configuration
 under "config", so a run is reproducible from its own output.  Rational
 arguments are given as "a/b" or decimal strings and are converted
 exactly; no floats reach the exponent checks.

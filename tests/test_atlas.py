@@ -3,9 +3,10 @@ import pytest
 
 import sobolev.atlas as atlas_module
 from sobolev.atlas import (
-    BumpSeed, CoverConditionError, PeriodicityError, TransitionMap,
-    UnknownManifold, alternate_seeds, atlas_from_config, build_partition_of_unity,
-    builtin_manifold, quasirandom_points,
+    MANIFOLD_NAMES, AtlasConfigError, BumpSeed, CoverConditionError,
+    PeriodicityError, TransitionMap, UnknownManifold, alternate_seeds,
+    atlas_from_config, build_partition_of_unity, builtin_manifold,
+    default_seeds, quasirandom_points,
 )
 from sobolev.funcexpr import eval_on_points, parse_expr
 from sobolev.geometry import TensorField
@@ -85,6 +86,32 @@ class TestCharts:
             ok = back.domain_mask(fwd)
             assert np.max(np.abs(back(fwd[ok]) - coords[mask][ok])) <= 1e-10
 
+    @pytest.mark.parametrize("name", MANIFOLD_NAMES)
+    def test_transition_jacobian_matches_central_differences(self, name):
+        # every ordered chart pair, on a 13^n grid of the source chart's
+        # truncation box, against central differences with h = 1e-6
+        atlas = builtin_manifold(name)[0]
+        n, h = atlas.dim, 1e-6
+        pairs = [(a, b) for a in range(len(atlas.charts))
+                 for b in range(len(atlas.charts))]
+        for a, b in pairs:
+            tm = TransitionMap(atlas, a, b)
+            coords, _, _ = midpoint_grid(atlas.charts[a].truncation,
+                                         (13,) * n)
+            steps = h * np.eye(n)
+            ok = tm.domain_mask(coords)
+            for step in steps:
+                ok &= tm.domain_mask(coords + step)
+                ok &= tm.domain_mask(coords - step)
+            x = coords[ok]
+            assert len(x) > 0
+            fd = np.stack([(tm(x + step) - tm(x - step)) / (2 * h)
+                           for step in steps], axis=2)
+            J = tm.jacobian(x)
+            gap = np.max(np.abs(fd - J), axis=(1, 2)) \
+                / np.max(np.abs(J), axis=(1, 2))
+            assert np.max(gap) <= 1e-7, (a, b)
+
     def test_classification_flags(self, s1, s2, t1, t2):
         assert s1[0].classification == "super nice"
         assert all(c.image_kind == "fullspace" for c in s1[0].charts)
@@ -160,12 +187,16 @@ class TestPartitionOfUnity:
         sums = pou2.values_at(pts).sum(axis=0)
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
-    def test_telescoping_product_identity(self, s1):
-        # 1 - sum psi_a equals the product of (1 - eta_a) pointwise
-        from sobolev.atlas import default_seeds
-        atlas, pou, _ = s1
-        seeds = default_seeds(atlas)
-        pts = quasirandom_points("s1-stereo", 500)
+    @pytest.mark.parametrize("seeds", [default_seeds, alternate_seeds],
+                             ids=["default", "alt"])
+    @pytest.mark.parametrize("name", MANIFOLD_NAMES)
+    def test_telescoping_product_identity(self, name, seeds):
+        # 1 - sum psi_a equals the product of (1 - eta_a) pointwise, each
+        # eta_a evaluated in its own chart
+        atlas = builtin_manifold(name)[0]
+        seeds = seeds(atlas)
+        pou = build_partition_of_unity(atlas, seeds)
+        pts = quasirandom_points(name, 500)
         psi_sum = pou.values_at(pts).sum(axis=0)
         prod = np.ones(len(pts))
         for chart, seed in zip(atlas.charts, seeds):
@@ -175,6 +206,27 @@ class TestPartitionOfUnity:
                                        chart.to_chart(pts[mask]))
             prod *= 1.0 - eta
         assert np.max(np.abs((1.0 - psi_sum) - prod)) <= 1e-12
+
+    @pytest.mark.parametrize("seeds", [default_seeds, alternate_seeds],
+                             ids=["default", "alt"])
+    @pytest.mark.parametrize("name", MANIFOLD_NAMES)
+    def test_pulled_bump_is_the_bump_of_its_own_chart(self, name, seeds):
+        # chart a's pulled_bump of chart b's seed, on a's truncation grid,
+        # equals b's bump evaluated in b's coordinates (0 off chart b)
+        atlas = builtin_manifold(name)[0]
+        seeds = seeds(atlas)
+        for a, chart in enumerate(atlas.charts):
+            coords, _, _ = midpoint_grid(chart.truncation, (40,) * atlas.dim)
+            amb = chart.to_manifold(coords)
+            for b, other in enumerate(atlas.charts):
+                if a == b:
+                    continue
+                want = np.zeros(len(coords))
+                mask = other.contains(amb)
+                want[mask] = eval_on_points(seeds[b].field(atlas.dim),
+                                            other.to_chart(amb[mask]))
+                got = eval_on_points(chart.pulled_bump(seeds[b]), coords)
+                assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestLocalRepresentation:
@@ -287,3 +339,19 @@ class TestConfigRoundTrip:
         cfg["frobnicate"] = True
         with pytest.raises(ValueError):
             atlas_from_config(cfg)
+
+    @pytest.mark.parametrize("name", MANIFOLD_NAMES)
+    def test_params_are_those_of_the_rebuilt_atlas(self, name):
+        # a sphere takes a truncation radius; a torus takes no params, so
+        # the sphere's param is an unknown key there
+        params = {"truncation_radius": 5}
+        if name.startswith("torus"):
+            with pytest.raises(AtlasConfigError,
+                               match=r"unknown torus\d params keys: "
+                                     r"\['truncation_radius'\]"):
+                atlas_from_config({"manifold": name, "params": params})
+        else:
+            atlas, _ = atlas_from_config({"manifold": name, "params": params})
+            assert atlas.params == {"truncation_radius": 5.0}
+        atlas = builtin_manifold(name)[0]
+        assert atlas_from_config(atlas.to_config())[0].params == atlas.params

@@ -529,6 +529,58 @@ class TestPlumbing:
         assert message in rep["error"]
         assert rep["config"]["atlas_config"] == str(path)
 
+    _SEED = {"kind": "radial", "plateau": 1.5, "support": 3.0}
+
+    @pytest.mark.parametrize("config, message", [
+        # a value of the wrong JSON type
+        ({"manifold": "s1-stereo", "pou": []}, "pou must be a JSON object"),
+        ({"manifold": "s1-stereo", "params": 5},
+         "params must be a JSON object"),
+        ({"manifold": "s1-stereo", "pou": {"seeds": 5}},
+         "pou.seeds must be a list"),
+        ({"manifold": ["a"]}, "a string 'manifold' key"),
+        ({"manifold": "s1-stereo", "pou": {"seeds": [_SEED] * 2,
+                                            "name": 7}},
+         "pou.name must be a string"),
+        # a truncation radius that is not a positive finite number
+        ({"manifold": "s1-stereo", "params": {"truncation_radius": -1}},
+         "truncation_radius must be positive, got -1"),
+        ({"manifold": "s1-stereo", "params": {"truncation_radius": 0}},
+         "truncation_radius must be positive, got 0"),
+        ('{"manifold": "s1-stereo", "params": {"truncation_radius": 1e400}}',
+         "truncation_radius must be a number, got inf"),
+        ({"manifold": "s1-stereo", "params": {"truncation_radius": math.nan}},
+         "truncation_radius must be a number, got nan"),
+        ({"manifold": "s1-stereo", "params": {"truncation_radius": 10**400}},
+         "truncation_radius must be a number"),
+        # true is not a number
+        ({"manifold": "s1-stereo", "params": {"truncation_radius": True}},
+         "truncation_radius must be a number, got True"),
+        ({"manifold": "s1-stereo", "pou": {"seeds": [
+            dict(_SEED, plateau=True)] * 2}},
+         "plateau must be a number, got True"),
+        # unknown keys inside pou and params
+        ({"manifold": "s1-stereo", "pou": {"seeds": [_SEED] * 2,
+                                            "frobnicate": 1}},
+         "unknown pou keys: ['frobnicate']"),
+        ({"manifold": "torus1", "params": {"truncation_radius": 2}},
+         "unknown torus1 params keys: ['truncation_radius']"),
+    ])
+    def test_malformed_atlas_config_values_are_usage_errors(
+            self, tmp_path, capsys, config, message):
+        # a config given as text is written as it stands (1e400 is a JSON
+        # number that overflows to inf)
+        text = config if isinstance(config, str) else json.dumps(config)
+        manifold = json.loads(text)["manifold"]
+        path = tmp_path / "atlas.json"
+        path.write_text(text)
+        code, rep = run(capsys, "atlas", "show", "--manifold",
+                        manifold if isinstance(manifold, str) else "torus1",
+                        "--atlas-config", str(path))
+        assert code == 2
+        assert list(rep) == ["schema", "error", "config"]
+        assert message in rep["error"]
+
     def test_atlas_config_seeds_that_fail_to_cover_exit_3(self, tmp_path,
                                                           capsys):
         seed = {"kind": "radial", "plateau": 0.2, "support": 0.3}

@@ -44,7 +44,7 @@ def gamma_values(gamma, pts):
 def chart_points(atlas, chart=0, per_axis=7, shrink=0.5):
     trunc = atlas.charts[chart].truncation
     pts, _, _ = midpoint_grid(trunc, (per_axis,) * atlas.dim)
-    return pts * shrink if atlas.family == "stereo" else pts
+    return pts if atlas.period_box is not None else pts * shrink
 
 
 class TestMetric:
