@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -256,7 +256,7 @@ class Atlas:
     charts: list[Chart]
     classification: str         # "nice" | "super nice" | "GL" | "GGL"
     gl_self_compatible: bool
-    params: dict = dataclass_field(default_factory=dict)
+    params: dict
 
     @property
     def family(self) -> str:  # "stereo" | "torus"
