@@ -12,8 +12,9 @@ Lipschitz model for its contribution enters the error estimate but never
 the value.  The pair kernel depends only on the index offset of a pair:
 for p = 2 the double sum is a block-Toeplitz product taken by FFT in
 O(M log M) for M = N^n cells; for any other p all M^2/2 pairs are
-visited, one kernel block per axis-0 offset.  The defaults are N=256 for
-n=1 and N=64 for n=2.
+visited, one kernel block per axis-0 offset, by products for an integer
+p <= 8, with axis 0 folded into trailing blocks smaller than 64 cells and
+temporaries of about 32 K values.  Defaults: N=256 (n=1), N=64 (n=2).
 
 Error estimates are two-grid differences plus, for the fractional
 seminorm, the diagonal model.  Every route of the package, the manifold
@@ -231,28 +232,53 @@ def _fft_pair_sum(u: np.ndarray, K: np.ndarray, alpha: float) -> float:
     return 2.0 * (direct + float(np.sum(u * (K1 * u - Ku))))
 
 
-def _offset_pair_sum(u: np.ndarray, K: np.ndarray, p: float) -> float:
+_FOLD = 64  # widest trailing block that axis 0 is folded into
+_BUFFER = 1 << 15  # values per temporary (256 KB), so both stay in cache
+_MAX_PRODUCT_P = 8  # the largest integer p taken by repeated products
+
+
+def _offset_pair_sum(u: np.ndarray, K: np.ndarray, p: float,
+                     m: int | None = None) -> float:
     """sum_{i != j} K[i-j] |u_i - u_j|^p: twice the pairs (r, j), (r+a, j')
     of axis-0 offsets a >= 0, each against one kernel block over the
-    flattened trailing axes (at a = 0 its strict upper triangle)."""
+    flattened trailing axes (at a = 0 its strict upper triangle).
+
+    Axis 0 is folded first into (k0 / m, m), the offset a m + b, by
+    default with m the largest divisor of k0 keeping the block <= _FOLD
+    wide.  |u_i - u_j|^p goes into two reused buffers of _BUFFER values,
+    by products for an integer p <= _MAX_PRODUCT_P, else by np.power."""
     k0, rest = u.shape[0], u.shape[1:]
-    slabs = K.reshape(2 * k0 - 1, -1)
+    if m is None:
+        width = min(k0, max(1, _FOLD // math.prod(rest)))
+        m = max(d for d in range(1, width + 1) if k0 % d == 0)
+    q = k0 // m
+    outer, inner = np.ogrid[1 - q:q, 1 - m:m]
+    slabs = K[outer * m + inner + k0 - 1].reshape(2 * q - 1, -1)
+    rest = (m,) + rest
     # flat[j, j'] indexes the trailing offset j' - j within one slab
     lattice = np.arange(slabs.shape[1]).reshape([2 * k - 1 for k in rest])
     g = lattice[tuple(slice(0, k) for k in rest)].ravel()
     flat = lattice[tuple(k - 1 for k in rest)] + g[None, :] - g[:, None]
-    u = u.reshape(k0, g.size)
-    rows = max(1, (1 << 20) // flat.size)  # temporaries of about 1 M values
+    u = u.reshape(q, g.size)
+    rows = max(1, _BUFFER // flat.size)
+    d_buf, e_buf = np.empty((2, rows) + flat.shape)
     total = 0.0
-    for a in range(k0):
-        block = slabs[k0 - 1 + a][flat]
+    for a in range(q):
+        block = slabs[q - 1 + a][flat]
         if a == 0:
             block = np.triu(block, 1)
-        for r0 in range(0, k0 - a, rows):
-            r1 = min(r0 + rows, k0 - a)
-            d = u[r0 + a:r1 + a, None, :] - u[r0:r1, :, None]
-            d = np.power(np.abs(d, out=d), p, out=d)
-            total += float(np.vdot(d.sum(axis=0), block))
+        for r0 in range(0, q - a, rows):
+            r1 = min(r0 + rows, q - a)
+            d, e = d_buf[:r1 - r0], e_buf[:r1 - r0]
+            np.subtract(u[r0 + a:r1 + a, None], u[r0:r1, :, None], out=d)
+            np.abs(d, out=d)
+            if p == int(p) <= _MAX_PRODUCT_P:
+                np.multiply(d, d, out=e)
+                for _ in range(int(p) - 2):
+                    np.multiply(e, d, out=e)
+            else:
+                np.power(d, p, out=e)
+            total += float(np.vdot(e.sum(axis=0), block))
     return 2.0 * total
 
 
@@ -264,7 +290,9 @@ def gagliardo_double_sum(u, box: BoxDomain, theta: float,
     offset and is built once on the offset lattice.  For p = 2 the sum
     takes O(M log M) for M cells by FFT, applied to u minus its mean (the
     sum is shift invariant; this bounds cancellation) and clamped at 0;
-    for any other p every pair is visited, one block per axis-0 offset.
+    for any other p every pair is visited, one block per axis-0 offset,
+    by products for an integer p <= 8, with axis 0 folded into trailing
+    blocks smaller than 64 cells and temporaries of about 32 K values.
     """
     p = _check_p(p)
     if not (0.0 < theta < 1.0):

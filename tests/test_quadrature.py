@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from sobolev.fields import as_field, box_bump
 from sobolev.funcexpr import const, eval_on_points, mul, parse_expr
 from sobolev.quadrature import (
-    BoxDomain, SupportViolation, extend_by_zero,
-    gagliardo_double_sum, gagliardo_seminorm, grid_shape, lp_norm,
-    midpoint_grid, multi_indices, sobolev_norm,
+    _MAX_PRODUCT_P, BoxDomain, SupportViolation, _offset_kernel,
+    _offset_pair_sum, extend_by_zero, gagliardo_double_sum,
+    gagliardo_seminorm, grid_shape, lp_norm, midpoint_grid, multi_indices,
+    sobolev_norm,
 )
 
 UNIT = BoxDomain(((0.0, 1.0),))
@@ -147,11 +149,23 @@ def pair_sum_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(pair_sum_cases(),
        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-       st.one_of(st.just(2.0), st.floats(1.0, 4.0, exclude_min=True)))
+       st.one_of(st.just(2.0), st.sampled_from([3.0, 4.0]),
+                 st.floats(1.0, 4.0, exclude_min=True)))
 def test_pair_sum_matches_dense_oracle(case, theta, p):
     u, box, shape = case
     got = gagliardo_double_sum(u, box, theta, p, shape)
     want = dense_double_sum(u, box, theta, p, shape)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# 256 folds axis 0 by 64, 135 by 45, the prime 97 not at all; p = 8 is the
+# largest p taken by products, 9 and 2.5 go through np.power
+@pytest.mark.parametrize("p", [3.0, float(_MAX_PRODUCT_P), 9.0, 2.5])
+@pytest.mark.parametrize("N", [256, 97, 135])
+def test_one_dimensional_pair_sum_matches_dense_oracle(N, p):
+    u = parse_expr("sin(3*x1) + x1*x1", 1)
+    got = gagliardo_double_sum(u, UNIT, 0.4, p, N)
+    want = dense_double_sum(u, UNIT, 0.4, p, N)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -180,11 +194,41 @@ class TestPairSumEdgeCases:
         assert time.perf_counter() - start < 1.0
         assert S ** 0.5 == pytest.approx(1.0, abs=1e-3)
 
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_same_input_same_bits(self, p):
+    def test_fold_matches_unfolded_loop(self):
+        # N = 4096 folds axis 0 into 64 x 64 blocks; m = 1 is one offset
+        # per loop iteration, the same pairs summed in another order
+        shape = (4096,)
+        pts, _, _ = midpoint_grid(UNIT, shape)
+        u = eval_on_points(parse_expr("sin(3*x1) + x1", 1), pts)
+        K = _offset_kernel(UNIT, shape, 1.0 + 0.3 * 3.0)
+        folded = _offset_pair_sum(u, K, 3.0)
+        unfolded = _offset_pair_sum(u, K, 3.0, m=1)
+        assert folded == pytest.approx(unfolded, rel=1e-13, abs=0.0)
+
+    def test_offset_path_temporaries_stay_small(self):
+        # buffers of about 32 K values keep the peak near 1 MB on an
+        # 80 x 80 grid; temporaries of 1 M values would take about 8 MB
         u = parse_expr("sin(x1)*x2", 2)
-        a = gagliardo_double_sum(u, self.SQUARE, 0.3, p, (24, 17))
-        b = gagliardo_double_sum(u, self.SQUARE, 0.3, p, (24, 17))
+        square = BoxDomain(((0.0, 1.0), (0.0, 1.0)))
+        gagliardo_double_sum(u, square, 0.5, 3, 8)  # first-call set-up
+        tracemalloc.start()
+        try:
+            gagliardo_double_sum(u, square, 0.5, 3, 80)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    @pytest.mark.parametrize("expr, box, N, p", [
+        pytest.param("sin(x1)*x2", SQUARE, (24, 17), 2, id="2"),
+        pytest.param("sin(x1)*x2", SQUARE, (24, 17), 3, id="3"),
+        pytest.param("sin(x1)*x2", SQUARE, (24, 17), 2.5, id="2.5"),
+        pytest.param("sin(3*x1) + x1", UNIT, 4096, 3, id="1d-4096-3"),
+    ])
+    def test_same_input_same_bits(self, expr, box, N, p):
+        u = parse_expr(expr, box.n)
+        a = gagliardo_double_sum(u, box, 0.3, p, N)
+        b = gagliardo_double_sum(u, box, 0.3, p, N)
         assert a.hex() == b.hex()
 
 
