@@ -129,13 +129,14 @@ _NORM_PAIR = _checked(lambda t: _nonnegative(_pair(t).s, t), keep_text=True)
 
 
 def _check_grid(grid, *orders, coarse_sups=0):
-    """--grid against the halvings below it: the two-grid estimate halves
-    it, a fractional order takes its double sum on the halved grid, and
-    ``op bound`` also takes every norm on the halved grid."""
+    """--grid against the halvings below it (see quadrature's
+    ``_check_halvings``): one for a fractional order, plus ``coarse_sups``."""
     fractional = any(ex.rational(o).denominator > 1 for o in orders)
-    need = 2 << (fractional + coarse_sups)
-    if grid is not None and grid < need:
-        raise UsageError(f"--grid must be at least {need} here, got {grid}")
+    if grid is not None:
+        try:
+            quad._check_halvings((grid,), fractional + coarse_sups)
+        except ValueError as err:
+            raise UsageError(str(err)) from None
 
 
 @functools.cache  # parsing does not change the parser

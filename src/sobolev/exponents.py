@@ -27,6 +27,7 @@ inequality) are decided exactly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -120,7 +121,7 @@ NOT_GUARANTEED = "NotGuaranteed"
 class Condition:
     text: str
     lhs: Fraction
-    relation: str  # one of <, <=, >, >=, ==, !=, integer, not-integer
+    relation: str  # a key of _RELATIONS: <, <=, >, >=, ==, (not-)integer
     rhs: Fraction
     satisfied: bool
 
@@ -137,24 +138,19 @@ class Condition:
         }
 
 
+# relation -> its exact test; the integrality tests read lhs only
+_RELATIONS = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "==": operator.eq,
+    "integer": lambda lhs, _: lhs.denominator == 1,
+    "not-integer": lambda lhs, _: lhs.denominator != 1,
+}
+
+
 def _holds(lhs: Fraction, relation: str, rhs: Fraction) -> bool:
-    if relation == "<":
-        return lhs < rhs
-    if relation == "<=":
-        return lhs <= rhs
-    if relation == ">":
-        return lhs > rhs
-    if relation == ">=":
-        return lhs >= rhs
-    if relation == "==":
-        return lhs == rhs
-    if relation == "!=":
-        return lhs != rhs
-    if relation == "integer":
-        return lhs.denominator == 1
-    if relation == "not-integer":
-        return lhs.denominator != 1
-    raise ValueError(f"unknown relation {relation!r}")
+    if relation not in _RELATIONS:
+        raise ValueError(f"unknown relation {relation!r}")
+    return _RELATIONS[relation](lhs, rhs)
 
 
 @dataclass(frozen=True)

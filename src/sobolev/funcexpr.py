@@ -20,6 +20,10 @@ Precedence: ``^`` binds tightest, then unary minus, then ``* /``, then
 under differentiation.  Numeric literals are converted exactly to
 rationals; the only rewriting applied anywhere is constant folding.
 
+Each infix operator and each function is stated once, in the tables
+``_INFIX`` and ``_FUNC``, which the parser, the printer, substitution,
+differentiation and evaluation all read.
+
 Expressions are hash-consed DAGs (see :class:`Expr`): derivatives are
 memoized per node, and evaluation runs each distinct node of all the
 roots of a call once.
@@ -41,9 +45,6 @@ __all__ = [
     "subst_expr",
     "expr_to_text", "const", "sum_exprs", "prod_exprs",
 ]
-
-FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
-
 
 class ExprSyntaxError(ValueError):
     """Raised on malformed expression text; carries a 1-based position."""
@@ -281,150 +282,166 @@ def prod_exprs(factors) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# The operator and function tables: every other part reads these.
+# ---------------------------------------------------------------------------
+
+def _divide(num, den):
+    if (den == 0.0).any():
+        raise ExprDomainError("division by zero")
+    return num / den
+
+
+# node class -> (spelling in printed text, which the parser reads stripped;
+# precedence, loosest 1; folding constructor; elementwise evaluation)
+_INFIX = {
+    Add: (" + ", 1, add, np.add),
+    Sub: (" - ", 1, sub, np.subtract),
+    Mul: ("*", 2, mul, np.multiply),
+    Div: ("/", 2, div, _divide),
+}
+# node class -> its folding constructor
+_FOLDING = {Neg: neg, Pow: pow_, **{c: r[2] for c, r in _INFIX.items()}}
+
+
+def _exp(a):
+    with np.errstate(over="ignore"):
+        return np.exp(a)
+
+
+def _log(a):
+    if (a <= 0.0).any():
+        raise ExprDomainError("log of a non-positive value")
+    return np.log(a)
+
+
+def _sqrt(a):
+    if (a < 0.0).any():
+        raise ExprDomainError("sqrt of a negative value")
+    return np.sqrt(a)
+
+
+# function name -> (elementwise evaluation, derivative at the argument a).
+# The derivative of abs is a/abs(a), so it fails to evaluate where a = 0.
+_FUNC = {
+    "sin": (np.sin, lambda a: Call("cos", a)),
+    "cos": (np.cos, lambda a: neg(Call("sin", a))),
+    "exp": (_exp, lambda a: Call("exp", a)),
+    "log": (_log, lambda a: div(ONE, a)),
+    "sqrt": (_sqrt, lambda a: div(ONE, mul(Const(Fraction(2)),
+                                           Call("sqrt", a)))),
+    "abs": (np.abs, lambda a: div(a, Call("abs", a))),
+}
+FUNCTIONS = tuple(_FUNC)
+
+
+# ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
-
-
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, str, int]] = []
-        while self.pos < len(text):
-            m = _TOKEN_RE.match(text, self.pos)
-            if m is None or m.end() == self.pos:
-                stray = self.pos + len(text[self.pos:]) - len(text[self.pos:].lstrip())
-                raise ExprSyntaxError(
-                    f"unexpected character {text[stray]!r}", stray + 1)
-            if m.lastgroup == "num":
-                self.tokens.append(("num", m.group("num"), m.start("num") + 1))
-            elif m.lastgroup == "name":
-                self.tokens.append(("name", m.group("name"), m.start("name") + 1))
-            else:
-                self.tokens.append(("op", m.group("op"), m.start("op") + 1))
-            self.pos = m.end()
-        self.tokens.append(("end", "", len(text) + 1))
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, value, pos = self.next()
-        if kind != "op" or value != op:
-            raise ExprSyntaxError(f"expected {op!r}", pos)
+_TOKEN_RE = re.compile(r"\s*(?:(?P<tok>\d+(?:\.\d+)?|[A-Za-z_][A-Za-z_0-9]*"
+                       r"|[-+*/^()])|(?P<bad>\S))")
+# symbol -> folding constructor, one dict per precedence level, loosest first
+_LEVELS = [{sym.strip(): fold for sym, p, fold, _ in _INFIX.values()
+            if p == prec} for prec in sorted({r[1] for r in _INFIX.values()})]
 
 
 class _Parser:
+    """Recursive descent over (text, 1-based position) tokens, the last
+    of which is ("", end of text)."""
+
     def __init__(self, text: str, n: int):
-        self.toks = _Tokenizer(text)
+        self.toks = []
+        for m in _TOKEN_RE.finditer(text):
+            if m["bad"]:
+                raise ExprSyntaxError(f"unexpected character {m['bad']!r}",
+                                      m.start("bad") + 1)
+            self.toks.append((m["tok"], m.start("tok") + 1))
+        self.toks.append(("", len(text) + 1))
+        self.i = 0
         self.n = n
+
+    def peek(self, ahead: int = 0) -> str:
+        return self.toks[self.i + ahead][0]
+
+    def take(self) -> tuple[str, int]:
+        self.i += 1
+        return self.toks[self.i - 1]
+
+    def expect(self, op: str):
+        value, pos = self.take()
+        if value != op:
+            raise ExprSyntaxError(f"expected {op!r}", pos)
 
     def parse(self) -> Expr:
         e = self.expr()
-        kind, value, pos = self.toks.peek()
-        if kind != "end":
+        value, pos = self.take()
+        if value:
             raise ExprSyntaxError(f"unexpected token {value!r}", pos)
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, value, _ = self.toks.peek()
-            if kind == "op" and value in "+-":
-                self.toks.next()
-                rhs = self.term()
-                e = add(e, rhs) if value == "+" else sub(e, rhs)
-            else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.unary()
-        while True:
-            kind, value, _ = self.toks.peek()
-            if kind == "op" and value in "*/":
-                self.toks.next()
-                rhs = self.unary()
-                e = mul(e, rhs) if value == "*" else div(e, rhs)
-            else:
-                return e
+    def expr(self, level: int = 0) -> Expr:
+        if level == len(_LEVELS):
+            return self.unary()
+        ops = _LEVELS[level]
+        e = self.expr(level + 1)
+        while self.peek() in ops:
+            fold = ops[self.take()[0]]
+            e = fold(e, self.expr(level + 1))
+        return e
 
     def unary(self) -> Expr:
-        kind, value, _ = self.toks.peek()
-        if kind == "op" and value == "-":
-            self.toks.next()
+        if self.peek() == "-":
+            self.take()
             return neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
         base = self.atom()
-        kind, value, _ = self.toks.peek()
-        if kind == "op" and value == "^":
-            self.toks.next()
-            return pow_(base, self.exponent())
-        return base
+        if self.peek() != "^":
+            return base
+        self.take()
+        return pow_(base, self.exponent())
 
     def exponent(self) -> Fraction:
-        kind, value, pos = self.toks.peek()
-        if kind == "op" and value == "(":
-            self.toks.next()
+        if self.peek() == "(":
+            self.take()
             r = self.exponent()
-            self.toks.expect_op(")")
+            self.expect(")")
             return r
         sign = 1
-        if kind == "op" and value == "-":
-            self.toks.next()
+        if self.peek() == "-":
+            self.take()
             sign = -1
-            kind, value, pos = self.toks.peek()
-        if kind != "num":
+        value, pos = self.take()
+        if not value[:1].isdigit():
             raise ExprSyntaxError("expected rational literal exponent", pos)
-        self.toks.next()
-        num = Fraction(value)
-        kind2, value2, _ = self.toks.peek()
-        if kind2 == "op" and value2 == "/" and "." not in value:
-            # only plain integer/integer forms make a fraction literal
-            save = self.toks.i
-            self.toks.next()
-            kind3, value3, pos3 = self.toks.peek()
-            if kind3 == "num" and "." not in value3:
-                self.toks.next()
-                return sign * Fraction(int(value), int(value3))
-            self.toks.i = save
-        return sign * num
+        # only plain integer/integer forms make a fraction literal
+        den = self.peek(1) if self.peek() == "/" else ""
+        if value.isdigit() and den.isdigit():
+            self.i += 2
+            return sign * Fraction(int(value), int(den))
+        return sign * Fraction(value)
 
     def atom(self) -> Expr:
-        kind, value, pos = self.toks.next()
-        if kind == "num":
+        value, pos = self.take()
+        if value[:1].isdigit():
             return Const(Fraction(value))
-        if kind == "op" and value == "(":
+        if value == "(":
             e = self.expr()
-            self.toks.expect_op(")")
+            self.expect(")")
             return e
-        if kind == "name":
-            if value == "pi":
-                return Pi()
-            if value in FUNCTIONS:
-                self.toks.expect_op("(")
-                arg = self.expr()
-                self.toks.expect_op(")")
-                return Call(value, arg)
-            m = re.fullmatch(r"x(\d+)", value)
-            if m:
-                idx = int(m.group(1))
-                if not (1 <= idx <= self.n):
-                    raise ExprSyntaxError(
-                        f"variable x{idx} out of range for dimension {self.n}", pos)
-                return Var(idx)
+        if value == "pi":
+            return Pi()
+        if value in _FUNC:
+            self.expect("(")
+            arg = self.expr()
+            self.expect(")")
+            return Call(value, arg)
+        m = re.fullmatch(r"x(\d+)", value)
+        if m:
+            idx = int(m.group(1))
+            if not (1 <= idx <= self.n):
+                raise ExprSyntaxError(
+                    f"variable x{idx} out of range for dimension {self.n}", pos)
+            return Var(idx)
+        if value.isidentifier():
             raise ExprSyntaxError(f"unknown identifier {value!r}", pos)
         raise ExprSyntaxError(f"unexpected token {value!r}", pos)
 
@@ -463,24 +480,15 @@ def _text(e: Expr) -> tuple[str, int]:
         if prec < 3:
             inner = f"({inner})"
         return f"-{inner}", 3
-    if isinstance(e, (Add, Sub)):
-        op = "+" if isinstance(e, Add) else "-"
+    if type(e) in _INFIX:
+        sym, prec, _, _ = _INFIX[type(e)]
         lt, lp = _text(e.left)
         rt, rp = _text(e.right)
-        if lp < 1:
+        if lp < prec:
             lt = f"({lt})"
-        if rp <= 1:
+        if rp <= prec:
             rt = f"({rt})"
-        return f"{lt} {op} {rt}", 1
-    if isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        lt, lp = _text(e.left)
-        rt, rp = _text(e.right)
-        if lp < 2:
-            lt = f"({lt})"
-        if rp <= 2:
-            rt = f"({rt})"
-        return f"{lt}{op}{rt}", 2
+        return f"{lt}{sym}{rt}", prec
     if isinstance(e, Pow):
         bt, bp = _text(e.base)
         if bp < 5:
@@ -529,12 +537,9 @@ def _diff_rule(e: Expr, axis: int) -> Expr:
         return ZERO
     if isinstance(e, Var):
         return ONE if e.index == axis else ZERO
-    if isinstance(e, Neg):
-        return neg(diff_expr(e.arg, axis))
-    if isinstance(e, Add):
-        return add(diff_expr(e.left, axis), diff_expr(e.right, axis))
-    if isinstance(e, Sub):
-        return sub(diff_expr(e.left, axis), diff_expr(e.right, axis))
+    if type(e) in (Neg, Add, Sub):  # linear: fold the children's partials
+        return _FOLDING[type(e)](*[diff_expr(getattr(e, name), axis)
+                                   for name in e._names])
     if isinstance(e, Mul):
         return add(mul(diff_expr(e.left, axis), e.right),
                    mul(e.left, diff_expr(e.right, axis)))
@@ -546,23 +551,7 @@ def _diff_rule(e: Expr, axis: int) -> Expr:
         db = diff_expr(e.base, axis)
         return mul(mul(Const(e.power), pow_(e.base, e.power - 1)), db)
     if isinstance(e, Call):
-        da = diff_expr(e.arg, axis)
-        a = e.arg
-        if e.func == "sin":
-            outer = Call("cos", a)
-        elif e.func == "cos":
-            outer = neg(Call("sin", a))
-        elif e.func == "exp":
-            outer = Call("exp", a)
-        elif e.func == "log":
-            outer = div(ONE, a)
-        elif e.func == "sqrt":
-            outer = div(ONE, mul(Const(Fraction(2)), Call("sqrt", a)))
-        elif e.func == "abs":
-            outer = div(a, Call("abs", a))
-        else:  # pragma: no cover - constructors reject unknown functions
-            raise ValueError(f"unknown function {e.func!r}")
-        return mul(outer, da)
+        return mul(_FUNC[e.func][1](e.arg), diff_expr(e.arg, axis))
     if isinstance(e, Piecewise):
         return Piecewise(e.region, diff_expr(e.inside, axis),
                          diff_expr(e.outside, axis))
@@ -572,9 +561,6 @@ def _diff_rule(e: Expr, axis: int) -> Expr:
 # ---------------------------------------------------------------------------
 # Substitution
 # ---------------------------------------------------------------------------
-
-_FOLDING = {Neg: neg, Add: add, Sub: sub, Mul: mul, Div: div, Pow: pow_}
-
 
 def subst_expr(e: Expr, mapping: dict[int, Expr]) -> Expr:
     """Substitute expressions for variables (keyed by 1-based index).
@@ -603,8 +589,8 @@ def subst_expr(e: Expr, mapping: dict[int, Expr]) -> Expr:
 # node at its first occurrence, which is the order in which a recursive
 # walk of each tree first finishes them.  So every node runs the numpy
 # operation of that walk on the same inputs, but once per call, however
-# many roots share it.  An instruction is (operation, scalar data,
-# argument slots, slots whose last use it is, output rows): the result
+# many roots share it.  An instruction is (operation, data, argument
+# slots, slots whose last use it is, output rows): the result
 # has one row per root, a root's value is written to its rows as soon as
 # it is computed, and every slot is freed right after its last use, a
 # root's no earlier than that write.  A Piecewise node is a leaf of
@@ -631,26 +617,12 @@ def _var(index, pts):
     return pts[:, index - 1].astype(float, copy=True)
 
 
-def _neg(_, pts, a):
-    return -a
+def _unary(f, pts, a):
+    return f(a)
 
 
-def _add(_, pts, a, b):
-    return a + b
-
-
-def _sub(_, pts, a, b):
-    return a - b
-
-
-def _mul(_, pts, a, b):
-    return a * b
-
-
-def _div(_, pts, num, den):
-    if (den == 0.0).any():
-        raise ExprDomainError("division by zero")
-    return num / den
+def _binary(f, pts, a, b):
+    return f(a, b)
 
 
 def _pow(p, pts, base):
@@ -667,27 +639,6 @@ def _pow(p, pts, base):
     return base ** float(p)
 
 
-def _call(func, pts, a):
-    if func == "sin":
-        return np.sin(a)
-    if func == "cos":
-        return np.cos(a)
-    if func == "exp":
-        with np.errstate(over="ignore"):
-            return np.exp(a)
-    if func == "log":
-        if (a <= 0.0).any():
-            raise ExprDomainError("log of a non-positive value")
-        return np.log(a)
-    if func == "sqrt":
-        if (a < 0.0).any():
-            raise ExprDomainError("sqrt of a negative value")
-        return np.sqrt(a)
-    if func == "abs":
-        return np.abs(a)
-    raise ValueError(f"unknown function {func!r}")
-
-
 def _piecewise(ref, pts):
     node = ref()
     mask = node.region.contains(pts)
@@ -699,11 +650,9 @@ def _piecewise(ref, pts):
     return out
 
 
-_BINARY = {Add: _add, Sub: _sub, Mul: _mul, Div: _div}
-
-
 def _step(e: Expr) -> tuple:
-    """(operation, scalar data, children) of one node."""
+    """(operation, data, children) of one node; the data of an operator
+    or a function is its evaluation from the tables."""
     if isinstance(e, Const):
         return _full, float(e.value), ()
     if isinstance(e, Pi):
@@ -711,13 +660,13 @@ def _step(e: Expr) -> tuple:
     if isinstance(e, Var):
         return _var, e.index, ()
     if isinstance(e, Neg):
-        return _neg, None, (e.arg,)
-    if type(e) in _BINARY:
-        return _BINARY[type(e)], None, (e.left, e.right)
+        return _unary, np.negative, (e.arg,)
+    if type(e) in _INFIX:
+        return _binary, _INFIX[type(e)][3], (e.left, e.right)
     if isinstance(e, Pow):
         return _pow, e.power, (e.base,)
     if isinstance(e, Call):
-        return _call, e.func, (e.arg,)
+        return _unary, _FUNC[e.func][0], (e.arg,)
     if isinstance(e, Piecewise):
         # weakly: a program holds no node alive (see _run)
         return _piecewise, weakref.ref(e), ()

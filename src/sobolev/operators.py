@@ -39,7 +39,7 @@ from sobolev.geometry import (
 from sobolev.manifold_norms import (
     SCALE_CHECK, NormVariant, _intrinsic_integrals,
 )
-from sobolev.quadrature import Report, _two_grid, grid_shape
+from sobolev.quadrature import Report, _check_halvings, _two_grid, grid_shape
 
 __all__ = [
     "ValenceMismatch", "apply_operator", "empirical_bound",
@@ -140,6 +140,8 @@ def empirical_bound(op_id: str, g: MetricField, from_exponents,
     if e < 0 or et < 0:
         raise ValueError("numerical norms require nonnegative orders")
     atlas = g.atlas
+    shape = grid_shape(atlas.dim, N)
+    _check_halvings(shape, 1 + bool(e % 1 or et % 1))
     order = _VALENCES[op_id][1]
     frm = space(Fraction(str(from_exponents[0])),
                 Fraction(str(from_exponents[1])),
@@ -157,8 +159,6 @@ def empirical_bound(op_id: str, g: MetricField, from_exponents,
         route = "chart" if atlas.period_box is None else "box"
     if pou is None and route == "chart":
         pou = build_partition_of_unity(atlas)
-
-    shape = grid_shape(atlas.dim, N)
     norm = NormVariant(route, pou=pou).compute
 
     def sup_at(resolution):

@@ -91,18 +91,26 @@ def grid_shape(n: int, N=None) -> tuple[int, ...]:
     otherwise).
 
     Every axis needs at least 2 cells, because the two-grid error
-    estimate halves each count.  The fractional seminorm also takes its
-    double sum on the halved grid, so it needs at least 4.
+    estimate halves each count.
     """
     if N is None:
         N = 256 if n == 1 else 64
     shape = (N,) * n if isinstance(N, int) else tuple(int(k) for k in N)
     if len(shape) != n:
         raise ValueError("per-axis resolution length must match dimension")
-    if min(shape) < 2:
-        raise ValueError(
-            f"grid resolution must be at least 2 per axis, got {list(shape)}")
+    _check_halvings(shape)
     return shape
+
+
+def _check_halvings(shape, halvings: int = 0) -> None:
+    """Every axis needs 2 << halvings cells: the two-grid estimate halves
+    the grid, and each halving below that doubles the need (one where a
+    fractional order takes its double sum on the halved grid, one more
+    where an operator bound takes every norm on the halved grid)."""
+    need = 2 << halvings
+    if min(shape) < need:
+        raise ValueError(f"grid resolution must be at least {need} per "
+                         f"axis, got {list(shape)}")
 
 
 def _two_grid(value_at, shape: tuple[int, ...]):
@@ -341,6 +349,7 @@ def gagliardo_seminorm(u, box: BoxDomain, theta: float, p: float = 2.0,
     p = _check_p(p)
     f = as_field(u, box.n)
     shape = grid_shape(box.n, N)
+    _check_halvings(shape, 1)
     S, S_coarse = _two_grid(
         lambda shp: gagliardo_double_sum(f, box, theta, p, shp), shape)
     value = S ** (1.0 / p)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +77,28 @@ class TestCheckCommands:
                         "--from", "2,1", "--to", "1,1")
         assert code == 2
         assert "error" in rep
+
+
+class TestModuleEntryPoint:
+    """``python3 -m sobolev.cli``, the entry point the README documents."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (("check", "embed", "--n", "2", "--from", "2,2", "--to", "1,4"), 0),
+        (("check", "embed", "--n", "2", "--from", "1,2", "--to", "1/2,2",
+          "--domain", "open"), 1),
+        (("check", "embed", "--n", "2", "--from", "2,1", "--to", "1,1"), 2),
+    ])
+    def test_exit_code_and_strict_json(self, argv, code):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + ([env["PYTHONPATH"]] if "PYTHONPATH" in env
+                          else []))
+        done = subprocess.run([sys.executable, "-m", "sobolev.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == code, done.stderr
+        assert strict_json(done.stdout)["schema"] == "v1"
 
 
 class TestNormCommands:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sobolev.exponents import (
-    ADMISSIBLE, NOT_GUARANTEED, DimensionMismatch, DomainClass, Exponent,
-    ExponentError, WrongDomainClass,
+    ADMISSIBLE, NOT_GUARANTEED, Condition, DimensionMismatch, DomainClass,
+    Exponent, ExponentError, WrongDomainClass,
     check_derivative, check_embedding, check_extension, check_multiplication,
     check_pointwise, space,
 )
@@ -26,6 +26,12 @@ class TestTypes:
     def test_floats_rejected(self):
         with pytest.raises(ExponentError):
             Exponent(0.5, Fraction(2))
+
+    @pytest.mark.parametrize("relation", ["!=", "~", ""])
+    def test_unknown_relation_rejected(self, relation):
+        cond = Condition("1 ? 2", Fraction(1), relation, Fraction(2), False)
+        with pytest.raises(ValueError, match="unknown relation"):
+            cond.reevaluate()
 
     def test_dimension_positive(self):
         with pytest.raises(ExponentError):

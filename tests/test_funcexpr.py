@@ -39,6 +39,14 @@ class TestParse:
             parse_expr(text, 1)
         assert exc.value.position == len(text) + 1  # error at end of input
 
+    def test_surrounding_whitespace_ignored(self):
+        assert parse_expr(" x1 + x2\t ", 2) == parse_expr("x1+x2", 2)
+
+    def test_blank_text_rejected_at_its_end(self):
+        with pytest.raises(ExprSyntaxError, match="unexpected token") as exc:
+            parse_expr("   ", 1)
+        assert exc.value.position == 4
+
     def test_precedence(self):
         # ^ over unary minus over * over +
         assert parse_expr("-x1^2", 1) == Neg(Pow(Var(1), Fraction(2)))

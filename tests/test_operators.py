@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from sobolev.atlas import builtin_manifold
+from sobolev.exponents import ExponentError
 from sobolev.funcexpr import eval_on_points, parse_expr
 from sobolev.geometry import TensorField, scalar_field
 from sobolev.operators import (
@@ -219,9 +222,22 @@ class TestEmpiricalBound:
         atlas, _, g = t1
         # s = 1/2 with |alpha| = 1 > s on a Lipschitz box and s - 1/p
         # integral: item 4 is blocked
-        with pytest.raises(ValueError):
-            empirical_bound("d", g, ("1/2", "2"), ("0", "2"),
+        with pytest.raises(ExponentError, match="exponent screen failed"):
+            empirical_bound("d", g, (Fraction(1, 2), 2), (0, 2),
                             self.family(atlas), N=64, route="box")
+
+    @pytest.mark.parametrize("op, frm, to, N, message", [
+        # the sup is taken on the halved grid, and a fractional order
+        # takes its double sum on a grid halved once more
+        ("laplace", (Fraction(5, 2), 2), (Fraction(1, 2), 2), 7,
+         r"at least 8 per axis, got \[7\]"),
+        ("d", (1, 2), (0, 2), 3, r"at least 4 per axis, got \[3\]"),
+    ])
+    def test_too_small_grid_names_the_callers_grid(self, t1, op, frm, to,
+                                                   N, message):
+        atlas, _, g = t1
+        with pytest.raises(ValueError, match=message):
+            empirical_bound(op, g, frm, to, self.family(atlas), N=N)
 
     def test_empty_family(self, t1):
         atlas, _, g = t1

@@ -241,6 +241,16 @@ class TestSobolevNorm:
         with pytest.raises(ValueError, match="at least 2"):
             lp_norm(parse_expr("x1*x2", 2), square, p=2, N=(8, N))
 
+    def test_too_small_grid_names_the_callers_grid(self):
+        # the double sum of a fractional order runs on the halved grid
+        square = BoxDomain(((0.0, 1.0), (0.0, 1.0)))
+        with pytest.raises(ValueError,
+                           match=r"at least 4 per axis, got \[3, 3\]"):
+            sobolev_norm(parse_expr("x1", 2), square, s=1.5, p=2, N=3)
+        with pytest.raises(ValueError,
+                           match=r"at least 4 per axis, got \[3\]"):
+            gagliardo_seminorm(X, UNIT, 0.5, 2, N=3)
+
     def test_s_zero_collapses_to_lp(self):
         a = sobolev_norm(X, UNIT, s=0, p=2, N=128)
         b = lp_norm(X, UNIT, p=2, N=128)

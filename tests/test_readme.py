@@ -6,6 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import sobolev.funcexpr
+from sobolev.funcexpr import FUNCTIONS
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -21,3 +24,13 @@ def test_quick_tour_runs():
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def grammar_functions(text: str) -> tuple:
+    line = re.search(r"^\s*FUNC\s*=(.*);", text, flags=re.M).group(1)
+    return tuple(re.findall(r'"(\w+)"', line))
+
+
+def test_grammar_lists_exactly_the_functions():
+    assert grammar_functions(sobolev.funcexpr.__doc__) == FUNCTIONS
+    assert grammar_functions((ROOT / "README.md").read_text()) == FUNCTIONS

@@ -2,8 +2,10 @@
 
 The determinant and adjugate of :mod:`sobolev.geometry` must be exact on
 rational matrices (the folding constructors reduce them to constants),
-and the Christoffel symbols of the round metric in stereographic
-coordinates must match the ones sympy derives from the same metric.
+the Christoffel symbols of the round metric in stereographic
+coordinates must match the ones sympy derives from the same metric, and
+the partials of every function and infix operator of
+:mod:`sobolev.funcexpr` must match sympy's derivatives.
 """
 
 import random
@@ -13,7 +15,10 @@ import numpy as np
 import pytest
 
 from sobolev.atlas import builtin_manifold
-from sobolev.funcexpr import Const, eval_many
+from sobolev.funcexpr import (
+    _INFIX, FUNCTIONS, Call, Const, ExprDomainError, diff_expr, eval_many,
+    expr_to_text, neg, parse_expr,
+)
 from sobolev.geometry import _adjugate_over_det, _det_expr
 
 sp = pytest.importorskip("sympy")
@@ -77,3 +82,44 @@ def test_s2_stereo_christoffel_matches_sympy(chart):
                     want = float(gamma[k][i][j].subs(at))
                     assert got[p, k, i, j] == pytest.approx(want, rel=1e-12,
                                                             abs=0)
+
+
+# Points inside the domain of every row: there INNER is positive, and the
+# partials of LEFT dominate those of RIGHT, so no partial cancels.
+ROW_POINTS = [tuple(Fraction(random.Random(f"rows:{i}").randint(20, 130),
+                             100) for _ in range(2)) for i in range(6)]
+INNER = "x1^2 + x1*x2 + 1/4"
+LEFT, RIGHT = "x1^3 + 5*x2^2 + 4*x1", "2 + x1*x2/8"
+
+
+def check_partials(e):
+    xs = sp.symbols("x1 x2", real=True)
+    oracle = sp.sympify(expr_to_text(e).replace("^", "**"),
+                        locals={"x1": xs[0], "x2": xs[1]})
+    got = eval_many([diff_expr(e, axis) for axis in (1, 2)],
+                    np.array(ROW_POINTS, dtype=float))
+    for p, point in enumerate(ROW_POINTS):
+        at = dict(zip(xs, (rational(v) for v in point)))
+        for axis in (1, 2):
+            want = float(sp.diff(oracle, xs[axis - 1]).subs(at))
+            assert got[p, axis - 1] == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("func", FUNCTIONS)
+def test_function_derivative_matches_sympy(func):
+    checked = 0
+    inner = parse_expr(INNER, 2)
+    for arg in (inner, neg(inner)):
+        e = Call(func, arg)
+        try:
+            eval_many([e], np.array(ROW_POINTS, dtype=float))
+        except ExprDomainError:
+            continue  # the points are outside this function's domain
+        check_partials(e)
+        checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("cls", list(_INFIX), ids=lambda c: c.__name__)
+def test_infix_derivative_matches_sympy(cls):
+    check_partials(cls(parse_expr(LEFT, 2), parse_expr(RIGHT, 2)))
