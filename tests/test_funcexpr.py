@@ -39,6 +39,14 @@ class TestParse:
             parse_expr(text, 1)
         assert exc.value.position == len(text) + 1  # error at end of input
 
+    @pytest.mark.parametrize("text, position", [
+        ("x1^(1/0)", 7), ("x1^-3/0", 7), ("x1^(2/00)", 7)])
+    def test_zero_denominator_exponent_rejected(self, text, position):
+        with pytest.raises(ExprSyntaxError,
+                           match="zero denominator in exponent") as exc:
+            parse_expr(text, 1)
+        assert exc.value.position == position  # at the denominator
+
     def test_surrounding_whitespace_ignored(self):
         assert parse_expr(" x1 + x2\t ", 2) == parse_expr("x1+x2", 2)
 

@@ -4,7 +4,7 @@ import pytest
 from sobolev.atlas import builtin_manifold
 from sobolev.funcexpr import eval_many, eval_on_points, parse_expr
 from sobolev.geometry import (
-    check_overlap_consistency, covariant_derivative,
+    MetricField, check_overlap_consistency, covariant_derivative,
     fiber_norm_values, metric_as_tensor, musical,
     scalar_field, TensorField,
 )
@@ -220,7 +220,7 @@ class TestFiberNormAndMusical:
                   parse_expr("4", 2))
                  for _ in range(4)]
         X = TensorField(atlas, 0, 1, comps)
-        assert fiber_norm_values(X, g, 0, np.array([[0.5, 0.5]]))[0] == \
+        assert fiber_norm_values([X], g, 0, np.array([[0.5, 0.5]]))[0, 0] == \
             pytest.approx(5.0)
 
     def test_one_form_diagonal_metric(self, s2):
@@ -233,7 +233,7 @@ class TestFiberNormAndMusical:
         pt = np.array([[0.3, -0.4]])
         r2 = 0.3 ** 2 + 0.4 ** 2
         expected = np.sqrt((1 + 4) * (1 + r2) ** 2 / 4)
-        assert fiber_norm_values(w, g, 0, pt)[0] == \
+        assert fiber_norm_values([w], g, 0, pt)[0, 0] == \
             pytest.approx(expected, rel=1e-12)
 
     def test_homogeneity(self, s2):
@@ -247,8 +247,8 @@ class TestFiberNormAndMusical:
             tuple(mul(const(-2.5), f) for f in block)
             for block in comps])
         pts = chart_points(atlas, per_axis=4)
-        a = fiber_norm_values(X, g, 0, pts)
-        b = fiber_norm_values(cX, g, 0, pts)
+        a = fiber_norm_values([X], g, 0, pts)
+        b = fiber_norm_values([cX], g, 0, pts)
         assert np.allclose(b, 2.5 * a, rtol=1e-12)
 
     def test_flat_lowers_with_metric_factor(self, s2):
@@ -298,6 +298,83 @@ class TestFiberNormAndMusical:
             musical(u, g, "flat")
 
 
+def oracle_fiber_norm(field, g, chart, pts):
+    """|A|_F by the double loop over all K^2 pairs of components, each
+    product taking one metric factor per slot pair."""
+    vals = eval_many(field.comps[chart], pts).T
+    G = matrix(g.comps[chart], pts)
+    Ginv = matrix(g.inv_comps[chart], pts)
+    total = np.zeros(len(pts))
+    keys = field.keys()
+    for p1, (con1, cov1) in enumerate(keys):
+        for p2, (con2, cov2) in enumerate(keys):
+            factor = vals[p1] * vals[p2]
+            for a, b in zip(con1, con2):
+                factor = factor * G[:, a, b]
+            for i, r in zip(cov1, cov2):
+                factor = factor * Ginv[:, i, r]
+            total += factor
+    return np.sqrt(total)
+
+
+@pytest.fixture(scope="module")
+def skew():
+    """Per dimension: an atlas and a metric on it that is neither
+    diagonal (n = 2) nor constant, the same expressions on every chart;
+    it is positive definite, det = 4 + 2 x1^2 + 2 x2^2 for n = 2."""
+    texts = {1: [["2 + x1^2"]],
+             2: [["2 + x1^2", "x1*x2"], ["x1*x2", "2 + x2^2"]]}
+    out = {}
+    for n, name in ((1, "torus1"), (2, "torus2")):
+        atlas, _, _ = builtin_manifold(name)
+        comps = [[parse_expr(t, n) for t in row] for row in texts[n]]
+        out[n] = atlas, MetricField(atlas, [comps] * len(atlas.charts))
+    return out
+
+
+def skew_tensor(atlas, k_cov, l_con):
+    """A tensor field whose components are distinct, sign-changing
+    functions of every coordinate."""
+    n = atlas.dim
+    count = n ** (k_cov + l_con)
+    block = tuple(parse_expr(" + ".join(
+        f"sin({p + j + 1}*x{j + 1} + {p % 3})" for j in range(n)), n)
+        for p in range(count))
+    return TensorField(atlas, k_cov, l_con, [block] * len(atlas.charts))
+
+
+VALENCES = [(0, 1), (1, 0), (1, 1), (2, 0), (0, 2), (3, 0), (4, 0)]
+
+
+class TestFiberNormOracle:
+    """The slot-by-slot contraction against the K^2 double loop, on a
+    metric with off-diagonal and non-constant entries, which no built-in
+    metric has; the 40 x 40 grid spans more than one block of points for
+    the 16 components of a rank-4 tensor."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("k_cov,l_con", VALENCES)
+    def test_matches_double_loop(self, skew, n, k_cov, l_con):
+        atlas, g = skew[n]
+        field = skew_tensor(atlas, k_cov, l_con)
+        pts = chart_points(atlas, per_axis=40)
+        (got,) = fiber_norm_values([field], g, 0, pts)
+        np.testing.assert_allclose(got, oracle_fiber_norm(field, g, 0, pts),
+                                   rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_batch_rows_equal_single_fields(self, skew, n):
+        atlas, g = skew[n]
+        fields = [TensorField.from_ambient(atlas, "sin(2*pi*x1)")]
+        fields += [skew_tensor(atlas, *v) for v in VALENCES]
+        pts = chart_points(atlas, per_axis=40)
+        rows = fiber_norm_values(fields, g, 0, pts)
+        assert rows.shape == (len(fields), len(pts))
+        for field, row in zip(fields, rows):
+            assert np.array_equal(row, fiber_norm_values([field], g, 0,
+                                                         pts)[0])
+
+
 class TestTensorLaw:
     """Derived tensors obey the transformation law on every chart overlap;
     this pins the component order of each valence, mixed ones included."""
@@ -328,8 +405,9 @@ class TestTensorLaw:
 
 
 class TestFiberNormProgram:
-    """The fiber norm evaluates a block's components, g_ij and g^ij in one
-    program; its points run in blocks that keep at most 2**18 values live."""
+    """The fiber norm evaluates the components of all its fields and the
+    metric factors they need in one program; its points run in blocks that
+    keep at most 2**18 values live."""
 
     @staticmethod
     def live_peak(steps):
@@ -360,7 +438,7 @@ class TestFiberNormProgram:
             run_block(steps, block_pts, out)
 
         monkeypatch.setattr(funcexpr, "_run_block", recording)
-        fiber_norm_values(du, g, 0, pts)
+        fiber_norm_values([du], g, 0, pts)
         steps = runs[0][0]
         assert all(s is steps for s, _ in runs)  # one program per call
         assert len(runs) == blocks
@@ -370,3 +448,29 @@ class TestFiberNormProgram:
         peak = self.live_peak(steps)
         assert plan[1] == peak
         assert max(m for _, m in runs) * peak <= 2 ** 18
+
+    def test_one_program_per_chart_and_grid(self, monkeypatch):
+        # u, nabla u, nabla^2 u and nabla^3 u share one program per chart
+        # and grid; on a 16 x 16 grid each run is a single block, and the
+        # only programs with more than one root are these
+        from sobolev import funcexpr
+        from sobolev.manifold_norms import connection_sobolev_norm
+        atlas, pou, g = builtin_manifold("s2-stereo")
+        u = TensorField.from_ambient(atlas, "x1*x3")
+        runs = []
+        run_block = funcexpr._run_block
+
+        def recording(steps, block_pts, out):
+            runs.append((steps, block_pts.shape[0]))
+            run_block(steps, block_pts, out)
+
+        monkeypatch.setattr(funcexpr, "_run_block", recording)
+        connection_sobolev_norm(u, g, k=3, N=16, pou=pou)
+        shared = [(steps, m) for steps, m in runs
+                  if sum(len(step[4]) for step in steps) > 1]
+        assert [m for _, m in shared] == [256] * 2 + [64] * 2
+        assert shared[0][0] is shared[2][0] and shared[1][0] is shared[3][0]
+        assert shared[0][0] is not shared[1][0]
+        for steps, _ in shared:
+            # 1 + 2 + 4 + 8 components and the two diagonal g^ii
+            assert sum(len(step[4]) for step in steps) == 17

@@ -226,6 +226,18 @@ class TestEmpiricalBound:
             empirical_bound("d", g, (Fraction(1, 2), 2), (0, 2),
                             self.family(atlas), N=64, route="box")
 
+    def test_order_spellings_agree(self, t1):
+        # each order is read once as a Fraction, so a ratio, a decimal and
+        # a Fraction of the same order give one report
+        atlas, _, g = t1
+        family = self.family(atlas, ks=(1,))
+        reports = [empirical_bound("d", g, (e, "2"), ("1/2", 2), family,
+                                   N=16, route="box")
+                   for e in ("3/2", "1.5", Fraction(3, 2))]
+        assert reports[0]["from"] == [1.5, 2.0]
+        assert reports[0]["to"] == [0.5, 2.0]
+        assert reports[0] == reports[1] == reports[2]
+
     @pytest.mark.parametrize("op, frm, to, N, message", [
         # the sup is taken on the halved grid, and a fractional order
         # takes its double sum on a grid halved once more
