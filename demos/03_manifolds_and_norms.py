@@ -2,8 +2,11 @@
 
 Built-ins: the circle and sphere under two stereographic charts (chart
 images are all of R^n), and flat tori as translated unit cells.  All
-numerics run on compact truncation boxes that contain every
-partition-of-unity support, so nothing is cut off.
+numerics run on compact truncation boxes, fixed by the manifold's name,
+that contain every partition-of-unity support, so L^q and integer-order
+chart terms lose nothing; a fractional chart term is the Gagliardo
+seminorm over the truncation box, not over the chart image, so it
+depends on the box.
 """
 
 import math

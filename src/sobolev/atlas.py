@@ -9,9 +9,14 @@ compatible with themselves.
 
 Manifold points are ambient: S^1 in R^2, S^2 in R^3, tori as coset
 representatives in [0,1)^n.  All numerics run on a compact truncation
-box inside each chart image; partitions of unity are built from
-mollifier bumps whose supports stay inside the truncation boxes, so the
-truncation is exact rather than approximate.
+box inside each chart image, fixed by the manifold's name: [-4, 4]^n on
+the spheres, each cell shrunk by 0.02 a side on the tori.  Partitions of
+unity are built from mollifier bumps whose supports stay inside the
+truncation boxes, so L^q and integer-order chart terms lose nothing.  A
+fractional chart term is the Gagliardo seminorm over the truncation box,
+not over the chart image: it leaves out every pair with one point in the
+box and the other in the image outside it, so its value depends on the
+box.
 
 The partition of unity follows the telescoping product construction:
 psi_1 = eta_1 and psi_a = eta_a * (1-eta_1) *...* (1-eta_{a-1}), which
@@ -80,10 +85,11 @@ class Chart:
 
     ``truncation`` is the compact coordinate box on which all numerics
     run; it contains the supports of every partition-of-unity function
-    assigned to this chart.  ``inverse_exprs`` is the inverse map
-    (coordinates -> ambient) as expressions, where it has a closed form.
-    ``period_box`` is the unit cell over which a function on the manifold
-    is 1-periodic in its ambient coordinates, or None.
+    assigned to this chart.  ``params`` are the family's fixed settings,
+    echoed by :meth:`Atlas.to_config`.  ``inverse_exprs`` is the inverse
+    map (coordinates -> ambient) as expressions, where it has a closed
+    form.  ``period_box`` is the unit cell over which a function on the
+    manifold is 1-periodic in its ambient coordinates, or None.
     """
 
     name: str
@@ -93,6 +99,7 @@ class Chart:
     image_bounds = None                  # per-axis (lo, hi) of a box image
     inverse_exprs = None
     period_box = None
+    params = {}
 
     def descriptor(self) -> dict:
         out = {"name": self.name, "image": self.image_kind,
@@ -116,8 +123,8 @@ class Chart:
 
 class StereoChart(Chart):
     """Stereographic projection of the unit sphere S^dim in R^{dim+1} from
-    the pole (0,..,0,sign): x' / (1 - sign*z), truncated to
-    [-trunc_radius, trunc_radius]^dim."""
+    the pole (0,..,0,sign): x' / (1 - sign*z), truncated to [-R, R]^dim
+    with R the ``truncation_radius`` of ``params``."""
 
     family = "stereo"
     classification = "super nice"
@@ -125,12 +132,14 @@ class StereoChart(Chart):
     seed_kind = "radial"
     seed_sizes = {"default": (1.5, 3.0), "alt": (1.1, 3.6)}
     seed_center = ()
+    params = {"truncation_radius": 4.0}
 
-    def __init__(self, dim: int, sign: int, trunc_radius: float):
+    def __init__(self, dim: int, sign: int):
         self.name = "minus-north-pole" if sign > 0 else "minus-south-pole"
         self.dim, self.ambient_dim = dim, dim + 1
         self.sign = sign
-        self.truncation = BoxDomain(((-trunc_radius, trunc_radius),) * dim)
+        radius = self.params["truncation_radius"]
+        self.truncation = BoxDomain(((-radius, radius),) * dim)
         r2 = radius_squared(dim)
         denom = add(ONE, r2)
         self.inverse_exprs = [div(mul(Const(Fraction(2)), Var(ax)), denom)
@@ -140,10 +149,9 @@ class StereoChart(Chart):
                                     pow_(denom, Fraction(2)))
 
     @classmethod
-    def cover(cls, dim: int, trunc_radius: float):
-        """The charts from the two poles, and the atlas params."""
-        return ([cls(dim, sign, trunc_radius) for sign in (1, -1)],
-                {"truncation_radius": trunc_radius})
+    def cover(cls, dim: int):
+        """The charts from the two poles."""
+        return [cls(dim, sign) for sign in (1, -1)]
 
     def to_chart(self, ambient: np.ndarray) -> np.ndarray:
         denom = 1.0 - self.sign * ambient[:, -1]
@@ -207,9 +215,9 @@ class TorusChart(Chart):
         self.seed_center = tuple(0.5 + off for off in offsets)
 
     @classmethod
-    def cover(cls, dim: int, trunc_radius: float):
-        """Two cells per axis, offset by 1/2, and no params."""
-        return [cls(o) for o in itertools.product((0.0, 0.5), repeat=dim)], {}
+    def cover(cls, dim: int):
+        """Two cells per axis, offset by 1/2."""
+        return [cls(o) for o in itertools.product((0.0, 0.5), repeat=dim)]
 
     def to_chart(self, ambient: np.ndarray) -> np.ndarray:
         rep = np.mod(ambient, 1.0)
@@ -256,11 +264,14 @@ class Atlas:
     charts: list[Chart]
     classification: str         # "nice" | "super nice" | "GL" | "GGL"
     gl_self_compatible: bool
-    params: dict
 
     @property
     def family(self) -> str:  # "stereo" | "torus"
         return self.charts[0].family
+
+    @property
+    def params(self) -> dict:  # the chart family's fixed settings
+        return dict(self.charts[0].params)
 
     @property
     def period_box(self):  # the unit cell of a torus, None on a sphere
@@ -275,7 +286,7 @@ class Atlas:
             "dim": self.dim,
             "classification": self.classification,
             "gl_self_compatible": self.gl_self_compatible,
-            "params": dict(self.params),
+            "params": self.params,
             "charts": [c.descriptor() for c in self.charts],
         }
 
@@ -483,14 +494,14 @@ def builtin_manifold(name: str):
     return atlas, pou, builtin_metric(atlas)
 
 
-def _builtin_atlas(name: str, trunc_radius: float = 4.0) -> Atlas:
+def _builtin_atlas(name: str) -> Atlas:
     if name not in _BUILTINS:
         raise UnknownManifold(f"unknown manifold {name!r}; "
                               f"known: {', '.join(MANIFOLD_NAMES)}")
     cls, dim = _BUILTINS[name]
-    charts, params = cls.cover(dim, trunc_radius)
+    charts = cls.cover(dim)
     return Atlas(name, dim, charts[0].ambient_dim, charts, cls.classification,
-                 cls.gl_self_compatible, params)
+                 cls.gl_self_compatible)
 
 
 # ---------------------------------------------------------------------------
@@ -505,32 +516,22 @@ _SEED_KEYS = {"kind", "plateau", "support", "center"}
 
 def atlas_from_config(config: dict):
     """Rebuild a built-in-family atlas (and optional partition of unity)
-    from its JSON descriptor.  These raise :class:`AtlasConfigError`: a
-    descriptor that is not an object with a string ``manifold`` key; an
-    unknown key, at the top, in ``params`` (the keys of the rebuilt
-    atlas's params) or in ``pou`` (``name`` and ``seeds``); a ``params``
-    or ``pou`` that is not an object; a truncation radius that is not a
-    positive finite number; an echoed key of :meth:`Atlas.to_config` (all
-    but ``params``) that differs from the rebuilt atlas's; a ``pou.name``
-    that is not a string; a ``pou.seeds`` that is not a list of one
-    well-formed bump seed per chart (see :func:`_seed_from_config`)."""
+    from its JSON descriptor; the atlas itself is fixed by ``manifold``.
+    These raise :class:`AtlasConfigError`: a descriptor that is not an
+    object with a string ``manifold`` key; an unknown key, at the top or
+    in ``pou`` (``name`` and ``seeds``); an echoed key of
+    :meth:`Atlas.to_config` that differs from the rebuilt atlas's; a
+    ``pou`` that is not an object; a ``pou.name`` that is not a string; a
+    ``pou.seeds`` that is not a list of one well-formed bump seed per
+    chart (see :func:`_seed_from_config`)."""
     if not isinstance(config, dict) or \
             not isinstance(config.get("manifold"), str):
         raise AtlasConfigError(
             "an atlas config is a JSON object with a string 'manifold' key")
     _config_object(config, "atlas-config", _CONFIG_KEYS)
-    params = config.get("params", {})
-    if not isinstance(params, dict):
-        raise AtlasConfigError(f"params must be a JSON object, got {params!r}")
-    radius = _config_number(params.get("truncation_radius", 4.0),
-                            "params.truncation_radius")
-    if radius <= 0:
-        raise AtlasConfigError(
-            f"params.truncation_radius must be positive, got {radius:g}")
-    atlas = _builtin_atlas(config["manifold"], radius)
-    _config_object(params, f"{atlas.manifold} params", atlas.params)
+    atlas = _builtin_atlas(config["manifold"])
     for key, rebuilt in atlas.to_config().items():
-        if key != "params" and key in config and config[key] != rebuilt:
+        if key in config and config[key] != rebuilt:
             raise AtlasConfigError(
                 f"atlas-config key {key!r} is {config[key]!r}, but the "
                 f"rebuilt {atlas.manifold} atlas has {rebuilt!r}")

@@ -7,11 +7,11 @@ malformed number or box, an integrability --p/--q or pair p/q at or below
 check derivative --order below 1, an --atlas-config file that cannot be
 read, is not an atlas descriptor or describes another manifold, or an op
 bound exponent pair that fails its screen; an atlas descriptor is also
-refused for a params, pou or pou.seeds of the wrong JSON type, an unknown
-key inside params or pou, a true/false or non-finite number, a truncation
-radius that is not positive, and a truncation radius on a torus), 3 =
-numerical domain error, a torus function that is not 1-periodic, or a
-result that is not finite.  Every report echoes the fully resolved run configuration
+refused for a pou or pou.seeds of the wrong JSON type, an unknown key
+inside pou, a true/false or non-finite number, and an echoed key, params
+included, that differs from the built-in atlas's), 3 = numerical domain
+error, a torus function that is not 1-periodic, or a result that is not
+finite.  Every report echoes the fully resolved run configuration
 under "config", so a run is reproducible from its own output.  Rational
 arguments are given as "a/b" or decimal strings and are converted
 exactly; no floats reach the exponent checks.
@@ -82,14 +82,6 @@ def _integrability(text: str):
     return p
 
 
-def _grid(text: str) -> int:
-    n = int(text)
-    if n < 2:  # the two-grid error estimate halves every axis
-        raise ValueError(
-            f"grid resolution must be at least 2 per axis, got {n}")
-    return n
-
-
 def _order(text: str) -> int:
     k = int(text)
     if k < 0:
@@ -121,7 +113,6 @@ def _checked(convert, keep_text=False):
 
 _INTEGRABILITY = _checked(_integrability, keep_text=True)
 _PAIR = _checked(_pair, keep_text=True)
-_GRID = _checked(_grid)
 # The order of a numerical norm, alone or as the order of an 'e,q' pair.
 _NORM_ORDER = _checked(lambda t: _nonnegative(ex.rational(t), t),
                        keep_text=True)
@@ -192,7 +183,7 @@ def _build_parser() -> _Parser:
                    required=True, help="lo,hi per axis, ';'-separated")
     c.add_argument("--s", type=_NORM_ORDER, required=True)
     c.add_argument("--p", type=_INTEGRABILITY, default="2")
-    c.add_argument("--grid", type=_GRID, default=None)
+    c.add_argument("--grid", type=int, default=None)
     c.add_argument("--seminorm", action="store_true",
                    help="with 0 < s < 1: the fractional seminorm alone")
 
@@ -201,7 +192,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--expr", required=True)
     c.add_argument("--e", type=_NORM_ORDER, default="1")
     c.add_argument("--q", type=_INTEGRABILITY, default="2")
-    c.add_argument("--grid", type=_GRID, default=None)
+    c.add_argument("--grid", type=int, default=None)
     c.add_argument("--pou", default="default", choices=["default", "alt"])
     c.add_argument("--intrinsic", action="store_true",
                    help="with --e 0: report both Lebesgue-norm variants")
@@ -212,7 +203,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--expr", required=True)
     c.add_argument("--k", type=_checked(_order), default=1)
     c.add_argument("--q", type=_INTEGRABILITY, default="2")
-    c.add_argument("--grid", type=_GRID, default=None)
+    c.add_argument("--grid", type=int, default=None)
 
     c = sub.add_parser("compare", help="norm-equivalence ratio brackets")
     c.add_argument("--manifold", required=True)
@@ -220,7 +211,7 @@ def _build_parser() -> _Parser:
                    help="repeat for each family member")
     c.add_argument("--e", type=_NORM_ORDER, default="1")
     c.add_argument("--q", type=_INTEGRABILITY, default="2")
-    c.add_argument("--grid", type=_GRID, default=None)
+    c.add_argument("--grid", type=int, default=None)
     c.add_argument("--against", default="pou-alt",
                    choices=["pou-alt", "connection"])
 
@@ -241,7 +232,7 @@ def _build_parser() -> _Parser:
                    metavar="E,Q")
     c.add_argument("--to", type=_NORM_PAIR, required=True, metavar="ET,QT")
     c.add_argument("--expr", action="append", required=True)
-    c.add_argument("--grid", type=_GRID, default=None)
+    c.add_argument("--grid", type=int, default=None)
     c.add_argument("--route", default=None, choices=["box", "chart"])
 
     c = sub.add_parser("atlas", help="atlas descriptors")
@@ -325,6 +316,7 @@ def _dispatch(args) -> tuple[dict, int]:
         return rep, 0
 
     if cmd == "norm" and args.norm_command == "connection":
+        _check_grid(args.grid)
         atlas, pou, g = _load_manifold(args)
         u = TensorField.from_ambient(atlas, args.expr)
         rep = mn.connection_sobolev_norm(

@@ -157,15 +157,10 @@ def interval_bump(n: int, axis: int, center, plateau, support) -> Expr:
 
 
 def box_bump(n: int, center, plateau, support) -> Expr:
-    """Tensor-product bump: 1 on the plateau box, 0 outside the support box."""
-    center = [Fraction(c) for c in center]
-    plateau = [Fraction(plateau)] * n if not isinstance(plateau, (list, tuple)) \
-        else [Fraction(a) for a in plateau]
-    support = [Fraction(support)] * n if not isinstance(support, (list, tuple)) \
-        else [Fraction(b) for b in support]
-    return prod_exprs(
-        interval_bump(n, ax + 1, center[ax], plateau[ax], support[ax])
-        for ax in range(n))
+    """Tensor-product bump about ``center``: 1 on the cube of half-width
+    ``plateau``, 0 outside the cube of half-width ``support``."""
+    return prod_exprs(interval_bump(n, ax + 1, center[ax], plateau, support)
+                      for ax in range(n))
 
 
 def radius_squared(n: int) -> Expr:

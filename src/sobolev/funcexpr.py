@@ -799,7 +799,10 @@ def eval_many(roots, pts: np.ndarray) -> np.ndarray:
     blocks of points.  Only when no node fails is a NaN anywhere in the
     result an error.
     """
-    out = np.asarray(_run(tuple(roots), _points(pts)))
+    roots, pts = tuple(roots), _points(pts)
+    if not roots:
+        return np.empty((pts.shape[0], 0))
+    out = np.asarray(_run(roots, pts))
     if np.isnan(out).any():
         raise ExprDomainError("evaluation produced NaN")
     return out.T

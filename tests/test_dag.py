@@ -282,6 +282,12 @@ def test_eval_many_cases(name, budget):
             check_many(roots, rng.uniform(-2.0, 2.0, size=(m, 2)))
 
 
+def test_eval_many_of_no_roots_has_no_columns():
+    pts = np.zeros((5, 2))
+    out = eval_many([], pts)
+    assert out.shape == (5, 0) and out.dtype == np.float64
+
+
 def test_error_does_not_depend_on_blocks():
     # log fails at x1 = 0.5, the division at x1 = 2; with one point per
     # block the division fails first, but the log is first in program order

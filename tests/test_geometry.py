@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from sobolev import geometry
 from sobolev.atlas import builtin_manifold
 from sobolev.funcexpr import eval_many, eval_on_points, parse_expr
 from sobolev.geometry import (
     MetricField, check_overlap_consistency, covariant_derivative,
     fiber_norm_values, metric_as_tensor, musical,
-    scalar_field, TensorField,
+    scalar_field, TensorField, transform_components,
 )
 from sobolev.quadrature import midpoint_grid
 
@@ -223,6 +224,11 @@ class TestFiberNormAndMusical:
         assert fiber_norm_values([X], g, 0, np.array([[0.5, 0.5]]))[0, 0] == \
             pytest.approx(5.0)
 
+    def test_no_fields_have_no_rows(self, s2):
+        _, _, g = s2
+        pts = chart_points(s2[0], per_axis=3)
+        assert fiber_norm_values([], g, 0, pts).shape == (0, len(pts))
+
     def test_one_form_diagonal_metric(self, s2):
         # |omega|^2 = g^{ij} w_i w_j; on the round sphere g^{ii} = (1+r^2)^2/4
         atlas, _, g = s2
@@ -402,6 +408,55 @@ class TestTensorLaw:
             [(0, 1), (1, 1), (2, 1), (1, 0)]
         for t in derived:
             assert check_overlap_consistency(t) <= 1e-10
+
+
+class TestTensorLawNonsymmetricJacobian:
+    """Every built-in transition has a symmetric Jacobian, so it cannot
+    tell J from its transpose; a linear stub transition x_a = A x_b with A
+    not symmetric can.  Contravariant slots take A^-1[i, c] and covariant
+    ones A[c, j], as ``np.einsum`` states the law here."""
+
+    A = np.array([[2.0, 0.5], [-0.3, 1.5]])
+
+    @pytest.fixture
+    def sheared(self, monkeypatch):
+        A = self.A
+
+        class Shear:
+            def __init__(self, atlas, frm, to):
+                pass
+
+            def __call__(self, coords):
+                return coords @ A.T
+
+            def jacobian(self, coords):
+                return np.broadcast_to(A, (len(coords), 2, 2))
+
+        monkeypatch.setattr(geometry, "TransitionMap", Shear)
+
+    @pytest.mark.parametrize("k_cov, l_con",
+                             [(0, 1), (1, 0), (1, 1), (0, 2), (2, 0)])
+    def test_components_follow_the_law(self, sheared, t2, k_cov, l_con):
+        atlas = t2[0]
+        rank = k_cov + l_con
+        block = tuple(parse_expr(f"{c + 1}*x1 - x2^{c + 2} + {c}", 2)
+                      for c in range(2 ** rank))
+        field = TensorField(atlas, k_cov, l_con, [block] * 4)
+        coords_b = np.array([[0.3, 0.7], [0.55, 0.2], [0.9, 0.45]])
+        m = len(coords_b)
+        T_a = eval_many(block, coords_b @ self.A.T).reshape(
+            (m,) + (2,) * rank)
+        Ainv = np.linalg.inv(self.A)
+        con, cov = "cdef"[:l_con], "ghkl"[:k_cov]
+        out_con, out_cov = "pqrs"[:l_con], "tuvw"[:k_cov]
+        spec = ",".join([f"{i}{c}" for i, c in zip(out_con, con)]
+                        + [f"{d}{j}" for d, j in zip(cov, out_cov)]
+                        + [f"m{con}{cov}"])
+        want = np.einsum(f"{spec}->m{out_con}{out_cov}",
+                         *[Ainv] * l_con, *[self.A] * k_cov, T_a)
+        got = transform_components(field, 0, 1, coords_b)
+        assert got.shape == (m, 2 ** rank)
+        assert np.allclose(got, want.reshape(m, -1), rtol=1e-13, atol=0)
 
 
 class TestFiberNormProgram:

@@ -182,6 +182,21 @@ class TestConnectionNorm:
         expected = math.sqrt(0.5 + (2 * math.pi) ** 2 / 2.0)
         assert rep.value == pytest.approx(expected, rel=0.005)
 
+    def test_spherical_harmonic_closed_form(self):
+        # x1*x3 on S^2 is a degree-2 spherical harmonic Y with
+        # ||Y||^2 = 4 pi / 15.  By Bochner with Ric = g, the squared L^2
+        # norms of Y, grad Y and Hess Y are 1, l(l+1) = 6 and
+        # l^2 (l+1)^2 - l(l+1) = 30 times ||Y||^2.
+        atlas, pou, g = builtin_manifold("s2-stereo")
+        u = TensorField.from_ambient(atlas, "x1*x3")
+        rep = connection_sobolev_norm(u, g, k=2, q=2, N=128, pou=pou)
+        exact = math.sqrt(37 * 4 * math.pi / 15)
+        assert abs(rep.value - exact) <= rep.error_estimate
+        assert abs(rep.value - exact) < 1e-4 * exact
+        orders = [t["lq_value"] ** 2 / (4 * math.pi / 15)
+                  for t in rep.terms]
+        assert orders == pytest.approx([1, 6, 30], rel=1e-3, abs=0)
+
     def test_constant_any_k(self, t1):
         atlas, pou, g = t1
         c = -3.25

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import sobolev.funcexpr
+from sobolev.atlas import builtin_manifold
 from sobolev.funcexpr import FUNCTIONS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,3 +35,11 @@ def grammar_functions(text: str) -> tuple:
 def test_grammar_lists_exactly_the_functions():
     assert grammar_functions(sobolev.funcexpr.__doc__) == FUNCTIONS
     assert grammar_functions((ROOT / "README.md").read_text()) == FUNCTIONS
+
+
+def test_echoed_descriptor_keys_are_the_atlas_config_keys():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    keys = re.search(r"keys that `atlas show` echoes \((.*?)\)", text).group(1)
+    atlas = builtin_manifold("torus1")[0]
+    assert tuple(re.findall(r"`(\w+)`", keys)) == \
+        tuple(k for k in atlas.to_config() if k != "manifold")
