@@ -11,3 +11,10 @@ Submodules: ``exponents``, ``funcexpr``, ``fields``, ``quadrature``,
 """
 
 __version__ = "0.1.0"
+
+
+class ArgumentError(ValueError):
+    """A caller's argument that the library refuses before computing
+    anything: an exponent, order, grid, box, expression text, route or
+    atlas descriptor outside what the called routine takes.  The CLI
+    exits 2 on it and 3 on every other error."""

@@ -34,6 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from sobolev import ArgumentError
 from sobolev.fields import (
     _SEAM, AnnulusRegion, _band_expr, box_bump, radial_bump,
     radius_squared,
@@ -56,11 +57,11 @@ __all__ = [
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-class UnknownManifold(LookupError):
+class UnknownManifold(ArgumentError, LookupError):
     pass
 
 
-class AtlasConfigError(ValueError):
+class AtlasConfigError(ArgumentError):
     """An atlas-config descriptor that does not describe a built-in atlas."""
 
 
@@ -520,8 +521,9 @@ def atlas_from_config(config: dict):
     These raise :class:`AtlasConfigError`: a descriptor that is not an
     object with a string ``manifold`` key; an unknown key, at the top or
     in ``pou`` (``name`` and ``seeds``); an echoed key of
-    :meth:`Atlas.to_config` that differs from the rebuilt atlas's; a
-    ``pou`` that is not an object; a ``pou.name`` that is not a string; a
+    :meth:`Atlas.to_config` that differs from the rebuilt atlas's
+    (``true`` and ``false`` differ from every number); a ``pou`` that
+    is not an object; a ``pou.name`` that is not a string; a
     ``pou.seeds`` that is not a list of one well-formed bump seed per
     chart (see :func:`_seed_from_config`)."""
     if not isinstance(config, dict) or \
@@ -531,7 +533,7 @@ def atlas_from_config(config: dict):
     _config_object(config, "atlas-config", _CONFIG_KEYS)
     atlas = _builtin_atlas(config["manifold"])
     for key, rebuilt in atlas.to_config().items():
-        if key in config and config[key] != rebuilt:
+        if key in config and not _same_json(config[key], rebuilt):
             raise AtlasConfigError(
                 f"atlas-config key {key!r} is {config[key]!r}, but the "
                 f"rebuilt {atlas.manifold} atlas has {rebuilt!r}")
@@ -549,6 +551,19 @@ def atlas_from_config(config: dict):
             f"pou needs as many bump seeds, got {len(seeds)}")
     seeds = [_seed_from_config(s, atlas) for s in seeds]
     return atlas, build_partition_of_unity(atlas, seeds, name=name)
+
+
+def _same_json(given, rebuilt) -> bool:
+    """JSON equality, numbers compared by value (``1`` is ``1.0``), but
+    ``true`` and ``false`` equal only themselves."""
+    if isinstance(given, dict) and isinstance(rebuilt, dict):
+        return given.keys() == rebuilt.keys() and \
+            all(_same_json(given[k], rebuilt[k]) for k in given)
+    if isinstance(given, list) and isinstance(rebuilt, list):
+        return len(given) == len(rebuilt) and \
+            all(map(_same_json, given, rebuilt))
+    return isinstance(given, bool) == isinstance(rebuilt, bool) and \
+        given == rebuilt
 
 
 def _config_object(value, what: str, known) -> dict:

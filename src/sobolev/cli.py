@@ -1,20 +1,14 @@
 """Command-line front end; every subcommand emits a JSON report.
 
 Exit codes: 0 = computed, 1 = a check verdict of NotGuaranteed (so
-shells can branch on admissibility), 2 = usage or parse error (also a
-malformed number or box, an integrability --p/--q or pair p/q at or below
-1, a --grid or --k out of range, a negative order on a numerical route, a
-check derivative --order below 1, an --atlas-config file that cannot be
-read, is not an atlas descriptor or describes another manifold, or an op
-bound exponent pair that fails its screen; an atlas descriptor is also
-refused for a pou or pou.seeds of the wrong JSON type, an unknown key
-inside pou, a true/false or non-finite number, and an echoed key, params
-included, that differs from the built-in atlas's), 3 = numerical domain
-error, a torus function that is not 1-periodic, or a result that is not
-finite.  Every report echoes the fully resolved run configuration
-under "config", so a run is reproducible from its own output.  Rational
-arguments are given as "a/b" or decimal strings and are converted
-exactly; no floats reach the exponent checks.
+shells can branch on admissibility), 2 = a refused argument, which is
+any :class:`sobolev.ArgumentError`, from the library or from the parser
+itself, 3 = any other error: a numerical domain error, a torus function
+that is not 1-periodic, or a result that is not finite.  Every report
+echoes the fully resolved run configuration under "config", so a run
+is reproducible from its own output.  Rational arguments are given as
+"a/b" or decimal strings and are converted exactly; no floats reach the
+exponent checks.
 """
 
 from __future__ import annotations
@@ -24,24 +18,21 @@ import functools
 import json
 import sys
 
+from sobolev import ArgumentError
 from sobolev import atlas as atlas_mod
 from sobolev import exponents as ex
 from sobolev import manifold_norms as mn
 from sobolev import operators as ops
 from sobolev import quadrature as quad
-from sobolev.funcexpr import ExprSyntaxError, parse_expr
+from sobolev.funcexpr import parse_expr
 from sobolev.geometry import TensorField, builtin_metric
 
 __all__ = ["execute"]
 
 
-class UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2) with plain text
-        raise UsageError(message)
+        raise ArgumentError(message)
 
 
 _DOMAINS = {d.value: d for d in ex.DomainClass}
@@ -57,7 +48,7 @@ def _rationals(text: str, what: str) -> tuple:
             return ex.rational(parts[0].strip()), ex.rational(parts[1].strip())
     except (ValueError, ZeroDivisionError):
         pass
-    raise UsageError(
+    raise ArgumentError(
         f"expected a rational {what} such as '3/2,2', got {text!r}")
 
 
@@ -70,64 +61,37 @@ def _box(text: str) -> quad.BoxDomain:
     for axis in text.split(";"):
         parts = axis.split(",")
         if len(parts) != 2:
-            raise UsageError(f"expected 'lo,hi' for each axis, got {text!r}")
+            raise ArgumentError(
+                f"expected 'lo,hi' for each axis, got {text!r}")
         bounds.append((float(parts[0]), float(parts[1])))
     return quad.BoxDomain(tuple(bounds))
 
 
-def _integrability(text: str):
-    p = ex.rational(text)
-    if p <= 1:
-        raise ValueError(f"integrability must be > 1, got {text}")
-    return p
+def _number(text: str) -> float:
+    """The float of exact rational text; one too large for a float is an
+    ``OverflowError``."""
+    return float(ex.rational(text))
 
 
-def _order(text: str) -> int:
-    k = int(text)
-    if k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k}")
-    return k
-
-
-def _nonnegative(order, text: str):
-    if order < 0:
-        raise ValueError(
-            f"a numerical route needs a nonnegative order, got {text}")
-    return order
-
-
-def _checked(convert, keep_text=False):
-    """An argparse type: a failed ``convert`` is a usage error (exit 2).
-
-    With ``keep_text`` the argument keeps its text, which the report's
-    config echo shows and the command converts again.
-    """
+def _checked(convert):
+    """An argparse type that checks the text with ``convert`` and keeps
+    the text, which the config echo shows and the command converts
+    again; a failed ``convert`` is a usage error (exit 2)."""
     def check(text):
         try:
-            value = convert(text)
-        except (ValueError, ZeroDivisionError) as err:
+            convert(text)
+        except (ValueError, ArithmeticError) as err:
             raise argparse.ArgumentTypeError(str(err)) from None
-        return text if keep_text else value
+        return text
     return check
 
 
-_INTEGRABILITY = _checked(_integrability, keep_text=True)
-_PAIR = _checked(_pair, keep_text=True)
-# The order of a numerical norm, alone or as the order of an 'e,q' pair.
-_NORM_ORDER = _checked(lambda t: _nonnegative(ex.rational(t), t),
-                       keep_text=True)
-_NORM_PAIR = _checked(lambda t: _nonnegative(_pair(t).s, t), keep_text=True)
-
-
-def _check_grid(grid, *orders, coarse_sups=0):
-    """--grid against the halvings below it (see quadrature's
-    ``_check_halvings``): one for a fractional order, plus ``coarse_sups``."""
-    fractional = any(ex.rational(o).denominator > 1 for o in orders)
-    if grid is not None:
-        try:
-            quad._check_halvings((grid,), fractional + coarse_sups)
-        except ValueError as err:
-            raise UsageError(str(err)) from None
+_PAIR = _checked(_pair)
+# A numerical route's order or exponent, alone or as an 'e,q' pair: the
+# library checks its range, the parser only that it is a finite number.
+_NUMBER = _checked(_number)
+_NUMBER_PAIR = _checked(
+    lambda t: [float(x) for x in _rationals(t, "'e,q' pair")])
 
 
 @functools.cache  # parsing does not change the parser
@@ -179,10 +143,10 @@ def _build_parser() -> _Parser:
 
     c = nsub.add_parser("euclid")
     c.add_argument("--expr", required=True)
-    c.add_argument("--box", type=_checked(_box, keep_text=True),
+    c.add_argument("--box", type=_checked(_box),
                    required=True, help="lo,hi per axis, ';'-separated")
-    c.add_argument("--s", type=_NORM_ORDER, required=True)
-    c.add_argument("--p", type=_INTEGRABILITY, default="2")
+    c.add_argument("--s", type=_NUMBER, required=True)
+    c.add_argument("--p", type=_NUMBER, default="2")
     c.add_argument("--grid", type=int, default=None)
     c.add_argument("--seminorm", action="store_true",
                    help="with 0 < s < 1: the fractional seminorm alone")
@@ -190,8 +154,8 @@ def _build_parser() -> _Parser:
     c = nsub.add_parser("manifold")
     c.add_argument("--manifold", required=True)
     c.add_argument("--expr", required=True)
-    c.add_argument("--e", type=_NORM_ORDER, default="1")
-    c.add_argument("--q", type=_INTEGRABILITY, default="2")
+    c.add_argument("--e", type=_NUMBER, default="1")
+    c.add_argument("--q", type=_NUMBER, default="2")
     c.add_argument("--grid", type=int, default=None)
     c.add_argument("--pou", default="default", choices=["default", "alt"])
     c.add_argument("--intrinsic", action="store_true",
@@ -201,16 +165,16 @@ def _build_parser() -> _Parser:
     c = nsub.add_parser("connection")
     c.add_argument("--manifold", required=True)
     c.add_argument("--expr", required=True)
-    c.add_argument("--k", type=_checked(_order), default=1)
-    c.add_argument("--q", type=_INTEGRABILITY, default="2")
+    c.add_argument("--k", type=int, default=1)
+    c.add_argument("--q", type=_NUMBER, default="2")
     c.add_argument("--grid", type=int, default=None)
 
     c = sub.add_parser("compare", help="norm-equivalence ratio brackets")
     c.add_argument("--manifold", required=True)
     c.add_argument("--expr", action="append", required=True,
                    help="repeat for each family member")
-    c.add_argument("--e", type=_NORM_ORDER, default="1")
-    c.add_argument("--q", type=_INTEGRABILITY, default="2")
+    c.add_argument("--e", type=_NUMBER, default="1")
+    c.add_argument("--q", type=_NUMBER, default="2")
     c.add_argument("--grid", type=int, default=None)
     c.add_argument("--against", default="pou-alt",
                    choices=["pou-alt", "connection"])
@@ -228,9 +192,9 @@ def _build_parser() -> _Parser:
     c.add_argument("--manifold", required=True)
     c.add_argument("--op", dest="op_id", required=True,
                    choices=_FUNCTION_OPS)
-    c.add_argument("--from", dest="frm", type=_NORM_PAIR, required=True,
+    c.add_argument("--from", dest="frm", type=_NUMBER_PAIR, required=True,
                    metavar="E,Q")
-    c.add_argument("--to", type=_NORM_PAIR, required=True, metavar="ET,QT")
+    c.add_argument("--to", type=_NUMBER_PAIR, required=True, metavar="ET,QT")
     c.add_argument("--expr", action="append", required=True)
     c.add_argument("--grid", type=int, default=None)
     c.add_argument("--route", default=None, choices=["box", "chart"])
@@ -260,12 +224,12 @@ def _load_manifold(args):
         with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, ValueError) as err:  # ValueError: not JSON
-        raise UsageError(f"cannot read --atlas-config as JSON: {err}") \
+        raise ArgumentError(f"cannot read --atlas-config as JSON: {err}") \
             from None
     atlas, pou = atlas_mod.atlas_from_config(cfg)
     if atlas.manifold != args.manifold:
-        raise UsageError(f"--atlas-config describes {atlas.manifold!r}, "
-                         f"not --manifold {args.manifold!r}")
+        raise ArgumentError(f"--atlas-config describes {atlas.manifold!r}, "
+                            f"not --manifold {args.manifold!r}")
     if pou is None:
         pou = atlas_mod.build_partition_of_unity(atlas)
     return atlas, pou, builtin_metric(atlas)
@@ -286,49 +250,37 @@ def _dispatch(args) -> tuple[dict, int]:
         return report, 0 if verdict.admissible else 1
 
     if cmd == "norm" and args.norm_command == "euclid":
-        _check_grid(args.grid, args.s)
         box = _box(args.box)
         expr = parse_expr(args.expr, box.n)
-        s = float(ex.rational(args.s))
-        p = float(ex.rational(args.p))
+        s, p = _number(args.s), _number(args.p)
         if args.seminorm:
-            if not 0.0 < s < 1.0:
-                raise UsageError("--seminorm needs 0 < s < 1")
             rep = quad.gagliardo_seminorm(expr, box, theta=s, p=p, N=args.grid)
         else:
             rep = quad.sobolev_norm(expr, box, s=s, p=p, N=args.grid)
         return rep, 0
 
     if cmd == "norm" and args.norm_command == "manifold":
-        _check_grid(args.grid, args.e)
         atlas, pou, g = _load_manifold(args)
         if args.pou == "alt":
             pou = _alt_pou(atlas)
         u = TensorField.from_ambient(atlas, args.expr)
-        e = float(ex.rational(args.e))
-        q = float(ex.rational(args.q))
+        e, q = _number(args.e), _number(args.q)
         if args.intrinsic:
             if e != 0:
-                raise UsageError("--intrinsic applies to --e 0 only")
+                raise ArgumentError("--intrinsic applies to --e 0 only")
             rep = mn.manifold_lq_norm(u, g, pou, q=q, N=args.grid)
         else:
             rep = mn.chart_sobolev_norm(u, pou, e=e, q=q, N=args.grid)
         return rep, 0
 
     if cmd == "norm" and args.norm_command == "connection":
-        _check_grid(args.grid)
         atlas, pou, g = _load_manifold(args)
         u = TensorField.from_ambient(atlas, args.expr)
-        rep = mn.connection_sobolev_norm(
-            u, g, k=args.k, q=float(ex.rational(args.q)), N=args.grid,
-            pou=pou)
+        rep = mn.connection_sobolev_norm(u, g, k=args.k, q=_number(args.q),
+                                         N=args.grid, pou=pou)
         return rep, 0
 
     if cmd == "compare":
-        _check_grid(args.grid, args.e)
-        if args.against == "connection" and \
-                ex.rational(args.e).denominator != 1:
-            raise UsageError("the connection route needs integer order")
         atlas, pou, g = _load_manifold(args)
         family = [TensorField.from_ambient(atlas, t)
                   for t in args.expr]
@@ -337,8 +289,8 @@ def _dispatch(args) -> tuple[dict, int]:
             b = mn.NormVariant("connection", metric=g, pou=pou)
         else:
             b = mn.NormVariant("chart", pou=_alt_pou(atlas))
-        out = mn.compare_norms(family, a, b, e=float(ex.rational(args.e)),
-                               q=float(ex.rational(args.q)), N=args.grid)
+        out = mn.compare_norms(family, a, b, e=_number(args.e),
+                               q=_number(args.q), N=args.grid)
         return out, 0
 
     if cmd == "op" and args.op_command == "apply":
@@ -356,13 +308,9 @@ def _dispatch(args) -> tuple[dict, int]:
     if cmd == "op" and args.op_command == "bound":
         frm = _rationals(args.frm, "'e,q' pair")
         to = _rationals(args.to, "'e,q' pair")
-        _check_grid(args.grid, frm[0], to[0], coarse_sups=1)
         atlas, pou, g = _load_manifold(args)
         family = [TensorField.from_ambient(atlas, t)
                   for t in args.expr]
-        if args.route == "box" and atlas.period_box is None:
-            raise UsageError("--route box integrates one exact period; it "
-                             "applies to the torus manifolds")
         out = ops.empirical_bound(args.op_id, g, frm, to, family,
                                   N=args.grid, route=args.route, pou=pou)
         return out, 0
@@ -373,7 +321,7 @@ def _dispatch(args) -> tuple[dict, int]:
         cfg["pou"] = pou.to_json()
         return cfg, 0
 
-    raise UsageError(f"unhandled command {cmd!r}")  # pragma: no cover
+    raise ArgumentError(f"unhandled command {cmd!r}")  # pragma: no cover
 
 
 def _run_check(args) -> ex.Verdict:
@@ -399,7 +347,7 @@ def _run_check(args) -> ex.Verdict:
                             ex.DomainClass.COMPACT_SUPPORT_IN_OPEN,
                             enclosing=args.enclosing)
         return ex.check_extension(spec)
-    raise UsageError(f"unknown check {sub!r}")  # pragma: no cover
+    raise ArgumentError(f"unknown check {sub!r}")  # pragma: no cover
 
 
 def execute(argv=None) -> int:
@@ -407,22 +355,16 @@ def execute(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as err:
+    except ArgumentError as err:
         _emit({"schema": "v1", "error": str(err)}, pretty=False, output=None)
         return 2
 
     try:
         report, code = _dispatch(args)
-    except (UsageError, ExprSyntaxError, ex.ExponentError,
-            ex.DimensionMismatch, ex.WrongDomainClass,
-            atlas_mod.UnknownManifold, atlas_mod.AtlasConfigError) as err:
-        _emit({"schema": "v1", "error": str(err),
-               "config": _config_echo(args)}, args.pretty, args.output)
-        return 2
     except (ArithmeticError, ValueError) as err:
         _emit({"schema": "v1", "error": str(err),
                "config": _config_echo(args)}, args.pretty, args.output)
-        return 3
+        return 2 if isinstance(err, ArgumentError) else 3
 
     report["config"] = _config_echo(args)
     try:

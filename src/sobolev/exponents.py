@@ -32,16 +32,18 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from sobolev import ArgumentError
 
-class ExponentError(ValueError):
+
+class ExponentError(ArgumentError):
     """Invalid exponent data (p out of range, float input, ...)."""
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(ArgumentError):
     pass
 
 
-class WrongDomainClass(ValueError):
+class WrongDomainClass(ArgumentError):
     pass
 
 

@@ -38,6 +38,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from sobolev import ArgumentError
+
 __all__ = [
     "Expr", "Const", "Pi", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
     "Call", "Piecewise", "FUNCTIONS", "ExprSyntaxError", "ExprDomainError",
@@ -46,7 +48,7 @@ __all__ = [
     "expr_to_text", "const", "sum_exprs", "prod_exprs",
 ]
 
-class ExprSyntaxError(ValueError):
+class ExprSyntaxError(ArgumentError):
     """Raised on malformed expression text; carries a 1-based position."""
 
     def __init__(self, message: str, position: int):

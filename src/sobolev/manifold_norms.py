@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sobolev import ArgumentError
 from sobolev.atlas import PartitionOfUnity, build_partition_of_unity
 from sobolev.funcexpr import eval_on_points, mul
 from sobolev.geometry import (
@@ -123,7 +124,7 @@ def chart_sobolev_norm(u: TensorField, pou: PartitionOfUnity = None,
     if pou is None:
         pou = build_partition_of_unity(atlas)
     if e < 0:
-        raise ValueError("numerical manifold norms require e >= 0")
+        raise ArgumentError("numerical manifold norms require e >= 0")
     shape = grid_shape(atlas.dim, N)
 
     value = 0.0
@@ -153,7 +154,7 @@ def connection_sobolev_norm(u: TensorField, g: MetricField, k: int = 1,
     atlas = u.atlas
     k = int(k)
     if k < 0:
-        raise ValueError("k must be a nonnegative integer")
+        raise ArgumentError("k must be a nonnegative integer")
     if pou is None:
         pou = build_partition_of_unity(atlas)
     q = _check_p(q)
@@ -190,22 +191,26 @@ class NormVariant:
     pou: PartitionOfUnity | None = None
     metric: MetricField | None = None
 
+    def check(self, atlas, e) -> None:
+        """Raise :class:`~sobolev.ArgumentError` unless this route takes
+        order ``e`` on ``atlas``."""
+        if self.kind not in ("chart", "connection", "box"):
+            raise ArgumentError(f"unknown norm variant {self.kind!r}")
+        if self.kind == "connection" and abs(e - round(e)) > 1e-12:
+            raise ArgumentError("the connection route needs integer order")
+        if self.kind == "box" and atlas.period_box is None:
+            raise ArgumentError("the box route integrates one exact period; "
+                                "it applies to the torus manifolds")
+
     def compute(self, u, e, q, N) -> float:
+        self.check(u.atlas, e)
         if self.kind == "chart":
             return chart_sobolev_norm(u, pou=self.pou, e=e, q=q, N=N).value
         if self.kind == "connection":
-            if abs(e - round(e)) > 1e-12:
-                raise ValueError("the connection route needs integer order")
             return connection_sobolev_norm(u, self.metric, k=int(round(e)),
                                            q=q, N=N, pou=self.pou).value
-        if self.kind == "box":
-            box = u.atlas.period_box
-            if box is None:
-                raise ValueError("the box route integrates one exact period; "
-                                 "it applies to the torus manifolds")
-            return sum(sobolev_norm(comp, box, e, q, N).value
-                       for comp in u.comps[0])
-        raise ValueError(f"unknown norm variant {self.kind!r}")
+        return sum(sobolev_norm(comp, u.atlas.period_box, e, q, N).value
+                   for comp in u.comps[0])
 
     def describe(self) -> str:
         if self.kind == "chart":
@@ -219,10 +224,14 @@ def compare_norms(family, variant_a: NormVariant, variant_b: NormVariant,
 
     Each ratio is recomputed with the function scaled by ``SCALE_CHECK``;
     homogeneity of both norms makes the ratio invariant (to roundoff),
-    which is asserted in the report rather than silently assumed.
+    which is asserted in the report rather than silently assumed.  Both
+    routes are checked against ``e`` (:meth:`NormVariant.check`) before
+    any norm is computed.
     """
     if not family:
-        raise ValueError("the function family is empty")
+        raise ArgumentError("the function family is empty")
+    for variant in (variant_a, variant_b):  # before the first norm
+        variant.check(family[0].atlas, e)
     ratios = []
     scale_dev = 0.0
     for u in family:

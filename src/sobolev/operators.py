@@ -26,6 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from sobolev import ArgumentError
 from sobolev.atlas import Atlas, PartitionOfUnity, build_partition_of_unity
 from sobolev.exponents import (
     DomainClass, ExponentError, check_derivative, space,
@@ -39,7 +40,9 @@ from sobolev.geometry import (
 from sobolev.manifold_norms import (
     SCALE_CHECK, NormVariant, _intrinsic_integrals,
 )
-from sobolev.quadrature import Report, _check_halvings, _two_grid, grid_shape
+from sobolev.quadrature import (
+    Report, _check_halvings, _check_p, _two_grid, grid_shape,
+)
 
 __all__ = [
     "ValenceMismatch", "apply_operator", "empirical_bound",
@@ -128,19 +131,22 @@ def empirical_bound(op_id: str, g: MetricField, from_exponents,
     theorem (chart images are the whole space or Lipschitz boxes), whose
     verdict the report carries under ``screen``; a pair it does not
     cover, or a target order above ``e - order``, raises
-    :class:`~sobolev.exponents.ExponentError`.  The ratio at the worst
+    :class:`~sobolev.exponents.ExponentError`.  Every refused argument
+    raises a :class:`~sobolev.ArgumentError` before any norm is
+    computed.  The ratio at the worst
     function is then recomputed with that function scaled by
     ``SCALE_CHECK``.  Without ``route`` the norms take the "box" route
     on a torus and the "chart" route on any other manifold.
     """
     if not family:
-        raise ValueError("the function family is empty")
+        raise ArgumentError("the function family is empty")
     # every order is read once, exactly, so "3/2", "1.5" and
     # Fraction(3, 2) give the same screen and the same floats
     exact = [Fraction(str(x)) for x in (*from_exponents, *to_exponents)]
     e, q, et, qt = map(float, exact)
     if e < 0 or et < 0:
-        raise ValueError("numerical norms require nonnegative orders")
+        raise ArgumentError("numerical norms require nonnegative orders")
+    _check_p(qt)  # the screen below checks q
     atlas = g.atlas
     shape = grid_shape(atlas.dim, N)
     _check_halvings(shape, 1 + bool(e % 1 or et % 1))

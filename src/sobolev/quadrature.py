@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sobolev import ArgumentError
 from sobolev.fields import BoxRegion, Field, as_field
 from sobolev.funcexpr import ZERO, Expr, Piecewise
 
@@ -59,9 +60,9 @@ class BoxDomain:
         object.__setattr__(self, "bounds", b)
         for lo, hi in b:
             if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError("box bounds must be finite")
+                raise ArgumentError("box bounds must be finite")
             if not lo < hi:
-                raise ValueError(f"empty interval [{lo}, {hi}]")
+                raise ArgumentError(f"empty interval [{lo}, {hi}]")
 
     @property
     def n(self) -> int:
@@ -97,7 +98,8 @@ def grid_shape(n: int, N=None) -> tuple[int, ...]:
         N = 256 if n == 1 else 64
     shape = (N,) * n if isinstance(N, int) else tuple(int(k) for k in N)
     if len(shape) != n:
-        raise ValueError("per-axis resolution length must match dimension")
+        raise ArgumentError(
+            "per-axis resolution length must match dimension")
     _check_halvings(shape)
     return shape
 
@@ -109,8 +111,8 @@ def _check_halvings(shape, halvings: int = 0) -> None:
     where an operator bound takes every norm on the halved grid)."""
     need = 2 << halvings
     if min(shape) < need:
-        raise ValueError(f"grid resolution must be at least {need} per "
-                         f"axis, got {list(shape)}")
+        raise ArgumentError(f"grid resolution must be at least {need} per "
+                            f"axis, got {list(shape)}")
 
 
 def _two_grid(value_at, shape: tuple[int, ...]):
@@ -161,7 +163,8 @@ def _norm_report(value, terms, grid, error_estimate, extras=None,
 def _check_p(p: float):
     p = float(p)
     if not (p > 1 and math.isfinite(p)):
-        raise ValueError(f"integrability p must be finite and > 1, got {p}")
+        raise ArgumentError(
+            f"integrability p must be finite and > 1, got {p}")
     return p
 
 
@@ -304,7 +307,8 @@ def gagliardo_double_sum(u, box: BoxDomain, theta: float,
     """
     p = _check_p(p)
     if not (0.0 < theta < 1.0):
-        raise ValueError(f"theta must lie strictly in (0, 1), got {theta}")
+        raise ArgumentError(
+            f"theta must lie strictly in (0, 1), got {theta}")
     shape = grid_shape(box.n, N)
     pts, cellvol, _ = midpoint_grid(box, shape)
     vals = as_field(u, box.n).values(pts).reshape(shape)
@@ -399,12 +403,13 @@ def sobolev_norm(u, box: BoxDomain, s: float, p: float = 2.0,
     """
     s = float(s)
     if s < 0:
-        raise ValueError(f"smoothness s must be >= 0 here, got {s}")
+        raise ArgumentError(f"smoothness s must be >= 0 here, got {s}")
     p = _check_p(p)
     f = as_field(u, box.n)
     shape = grid_shape(box.n, N)
     k = int(math.floor(s))
     theta = s - k
+    _check_halvings(shape, theta > 0)  # before the first term is computed
 
     terms = []
     err = 0.0

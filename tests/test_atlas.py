@@ -3,7 +3,7 @@ import pytest
 
 import sobolev.atlas as atlas_module
 from sobolev.atlas import (
-    MANIFOLD_NAMES, BumpSeed, CoverConditionError,
+    MANIFOLD_NAMES, AtlasConfigError, BumpSeed, CoverConditionError,
     PeriodicityError, TransitionMap, UnknownManifold, alternate_seeds,
     atlas_from_config, build_partition_of_unity, builtin_manifold,
     default_seeds, quasirandom_points,
@@ -328,6 +328,16 @@ class TestConfigRoundTrip:
         assert len(atlas2.charts) == len(atlas.charts)
         pts = quasirandom_points("s1-stereo", 500)
         assert np.allclose(pou2.values_at(pts), pou.values_at(pts), atol=1e-15)
+
+    def test_echoed_numbers_match_by_value_booleans_by_type(self):
+        atlas, pou = atlas_from_config({
+            "manifold": "s1-stereo", "dim": 1.0, "gl_self_compatible": False,
+            "params": {"truncation_radius": 4}})
+        assert atlas.dim == 1 and pou is None
+        for echoed in ({"dim": True}, {"gl_self_compatible": 0},
+                       {"params": {"truncation_radius": True}}):
+            with pytest.raises(AtlasConfigError, match="atlas-config key"):
+                atlas_from_config({"manifold": "s1-stereo", **echoed})
 
     def test_unknown_keys_rejected(self, s1):
         atlas, _, _ = s1

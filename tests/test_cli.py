@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,15 @@ def run(capsys, *argv):
 def no_norms(*args, **kwargs):
     """Stands in for a norm route that a usage error must never reach."""
     raise AssertionError("a norm was computed")
+
+
+@pytest.fixture
+def no_grids(monkeypatch):
+    """Every quadrature grid fails: a refusal must come before the first."""
+    import sobolev.manifold_norms as mn
+    import sobolev.quadrature as quad
+    for module in (quad, mn):
+        monkeypatch.setattr(module, "midpoint_grid", no_norms)
 
 
 class TestCheckCommands:
@@ -55,6 +65,13 @@ class TestCheckCommands:
                                                       code):
         assert run(capsys, "check", "embed", "--n", "2", "--from", "1,2",
                    "--to", "1/2,2", "--domain", domain)[0] == code
+
+    def test_embed_takes_a_rational_too_large_for_a_float(self, capsys):
+        # an exact check converts no order to a float
+        code, rep = run(capsys, "check", "embed", "--n", "2",
+                        "--from", "1e400,2", "--to", "1,2")
+        assert code == 0
+        assert rep["result"] == "Admissible"
 
     def test_pointwise(self, capsys):
         code, rep = run(capsys, "check", "pointwise", "--n", "3",
@@ -151,13 +168,13 @@ class TestNormCommands:
          "--p", "inf"),
         ("norm", "euclid", "--expr", "x1", "--box", "0,1", "--s", "1",
          "--grid", "x"),
-        ("norm", "connection", "--manifold", "torus1", "--expr", "x1",
-         "--k", "-1"),
-        ("norm", "manifold", "--manifold", "torus1", "--expr", "x1",
-         "--e", "1/0"),
+        ("norm", "connection", "--manifold", "torus1", "--expr",
+         "sin(2*pi*x1)", "--k", "-1"),
+        ("norm", "manifold", "--manifold", "torus1", "--expr",
+         "sin(2*pi*x1)", "--e", "1/0"),
         ("check", "embed", "--n", "2", "--from", "2,a", "--to", "1,4"),
         ("op", "bound", "--manifold", "torus1", "--op", "laplace",
-         "--from", "2", "--to", "0,2", "--expr", "x1"),
+         "--from", "2", "--to", "0,2", "--expr", "sin(2*pi*x1)"),
         # a negative order on a numerical route
         ("norm", "euclid", "--expr", "x1", "--box", "0,1", "--s", "-1"),
         ("compare", "--manifold", "s1-stereo", "--expr", "x1", "--e", "-1"),
@@ -176,7 +193,18 @@ class TestNormCommands:
          "--seminorm"),
         ("norm", "manifold", "--manifold", "s1-stereo", "--expr", "x1",
          "--e", "1", "--intrinsic"),
+        # a number whose float is not finite
+        ("norm", "euclid", "--expr", "x1", "--box", "0,1", "--s", "1",
+         "--p", "1e400", "--grid", "8"),
+        ("norm", "euclid", "--expr", "x1", "--box", "0,1", "--s", "1e400",
+         "--grid", "8"),
+        ("norm", "manifold", "--manifold", "torus1", "--expr",
+         "sin(2*pi*x1)", "--q", "1e400", "--grid", "8"),
+        ("op", "bound", "--manifold", "torus1", "--op", "d",
+         "--from", "1e400,2", "--to", "0,2", "--expr", "sin(2*pi*x1)",
+         "--grid", "8"),
     ])
+    @pytest.mark.usefixtures("no_grids")
     def test_malformed_arguments_are_usage_errors(self, capsys, argv):
         code, rep = run(capsys, *argv)
         assert code == 2
@@ -187,41 +215,52 @@ class TestNormCommands:
          "--p", "1/2"),
         ("norm", "euclid", "--expr", "x1", "--box", "0,1", "--s", "1",
          "--p", "1"),
-        ("norm", "manifold", "--manifold", "torus1", "--expr", "x1",
-         "--q", "1"),
-        ("norm", "connection", "--manifold", "torus1", "--expr", "x1",
-         "--q", "1/2"),
-        ("compare", "--manifold", "torus1", "--expr", "x1", "--q", "0.9"),
+        ("norm", "manifold", "--manifold", "torus1", "--expr",
+         "sin(2*pi*x1)", "--q", "1"),
+        ("norm", "connection", "--manifold", "torus1", "--expr",
+         "sin(2*pi*x1)", "--q", "1/2"),
+        ("compare", "--manifold", "torus1", "--expr", "sin(2*pi*x1)",
+         "--q", "0.9"),
         ("op", "bound", "--manifold", "torus1", "--op", "laplace",
-         "--from", "2,2", "--to", "0,1/2", "--expr", "x1"),
-        ("check", "multiply", "--n", "3", "--a", "1,2", "--b", "1,1",
-         "--target", "0,2"),
+         "--from", "2,2", "--expr", "sin(2*pi*x1)", "--to", "0,1/2"),
+        ("check", "multiply", "--n", "3", "--a", "1,2", "--target", "0,2",
+         "--b", "1,1"),
     ])
+    @pytest.mark.usefixtures("no_grids")
     def test_integrability_at_or_below_one_is_usage_error(self, capsys,
                                                           argv):
+        # each argv ends with the refused p or q (last in its pair), which
+        # the library refuses: quadrature on a numerical route (a float),
+        # exponents on an exact check (a rational, in an argparse type)
         code, rep = run(capsys, *argv)
         assert code == 2
-        assert rep["error"].startswith("argument --")
+        q = Fraction(argv[-1].split(",")[-1])
+        assert rep["error"] == (
+            f"argument --b: integrability p must satisfy p > 1, got {q}"
+            if argv[0] == "check" else
+            f"integrability p must be finite and > 1, got {float(q)}")
 
     @pytest.mark.parametrize("argv, need", [
         (("norm", "euclid", "--expr", "x1", "--box", "0,1", "--s", "1/2",
           "--seminorm", "--grid", "3"), 4),
         (("norm", "euclid", "--expr", "x1", "--box", "0,1", "--s", "3/2",
           "--grid", "2"), 4),
-        (("norm", "manifold", "--manifold", "torus1", "--expr", "x1",
-          "--e", "1/2", "--grid", "3"), 4),
-        (("compare", "--manifold", "torus1", "--expr", "x1", "--e", "1/2",
-          "--grid", "2"), 4),
+        (("norm", "manifold", "--manifold", "torus1", "--expr",
+          "sin(2*pi*x1)", "--e", "1/2", "--grid", "3"), 4),
+        (("compare", "--manifold", "torus1", "--expr", "sin(2*pi*x1)",
+          "--e", "1/2", "--grid", "2"), 4),
         (("op", "bound", "--manifold", "torus1", "--op", "laplace",
-          "--from", "2,2", "--to", "0,2", "--expr", "x1", "--grid", "3"), 4),
+          "--from", "2,2", "--to", "0,2", "--expr", "sin(2*pi*x1)",
+          "--grid", "3"), 4),
         (("op", "bound", "--manifold", "torus1", "--op", "laplace",
-          "--from", "5/2,2", "--to", "1/2,2", "--expr", "x1",
+          "--from", "5/2,2", "--to", "1/2,2", "--expr", "sin(2*pi*x1)",
           "--grid", "7"), 8),
-        (("norm", "connection", "--manifold", "torus1", "--expr", "x1",
-          "--grid", "1"), 2),
-        (("norm", "manifold", "--manifold", "torus1", "--expr", "x1",
-          "--grid", "0"), 2),
+        (("norm", "connection", "--manifold", "torus1", "--expr",
+          "sin(2*pi*x1)", "--grid", "1"), 2),
+        (("norm", "manifold", "--manifold", "torus1", "--expr",
+          "sin(2*pi*x1)", "--grid", "0"), 2),
     ])
+    @pytest.mark.usefixtures("no_grids")
     def test_grid_too_small_for_its_halvings_is_usage_error(self, capsys,
                                                             argv, need):
         code, rep = run(capsys, *argv)
@@ -323,6 +362,12 @@ class TestNormCommands:
      "--expr", "x1*x2"),
     ("op", "bound", "--manifold", "torus1", "--op", "d", "--from", "1,2",
      "--to", "0,2", "--expr", "exp(x1)"),
+    # an argument fault as well: the function is read first, so the
+    # periodicity fault wins
+    ("norm", "manifold", "--manifold", "torus1", "--expr", "x1",
+     "--q", "1"),
+    ("op", "bound", "--manifold", "torus1", "--op", "d", "--from", "1/2,2",
+     "--to", "0,2", "--expr", "x1"),
 ])
 def test_non_periodic_torus_input_exit_3(capsys, argv):
     code, rep = run(capsys, *argv)
@@ -401,10 +446,16 @@ class TestCompareAndOps:
         assert code == 0
         assert default["ratios"] == explicit["ratios"]
 
+    @staticmethod
+    def refuse_norms(monkeypatch):
+        import sobolev.manifold_norms as mn
+        for name in ("chart_sobolev_norm", "connection_sobolev_norm",
+                     "sobolev_norm"):
+            monkeypatch.setattr(mn, name, no_norms)
+
     def test_compare_connection_fractional_order_is_usage_error(
             self, capsys, monkeypatch):
-        import sobolev.manifold_norms as mn
-        monkeypatch.setattr(mn, "compare_norms", no_norms)
+        self.refuse_norms(monkeypatch)
         code, rep = run(capsys, "compare", "--manifold", "s1-stereo",
                         "--expr", "x1", "--e", "1/2", "--grid", "16",
                         "--against", "connection")
@@ -414,13 +465,13 @@ class TestCompareAndOps:
     @pytest.mark.parametrize("manifold", ["s1-stereo", "s2-stereo"])
     def test_op_bound_box_route_off_torus_is_usage_error(
             self, capsys, monkeypatch, manifold):
-        import sobolev.operators as ops
-        monkeypatch.setattr(ops, "empirical_bound", no_norms)
+        self.refuse_norms(monkeypatch)
         code, rep = run(capsys, "op", "bound", "--manifold", manifold,
                         "--op", "d", "--from", "1,2", "--to", "0,2",
                         "--expr", "x1", "--grid", "16", "--route", "box")
         assert code == 2
-        assert "--route box" in rep["error"]
+        assert rep["error"] == ("the box route integrates one exact period; "
+                                "it applies to the torus manifolds")
 
     @pytest.mark.parametrize("frm, to, message", [
         ("1,2", "1,2", "target order 1.0 exceeds the declared map (e - 1)"),
@@ -627,6 +678,16 @@ class TestPlumbing:
          "atlas-config key 'params' is {'truncation_radius': 30}"),
         ({"manifold": "s1-stereo", "params": {"truncation_radius": 1000}},
          "atlas-config key 'params' is {'truncation_radius': 1000}"),
+        # an echoed true/false equals no number, and a number no true/false
+        ({"manifold": "s1-stereo", "dim": True, "gl_self_compatible": 0},
+         "atlas-config key 'dim' is True, but the rebuilt s1-stereo atlas "
+         "has 1"),
+        ({"manifold": "s1-stereo", "gl_self_compatible": 0},
+         "atlas-config key 'gl_self_compatible' is 0, but the rebuilt "
+         "s1-stereo atlas has False"),
+        ({"manifold": "torus1", "gl_self_compatible": 1},
+         "atlas-config key 'gl_self_compatible' is 1, but the rebuilt "
+         "torus1 atlas has True"),
     ])
     def test_malformed_atlas_config_values_are_usage_errors(
             self, tmp_path, capsys, config, message):

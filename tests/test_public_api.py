@@ -1,12 +1,23 @@
 """Every name a ``sobolev`` module exports in ``__all__`` exists, so a
-deletion that leaves a stale export fails here."""
+deletion that leaves a stale export fails here; and which error types
+are :class:`sobolev.ArgumentError` (a refused argument, CLI exit 2) is
+pinned, with each argument rule raising it through the API."""
 
 import importlib
+import math
 import pkgutil
+from types import SimpleNamespace
 
 import pytest
 
 import sobolev
+from sobolev import ArgumentError
+from sobolev import manifold_norms as mn
+from sobolev import operators as ops
+from sobolev import quadrature as quad
+from sobolev.atlas import builtin_manifold
+from sobolev.funcexpr import parse_expr
+from sobolev.geometry import TensorField
 
 MODULES = sorted(f"sobolev.{m.name}"
                  for m in pkgutil.iter_modules(sobolev.__path__))
@@ -22,3 +33,76 @@ def test_exports_resolve(name):
     exports = getattr(module, "__all__", [])
     assert len(exports) == len(set(exports))
     assert [x for x in exports if not hasattr(module, x)] == []
+
+
+def test_argument_error_types_are_pinned():
+    """A new public error type fails here until it is placed on one side:
+    a caller's argument (exit 2) or a fault found while computing
+    (exit 3)."""
+    errors = {}
+    for name in MODULES:
+        for key, obj in vars(importlib.import_module(name)).items():
+            if isinstance(obj, type) and issubclass(obj, Exception) and \
+                    obj.__module__ == name and not key.startswith("_"):
+                errors[key] = issubclass(obj, ArgumentError)
+    assert issubclass(ArgumentError, ValueError)
+    assert sorted(k for k, arg in errors.items() if arg) == [
+        "AtlasConfigError", "DimensionMismatch", "ExponentError",
+        "ExprSyntaxError", "UnknownManifold", "WrongDomainClass"]
+    assert sorted(k for k, arg in errors.items() if not arg) == [
+        "CoverConditionError", "ExprDomainError", "PeriodicityError",
+        "SupportViolation", "ValenceMismatch"]
+    assert issubclass(sobolev.atlas.UnknownManifold, LookupError)
+
+
+@pytest.fixture(scope="module")
+def a():
+    """The arguments of the rules below, each valid on its own."""
+    t1, pou, g = builtin_manifold("torus1")
+    s1 = builtin_manifold("s1-stereo")[0]
+    return SimpleNamespace(
+        x=parse_expr("x1", 1), box=quad.BoxDomain(((0.0, 1.0),)), g=g,
+        pou=pou, u=TensorField.from_ambient(t1, "sin(2*pi*x1)"),
+        v=TensorField.from_ambient(s1, "x1"),
+        chart=mn.NormVariant("chart", pou=pou))
+
+
+# Every argument rule of the norm routes, each called with one fault.
+RULES = {
+    "p at or below 1": lambda a: quad.lp_norm(a.x, a.box, p=1),
+    "p not finite": lambda a: quad.sobolev_norm(a.x, a.box, 1, math.inf),
+    "grid below 2": lambda a: quad.lp_norm(a.x, a.box, N=1),
+    "grid below its halvings":
+        lambda a: quad.sobolev_norm(a.x, a.box, 1.5, N=2),
+    "resolution of another dimension": lambda a: quad.grid_shape(2, (8,)),
+    "theta outside (0, 1)":
+        lambda a: quad.gagliardo_seminorm(a.x, a.box, theta=1.5),
+    "negative s": lambda a: quad.sobolev_norm(a.x, a.box, -1),
+    "empty interval": lambda a: quad.BoxDomain(((1.0, 0.0),)),
+    "box not finite": lambda a: quad.BoxDomain(((0.0, math.inf),)),
+    "negative e": lambda a: mn.chart_sobolev_norm(a.u, a.pou, e=-1),
+    "negative k":
+        lambda a: mn.connection_sobolev_norm(a.u, a.g, k=-1, pou=a.pou),
+    "empty family": lambda a: mn.compare_norms([], a.chart, a.chart, e=1),
+    "connection route at a fractional order": lambda a: mn.compare_norms(
+        [a.u], a.chart, mn.NormVariant("connection", metric=a.g, pou=a.pou),
+        e=0.5),
+    "box route off the tori":
+        lambda a: mn.NormVariant("box").compute(a.v, 1, 2, 16),
+    "negative operator order":
+        lambda a: ops.empirical_bound("d", a.g, (1, 2), (-1, 2), [a.u]),
+    "operator target q at or below 1":
+        lambda a: ops.empirical_bound("d", a.g, (1, 2), (0, 1), [a.u]),
+    "operator on an empty family":
+        lambda a: ops.empirical_bound("d", a.g, (1, 2), (0, 2), []),
+    "operator grid below its halvings":
+        lambda a: ops.empirical_bound("d", a.g, (1, 2), (0, 2), [a.u], N=3),
+    "operator order the screen does not cover":
+        lambda a: ops.empirical_bound("d", a.g, ("1/2", 2), (0, 2), [a.u]),
+}
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_every_argument_rule_raises_argument_error(a, rule):
+    with pytest.raises(ArgumentError):
+        RULES[rule](a)
