@@ -152,9 +152,9 @@ def connection_sobolev_norm(u: TensorField, g: MetricField, k: int = 1,
         ( sum_{i=0..k} || |nabla^i u|_F ||_{L^q}^q )^{1/q}
     """
     atlas = u.atlas
+    if not (k >= 0 and k % 1 == 0):
+        raise ArgumentError(f"k must be a nonnegative integer, got {k}")
     k = int(k)
-    if k < 0:
-        raise ArgumentError("k must be a nonnegative integer")
     if pou is None:
         pou = build_partition_of_unity(atlas)
     q = _check_p(q)

@@ -142,8 +142,12 @@ def empirical_bound(op_id: str, g: MetricField, from_exponents,
         raise ArgumentError("the function family is empty")
     # every order is read once, exactly, so "3/2", "1.5" and
     # Fraction(3, 2) give the same screen and the same floats
-    exact = [Fraction(str(x)) for x in (*from_exponents, *to_exponents)]
-    e, q, et, qt = map(float, exact)
+    try:
+        exact = [Fraction(str(x)) for x in (*from_exponents, *to_exponents)]
+        e, q, et, qt = map(float, exact)
+    except (ValueError, OverflowError) as exc:
+        raise ArgumentError(f"orders must be (e, q) pairs of rationals "
+                            f"with finite floats: {exc}") from None
     if e < 0 or et < 0:
         raise ArgumentError("numerical norms require nonnegative orders")
     _check_p(qt)  # the screen below checks q

@@ -20,7 +20,11 @@ Error estimates are two-grid differences plus, for the fractional
 seminorm, the diagonal model.  Every route of the package, the manifold
 ones included, takes its two grids from :func:`_two_grid`: its value on
 k cells per axis against the same value on k // 2.  A zero extension
-(:func:`extend_by_zero`) is an expression like any other.
+(:func:`extend_by_zero`) is an expression like any other.  A box norm
+(:func:`sobolev_norm`) samples each grid in one evaluation program, so
+it holds R x M float64 values for the R roots of its fine grid: d^nu u
+for |nu| <= k and, at a fractional order, the first partials of each
+top-order d^nu u.
 
 All inputs are immutable during computation and the evaluation order is
 fixed, making every value reproducible bit for bit.
@@ -36,7 +40,7 @@ import numpy as np
 
 from sobolev import ArgumentError
 from sobolev.fields import BoxRegion, Field, as_field
-from sobolev.funcexpr import ZERO, Expr, Piecewise
+from sobolev.funcexpr import ZERO, Expr, Piecewise, eval_many
 
 __all__ = [
     "BoxDomain", "Report", "SupportViolation",
@@ -176,9 +180,7 @@ def _grid_meta(box: BoxDomain, shape):
 # L^p norm
 # ---------------------------------------------------------------------------
 
-def _lp_value(f: Field, box: BoxDomain, p: float, shape) -> float:
-    pts, cellvol, _ = midpoint_grid(box, shape)
-    vals = f.values(pts)
+def _lp(vals: np.ndarray, cellvol: float, p: float) -> float:
     return float(np.sum(np.abs(vals) ** p) * cellvol) ** (1.0 / p)
 
 
@@ -187,7 +189,11 @@ def lp_norm(u, box: BoxDomain, p: float = 2.0, N=None) -> Report:
     p = _check_p(p)
     f = as_field(u, box.n)
     shape = grid_shape(box.n, N)
-    value, coarse = _two_grid(lambda shp: _lp_value(f, box, p, shp), shape)
+
+    def value_at(shp):
+        pts, cellvol, _ = midpoint_grid(box, shp)
+        return _lp(f.values(pts), cellvol, p)
+    value, coarse = _two_grid(value_at, shape)
     return _norm_report(value, [{"kind": "lp", "p": p, "value": value}],
                         _grid_meta(box, shape), abs(value - coarse))
 
@@ -293,6 +299,20 @@ def _offset_pair_sum(u: np.ndarray, K: np.ndarray, p: float,
     return 2.0 * total
 
 
+def _pair_sum(vals: np.ndarray, box: BoxDomain, shape, cellvol: float,
+              theta: float, p: float) -> float:
+    """:func:`gagliardo_double_sum` of the grid values ``vals``."""
+    vals = vals.reshape(shape)
+    alpha = box.n + theta * p
+    K = _offset_kernel(box, shape, alpha)
+    if p == 2.0:
+        u = vals - vals.flat[0]  # so that a constant is exactly 0
+        total = max(_fft_pair_sum(u - np.mean(u), K, alpha), 0.0)
+    else:
+        total = _offset_pair_sum(vals, K, p)
+    return total * cellvol * cellvol
+
+
 def gagliardo_double_sum(u, box: BoxDomain, theta: float,
                          p: float, N=None) -> float:
     """Raw midpoint double sum over distinct cell pairs (no 1/p power).
@@ -311,35 +331,32 @@ def gagliardo_double_sum(u, box: BoxDomain, theta: float,
             f"theta must lie strictly in (0, 1), got {theta}")
     shape = grid_shape(box.n, N)
     pts, cellvol, _ = midpoint_grid(box, shape)
-    vals = as_field(u, box.n).values(pts).reshape(shape)
-    alpha = box.n + theta * p
-    K = _offset_kernel(box, shape, alpha)
-    if p == 2.0:
-        u = vals - vals.flat[0]  # so that a constant is exactly 0
-        total = max(_fft_pair_sum(u - np.mean(u), K, alpha), 0.0)
-    else:
-        total = _offset_pair_sum(vals, K, p)
-    return total * cellvol * cellvol
+    vals = as_field(u, box.n).values(pts)
+    return _pair_sum(vals, box, shape, cellvol, theta, p)
 
 
-def _diagonal_model(f: Field, box: BoxDomain, theta: float, p: float, shape):
-    """Upper bound for the excluded diagonal cells via a Lipschitz model.
+def _diagonal_model(grads, box: BoxDomain, theta: float, p: float, shape):
+    """Upper bound for the excluded diagonal cells via a Lipschitz model,
+    from the first partials ``grads`` of u on the grid of ``shape``.
 
     Each diagonal cell pair contributes at most
     L^p * c(n, theta, p) * h^(n + p(1-theta)) with L the local gradient
     magnitude; summed over cells this is O(h^{p(1-theta)}) total.
     """
     n = box.n
-    pts, _, hs = midpoint_grid(box, shape)
-    hmax = float(np.max(hs))
-    grad2 = np.zeros(pts.shape[0])
-    for ax in range(1, n + 1):
-        g = f.partial(ax).values(pts)
-        grad2 += g * g
-    lp_grad = grad2 ** (p / 2.0)
+    hmax = max((hi - lo) / k for (lo, hi), k in zip(box.bounds, shape))
+    lp_grad = sum(g * g for g in grads) ** (p / 2.0)
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     c = omega * math.sqrt(n) ** (p * (1.0 - theta)) / (p * (1.0 - theta))
     return float(np.sum(lp_grad) * c * hmax ** (n + p * (1.0 - theta)))
+
+
+def _seminorm(S: float, S_coarse: float, D: float, p: float):
+    """(value, two-grid difference, error estimate) of a seminorm from its
+    double sums S and S_coarse on the two grids and its diagonal model D."""
+    value = S ** (1.0 / p)
+    two_grid = abs(value - S_coarse ** (1.0 / p))
+    return value, two_grid, two_grid + ((S + D) ** (1.0 / p) - value)
 
 
 def gagliardo_seminorm(u, box: BoxDomain, theta: float, p: float = 2.0,
@@ -356,17 +373,15 @@ def gagliardo_seminorm(u, box: BoxDomain, theta: float, p: float = 2.0,
     _check_halvings(shape, 1)
     S, S_coarse = _two_grid(
         lambda shp: gagliardo_double_sum(f, box, theta, p, shp), shape)
-    value = S ** (1.0 / p)
-    coarse = S_coarse ** (1.0 / p)
-    D = _diagonal_model(f, box, theta, p, shape)
-    diag_effect = (S + D) ** (1.0 / p) - value
-    err = abs(value - coarse) + diag_effect
-
+    pts, _, _ = midpoint_grid(box, shape)
+    D = _diagonal_model([f.partial(ax).values(pts)
+                         for ax in range(1, box.n + 1)], box, theta, p, shape)
+    value, two_grid, err = _seminorm(S, S_coarse, D, p)
     return _norm_report(
         value, [{"kind": "gagliardo", "theta": float(theta), "p": p,
                  "value": value}],
         _grid_meta(box, shape), err,
-        {"diagonal_model": D, "two_grid_difference": abs(value - coarse)})
+        {"diagonal_model": D, "two_grid_difference": two_grid})
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +411,12 @@ def sobolev_norm(u, box: BoxDomain, s: float, p: float = 2.0,
     """W^{s,p} norm: lower-order L^p terms plus top-order fractional terms.
 
     value = sum_{|nu| <= k} ||d^nu u||_p  +  sum_{|nu| = k} |d^nu u|_{theta,p}
-    with k = floor(s), theta = s - k.  ``extras`` also carries the
-    equivalent full Slobodeckij form, which counts the L^p norm of each
-    top-order derivative once more inside its fractional term, and its
-    ratio to ``value``; its error is not estimated.
+    with k = floor(s), theta = s - k.  Each grid samples every derivative
+    in one program, and each term equals :func:`lp_norm` or
+    :func:`gagliardo_seminorm` of its d^nu u bit for bit.  ``extras`` also
+    carries the equivalent full Slobodeckij form, which counts the L^p norm
+    of each top-order derivative once more inside its fractional term, and
+    its ratio to ``value``; its error is not estimated.
     """
     s = float(s)
     if s < 0:
@@ -411,24 +428,42 @@ def sobolev_norm(u, box: BoxDomain, s: float, p: float = 2.0,
     theta = s - k
     _check_halvings(shape, theta > 0)  # before the first term is computed
 
+    nus = multi_indices(box.n, k)
+    tops = [theta > 0.0 and sum(nu) == k for nu in nus]
+    derivs = [_derivative(f, nu) for nu in nus]
+    # each top-order d^nu u is followed by its diagonal model's gradient,
+    # so a failing domain check raises what the per-derivative order did
+    fine_roots = [r for d, top in zip(derivs, tops) for r in
+                  [d] + [d.partial(ax) for ax in range(1, box.n + 1) if top]]
+
+    def sample(shp):
+        pts, cellvol, _ = midpoint_grid(box, shp)
+        roots = fine_roots if shp == shape else derivs
+        return iter(eval_many([r.expr for r in roots], pts).T), shp, cellvol
+    (fine, _, cellvol), (coarse, shape_c, cellvol_c) = _two_grid(sample, shape)
+
     terms = []
     err = 0.0
     value = 0.0
     top_lp = 0.0  # the L^p norms of the top-order derivatives, summed
-    for nu in multi_indices(box.n, k):
-        dnu = _derivative(f, nu)
-        rep = lp_norm(dnu, box, p, shape)
+    for nu, top in zip(nus, tops):
+        vals, vals_c = next(fine), next(coarse)
+        lp = _lp(vals, cellvol, p)
         terms.append({"kind": "lp", "multi_index": list(nu), "p": p,
-                      "value": rep.value})
-        value += rep.value
-        err += rep.error_estimate
-        if theta > 0.0 and sum(nu) == k:
-            top_lp += rep.value
-            grep = gagliardo_seminorm(dnu, box, theta, p, shape)
+                      "value": lp})
+        value += lp
+        err += abs(lp - _lp(vals_c, cellvol_c, p))
+        if top:
+            top_lp += lp
+            D = _diagonal_model([next(fine) for _ in range(box.n)], box,
+                                theta, p, shape)
+            semi, _, semi_err = _seminorm(
+                _pair_sum(vals, box, shape, cellvol, theta, p),
+                _pair_sum(vals_c, box, shape_c, cellvol_c, theta, p), D, p)
             terms.append({"kind": "gagliardo", "multi_index": list(nu),
-                          "theta": theta, "p": p, "value": grep.value})
-            value += grep.value
-            err += grep.error_estimate
+                          "theta": theta, "p": p, "value": semi})
+            value += semi
+            err += semi_err
 
     value_full = value + top_lp
     extras = {"variant": "seminorm", "seminorm_variant_value": value,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sobolev.manifold_norms
+from sobolev import ArgumentError
 from sobolev.atlas import alternate_seeds, build_partition_of_unity, \
     builtin_manifold
 from sobolev.funcexpr import eval_on_points
@@ -196,6 +197,16 @@ class TestConnectionNorm:
         orders = [t["lq_value"] ** 2 / (4 * math.pi / 15)
                   for t in rep.terms]
         assert orders == pytest.approx([1, 6, 30], rel=1e-3, abs=0)
+
+    @pytest.mark.parametrize("k", [1.5, 0.5, -1, math.nan, math.inf])
+    def test_k_not_a_nonnegative_integer_rejected(self, t1, k):
+        # a fractional k was truncated: 1.5 returned the k = 1 value
+        atlas, pou, g = t1
+        u = TensorField.from_ambient(atlas, "sin(2*pi*x1)")
+        with pytest.raises(ArgumentError, match="nonnegative integer"):
+            connection_sobolev_norm(u, g, k=k, q=2, N=32, pou=pou)
+        assert connection_sobolev_norm(u, g, k=1.0, q=2, N=32, pou=pou) == \
+            connection_sobolev_norm(u, g, k=1, q=2, N=32, pou=pou)
 
     def test_constant_any_k(self, t1):
         atlas, pou, g = t1

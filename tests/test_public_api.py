@@ -97,6 +97,10 @@ RULES = {
         lambda a: ops.empirical_bound("d", a.g, (1, 2), (0, 2), []),
     "operator grid below its halvings":
         lambda a: ops.empirical_bound("d", a.g, (1, 2), (0, 2), [a.u], N=3),
+    "operator order whose float overflows":
+        lambda a: ops.empirical_bound("d", a.g, ("1e400", 2), (0, 2), [a.u]),
+    "operator order not finite":
+        lambda a: ops.empirical_bound("d", a.g, (1, 2), (math.inf, 2), [a.u]),
     "operator order the screen does not cover":
         lambda a: ops.empirical_bound("d", a.g, ("1/2", 2), (0, 2), [a.u]),
 }

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import time
 import tracemalloc
@@ -6,8 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sobolev import cli, quadrature
+from sobolev.atlas import builtin_manifold
 from sobolev.fields import as_field, box_bump
-from sobolev.funcexpr import const, eval_on_points, mul, parse_expr
+from sobolev.funcexpr import (
+    ExprDomainError, const, diff_expr, eval_many, eval_on_points, mul,
+    parse_expr,
+)
+from sobolev.geometry import TensorField
 from sobolev.quadrature import (
     _MAX_PRODUCT_P, BoxDomain, SupportViolation, _offset_kernel,
     _offset_pair_sum, extend_by_zero, gagliardo_double_sum,
@@ -308,6 +316,98 @@ class TestSobolevNorm:
     def test_negative_s_rejected(self):
         with pytest.raises(ValueError):
             sobolev_norm(X, UNIT, s=-0.5, p=2, N=32)
+
+
+def per_derivative_norm(u, box, s, p, N):
+    """Test-only reference: the terms of ``sobolev_norm`` as ``lp_norm``
+    and ``gagliardo_seminorm`` of each derivative, each evaluated alone,
+    summed in the same order; (value, term values, error estimate)."""
+    k = math.floor(s)
+    theta = s - k
+    value, terms, err = 0.0, [], 0.0
+    for nu in multi_indices(box.n, k):
+        d = u
+        for ax, m in enumerate(nu, start=1):
+            for _ in range(m):
+                d = diff_expr(d, ax)
+        reps = [lp_norm(d, box, p, N)]
+        if theta > 0 and sum(nu) == k:
+            reps.append(gagliardo_seminorm(d, box, theta, p, N))
+        for rep in reps:
+            terms.append(rep.value)
+            value += rep.value
+            err += rep.error_estimate
+    return value, terms, err
+
+
+def _bits(rep):
+    """The per-derivative triple of a report, with floats as hex."""
+    return _hex(rep.value, [t["value"] for t in rep.terms],
+                rep.error_estimate)
+
+
+def _hex(value, terms, err):
+    return value.hex(), [t.hex() for t in terms], err.hex()
+
+
+class TestSharedSampling:
+    """``sobolev_norm`` samples every derivative once per grid in one
+    program; each of its terms must equal the per-derivative path bit for
+    bit."""
+
+    CASES = [("sin(3*x1)*exp(x1) + x1^4", "0,1", 64),
+             ("sin(x1)*x2^2 + cos(x1*x2)", "0,1;-1,1", 16)]
+
+    @pytest.mark.parametrize("s", [0.5, 1.5, 2.0])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("expr,box,N", CASES)
+    def test_box_norm_matches_per_derivative_path(self, expr, box, N, p, s):
+        box = BoxDomain([tuple(map(float, b.split(",")))
+                         for b in box.split(";")])
+        u = parse_expr(expr, box.n)
+        assert _bits(sobolev_norm(u, box, s, p, N)) == \
+            _hex(*per_derivative_norm(u, box, s, p, N))
+
+    @pytest.mark.parametrize("manifold,e,q", [("s2-stereo", 1.5, 2.0),
+                                              ("s2-stereo", 2.0, 3.0),
+                                              ("torus2", 1.5, 3.0)])
+    def test_chart_terms_match_per_derivative_path(self, manifold, e, q):
+        # nested Piecewise bump trees, shared by every derivative
+        atlas, pou, _ = builtin_manifold(manifold)
+        u = TensorField.from_ambient(
+            atlas, "x1*x3" if manifold == "s2-stereo" else
+            "sin(2*pi*x1)*cos(2*pi*x2)")
+        for ci, chart in enumerate(atlas.charts):
+            term = mul(pou.fields[ci], u.comps[ci][0])
+            assert _bits(sobolev_norm(term, chart.truncation, e, q, 16)) == \
+                _hex(*per_derivative_norm(term, chart.truncation, e, q, 16))
+
+    def test_one_program_per_grid(self, monkeypatch):
+        calls = []
+
+        def counting(roots, pts):
+            calls.append((len(roots), len(pts)))
+            return eval_many(roots, pts)
+
+        monkeypatch.setattr(quadrature, "eval_many", counting)
+        square = BoxDomain(((0.0, 1.0), (0.0, 1.0)))
+        sobolev_norm(parse_expr("sin(x1)*x2", 2), square, 1.5, 2, 16)
+        # fine: u, two first partials, each followed by its gradient
+        assert calls == [(1 + 2 * 3, 256), (1 + 2, 64)]
+
+    @pytest.mark.parametrize("expr,N", [("(x1-1/2)^(3/2)", 64),
+                                        ("abs(x1 - 1/128)", 64)])
+    def test_domain_error_is_the_per_derivative_error(self, expr, N):
+        # the second fails only at its derivative, on a fine midpoint
+        u = parse_expr(expr, 1)
+        with pytest.raises(ExprDomainError) as ref:
+            per_derivative_norm(u, UNIT, 1.5, 2.0, N)
+        with pytest.raises(ExprDomainError) as got:
+            sobolev_norm(u, UNIT, 1.5, 2.0, N)
+        assert str(got.value) == str(ref.value)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.execute(["norm", "euclid", "--expr", expr, "--box",
+                                "0,1", "--s", "3/2", "--grid", str(N)]) == 3
 
 
 def test_box_interior_is_open():

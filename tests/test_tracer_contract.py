@@ -2,7 +2,7 @@
 
 The tracer wraps every public function at every module binding and the
 ``values``/``partial`` methods of ``fields.Field`` from outside the
-library.  This test loads it unchanged in a fresh process, runs two small
+library.  This test loads it unchanged in a fresh process, runs three small
 CLI commands untraced and traced, and checks that tracing changes no
 output byte and that ``uninstall`` puts every binding back.
 """
@@ -19,6 +19,8 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 COMMANDS = [
     ["norm", "euclid", "--expr", "x1^2", "--box", "0,1", "--s", "3/2",
      "--grid", "32"],
+    ["norm", "euclid", "--expr", "x1^2", "--box", "0,1", "--s", "1/2",
+     "--grid", "32", "--seminorm"],
     ["norm", "connection", "--manifold", "s1-stereo", "--expr", "x1*x2",
      "--k", "2", "--grid", "32"],
 ]
@@ -86,7 +88,7 @@ def test_traced_run_is_byte_identical_and_uninstall_restores():
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
 
-    assert [code for code, _ in result["plain"]] == [0, 0]
+    assert [code for code, _ in result["plain"]] == [0, 0, 0]
     assert result["traced"] == result["plain"]
     assert result["not_restored"] == []
     for name in ("sobolev.cli.execute", "sobolev.funcexpr.eval_on_points",
@@ -94,7 +96,7 @@ def test_traced_run_is_byte_identical_and_uninstall_restores():
                  "Field.values", "Field.partial"):
         assert name in result["wrapped"]
     for layer in ("cli", "funcexpr.eval", "funcexpr.symbolic",
-                  "quadrature.pair_sum", "quadrature.lp", "geometry.covd",
+                  "quadrature.pair_sum", "geometry.covd",
                   "geometry.fiber_norm", "atlas.setup", "manifold_norms",
                   "fields.values", "fields.partial"):
         assert layer in result["layers"]
