@@ -26,11 +26,12 @@ differentiation and evaluation all read.
 
 Expressions are hash-consed DAGs (see :class:`Expr`): derivatives are
 memoized per node, and evaluation runs each distinct node of all the
-roots of a call once.
+roots of a call once, and the Piecewise nodes of one region as one step.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 import weakref
 from dataclasses import dataclass, fields
@@ -595,18 +596,28 @@ def subst_expr(e: Expr, mapping: dict[int, Expr]) -> Expr:
 # walk of each tree first finishes them.  So every node runs the numpy
 # operation of that walk on the same inputs, but once per call, however
 # many roots share it.  An instruction is (operation, data, argument
-# slots, slots whose last use it is, output rows): the result
-# has one row per root, a root's value is written to its rows as soon as
-# it is computed, and every slot is freed right after its last use, a
-# root's no earlier than that write.  A Piecewise node is a leaf of
-# its program: each branch is a root of its own, evaluated on the branch's
-# points only, so a branch is never evaluated where it may be undefined.
+# values, values whose last use it is, (root, value) pairs to write out):
+# the result has one row per root, a root's value is written out as soon
+# as it is computed, and every value is freed right after its last use, a
+# root's no earlier than that write.
+#
+# Piecewise nodes are leaves of their program, grouped by region (regions
+# hash by value): the nodes of one region are one instruction, at the
+# first one's place, which computes one mask and runs two programs, one
+# over their ``inside`` branches on the points of the region and one over
+# their ``outside`` branches on the other points, so a branch is never
+# evaluated where it may be undefined.  Each node is a row of that
+# instruction's array, and bands nested in the branches group again in
+# the branch programs.  A group runs each node on the points the tree
+# walk gives it, so the bits do not change; only the order of domain
+# checks does, and a failing program is run once more with every
+# Piecewise node on its own, to raise the error of the walk.
 #
 # Points run in consecutive blocks of at most _LIVE_VALUES // (peak live
-# slots) points, so a program holds at most _LIVE_VALUES float64 values
-# (2 MB) however many roots share it; the blocks of one call are of equal
-# length, which lowers that peak further.  Every operation is elementwise,
-# so the blocks change no bits.
+# values) points, a group counting once per row, so a program holds at
+# most _LIVE_VALUES float64 values (2 MB) however many roots share it;
+# the blocks of one call are of equal length, which lowers that peak
+# further.  Every operation is elementwise, so the blocks change no bits.
 
 _LIVE_VALUES = 2 ** 18
 
@@ -644,14 +655,19 @@ def _pow(p, pts, base):
     return base ** float(p)
 
 
-def _piecewise(ref, pts):
-    node = ref()
-    mask = node.region.contains(pts)
-    out = np.empty(pts.shape[0])
-    if mask.any():
-        out[mask] = _run((node.inside,), pts[mask])[0]
-    if not mask.all():
-        out[~mask] = _run((node.outside,), pts[~mask])[0]
+def _piecewise(refs, pts):
+    """The Piecewise nodes of one region at ``pts``, one row per node: one
+    mask, and one program for their ``inside`` and one for their
+    ``outside`` branches, each run on its side's points only."""
+    nodes = [ref() for ref in refs]
+    mask = nodes[0].region.contains(pts)
+    out = np.empty((len(nodes), pts.shape[0]))
+    inside, outside = np.flatnonzero(mask), np.flatnonzero(~mask)
+    if inside.size:
+        out[:, inside] = _run(tuple([e.inside for e in nodes]), pts[inside])
+    if outside.size:
+        out[:, outside] = _run(tuple([e.outside for e in nodes]),
+                               pts[outside])
     return out
 
 
@@ -674,14 +690,16 @@ def _step(e: Expr) -> tuple:
         return _unary, _FUNC[e.func][0], (e.arg,)
     if isinstance(e, Piecewise):
         # weakly: a program holds no node alive (see _run)
-        return _piecewise, weakref.ref(e), ()
+        return _piecewise, [weakref.ref(e)], ()
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _plan(roots: tuple) -> tuple:
-    """(instructions, peak live slots) of the program of ``roots``."""
+def _plan(roots: tuple, group: bool = True) -> tuple:
+    """(instructions, peak live values) of the program of ``roots``; with
+    ``group``, the Piecewise nodes of one region are one step."""
     steps = []
-    slot = {}
+    slot = {}  # node -> its step, or (its group's step, its row there)
+    groups = {}  # region -> (step, weak references) of its Piecewise nodes
     for root in roots:
         stack = [root]
         while stack:
@@ -695,23 +713,44 @@ def _plan(roots: tuple) -> tuple:
                 stack.extend(reversed(pending))
                 continue
             stack.pop()
+            if group and op is _piecewise:
+                i, refs = groups.setdefault(node.region, (len(steps), data))
+                if refs is not data:  # a later node of the region: a row
+                    slot[node] = (i, len(refs))
+                    refs += data
+                    continue
             slot[node] = len(steps)
             steps.append((op, data, tuple(slot[c] for c in children)))
+    # the values in step order, one per row of a Piecewise step
+    width = [len(data) if op is _piecewise else 1 for op, data, _ in steps]
+    first = list(itertools.accumulate(width, initial=0))
+
+    def value(s):
+        return first[s] if type(s) is int else first[s[0]] + s[1]
+    if first[-1] > len(steps):
+        steps = [(op, data, tuple(map(value, args)))
+                 for op, data, args in steps]
+    # a value dies at its last use as an argument, a root with no such use
+    # at its own step, once it has been written out; the rows of a step
+    # are views of one array, which dies with the last of them
+    last = {j: i for i, (_, _, args) in enumerate(steps) for j in args}
     rows = [[] for _ in steps]
     for r, root in enumerate(roots):
-        rows[slot[root]].append(r)
-    # a slot dies at its last use as an argument, a root with no such use
-    # at its own step, once its value has been written out
-    last_use = {j: i for i, (_, _, args) in enumerate(steps) for j in args}
-    for i, r in enumerate(rows):
-        if r:
-            last_use.setdefault(i, i)
+        s = slot[root]
+        i = s if type(s) is int else s[0]
+        rows[i].append((r, value(s)))
+        last.setdefault(value(s), i)
+    for i, w in enumerate(width):
+        if w > 1:
+            group_rows = range(first[i], first[i + 1])
+            end = max(last[j] for j in group_rows)
+            last.update(dict.fromkeys(group_rows, end))
     dead = [[] for _ in steps]
-    for j, i in last_use.items():
+    for j, i in last.items():
         dead[i].append(j)
     live = peak = 0
-    for d in dead:
-        live += 1
+    for w, d in zip(width, dead):
+        live += w
         if live > peak:
             peak = live
         live -= len(d)
@@ -720,20 +759,25 @@ def _plan(roots: tuple) -> tuple:
 
 
 def _run_block(steps: list, pts: np.ndarray, out) -> None:
-    vals = [None] * len(steps)
-    for i, (op, data, args, dead, rows) in enumerate(steps):
-        v = vals[i] = op(data, pts, *[vals[j] for j in args])
+    vals = []
+    append, extend = vals.append, vals.extend
+    for op, data, args, dead, rows in steps:
+        v = op(data, pts, *[vals[j] for j in args])
+        if op is _piecewise:
+            extend(v)
+        else:
+            append(v)
         if rows:
-            for r in rows:
-                out[r] = v
+            for r, j in rows:
+                out[r] = vals[j]
         for j in dead:
             vals[j] = None
 
 
 def _run(roots: tuple, pts: np.ndarray):
     """The values of ``roots`` at ``pts``, one row per root, block by
-    block: a (len(roots), m) array, or a list holding the array of a lone
-    root evaluated in one block, which is then returned uncopied."""
+    block: a (len(roots), m) array, which for a lone root evaluated in
+    one block is a view of that root's array, not a copy."""
     # The programs of a first root, keyed weakly by the other roots.  A
     # program refers to no node either, so the cache never keeps a node
     # alive and never makes a reference cycle; entries whose other roots
@@ -751,23 +795,25 @@ def _run(roots: tuple, pts: np.ndarray):
     steps, peak = plan
     m = pts.shape[0]
     size = max(1, _LIVE_VALUES // peak)
-    if m <= size:
-        out = [None] if len(roots) == 1 else np.empty((len(roots), m))
-        _run_block(steps, pts, out)
-        return out
-    out = np.empty((len(roots), m))
-    blocks = -(-m // size)
-    size = -(-m // blocks)  # the same number of blocks, of equal length
+    out = ([None] if len(roots) == 1 and m <= size
+           else np.empty((len(roots), m)))
     try:
-        for lo in range(0, m, size):
-            _run_block(steps, pts[lo:lo + size], out[:, lo:lo + size])
+        if m <= size:
+            _run_block(steps, pts, out)
+        else:
+            blocks = -(-m // size)
+            size = -(-m // blocks)  # the same number of blocks, of equal length
+            for lo in range(0, m, size):
+                _run_block(steps, pts[lo:lo + size], out[:, lo:lo + size])
     except ExprDomainError:
-        # A domain check fails on all points if it fails on one block, so
-        # the unblocked run raises too: the error of the first node that
-        # fails anywhere, which does not depend on the block length.
-        _run_block(steps, pts, out)
+        # A domain check fails on all points if it fails on some, and a
+        # group runs each node on the points the walk gives it, so the
+        # program without groups fails on all points at once too: at the
+        # first node that fails in the walk, whatever the blocks.
+        _run_block(_plan(roots, group=False)[0], pts,
+                   np.empty((len(roots), m)))
         raise
-    return out
+    return out[0][None] if type(out) is list else out
 
 
 def _points(pts) -> np.ndarray:
@@ -793,18 +839,19 @@ def eval_many(roots, pts: np.ndarray) -> np.ndarray:
     an (m, len(roots)) float array whose column c is ``roots[c]``.
 
     One program runs over the union of the roots' DAGs, so a node that
-    several roots share runs once, and each column equals
+    several roots share runs once, the Piecewise nodes of one region share
+    one mask and one program per branch side, and each column equals
     ``eval_on_points(roots[c], pts)`` bit for bit.  If a node fails a
-    domain check, the error raised is that of the first failing node in
-    program order: the error ``eval_on_points`` raises for the first root
-    in ``roots`` whose evaluation fails a domain check, whatever the
-    blocks of points.  Only when no node fails is a NaN anywhere in the
-    result an error.
+    domain check, the error raised is that of the tree walk: the error
+    ``eval_on_points`` raises for the first root in ``roots`` whose
+    evaluation fails a domain check, whatever the grouping and the blocks
+    of points.  Only when no node fails is a NaN anywhere in the result an
+    error.
     """
     roots, pts = tuple(roots), _points(pts)
     if not roots:
         return np.empty((pts.shape[0], 0))
-    out = np.asarray(_run(roots, pts))
+    out = _run(roots, pts)
     if np.isnan(out).any():
         raise ExprDomainError("evaluation produced NaN")
     return out.T

@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from sobolev import ArgumentError
 from sobolev.fields import BoxRegion, Field, as_field
@@ -213,33 +214,27 @@ def _offset_kernel(box: BoxDomain, shape, alpha: float) -> np.ndarray:
 
 
 _NEAR = 8  # near-field radius of the p = 2 path, in finest-axis spacings
+_BUFFER = 1 << 15  # values per temporary of a pair sum (256 KB): in cache
 
 
 def _fft_pair_sum(u: np.ndarray, K: np.ndarray, alpha: float) -> float:
     """sum_{i != j} K[i-j] (u_i - u_j)^2 for the offset kernel K ~ |o|^-alpha.
 
     Offsets within _NEAR spacings of the finest axis carry the largest
-    kernel values and are summed directly, offset by offset.  The rest is
-    2 sum_i u_i ((K1)_i u_i - (Ku)_i), whose Toeplitz products are
+    kernel values and are summed directly (:func:`_near_field`).  The rest
+    is 2 sum_i u_i ((K1)_i u_i - (Ku)_i), whose Toeplitz products are
     circular convolutions of period 2k per axis (the embedding needs
     2k - 1; an even length FFTs faster).  Its roundoff scales with the
     largest kernel value left in it, so the direct near field keeps the
     sum within about 1e-14 of pair-by-pair summation.
     """
-    K = K.copy()
-    # flat index c is offset 0, c + f is some offset o and c - f is -o
+    # flat index c is offset 0, and the offsets after it in flat order are
+    # one of each pair o, -o
     c = K.size // 2
-    near = c + 1 + np.flatnonzero(K.ravel()[c + 1:] >= K.max() * _NEAR**-alpha)
-    direct = 0.0
-    for f in near:
-        o = [i - k + 1 for i, k in zip(np.unravel_index(f, K.shape), u.shape)]
-        plus = tuple(slice(max(d, 0), k + min(d, 0))
-                     for d, k in zip(o, u.shape))
-        base = tuple(slice(max(-d, 0), k - max(d, 0))
-                     for d, k in zip(o, u.shape))
-        diff = u[plus] - u[base]
-        direct += float(K.flat[f] * np.sum(diff * diff))
-    K.flat[near] = K.flat[2 * c - near] = 0.0
+    near = K >= K.max() * _NEAR**-alpha
+    near.flat[:c + 1] = False
+    direct = _near_field(u, np.where(near, K, 0.0))
+    K = np.where(near | near[(slice(None, None, -1),) * K.ndim], 0.0, K)
     axes = tuple(range(1, u.ndim + 1))
     size = [2 * k for k in u.shape]
     kernel = np.fft.ifftshift(np.pad(K, [(1, 0)] * u.ndim))
@@ -249,8 +244,49 @@ def _fft_pair_sum(u: np.ndarray, K: np.ndarray, alpha: float) -> float:
     return 2.0 * (direct + float(np.sum(u * (K1 * u - Ku))))
 
 
+def _near_field(u: np.ndarray, W: np.ndarray) -> float:
+    """sum_o W[o] sum_i (u_{i+o} - u_i)^2 over the offsets o where W, a
+    kernel on the offset lattice, is not 0, and the i with i + o in the
+    grid.  One difference per axis-0 offset a covers all its trailing
+    offsets through a window of u, in blocks of rows of about _BUFFER
+    values that reuse one buffer."""
+    if u.ndim == 1:
+        u, W = u[:, None], W[:, None]
+    k0, rest, m = u.shape[0], u.shape[1:], u.ndim - 1
+    nz = np.nonzero(W)
+    radius = [int(np.abs(i - k + 1).max()) for i, k in zip(nz[1:], rest)]
+    grid = tuple(slice(q, q + k) for k, q in zip(rest, radius))
+    pad = np.zeros((k0,) + tuple(k + 2 * q for k, q in zip(rest, radius)))
+    pad[(slice(None),) + grid] = u
+    on = np.zeros(pad.shape[1:], dtype=bool)
+    on[grid] = True
+    # win[r, j, w] = u[r, j + w - radius] where inside[j, w], else 0
+    window = tuple(2 * q + 1 for q in radius)
+    win = as_strided(pad, (k0,) + rest + window,
+                     pad.strides + pad.strides[1:], writeable=False)
+    inside = as_strided(on, rest + window, on.strides * 2, writeable=False)
+    lattice = W[(slice(None),) + tuple(slice(k - 1 - q, k + q)
+                                       for k, q in zip(rest, radius))]
+    u = u.reshape(u.shape + (1,) * m)
+    buf = np.empty(max(_BUFFER, inside.size))
+    total = 0.0
+    for row in np.flatnonzero(lattice.reshape(2 * k0 - 1, -1).any(axis=1)):
+        a = row - (k0 - 1)
+        box = (Ellipsis,) + tuple(slice(i.min(), i.max() + 1)
+                                  for i in np.nonzero(lattice[row]))
+        wa = lattice[row][box] * inside[box]
+        rows = max(1, _BUFFER // wa.size)
+        for r0 in range(0, k0 - a, rows):
+            r1 = min(r0 + rows, k0 - a)
+            w = win[r0 + a:r1 + a][box]
+            d = buf[:w.size].reshape(w.shape)
+            np.subtract(w, u[r0:r1], out=d)
+            d *= d
+            total += float(np.vdot(d.sum(axis=0), wa))
+    return total
+
+
 _FOLD = 64  # widest trailing block that axis 0 is folded into
-_BUFFER = 1 << 15  # values per temporary (256 KB), so both stay in cache
 _MAX_PRODUCT_P = 8  # the largest integer p taken by repeated products
 
 

@@ -4,7 +4,9 @@ The evaluator is checked bit for bit against a recursive tree walk kept
 here as a test-only oracle, on random expressions that share subtrees and
 contain piecewise nodes, one root at a time and several roots in one
 program, at point counts around the block length of the memory bound;
-``diff_expr`` is checked against sympy.
+piecewise nodes of one region are one step with one mask per block, and
+a failing program still raises the tree walk's error; ``diff_expr`` is
+checked against sympy.
 """
 
 import gc
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sobolev import funcexpr
-from sobolev.fields import AnnulusRegion, BoxRegion
+from sobolev.fields import AnnulusRegion, BoxRegion, box_bump
 from sobolev.funcexpr import (
     _INTERNED, Add, Call, Const, Div, ExprDomainError, Mul, Neg, Pi,
     Piecewise, Pow, Sub, Var, _plan, diff_expr, eval_expr, eval_many,
@@ -260,12 +262,19 @@ def test_eval_many_matches_tree_walk_at_block_boundaries(pool, data):
 
 SHARED = Mul(Call("sin", Var(1)), Add(Var(2), Pi()))
 PIECE = Piecewise(REGIONS[0], Call("sqrt", Var(1)), Neg(SHARED))
+# a bump and its partials: per axis, Piecewise nodes on one plateau region
+# whose outside branches are Piecewise nodes on one band region
+BUMP = box_bump(2, (Fraction(1, 4), 0), Fraction(1, 2), Fraction(3, 2))
+BUMP_PARTIALS = [BUMP, diff_expr(BUMP, 1), diff_expr(BUMP, 2),
+                 diff_expr(diff_expr(BUMP, 1), 1),
+                 diff_expr(diff_expr(BUMP, 1), 2)]
 ROOT_SETS = {
     "shared subtree": [Add(SHARED, Var(1)), Sub(Const(1), SHARED)],
     "repeated root": [SHARED, Var(2), SHARED, SHARED],
     "root inside another": [Div(SHARED, Const(3)), SHARED, Call("sin", Var(1))],
     "piecewise roots": [PIECE, Mul(PIECE, SHARED), PIECE],
     "constant and variable": [Const(Fraction(1, 3)), Var(1), Pi()],
+    "bump partials": BUMP_PARTIALS,
 }
 
 
@@ -334,6 +343,98 @@ def test_one_program_per_root_tuple():
     eval_on_points(first, pts)
     assert len(plans) == 2
     assert any(plan[0] is steps for plan in plans.values())
+
+
+def test_program_without_repeated_region_is_not_grouped():
+    # three Piecewise nodes on three regions: one step each, as many steps
+    # as distinct nodes, and the same program as with grouping off
+    first = Add(Piecewise(REGIONS[0], Call("sin", Var(1)), Var(2)),
+                Piecewise(REGIONS[1], Var(1), Const(0)))
+    roots = (first, Mul(first, Piecewise(REGIONS[2], Var(2), Var(1))))
+    steps, peak = _plan(roots)
+    assert len(steps) == 5  # the three Piecewise nodes, + and *
+    assert (steps, peak) == _plan(roots, group=False)
+    eval_many(roots, np.array([[0.5, 1.0]]))
+    (cached, _), = first.__dict__["_plans"].values()
+    assert len(cached) == 5
+
+
+def test_piecewise_nodes_of_one_region_are_one_step():
+    # the bump and its partials hold 14 Piecewise nodes on 4 regions, a
+    # plateau and a band per axis; the 7 plateau nodes are at the top (4
+    # on the x1 plateau, 3 on the x2 one) and the bands in their branches
+    grouped, _ = _plan(tuple(BUMP_PARTIALS))
+    single, _ = _plan(tuple(BUMP_PARTIALS), group=False)
+    pieces = [s for s in grouped if s[0] is funcexpr._piecewise]
+    assert [len(s[1]) for s in pieces] == [4, 3]
+    assert len(single) - len(grouped) == 5
+    assert sum(len(s[1]) for s in pieces) == sum(
+        s[0] is funcexpr._piecewise for s in single)
+
+
+class BlockRegion:
+    """x1 > 0, hashing by identity; records the program block it is
+    evaluated in (None in a tree walk)."""
+
+    def __init__(self, blocks, log):
+        self.blocks, self.log = blocks, log
+
+    def contains(self, pts):
+        self.log.append((self, self.blocks[-1] if self.blocks else None))
+        return pts[:, 0] > 0.0
+
+
+@pytest.mark.parametrize("budget", [None, 24])
+def test_one_mask_per_region_and_program_block(monkeypatch, budget):
+    blocks, log = [], []
+    run_block = funcexpr._run_block
+
+    def recording(steps, pts, out):
+        blocks.append(object())
+        try:
+            run_block(steps, pts, out)
+        finally:
+            blocks.pop()
+
+    monkeypatch.setattr(funcexpr, "_run_block", recording)
+    if budget is not None:
+        monkeypatch.setattr(funcexpr, "_LIVE_VALUES", budget)
+    plateau, band = BlockRegion(blocks, log), BlockRegion(blocks, log)
+    roots = [Piecewise(plateau, Const(1),
+                       Piecewise(band, Call("sin", Var(2)), Const(0))),
+             Piecewise(plateau, Const(0),
+                       Piecewise(band, Call("cos", Var(2)), Const(0))),
+             Mul(Var(2), Piecewise(plateau, Var(2),
+                                   Piecewise(band, Var(1), Const(2))))]
+    pts = np.random.default_rng(5).uniform(-2.0, 2.0, size=(40, 2))
+    check_many(roots, pts)
+    log.clear()
+    eval_many(roots, pts)
+    assert len(log) == len(set(log))  # no region twice in one block
+    tops = -(-40 // block_length(roots, funcexpr._LIVE_VALUES))
+    assert tops == (1 if budget is None else 10)
+    assert sum(r is plateau for r, _ in log) == tops
+    assert sum(r is band for r, _ in log) >= tops
+
+
+def test_group_error_is_the_tree_walk_error():
+    # the group of x1 > 0 sits at the first node of that region, so the
+    # division in its second node's branch runs before the log, which the
+    # walk reaches first; the error must still be the log's
+    bad_log = Call("log", Sub(Var(1), Const(1)))
+    bad_div = Div(Const(1), Sub(Var(1), Const(2)))
+    first = Piecewise(REGIONS[0], Var(1), Const(0))
+    later = Piecewise(REGIONS[0], bad_div, Const(0))
+    pts = np.array([[1.0, 0.0], [2.0, 0.0]])
+    for roots in ([Add(first, bad_log), later],
+                  [Add(Add(first, bad_log), later)]):
+        steps, _ = _plan(tuple(roots))
+        assert sum(s[0] is funcexpr._piecewise for s in steps) == 1
+        with pytest.raises(ExprDomainError, match="log of a non-positive"):
+            eval_many(roots, pts)
+        check_many(roots, pts)
+    with pytest.raises(ExprDomainError, match="division by zero"):
+        eval_many([later, Add(first, bad_log)], pts)
 
 
 def test_programs_keep_no_node_alive():

@@ -166,6 +166,34 @@ def test_pair_sum_matches_dense_oracle(case, theta, p):
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+# 2d grids wider than the near radius of the p = 2 path (8 finest-axis
+# spacings), so every axis-0 offset has its full window of trailing offsets
+# and some fall off the grid; (0, 3) makes the second axis the coarser one
+WIDE_GRIDS = [
+    pytest.param(BoxDomain(((0.0, 1.0), (0.0, 1.0))), (24, 24), id="24x24"),
+    pytest.param(BoxDomain(((0.0, 1.0), (0.0, 3.0))), (40, 24), id="40x24"),
+]
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.5, 0.95])
+@pytest.mark.parametrize("box, shape", WIDE_GRIDS)
+def test_near_field_on_wide_grids_matches_dense_oracle(box, shape, theta):
+    u = parse_expr("sin(3*x1)*x2 + cos(x2)*x1*x1", 2)
+    got = gagliardo_double_sum(u, box, theta, 2, shape)
+    want = dense_double_sum(u, box, theta, 2, shape)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("box, shape", WIDE_GRIDS)
+def test_near_field_blocks_do_not_change_the_sum(monkeypatch, box, shape):
+    # a buffer smaller than one row of any offset's window: one row a block
+    u = parse_expr("sin(3*x1)*x2 + cos(x2)*x1*x1", 2)
+    default = gagliardo_double_sum(u, box, 0.5, 2, shape)
+    monkeypatch.setattr(quadrature, "_BUFFER", 16)
+    small = gagliardo_double_sum(u, box, 0.5, 2, shape)
+    assert small == pytest.approx(default, rel=1e-14, abs=0.0)
+
+
 # 256 folds axis 0 by 64, 135 by 45, the prime 97 not at all; p = 8 is the
 # largest p taken by products, 9 and 2.5 go through np.power
 @pytest.mark.parametrize("p", [3.0, float(_MAX_PRODUCT_P), 9.0, 2.5])
