@@ -18,3 +18,17 @@ class ArgumentError(ValueError):
     anything: an exponent, order, grid, box, expression text, route or
     atlas descriptor outside what the called routine takes.  The CLI
     exits 2 on it and 3 on every other error."""
+
+
+class Report(dict):
+    """A JSON report, ``{"schema": "v1", "kind": kind, **fields}`` in
+    output order, whose fields also read as attributes (``rep.value``)."""
+
+    def __init__(self, kind: str, **fields):
+        super().__init__(schema="v1", kind=kind, **fields)
+
+    def __getattr__(self, name):
+        try:
+            return self[name]
+        except KeyError:
+            raise AttributeError(name) from None

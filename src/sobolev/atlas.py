@@ -34,14 +34,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from sobolev import ArgumentError
+from sobolev import ArgumentError, Report
 from sobolev.fields import (
     _SEAM, AnnulusRegion, _band_expr, box_bump, radial_bump,
     radius_squared,
 )
 from sobolev.funcexpr import (
-    ONE, ZERO, Call, Const, Expr, Piecewise, Var, add, div, eval_on_points,
-    mul, pow_, prod_exprs, sub, subst_expr, sum_exprs,
+    ONE, ZERO, Call, Const, Expr, Piecewise, Var, add, div, eval_many,
+    eval_on_points, mul, pow_, prod_exprs, sub, subst_expr, sum_exprs,
 )
 from sobolev.quadrature import BoxDomain
 
@@ -81,16 +81,17 @@ class PeriodicityError(ValueError):
 
 class Chart:
     """One coordinate chart; a subclass is a family of built-in manifolds
-    and gives its maps ``to_chart`` (ambient -> coordinates),
-    ``to_manifold`` and ``contains`` and every other per-family rule.
+    and gives its maps ``to_chart`` (ambient -> coordinates) and
+    ``contains`` and every other per-family rule.
 
     ``truncation`` is the compact coordinate box on which all numerics
     run; it contains the supports of every partition-of-unity function
     assigned to this chart.  ``params`` are the family's fixed settings,
     echoed by :meth:`Atlas.to_config`.  ``inverse_exprs`` is the inverse
     map (coordinates -> ambient) as expressions, where it has a closed
-    form.  ``period_box`` is the unit cell over which a function on the
-    manifold is 1-periodic in its ambient coordinates, or None.
+    form; :meth:`to_manifold` evaluates it.  ``period_box`` is the unit
+    cell over which a function on the manifold is 1-periodic in its
+    ambient coordinates, or None.
     """
 
     name: str
@@ -114,6 +115,11 @@ class Chart:
         support) of ``seed_sizes[which]``, ``which`` "default" or "alt"."""
         return BumpSeed(self.seed_kind, *self.seed_sizes[which],
                         center=self.seed_center)
+
+    def to_manifold(self, coords: np.ndarray) -> np.ndarray:
+        """The inverse map at (m, n) coordinates: ``inverse_exprs``
+        evaluated there, an (m, ambient_dim) array."""
+        return eval_many(self.inverse_exprs, coords)
 
     def transition_jacobian(self, coords: np.ndarray) -> np.ndarray:
         """(m, n, n) Jacobians of the transition into another chart of the
@@ -157,14 +163,6 @@ class StereoChart(Chart):
     def to_chart(self, ambient: np.ndarray) -> np.ndarray:
         denom = 1.0 - self.sign * ambient[:, -1]
         return ambient[:, :-1] / denom[:, None]
-
-    def to_manifold(self, coords: np.ndarray) -> np.ndarray:
-        r2 = np.sum(coords * coords, axis=1)
-        denom = 1.0 + r2
-        out = np.empty((coords.shape[0], self.dim + 1))
-        out[:, :-1] = 2.0 * coords / denom[:, None]
-        out[:, -1] = self.sign * (r2 - 1.0) / denom
-        return out
 
     def contains(self, ambient: np.ndarray) -> np.ndarray:
         return 1.0 - self.sign * ambient[:, -1] > 1e-12
@@ -278,18 +276,12 @@ class Atlas:
     def period_box(self):  # the unit cell of a torus, None on a sphere
         return self.charts[0].period_box
 
-    def to_config(self) -> dict:
-        return {
-            "schema": "v1",
-            "kind": "atlas-config",
-            "manifold": self.manifold,
-            "family": self.family,
-            "dim": self.dim,
-            "classification": self.classification,
-            "gl_self_compatible": self.gl_self_compatible,
-            "params": self.params,
-            "charts": [c.descriptor() for c in self.charts],
-        }
+    def to_config(self) -> Report:
+        return Report(
+            "atlas-config", manifold=self.manifold, family=self.family,
+            dim=self.dim, classification=self.classification,
+            gl_self_compatible=self.gl_self_compatible, params=self.params,
+            charts=[c.descriptor() for c in self.charts])
 
     def local_representations(self, ambient_expr: Expr) -> list[Expr]:
         """The function u written in the coordinates of every chart,
@@ -391,7 +383,7 @@ def build_partition_of_unity(atlas: Atlas, seeds=None,
     if seeds is None:
         seeds = default_seeds(atlas)
     if len(seeds) != len(atlas.charts):
-        raise ValueError("one bump seed per chart is required")
+        raise ArgumentError("one bump seed per chart is required")
     for chart, seed in zip(atlas.charts, seeds):
         center = seed.center or (0.0,) * atlas.dim
         if not all(lo <= c - seed.support and c + seed.support <= hi

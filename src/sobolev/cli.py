@@ -18,7 +18,7 @@ import functools
 import json
 import sys
 
-from sobolev import ArgumentError
+from sobolev import ArgumentError, Report
 from sobolev import atlas as atlas_mod
 from sobolev import exponents as ex
 from sobolev import manifold_norms as mn
@@ -300,10 +300,10 @@ def _dispatch(args) -> tuple[dict, int]:
         charts = {}
         for ci, chart in enumerate(atlas.charts):
             charts[chart.name] = ops.describe_components(result, ci)
-        return quad.Report("operator_apply", operator=args.op_id,
-                           source_valence=[u.k_cov, u.l_con],
-                           target_valence=[result.k_cov, result.l_con],
-                           charts=charts), 0
+        return Report("operator_apply", operator=args.op_id,
+                      source_valence=[u.k_cov, u.l_con],
+                      target_valence=[result.k_cov, result.l_con],
+                      charts=charts), 0
 
     if cmd == "op" and args.op_command == "bound":
         frm = _rationals(args.frm, "'e,q' pair")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from sobolev import ArgumentError
+from sobolev import ArgumentError, Report
 
 
 class ExponentError(ArgumentError):
@@ -181,15 +181,10 @@ class Verdict:
     def admissible(self) -> bool:
         return self.result == ADMISSIBLE
 
-    def to_json(self) -> dict:
-        out = {
-            "schema": "v1",
-            "kind": "verdict",
-            "result": self.result,
-            "theorem": self.theorem_tag,
-            "conditions": [c.to_json() for c in self.conditions],
-            "candidates": [c.to_json() for c in self.candidates],
-        }
+    def to_json(self) -> Report:
+        out = Report("verdict", result=self.result, theorem=self.theorem_tag,
+                     conditions=[c.to_json() for c in self.conditions],
+                     candidates=[c.to_json() for c in self.candidates])
         if self.target is not None:
             out["target"] = {"s": str(self.target[0]), "p": str(self.target[1])}
         return out

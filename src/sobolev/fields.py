@@ -1,15 +1,12 @@
-"""Scalar data on R^n: regions, mollifier bumps and the quadrature input.
+"""Scalar data on R^n: regions and mollifier bumps.
 
-Every scalar function is a bare :class:`~sobolev.funcexpr.Expr`.  Globally
-smooth data are plain expressions; compactly supported data (mollifier
-bumps, zero extensions, pulled-back partition-of-unity factors) are
-expressions with :class:`~sobolev.funcexpr.Piecewise` nodes whose branches
-are glued along seams where all derivatives agree, so differentiation may
-act branch by branch.
-
-:class:`Field` is only the input of the quadrature routines: an expression
-together with the dimension of the box it is integrated over, made by
-:func:`as_field`.
+Every scalar function is a bare :class:`~sobolev.funcexpr.Expr`, the
+quadrature input included.  Globally smooth data are plain expressions;
+compactly supported data (mollifier bumps, zero extensions, pulled-back
+partition-of-unity factors) are expressions with
+:class:`~sobolev.funcexpr.Piecewise` nodes whose branches are glued along
+seams where all derivatives agree, so differentiation may act branch by
+branch.
 """
 
 from __future__ import annotations
@@ -19,31 +16,24 @@ from fractions import Fraction
 
 import numpy as np
 
+from sobolev import ArgumentError
 from sobolev.funcexpr import (
-    ONE, ZERO, Call, Const, Expr, Piecewise, Var, add, diff_expr, div,
-    eval_on_points, neg, pow_, prod_exprs, sub,
+    ONE, ZERO, Call, Const, Expr, Piecewise, Var, add, div, eval_on_points,
+    neg, pow_, prod_exprs, sub,
 )
 
 __all__ = [
-    "Field", "BoxRegion", "AnnulusRegion", "as_field",
+    "Field", "BoxRegion", "AnnulusRegion",
     "smoothstep_expr", "interval_bump", "box_bump", "radial_bump",
     "radius_squared",
 ]
 
-
-@dataclass(frozen=True)
-class Field:
-    """The quadrature input: vectorized evaluation plus analytic partials."""
-
-    expr: Expr
-    n: int
-
-    def values(self, pts: np.ndarray) -> np.ndarray:
-        return eval_on_points(self.expr, pts)
-
-    def partial(self, axis: int) -> "Field":
-        """Partial derivative along x<axis> (1-based)."""
-        return Field(diff_expr(self.expr, axis), self.n)
+# Kept for the benchmark's two readers only: perfbench/tracer.py imports
+# the name ``Field`` and wraps the ``values`` and ``partial`` methods of
+# every subclass (those of Expr), and perfbench/selftest.py asserts that
+# this module binds ``eval_on_points``.  ROADMAP item 6 deletes both this
+# alias and that import with the benchmark change.
+Field = Expr
 
 
 @dataclass(frozen=True)
@@ -91,17 +81,6 @@ class AnnulusRegion:
         return mask
 
 
-def as_field(u, n: int) -> Field:
-    """Coerce an Expr or Field to a Field of dimension n."""
-    if isinstance(u, Expr):
-        return Field(u, n)
-    if isinstance(u, Field):
-        if u.n != n:
-            raise ValueError(f"field has dimension {u.n}, expected {n}")
-        return u
-    raise TypeError(f"cannot interpret {type(u).__name__} as a scalar field")
-
-
 # ---------------------------------------------------------------------------
 # Mollifier bumps: exp(-1/t)-type profiles rescaled to hold the value 1 on
 # an inner plateau, smoothly decaying to 0 at the support edge.
@@ -140,7 +119,7 @@ def interval_bump(n: int, axis: int, center, plateau, support) -> Expr:
     a = Fraction(plateau)
     b = Fraction(support)
     if not 0 < a < b:
-        raise ValueError("need 0 < plateau < support")
+        raise ArgumentError("need 0 < plateau < support")
     dist = Call("abs", sub(Var(axis), Const(center)))
     lo = [None] * n
     hi = [None] * n
@@ -176,7 +155,7 @@ def radial_bump(n: int, plateau, support) -> Expr:
     a = float(plateau)
     b = float(support)
     if not 0 < a < b:
-        raise ValueError("need 0 < plateau < support")
+        raise ArgumentError("need 0 < plateau < support")
     band = AnnulusRegion(a + _SEAM, b - _SEAM, closed=False)
     return Piecewise(AnnulusRegion(None, a + _SEAM), ONE,
                      Piecewise(band, _band_expr(

@@ -86,6 +86,12 @@ class Expr:
     fields: its partial derivatives (see :func:`diff_expr`) and, once it
     has been the first root of an evaluation, the evaluation programs it
     heads, keyed weakly by the other roots (see :func:`eval_many`).
+
+    :meth:`values` and :meth:`partial` are :func:`eval_on_points` and
+    :func:`diff_expr` as methods.  The quadrature routines call them
+    where they sample their input or differentiate it, so that an outside
+    tracer can wrap these two sites (``perfbench/tracer.py`` wraps them as
+    ``fields.values`` and ``fields.partial``).
     """
 
     __slots__ = ()
@@ -106,6 +112,13 @@ class Expr:
                 object.__setattr__(node, name, value)
             _INTERNED[key] = node
         return node
+
+    def values(self, pts: np.ndarray) -> np.ndarray:
+        return eval_on_points(self, pts)
+
+    def partial(self, axis: int) -> "Expr":
+        """Partial derivative along x<axis> (1-based)."""
+        return diff_expr(self, axis)
 
 
 def _node(cls):
@@ -819,7 +832,7 @@ def _run(roots: tuple, pts: np.ndarray):
 def _points(pts) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2:
-        raise ValueError("points must be a 2d array of shape (m, n)")
+        raise ArgumentError("points must be a 2d array of shape (m, n)")
     return pts
 
 

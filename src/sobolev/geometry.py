@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from sobolev import ArgumentError
 from sobolev.atlas import Atlas, TransitionMap, quasirandom_points
 from sobolev.funcexpr import (
     ONE, ZERO, Call, Const, Expr, add, const, diff_expr, div, eval_many, mul,
@@ -81,7 +82,8 @@ class MetricField:
         for ci, g in enumerate(self.comps):
             det = _det_expr(g)
             if det == ZERO:
-                raise ValueError(f"metric determinant vanishes on chart {ci}")
+                raise ArgumentError(
+                    f"metric determinant vanishes on chart {ci}")
             self.inv_comps.append(_adjugate_over_det(g, det))
             self.sqrt_det.append(
                 ONE if det == ONE else Call("sqrt", det))
@@ -188,7 +190,7 @@ def covariant_derivative(field: TensorField, g: MetricField,
     """
     order = int(order)
     if order < 1:
-        raise ValueError("order must be >= 1")
+        raise ArgumentError("order must be >= 1")
     out = field
     for _ in range(order):
         out = _cov_step(out, g)
@@ -327,7 +329,7 @@ def musical(field: TensorField, g: MetricField, direction: str) -> TensorField:
     sharp(flat(X)) returns the original component layout.
     """
     if direction not in ("flat", "sharp"):
-        raise ValueError("direction must be 'flat' or 'sharp'")
+        raise ArgumentError("direction must be 'flat' or 'sharp'")
     flat = direction == "flat"
     if not (field.l_con if flat else field.k_cov):
         raise ValueError("flat needs a contravariant slot" if flat

@@ -39,15 +39,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sobolev import ArgumentError
+from sobolev import ArgumentError, Report
 from sobolev.atlas import PartitionOfUnity, build_partition_of_unity
 from sobolev.funcexpr import eval_on_points, mul
 from sobolev.geometry import (
     MetricField, TensorField, covariant_derivative, fiber_norm_values,
 )
 from sobolev.quadrature import (
-    Report, _check_p, _norm_report, _two_grid, grid_shape,
-    midpoint_grid, sobolev_norm,
+    _check_p, _norm_report, _two_grid, grid_shape, midpoint_grid,
+    sobolev_norm,
 )
 
 __all__ = [

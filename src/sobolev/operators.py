@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sobolev import ArgumentError
+from sobolev import ArgumentError, Report
 from sobolev.atlas import Atlas, PartitionOfUnity, build_partition_of_unity
 from sobolev.exponents import (
     DomainClass, ExponentError, check_derivative, space,
@@ -40,9 +40,7 @@ from sobolev.geometry import (
 from sobolev.manifold_norms import (
     SCALE_CHECK, NormVariant, _intrinsic_integrals,
 )
-from sobolev.quadrature import (
-    Report, _check_halvings, _check_p, _two_grid, grid_shape,
-)
+from sobolev.quadrature import _check_halvings, _check_p, _two_grid, grid_shape
 
 __all__ = [
     "ValenceMismatch", "apply_operator", "empirical_bound",

@@ -39,12 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from sobolev import ArgumentError
-from sobolev.fields import BoxRegion, Field, as_field
+from sobolev import ArgumentError, Report
+from sobolev.fields import BoxRegion
 from sobolev.funcexpr import ZERO, Expr, Piecewise, eval_many
 
 __all__ = [
-    "BoxDomain", "Report", "SupportViolation",
+    "BoxDomain", "SupportViolation",
     "lp_norm", "gagliardo_seminorm", "sobolev_norm", "extend_by_zero",
     "gagliardo_double_sum", "multi_indices", "grid_shape",
 ]
@@ -82,10 +82,7 @@ class BoxDomain:
 
     def interior(self, pts: np.ndarray) -> np.ndarray:
         """Mask of the points strictly inside the box."""
-        inside = np.ones(pts.shape[0], dtype=bool)
-        for ax, (lo, hi) in enumerate(self.bounds):
-            inside &= (pts[:, ax] > lo) & (pts[:, ax] < hi)
-        return inside
+        return BoxRegion(*zip(*self.bounds), closed=False).contains(pts)
 
     def to_json(self):
         return [list(b) for b in self.bounds]
@@ -140,20 +137,6 @@ def midpoint_grid(box: BoxDomain, shape: tuple[int, ...]):
     return pts, cellvol, np.array(hs)
 
 
-class Report(dict):
-    """A JSON report, ``{"schema": "v1", "kind": kind, **fields}`` in
-    output order, whose fields also read as attributes (``rep.value``)."""
-
-    def __init__(self, kind: str, **fields):
-        super().__init__(schema="v1", kind=kind, **fields)
-
-    def __getattr__(self, name):
-        try:
-            return self[name]
-        except KeyError:
-            raise AttributeError(name) from None
-
-
 def _norm_report(value, terms, grid, error_estimate, extras=None,
                  **where) -> Report:
     """The report of a norm route.  A manifold route passes ``manifold``,
@@ -186,14 +169,13 @@ def _lp(vals: np.ndarray, cellvol: float, p: float) -> float:
 
 
 def lp_norm(u, box: BoxDomain, p: float = 2.0, N=None) -> Report:
-    """Composite-midpoint L^p norm of an expression or field."""
+    """Composite-midpoint L^p norm of an expression."""
     p = _check_p(p)
-    f = as_field(u, box.n)
     shape = grid_shape(box.n, N)
 
     def value_at(shp):
         pts, cellvol, _ = midpoint_grid(box, shp)
-        return _lp(f.values(pts), cellvol, p)
+        return _lp(u.values(pts), cellvol, p)
     value, coarse = _two_grid(value_at, shape)
     return _norm_report(value, [{"kind": "lp", "p": p, "value": value}],
                         _grid_meta(box, shape), abs(value - coarse))
@@ -367,7 +349,7 @@ def gagliardo_double_sum(u, box: BoxDomain, theta: float,
             f"theta must lie strictly in (0, 1), got {theta}")
     shape = grid_shape(box.n, N)
     pts, cellvol, _ = midpoint_grid(box, shape)
-    vals = as_field(u, box.n).values(pts)
+    vals = u.values(pts)
     return _pair_sum(vals, box, shape, cellvol, theta, p)
 
 
@@ -404,13 +386,12 @@ def gagliardo_seminorm(u, box: BoxDomain, theta: float, p: float = 2.0,
     together with a two-grid difference.
     """
     p = _check_p(p)
-    f = as_field(u, box.n)
     shape = grid_shape(box.n, N)
     _check_halvings(shape, 1)
     S, S_coarse = _two_grid(
-        lambda shp: gagliardo_double_sum(f, box, theta, p, shp), shape)
+        lambda shp: gagliardo_double_sum(u, box, theta, p, shp), shape)
     pts, _, _ = midpoint_grid(box, shape)
-    D = _diagonal_model([f.partial(ax).values(pts)
+    D = _diagonal_model([u.partial(ax).values(pts)
                          for ax in range(1, box.n + 1)], box, theta, p, shape)
     value, two_grid, err = _seminorm(S, S_coarse, D, p)
     return _norm_report(
@@ -434,12 +415,11 @@ def multi_indices(n: int, upto: int):
     return out
 
 
-def _derivative(f: Field, nu) -> Field:
-    g = f
+def _derivative(u: Expr, nu) -> Expr:
     for ax, k in enumerate(nu, start=1):
         for _ in range(k):
-            g = g.partial(ax)
-    return g
+            u = u.partial(ax)
+    return u
 
 
 def sobolev_norm(u, box: BoxDomain, s: float, p: float = 2.0,
@@ -458,7 +438,6 @@ def sobolev_norm(u, box: BoxDomain, s: float, p: float = 2.0,
     if s < 0:
         raise ArgumentError(f"smoothness s must be >= 0 here, got {s}")
     p = _check_p(p)
-    f = as_field(u, box.n)
     shape = grid_shape(box.n, N)
     k = int(math.floor(s))
     theta = s - k
@@ -466,7 +445,7 @@ def sobolev_norm(u, box: BoxDomain, s: float, p: float = 2.0,
 
     nus = multi_indices(box.n, k)
     tops = [theta > 0.0 and sum(nu) == k for nu in nus]
-    derivs = [_derivative(f, nu) for nu in nus]
+    derivs = [_derivative(u, nu) for nu in nus]
     # each top-order d^nu u is followed by its diagonal model's gradient,
     # so a failing domain check raises what the per-derivative order did
     fine_roots = [r for d, top in zip(derivs, tops) for r in
@@ -475,7 +454,7 @@ def sobolev_norm(u, box: BoxDomain, s: float, p: float = 2.0,
     def sample(shp):
         pts, cellvol, _ = midpoint_grid(box, shp)
         roots = fine_roots if shp == shape else derivs
-        return iter(eval_many([r.expr for r in roots], pts).T), shp, cellvol
+        return iter(eval_many(roots, pts).T), shp, cellvol
     (fine, _, cellvol), (coarse, shape_c, cellvol_c) = _two_grid(sample, shape)
 
     terms = []
@@ -524,20 +503,17 @@ def extend_by_zero(u, inner: BoxDomain, N=None) -> Expr:
     cell layer of the inner grid of ``N`` and on probe points of the inner
     box's boundary facets; otherwise :class:`SupportViolation`.
     """
-    f = as_field(u, inner.n)
     shape = grid_shape(inner.n, N)
     pts, _, _ = midpoint_grid(inner, shape)
-    vals = f.values(pts).reshape(shape)
+    vals = u.values(pts).reshape(shape)
     worst = max(float(np.max(np.abs(np.take(vals, [0, -1], axis=ax))))
                 for ax in range(inner.n))
-    worst = max(worst, float(np.max(np.abs(f.values(_boundary_probe(inner))))))
+    worst = max(worst, float(np.max(np.abs(u.values(_boundary_probe(inner))))))
     if worst > _SUPPORT_TOL:
         raise SupportViolation(
             f"|u| reaches {worst:.3e} on the support margin of the inner box "
             f"(tolerance {_SUPPORT_TOL:.1e})")
-    interior = BoxRegion([b[0] for b in inner.bounds],
-                         [b[1] for b in inner.bounds], closed=False)
-    return Piecewise(interior, f.expr, ZERO)
+    return Piecewise(BoxRegion(*zip(*inner.bounds), closed=False), u, ZERO)
 
 
 def _boundary_probe(box: BoxDomain):

@@ -59,6 +59,17 @@ class TestCharts:
         t = np.array([[0.5], [-2.0], [3.3], [0.01]])
         assert np.allclose(tm(t), 1.0 / t, rtol=1e-12)
 
+    def test_transition_outside_overlap_is_refused(self, s2):
+        # the origin of one chart is the pole the other chart leaves out
+        atlas, _, _ = s2
+        with pytest.raises(ValueError, match="outside the overlap"):
+            TransitionMap(atlas, 0, 1)(np.zeros((1, 2)))
+
+    def test_transition_jacobian_at_origin_is_refused(self, s2):
+        atlas, _, _ = s2
+        with pytest.raises(ValueError, match="undefined at the origin"):
+            TransitionMap(atlas, 0, 1).jacobian(np.zeros((1, 2)))
+
     def test_s2_transition_is_inversion(self, s2):
         atlas, _, _ = s2
         tm = TransitionMap(atlas, 0, 1)

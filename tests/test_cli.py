@@ -25,6 +25,13 @@ def run(capsys, *argv):
     return code, strict_json(out)
 
 
+def report_text(capsys, *argv):
+    """A successful run's output up to its config echo."""
+    assert execute(list(argv)) == 0
+    out = capsys.readouterr().out
+    return out[:out.rindex(', "config": ')]
+
+
 def no_norms(*args, **kwargs):
     """Stands in for a norm route that a usage error must never reach."""
     raise AssertionError("a norm was computed")
@@ -154,6 +161,15 @@ class TestNormCommands:
                         "--box", "0,2", "--s", "0", "--grid", "16")
         assert code == 3
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_euclid_nan_values_exit_3(self, capsys):
+        # exp overflows to inf on the grid, and inf - inf is NaN
+        code, rep = run(capsys, "norm", "euclid", "--expr",
+                        "exp(1000000*x1)-exp(1000000*x1)", "--box", "0,1",
+                        "--s", "1/2", "--seminorm", "--grid", "8")
+        assert code == 3
+        assert rep["error"] == "evaluation produced NaN"
+
     @pytest.mark.parametrize("grid", ["-4", "0", "1"])
     def test_euclid_grid_below_two_rejected(self, capsys, grid):
         code, rep = run(capsys, "norm", "euclid", "--expr", "x1",
@@ -164,6 +180,7 @@ class TestNormCommands:
     @pytest.mark.parametrize("argv", [
         ("norm", "euclid", "--expr", "x1", "--box", "0,a", "--s", "1"),
         ("norm", "euclid", "--expr", "x1", "--box", "1,0", "--s", "1"),
+        ("norm", "euclid", "--expr", "x1", "--box", "0,1,2", "--s", "1"),
         ("norm", "euclid", "--expr", "x1", "--box", "0,1", "--s", "1",
          "--p", "inf"),
         ("norm", "euclid", "--expr", "x1", "--box", "0,1", "--s", "1",
@@ -542,28 +559,37 @@ class TestPlumbing:
         # the descriptor `atlas show` prints rebuilds the same atlas: fed
         # back through --atlas-config it gives the same output, up to the
         # config echo, byte for byte
-        def report_text(*argv):
-            assert execute(list(argv)) == 0
-            out = capsys.readouterr().out
-            return out[:out.rindex(', "config": ')]
-
         for manifold in MANIFOLD_NAMES:
-            show = report_text("atlas", "show", "--manifold", manifold)
+            show = report_text(capsys, "atlas", "show", "--manifold",
+                               manifold)
             path = tmp_path / f"{manifold}.json"
             path.write_text(show + "}")
             given = ("--manifold", manifold, "--atlas-config", str(path))
-            assert report_text("atlas", "show", *given) == show
+            assert report_text(capsys, "atlas", "show", *given) == show
             norm = ("norm", "manifold", "--e", "1/2", "--grid", "16",
                     "--expr", "x1*x2" if "stereo" in manifold
                     else "sin(2*pi*x1)")
-            assert report_text(*norm, *given) == \
-                report_text(*norm, "--manifold", manifold)
+            assert report_text(capsys, *norm, *given) == \
+                report_text(capsys, *norm, "--manifold", manifold)
         code, rep = run(capsys, "norm", "manifold", "--manifold", "torus1",
                         "--atlas-config", str(tmp_path / "torus1.json"),
                         "--expr", "1", "--e", "0", "--grid", "64",
                         "--intrinsic")
         assert code == 0
         assert rep["value"] == pytest.approx(1.0, rel=1e-4)
+
+    def test_config_without_pou_takes_the_default_partition(self, tmp_path,
+                                                            capsys):
+        # a config with no "pou" key gives the same bytes as no config,
+        # up to the config echo
+        path = tmp_path / "atlas.json"
+        path.write_text('{"manifold": "s2-stereo"}')
+        given = ("--manifold", "s2-stereo", "--atlas-config", str(path))
+        for cmd in (("atlas", "show"),
+                    ("norm", "manifold", "--expr", "x1*x2", "--e", "1/2",
+                     "--grid", "16")):
+            assert report_text(capsys, *cmd, *given) == \
+                report_text(capsys, *cmd, "--manifold", "s2-stereo")
 
     @pytest.mark.parametrize("content, manifold, message", [
         (None, "torus1", "No such file"),
@@ -645,6 +671,8 @@ class TestPlumbing:
          "has {'truncation_radius': 4.0}"),
         ({"manifold": "s1-stereo", "pou": {"seeds": 5}},
          "pou.seeds must be a list"),
+        ({"manifold": "s1-stereo", "pou": {"seeds": [5, 5]}},
+         "a bump seed is a JSON object"),
         ({"manifold": ["a"]}, "a string 'manifold' key"),
         ({"manifold": "s1-stereo", "pou": {"seeds": [_SEED] * 2,
                                             "name": 7}},

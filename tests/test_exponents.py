@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import sobolev
 from sobolev.exponents import (
     ADMISSIBLE, NOT_GUARANTEED, Condition, DimensionMismatch, DomainClass,
     Exponent, ExponentError, WrongDomainClass,
@@ -218,6 +223,21 @@ class TestExtension:
     def test_wrong_domain_class(self):
         with pytest.raises(WrongDomainClass):
             check_extension(space(1, 2, 1, FS))
+
+    def test_unknown_enclosing_flag(self):
+        with pytest.raises(ExponentError, match="unknown enclosing flag"):
+            space(1, 2, 1, CS, enclosing="smooth")
+
+
+def test_import_leaves_numpy_out():
+    # the exact checks run without numpy, so a `check` command need not
+    # import it
+    env = dict(os.environ, PYTHONPATH=str(Path(sobolev.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sobolev.exponents; sys.exit('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr or "numpy was imported"
 
 
 # ---------------------------------------------------------------------------

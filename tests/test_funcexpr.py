@@ -145,6 +145,11 @@ class TestEval:
         for row, v in zip(pts, vals):
             assert v == pytest.approx(eval_expr(e, row))
 
+    def test_variable_beyond_point_dimension_reported(self):
+        with pytest.raises(ExprDomainError, match="x3 exceeds point "
+                                                  "dimension 2"):
+            eval_on_points(parse_expr("x3", 3), np.zeros((4, 2)))
+
 
 class TestPrintRoundTrip:
     CASES = [

@@ -8,6 +8,7 @@ import math
 import pkgutil
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import sobolev
@@ -15,9 +16,12 @@ from sobolev import ArgumentError
 from sobolev import manifold_norms as mn
 from sobolev import operators as ops
 from sobolev import quadrature as quad
-from sobolev.atlas import builtin_manifold
-from sobolev.funcexpr import parse_expr
-from sobolev.geometry import TensorField
+from sobolev.atlas import build_partition_of_unity, builtin_manifold
+from sobolev.fields import interval_bump, radial_bump
+from sobolev.funcexpr import ZERO, eval_on_points, parse_expr
+from sobolev.geometry import (
+    MetricField, TensorField, covariant_derivative, musical,
+)
 
 MODULES = sorted(f"sobolev.{m.name}"
                  for m in pkgutil.iter_modules(sobolev.__path__))
@@ -103,6 +107,19 @@ RULES = {
         lambda a: ops.empirical_bound("d", a.g, (1, 2), (math.inf, 2), [a.u]),
     "operator order the screen does not cover":
         lambda a: ops.empirical_bound("d", a.g, ("1/2", 2), (0, 2), [a.u]),
+    # the library's own rules, which no CLI command reaches
+    "covariant derivative of order below 1":
+        lambda a: covariant_derivative(a.u, a.g, 0),
+    "musical direction": lambda a: musical(a.u, a.g, "up"),
+    "metric with a zero determinant":
+        lambda a: MetricField(a.g.atlas, [[[ZERO]]] * 2),
+    "one bump seed per chart":
+        lambda a: build_partition_of_unity(a.g.atlas, []),
+    "interval bump plateau at its support":
+        lambda a: interval_bump(1, 1, 0, 1, 1),
+    "radial bump plateau above its support":
+        lambda a: radial_bump(2, 2, 1),
+    "points not a 2d array": lambda a: eval_on_points(a.x, np.zeros(3)),
 }
 
 

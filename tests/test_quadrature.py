@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from sobolev import cli, quadrature
 from sobolev.atlas import builtin_manifold
-from sobolev.fields import as_field, box_bump
+from sobolev.fields import box_bump
 from sobolev.funcexpr import (
     ExprDomainError, const, diff_expr, eval_many, eval_on_points, mul,
     parse_expr,
@@ -35,10 +35,9 @@ def dense_double_sum(u, box, theta, p, N=None, half=True):
     With ``half=True`` the x<y half is summed and doubled; with
     ``half=False`` all ordered pairs are summed directly.
     """
-    f = as_field(u, box.n)
     shape = grid_shape(box.n, N)
     pts, cellvol, _ = midpoint_grid(box, shape)
-    vals = f.values(pts)
+    vals = u.values(pts)
     alpha = box.n + theta * p
     M = vals.size
     chunk = max(1, int(4_000_000 / max(M, 1)))
