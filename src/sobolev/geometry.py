@@ -332,8 +332,8 @@ def musical(field: TensorField, g: MetricField, direction: str) -> TensorField:
         raise ArgumentError("direction must be 'flat' or 'sharp'")
     flat = direction == "flat"
     if not (field.l_con if flat else field.k_cov):
-        raise ValueError("flat needs a contravariant slot" if flat
-                         else "sharp needs a covariant slot")
+        raise ArgumentError("flat needs a contravariant slot" if flat
+                            else "sharp needs a covariant slot")
     shift = -1 if flat else 1
     n, new_l, new_k = field.atlas.dim, field.l_con + shift, field.k_cov - shift
     new_comps = []

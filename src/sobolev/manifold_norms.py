@@ -14,8 +14,8 @@ Three norm routes are provided:
 
 The intrinsic routes (and ``operators.divergence_integral``) integrate
 sum_alpha psi_alpha X sqrt(det g) chart by chart through one helper,
-:func:`_intrinsic_integrals`, which takes its two grids from
-``quadrature._two_grid``.  On each grid it samples every chart's
+:func:`_intrinsic_integrals`, which takes its grids from
+``quadrature._ladder``.  On each grid it samples every chart's
 midpoints, psi_alpha and sqrt(det g) once, and makes one integrand call
 per chart, which returns every integrand's row at once: the connection
 norm hands all of u, nabla u, ..., nabla^k u to one
@@ -46,31 +46,26 @@ from sobolev.geometry import (
     MetricField, TensorField, covariant_derivative, fiber_norm_values,
 )
 from sobolev.quadrature import (
-    _check_p, _norm_report, _two_grid, grid_shape, midpoint_grid,
-    sobolev_norm,
+    _check_p, _ladder, _norm_report, _sobolev_ladder, grid_shape,
+    midpoint_grid,
 )
 
 __all__ = [
     "manifold_lq_norm",
     "chart_sobolev_norm", "connection_sobolev_norm", "compare_norms",
-    "NormVariant", "SCALE_CHECK",
+    "NormVariant",
 ]
 
 
-# The factor of the homogeneity spot checks of ``compare_norms`` and
-# ``operators.empirical_bound``: every norm here is 1-homogeneous, so a
-# ratio of two norms must not change when the function is scaled.
-SCALE_CHECK = 5.0
-
-
 def _intrinsic_integrals(integrand, g: MetricField, pou: PartitionOfUnity,
-                         shape):
+                         shape, depth: int = 1):
     """The chart integrals of psi_alpha X sqrt(det g), for each row X of
     ``integrand(chart index, points)`` (a sequence of arrays, the same
-    number on every chart), on the grid of ``shape`` and on its coarse
-    grid: a pair (fine, coarse) of lists, one per row, of the per-chart
-    contributions in chart order, which sum to the integral over M."""
-    def at(shp):
+    number on every chart), on each grid of a ``depth``-deep
+    :func:`~sobolev.quadrature._ladder` from ``shape``: per grid, finest
+    first, a list, one per row, of the per-chart contributions in chart
+    order, which sum to the integral over M."""
+    def at(shp, _fine):
         per_chart = []
         for ci, chart in enumerate(g.atlas.charts):
             pts, cellvol, _ = midpoint_grid(chart.truncation, shp)
@@ -79,7 +74,7 @@ def _intrinsic_integrals(integrand, g: MetricField, pou: PartitionOfUnity,
             per_chart.append([float(np.sum(psi * x * dens) * cellvol)
                               for x in integrand(ci, pts)])
         return [list(row) for row in zip(*per_chart)]
-    return _two_grid(at, shape)
+    return _ladder(at, shape, depth)
 
 
 def manifold_lq_norm(u: TensorField, g: MetricField,
@@ -120,6 +115,12 @@ def chart_sobolev_norm(u: TensorField, pou: PartitionOfUnity = None,
                        e: float = 1.0, q: float = 2.0, N=None) -> Report:
     """Chart-based W^{e,q} norm: each chart term is a compactly supported
     Euclidean norm of the partition-weighted local representation."""
+    return _chart_ladder(u, pou, e, q, N)[0]
+
+
+def _chart_ladder(u, pou, e, q, N, depth: int = 1) -> list[Report]:
+    """The :func:`chart_sobolev_norm` reports at N, ..., N // 2^(depth-1):
+    the same bits as a separate call at each grid."""
     atlas = u.atlas
     if pou is None:
         pou = build_partition_of_unity(atlas)
@@ -127,21 +128,18 @@ def chart_sobolev_norm(u: TensorField, pou: PartitionOfUnity = None,
         raise ArgumentError("numerical manifold norms require e >= 0")
     shape = grid_shape(atlas.dim, N)
 
-    value = 0.0
-    err = 0.0
-    terms = []
-    for ci, chart in enumerate(atlas.charts):
-        for key, comp in zip(u.keys(), u.comps[ci]):
-            rep = sobolev_norm(mul(pou.fields[ci], comp), chart.truncation,
-                               e, q, shape)
-            value += rep.value
-            err += rep.error_estimate
-            terms.append({"chart": chart.name,
-                          "component": list(map(list, key)),
-                          "value": rep.value})
-    return _norm_report(
-        value, terms, {"resolution": list(shape), "e": float(e), "q": float(q)},
-        err, manifold=atlas.manifold, atlas=atlas.manifold, pou=pou.name)
+    terms = [(chart.name, key, _sobolev_ladder(
+        mul(pou.fields[ci], comp), chart.truncation, e, q, shape, depth))
+        for ci, chart in enumerate(atlas.charts)
+        for key, comp in zip(u.keys(), u.comps[ci])]
+    return [_norm_report(
+        sum(reps[i].value for *_, reps in terms),
+        [{"chart": name, "component": list(map(list, key)),
+          "value": reps[i].value} for name, key, reps in terms],
+        {"resolution": [k >> i for k in shape], "e": float(e),
+         "q": float(q)}, sum(reps[i].error_estimate for *_, reps in terms),
+        manifold=atlas.manifold, atlas=atlas.manifold, pou=pou.name)
+        for i in range(depth)]
 
 
 def connection_sobolev_norm(u: TensorField, g: MetricField, k: int = 1,
@@ -151,6 +149,12 @@ def connection_sobolev_norm(u: TensorField, g: MetricField, k: int = 1,
 
         ( sum_{i=0..k} || |nabla^i u|_F ||_{L^q}^q )^{1/q}
     """
+    return _connection_ladder(u, g, k, q, N, pou)[0]
+
+
+def _connection_ladder(u, g, k, q, N, pou, depth: int = 1) -> list[Report]:
+    """The :func:`connection_sobolev_norm` reports at N, ...,
+    N // 2^(depth-1): the same bits as a separate call at each grid."""
     atlas = u.atlas
     if not (k >= 0 and k % 1 == 0):
         raise ArgumentError(f"k must be a nonnegative integer, got {k}")
@@ -164,17 +168,18 @@ def connection_sobolev_norm(u: TensorField, g: MetricField, k: int = 1,
     for _ in range(k):
         derivatives.append(covariant_derivative(derivatives[-1], g, 1))
 
-    fine, coarse = _intrinsic_integrals(
+    # per grid, the q-th power of each order's L^q norm, and the norm
+    powers = [list(map(sum, rows)) for rows in _intrinsic_integrals(
         lambda ci, pts: fiber_norm_values(derivatives, g, ci, pts) ** q, g,
-        pou, shape)
-    fine = list(map(sum, fine))
-    value = sum(fine) ** (1.0 / q)
-    err = abs(value - sum(map(sum, coarse)) ** (1.0 / q))
-    terms = [{"order": i, "lq_value": power ** (1.0 / q)}
-             for i, power in enumerate(fine)]
-    return _norm_report(
-        value, terms, {"resolution": list(shape), "k": k, "q": q}, err,
+        pou, shape, depth)]
+    values = [sum(power) ** (1.0 / q) for power in powers]
+    return [_norm_report(
+        values[i], [{"order": j, "lq_value": power ** (1.0 / q)}
+                    for j, power in enumerate(powers[i])],
+        {"resolution": [n >> i for n in shape], "k": k, "q": q},
+        abs(values[i] - values[i + 1]),
         manifold=atlas.manifold, atlas=atlas.manifold, pou=pou.name)
+        for i in range(depth)]
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +208,22 @@ class NormVariant:
                                 "it applies to the torus manifolds")
 
     def compute(self, u, e, q, N) -> float:
+        return self._ladder(u, e, q, N)[0]
+
+    def _ladder(self, u, e, q, N, depth: int = 1) -> list[float]:
+        """The norm of ``u`` at N, ..., N // 2^(depth-1): the same bits as
+        :meth:`compute` at each grid."""
         self.check(u.atlas, e)
         if self.kind == "chart":
-            return chart_sobolev_norm(u, pou=self.pou, e=e, q=q, N=N).value
-        if self.kind == "connection":
-            return connection_sobolev_norm(u, self.metric, k=int(round(e)),
-                                           q=q, N=N, pou=self.pou).value
-        return sum(sobolev_norm(comp, u.atlas.period_box, e, q, N).value
-                   for comp in u.comps[0])
+            reps = _chart_ladder(u, self.pou, e, q, N, depth)
+        elif self.kind == "connection":
+            reps = _connection_ladder(u, self.metric, int(round(e)), q, N,
+                                      self.pou, depth)
+        else:  # the sum of the components' box norms
+            return [sum(rep.value for rep in reps) for reps in zip(*(
+                _sobolev_ladder(comp, u.atlas.period_box, e, q, N, depth)
+                for comp in u.comps[0]))]
+        return [rep.value for rep in reps]
 
     def describe(self) -> str:
         if self.kind == "chart":
@@ -220,32 +233,21 @@ class NormVariant:
 
 def compare_norms(family, variant_a: NormVariant, variant_b: NormVariant,
                   e: float, q: float = 2.0, N=None) -> Report:
-    """Per-function ratios A/B with min/max bracket and scale invariance.
+    """Per-function ratios A/B with their min/max bracket.
 
-    Each ratio is recomputed with the function scaled by ``SCALE_CHECK``;
-    homogeneity of both norms makes the ratio invariant (to roundoff),
-    which is asserted in the report rather than silently assumed.  Both
-    routes are checked against ``e`` (:meth:`NormVariant.check`) before
-    any norm is computed.
+    Both routes are checked against ``e`` (:meth:`NormVariant.check`)
+    before any norm is computed.  Every norm is 1-homogeneous, so the
+    ratios do not depend on the scale of a function; the tests check that
+    property on every route, so a report does not recompute it.
     """
     if not family:
         raise ArgumentError("the function family is empty")
     for variant in (variant_a, variant_b):  # before the first norm
         variant.check(family[0].atlas, e)
-    ratios = []
-    scale_dev = 0.0
-    for u in family:
-        a = variant_a.compute(u, e, q, N)
-        b = variant_b.compute(u, e, q, N)
-        ratio = a / b
-        ratios.append(ratio)
-        us = u.scaled(SCALE_CHECK)
-        a2 = variant_a.compute(us, e, q, N)
-        b2 = variant_b.compute(us, e, q, N)
-        scale_dev = max(scale_dev, abs(a2 / b2 - ratio) / ratio)
+    ratios = [variant_a.compute(u, e, q, N) / variant_b.compute(u, e, q, N)
+              for u in family]
     return Report("norm_comparison",
                   variant_a=variant_a.describe(),
                   variant_b=variant_b.describe(),
                   e=float(e), q=float(q), ratios=ratios,
-                  bracket=[min(ratios), max(ratios)],
-                  scale_invariance_max_rel_dev=scale_dev)
+                  bracket=[min(ratios), max(ratios)])

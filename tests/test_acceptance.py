@@ -355,7 +355,6 @@ def test_criterion_08_equivalence_brackets():
         for out in (fine, coarse):
             lo, hi = out["bracket"]
             assert 0.0 < lo <= hi < float("inf")
-            assert out["scale_invariance_max_rel_dev"] <= 1e-8
         for side in (0, 1):
             stability = abs(fine["bracket"][side] - coarse["bracket"][side]) \
                 / fine["bracket"][side]

@@ -466,8 +466,8 @@ class TestCompareAndOps:
     @staticmethod
     def refuse_norms(monkeypatch):
         import sobolev.manifold_norms as mn
-        for name in ("chart_sobolev_norm", "connection_sobolev_norm",
-                     "sobolev_norm"):
+        for name in ("_chart_ladder", "_connection_ladder",
+                     "_sobolev_ladder"):
             monkeypatch.setattr(mn, name, no_norms)
 
     def test_compare_connection_fractional_order_is_usage_error(

@@ -111,6 +111,7 @@ RULES = {
     "covariant derivative of order below 1":
         lambda a: covariant_derivative(a.u, a.g, 0),
     "musical direction": lambda a: musical(a.u, a.g, "up"),
+    "musical slot missing": lambda a: musical(a.u, a.g, "flat"),
     "metric with a zero determinant":
         lambda a: MetricField(a.g.atlas, [[[ZERO]]] * 2),
     "one bump seed per chart":

@@ -44,11 +44,11 @@ MANIFOLD = ["schema", "kind", "value", "manifold", "atlas", "pou", "terms",
     (("compare", "--manifold", "s1-stereo", "--expr", "x1", "--e", "1",
       "--grid", "32"),
      ["schema", "kind", "variant_a", "variant_b", "e", "q", "ratios",
-      "bracket", "scale_invariance_max_rel_dev"], None),
+      "bracket"], None),
     (("op", "bound", "--manifold", "torus1", "--op", "d", "--from", "1,2",
       "--to", "0,2", "--expr", "sin(2*pi*x1)", "--grid", "32"),
      ["schema", "kind", "operator", "from", "to", "route", "ratios", "sup",
-      "sup_coarse", "relative_change", "scale_invariance_rel_dev", "screen"],
+      "sup_coarse", "relative_change", "screen"],
      None),
     (("op", "apply", "--manifold", "torus1", "--op", "laplace", "--expr",
       "sin(2*pi*x1)"),

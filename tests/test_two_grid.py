@@ -1,15 +1,27 @@
 """Every route takes its error estimate from the same two grids: the
 value on the grid of N cells per axis against the value the same route
-reports on the grid of N // 2, bit for bit."""
+reports on the grid of N // 2, bit for bit.  Both come off one grid
+ladder, which samples each grid once."""
+
+import contextlib
+import io
+import json
+from collections import Counter
 
 import pytest
 
+from sobolev import cli, quadrature
 from sobolev.atlas import builtin_manifold
-from sobolev.funcexpr import parse_expr
+from sobolev.funcexpr import eval_many, parse_expr
 from sobolev.geometry import TensorField
-from sobolev.manifold_norms import connection_sobolev_norm, manifold_lq_norm
+from sobolev.manifold_norms import (
+    NormVariant, _chart_ladder, _connection_ladder, chart_sobolev_norm,
+    connection_sobolev_norm, manifold_lq_norm,
+)
 from sobolev.operators import divergence_integral, empirical_bound
-from sobolev.quadrature import BoxDomain, gagliardo_seminorm, lp_norm
+from sobolev.quadrature import (
+    BoxDomain, _sobolev_ladder, gagliardo_seminorm, lp_norm, sobolev_norm,
+)
 
 GRIDS = [16, 24]
 SQUARE = BoxDomain(((0.0, 1.0), (0.0, 2.0)))
@@ -73,3 +85,82 @@ def test_operator_bound_coarse_sup_is_the_half_grid_sup(name, route, N):
                                route=route, pou=pou)
 
     assert rep(N).sup_coarse == rep(N // 2).sup
+
+
+# A ladder of depth 2 samples N, N // 2 and N // 4 once each; its level i
+# is the route's report at N // 2^i, the same bits as a separate call.
+
+def ladder_routes(s1):
+    atlas, pou, g = s1
+    u = TensorField.from_ambient(atlas, "x1*x2")
+    f = parse_expr("sin(x1)*x2 + 1", 2)
+    return {
+        "box integer order": (
+            lambda N, d: _sobolev_ladder(f, SQUARE, 2, 3, N, d),
+            lambda N: sobolev_norm(f, SQUARE, 2, 3, N)),
+        "box fractional order": (
+            lambda N, d: _sobolev_ladder(f, SQUARE, 1.5, 2, N, d),
+            lambda N: sobolev_norm(f, SQUARE, 1.5, 2, N)),
+        "chart fractional order": (
+            lambda N, d: _chart_ladder(u, pou, 0.5, 3, N, d),
+            lambda N: chart_sobolev_norm(u, pou, e=0.5, q=3, N=N)),
+        "chart integer order": (
+            lambda N, d: _chart_ladder(u, pou, 2, 2, N, d),
+            lambda N: chart_sobolev_norm(u, pou, e=2, q=2, N=N)),
+        "connection": (
+            lambda N, d: _connection_ladder(u, g, 2, 2, N, pou, d),
+            lambda N: connection_sobolev_norm(u, g, 2, 2, N, pou)),
+    }
+
+
+@pytest.mark.parametrize("N", GRIDS)
+@pytest.mark.parametrize("route", ["box integer order",
+                                   "box fractional order",
+                                   "chart fractional order",
+                                   "chart integer order", "connection"])
+def test_ladder_levels_are_separate_calls(s1, route, N):
+    ladder, call = ladder_routes(s1)[route]
+    levels = ladder(N, 2)
+    assert len(levels) == 2
+    for i, rep in enumerate(levels):
+        assert json.dumps(rep) == json.dumps(call(N >> i))
+
+
+@pytest.mark.parametrize("name, text, kind, e", [
+    ("torus2", "sin(2*pi*x1)*cos(2*pi*x2)", "box", 1.5),
+    ("s2-stereo", "x1*x3", "chart", 1.5), ("s2-stereo", "x2", "chart", 2),
+    ("s1-stereo", "x1*x2", "connection", 2)])
+def test_norm_variant_ladder_levels_are_separate_calls(name, text, kind, e):
+    atlas, pou, g = builtin_manifold(name)
+    u = TensorField.from_ambient(atlas, text)
+    variant = NormVariant(kind, pou=pou, metric=g)
+    values = variant._ladder(u, e, 2, 16, 2)
+    assert values == [variant.compute(u, e, 2, 16), variant.compute(u, e, 2, 8)]
+
+
+def programs_per_grid(monkeypatch, argv):
+    """Run one CLI command; count quadrature's evaluation programs by the
+    number of points they run on."""
+    counts = Counter()
+
+    def counting(roots, pts):
+        counts[len(pts)] += 1
+        return eval_many(roots, pts)
+    monkeypatch.setattr(quadrature, "eval_many", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.execute(argv.split()) == 0
+    return dict(counts)
+
+
+@pytest.mark.parametrize("argv, counts", [
+    ("op bound --manifold torus1 --op d --from 1,2 --to 0,2 "
+     "--expr sin(2*pi*x1) --grid 32", {32: 2, 16: 2, 8: 2}),
+    ("op bound --manifold s2-stereo --op laplace --from 2,2 --to 0,2 "
+     "--expr x1*x3 --expr x2 --grid 24", {576: 8, 144: 8, 36: 8}),
+    ("op bound --manifold torus1 --op grad --from 3/2,2 --to 1/2,2 "
+     "--expr sin(2*pi*x1) --grid 32", {32: 2, 16: 2, 8: 2}),
+    ("compare --manifold s1-stereo --expr x1 --expr x1*x2 --e 1/2 "
+     "--grid 512", {512: 8, 256: 8}),
+])
+def test_each_grid_is_sampled_once(monkeypatch, argv, counts):
+    assert programs_per_grid(monkeypatch, argv) == counts
