@@ -14,7 +14,7 @@ Three norm routes are provided:
 
 The intrinsic routes (and ``operators.divergence_integral``) integrate
 sum_alpha psi_alpha X sqrt(det g) chart by chart through one helper,
-:func:`_intrinsic_integrals`, which takes its grids from
+:func:`_intrinsic_integrals`, which takes its two grids from
 ``quadrature._ladder``.  On each grid it samples every chart's
 midpoints, psi_alpha and sqrt(det g) once, and makes one integrand call
 per chart, which returns every integrand's row at once: the connection
@@ -58,14 +58,13 @@ __all__ = [
 
 
 def _intrinsic_integrals(integrand, g: MetricField, pou: PartitionOfUnity,
-                         shape, depth: int = 1):
+                         shape):
     """The chart integrals of psi_alpha X sqrt(det g), for each row X of
     ``integrand(chart index, points)`` (a sequence of arrays, the same
-    number on every chart), on each grid of a ``depth``-deep
-    :func:`~sobolev.quadrature._ladder` from ``shape``: per grid, finest
-    first, a list, one per row, of the per-chart contributions in chart
-    order, which sum to the integral over M."""
-    def at(shp, _fine):
+    number on every chart), on the grid of ``shape`` and on its coarse
+    grid: a pair (fine, coarse) of lists, one per row, of the per-chart
+    contributions in chart order, which sum to the integral over M."""
+    def at(shp):
         per_chart = []
         for ci, chart in enumerate(g.atlas.charts):
             pts, cellvol, _ = midpoint_grid(chart.truncation, shp)
@@ -74,7 +73,7 @@ def _intrinsic_integrals(integrand, g: MetricField, pou: PartitionOfUnity,
             per_chart.append([float(np.sum(psi * x * dens) * cellvol)
                               for x in integrand(ci, pts)])
         return [list(row) for row in zip(*per_chart)]
-    return _ladder(at, shape, depth)
+    return _ladder(at, shape)
 
 
 def manifold_lq_norm(u: TensorField, g: MetricField,
@@ -118,9 +117,8 @@ def chart_sobolev_norm(u: TensorField, pou: PartitionOfUnity = None,
     return _chart_ladder(u, pou, e, q, N)[0]
 
 
-def _chart_ladder(u, pou, e, q, N, depth: int = 1) -> list[Report]:
-    """The :func:`chart_sobolev_norm` reports at N, ..., N // 2^(depth-1):
-    the same bits as a separate call at each grid."""
+def _chart_ladder(u, pou, e, q, N) -> tuple[Report, float]:
+    """(:func:`chart_sobolev_norm` report at N, its value at N // 2)."""
     atlas = u.atlas
     if pou is None:
         pou = build_partition_of_unity(atlas)
@@ -128,18 +126,23 @@ def _chart_ladder(u, pou, e, q, N, depth: int = 1) -> list[Report]:
         raise ArgumentError("numerical manifold norms require e >= 0")
     shape = grid_shape(atlas.dim, N)
 
-    terms = [(chart.name, key, _sobolev_ladder(
-        mul(pou.fields[ci], comp), chart.truncation, e, q, shape, depth))
-        for ci, chart in enumerate(atlas.charts)
-        for key, comp in zip(u.keys(), u.comps[ci])]
-    return [_norm_report(
-        sum(reps[i].value for *_, reps in terms),
-        [{"chart": name, "component": list(map(list, key)),
-          "value": reps[i].value} for name, key, reps in terms],
-        {"resolution": [k >> i for k in shape], "e": float(e),
-         "q": float(q)}, sum(reps[i].error_estimate for *_, reps in terms),
-        manifold=atlas.manifold, atlas=atlas.manifold, pou=pou.name)
-        for i in range(depth)]
+    value = value_c = 0.0  # at N and at N // 2
+    err = 0.0
+    terms = []
+    for ci, chart in enumerate(atlas.charts):
+        for key, comp in zip(u.keys(), u.comps[ci]):
+            rep, rep_c = _sobolev_ladder(mul(pou.fields[ci], comp),
+                                         chart.truncation, e, q, shape)
+            value += rep.value
+            err += rep.error_estimate
+            value_c += rep_c
+            terms.append({"chart": chart.name,
+                          "component": list(map(list, key)),
+                          "value": rep.value})
+    return _norm_report(
+        value, terms, {"resolution": list(shape), "e": float(e), "q": float(q)},
+        err, manifold=atlas.manifold, atlas=atlas.manifold,
+        pou=pou.name), value_c
 
 
 def connection_sobolev_norm(u: TensorField, g: MetricField, k: int = 1,
@@ -152,9 +155,8 @@ def connection_sobolev_norm(u: TensorField, g: MetricField, k: int = 1,
     return _connection_ladder(u, g, k, q, N, pou)[0]
 
 
-def _connection_ladder(u, g, k, q, N, pou, depth: int = 1) -> list[Report]:
-    """The :func:`connection_sobolev_norm` reports at N, ...,
-    N // 2^(depth-1): the same bits as a separate call at each grid."""
+def _connection_ladder(u, g, k, q, N, pou) -> tuple[Report, float]:
+    """(:func:`connection_sobolev_norm` report at N, value at N // 2)."""
     atlas = u.atlas
     if not (k >= 0 and k % 1 == 0):
         raise ArgumentError(f"k must be a nonnegative integer, got {k}")
@@ -168,18 +170,18 @@ def _connection_ladder(u, g, k, q, N, pou, depth: int = 1) -> list[Report]:
     for _ in range(k):
         derivatives.append(covariant_derivative(derivatives[-1], g, 1))
 
-    # per grid, the q-th power of each order's L^q norm, and the norm
-    powers = [list(map(sum, rows)) for rows in _intrinsic_integrals(
+    fine, coarse = _intrinsic_integrals(
         lambda ci, pts: fiber_norm_values(derivatives, g, ci, pts) ** q, g,
-        pou, shape, depth)]
-    values = [sum(power) ** (1.0 / q) for power in powers]
-    return [_norm_report(
-        values[i], [{"order": j, "lq_value": power ** (1.0 / q)}
-                    for j, power in enumerate(powers[i])],
-        {"resolution": [n >> i for n in shape], "k": k, "q": q},
-        abs(values[i] - values[i + 1]),
-        manifold=atlas.manifold, atlas=atlas.manifold, pou=pou.name)
-        for i in range(depth)]
+        pou, shape)
+    fine = list(map(sum, fine))
+    value = sum(fine) ** (1.0 / q)
+    value_c = sum(map(sum, coarse)) ** (1.0 / q)
+    terms = [{"order": i, "lq_value": power ** (1.0 / q)}
+             for i, power in enumerate(fine)]
+    return _norm_report(
+        value, terms, {"resolution": list(shape), "k": k, "q": q},
+        abs(value - value_c),
+        manifold=atlas.manifold, atlas=atlas.manifold, pou=pou.name), value_c
 
 
 # ---------------------------------------------------------------------------
@@ -210,20 +212,20 @@ class NormVariant:
     def compute(self, u, e, q, N) -> float:
         return self._ladder(u, e, q, N)[0]
 
-    def _ladder(self, u, e, q, N, depth: int = 1) -> list[float]:
-        """The norm of ``u`` at N, ..., N // 2^(depth-1): the same bits as
-        :meth:`compute` at each grid."""
+    def _ladder(self, u, e, q, N) -> tuple[float, float]:
+        """:meth:`compute` at N and at N // 2, off one two-grid sample."""
         self.check(u.atlas, e)
         if self.kind == "chart":
-            reps = _chart_ladder(u, self.pou, e, q, N, depth)
+            rep, value_c = _chart_ladder(u, self.pou, e, q, N)
         elif self.kind == "connection":
-            reps = _connection_ladder(u, self.metric, int(round(e)), q, N,
-                                      self.pou, depth)
+            rep, value_c = _connection_ladder(u, self.metric, int(round(e)),
+                                              q, N, self.pou)
         else:  # the sum of the components' box norms
-            return [sum(rep.value for rep in reps) for reps in zip(*(
-                _sobolev_ladder(comp, u.atlas.period_box, e, q, N, depth)
-                for comp in u.comps[0]))]
-        return [rep.value for rep in reps]
+            reps, coarse = zip(*(
+                _sobolev_ladder(comp, u.atlas.period_box, e, q, N)
+                for comp in u.comps[0]))
+            return sum(rep.value for rep in reps), sum(coarse)
+        return rep.value, value_c
 
     def describe(self) -> str:
         if self.kind == "chart":

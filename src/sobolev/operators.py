@@ -14,11 +14,10 @@ differentiation and multiplication by fixed coefficient functions), so
 applying them chart by chart is consistent on overlaps.
 
 Boundedness between Sobolev scales is assessed empirically: the sup of
-norm ratios over a function family, at two grid resolutions read off one
-grid ladder.  On tori the local representations are periodic and the
-fundamental cell is a box, so the "box" route integrates them over one
-exact period; the "chart" route uses the partition-of-unity chart norms
-on any manifold.
+norm ratios over a function family, at two grid resolutions.  On tori
+the local representations are periodic and the fundamental cell is a
+box, so the "box" route integrates them over one exact period; the
+"chart" route uses the partition-of-unity chart norms on any manifold.
 """
 
 from __future__ import annotations
@@ -128,9 +127,8 @@ def empirical_bound(op_id: str, g: MetricField, from_exponents,
     :class:`~sobolev.exponents.ExponentError`.  Every refused argument
     raises a :class:`~sobolev.ArgumentError` before any norm is
     computed.  Without ``route`` the norms take the "box" route on a
-    torus and the "chart" route on any other manifold.  Each norm samples
-    the grids N, N // 2 and N // 4 of one ladder once, and its values at N
-    and N // 2 are the bits of separate calls at those grids.
+    torus and the "chart" route on any other manifold.  Each norm's
+    values at N and N // 2 come off the two grids of its own estimate.
     """
     if not family:
         raise ArgumentError("the function family is empty")
@@ -167,10 +165,11 @@ def empirical_bound(op_id: str, g: MetricField, from_exponents,
 
     ratios, coarse = [], []  # at N and at N // 2
     for u in family:
-        nu = norm(u, e, q, shape, 2)
-        n_image = norm(apply_operator(op_id, g, u), et, qt, shape, 2)
-        ratios.append(n_image[0] / nu[0])
-        coarse.append(n_image[1] / nu[1])
+        image = apply_operator(op_id, g, u)
+        nu, nu_c = norm(u, e, q, shape)
+        n_image, n_image_c = norm(image, et, qt, shape)
+        ratios.append(n_image / nu)
+        coarse.append(n_image_c / nu_c)
     sup_fine = max(ratios)
     sup_coarse = max(coarse)
     return Report(

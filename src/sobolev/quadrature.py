@@ -18,13 +18,14 @@ temporaries of about 32 K values.  Defaults: N=256 (n=1), N=64 (n=2).
 
 Error estimates are two-grid differences plus, for the fractional
 seminorm, the diagonal model.  Every route of the package, the manifold
-ones included, samples its grids of k, k // 2, ..., k // 2^L cells per
-axis once each (:func:`_ladder`; L = 2 in an operator bound, else 1).  A
-zero extension (:func:`extend_by_zero`) is an expression like any other.
-A box norm (:func:`sobolev_norm`) samples each grid in one evaluation
-program, so it holds R x M float64 values for the R roots of its fine
-grid: d^nu u for |nu| <= k and, at a fractional order, the first
-partials of each top-order d^nu u.
+ones included, takes its two grids from :func:`_ladder`: its value on
+k cells per axis against the same value on k // 2, which an operator
+bound also reads off the coarse grid's samples.  A zero extension
+(:func:`extend_by_zero`) is an expression like any other.  A box norm
+(:func:`sobolev_norm`) samples each grid in one evaluation program, so
+it holds R x M float64 values for the R roots of its fine grid: d^nu u
+for |nu| <= k and, at a fractional order, the first partials of each
+top-order d^nu u.
 
 All inputs are immutable during computation and the evaluation order is
 fixed, making every value reproducible bit for bit.
@@ -109,21 +110,20 @@ def grid_shape(n: int, N=None) -> tuple[int, ...]:
 def _check_halvings(shape, halvings: int = 0) -> None:
     """Every axis needs 2 << halvings cells: the two-grid estimate halves
     the grid, and each halving below that doubles the need (one where a
-    fractional order takes its double sum on the coarsest grid, one more
-    for each ladder level past the first, as an operator bound's)."""
+    fractional order takes its double sum on the halved grid, one more
+    where an operator bound takes every norm on the halved grid)."""
     need = 2 << halvings
     if min(shape) < need:
         raise ArgumentError(f"grid resolution must be at least {need} per "
                             f"axis, got {list(shape)}")
 
 
-def _ladder(sample, shape: tuple[int, ...], depth: int = 1) -> list:
-    """[sample(shape >> i, i < depth) for i = 0..depth]: a route's samples
-    on k cells per axis and its ``depth`` halvings.  Level i's two-grid
-    estimate compares it with level i + 1, so every level but the last is
-    the fine grid of one; depth 1 gives the two grids of one estimate."""
-    return [sample(tuple(k >> i for k in shape), i < depth)
-            for i in range(depth + 1)]
+def _ladder(sample, shape: tuple[int, ...]):
+    """(sample(shape), sample(coarse)) with coarse the grid of k // 2
+    cells per axis: a route's samples on the two grids of every two-grid
+    error estimate, each grid sampled once.  The coarse samples hold the
+    route's value on the coarse grid, the bits of a separate run there."""
+    return sample(shape), sample(tuple(k // 2 for k in shape))
 
 
 def midpoint_grid(box: BoxDomain, shape: tuple[int, ...]):
@@ -176,7 +176,7 @@ def lp_norm(u, box: BoxDomain, p: float = 2.0, N=None) -> Report:
     p = _check_p(p)
     shape = grid_shape(box.n, N)
 
-    def value_at(shp, _fine):
+    def value_at(shp):
         pts, cellvol, _ = midpoint_grid(box, shp)
         return _lp(u.values(pts), cellvol, p)
     value, coarse = _ladder(value_at, shape)
@@ -392,7 +392,7 @@ def gagliardo_seminorm(u, box: BoxDomain, theta: float, p: float = 2.0,
     shape = grid_shape(box.n, N)
     _check_halvings(shape, 1)
     S, S_coarse = _ladder(
-        lambda shp, _fine: gagliardo_double_sum(u, box, theta, p, shp), shape)
+        lambda shp: gagliardo_double_sum(u, box, theta, p, shp), shape)
     pts, _, _ = midpoint_grid(box, shape)
     D = _diagonal_model([u.partial(ax).values(pts)
                          for ax in range(1, box.n + 1)], box, theta, p, shape)
@@ -440,10 +440,8 @@ def sobolev_norm(u, box: BoxDomain, s: float, p: float = 2.0,
     return _sobolev_ladder(u, box, s, p, N)[0]
 
 
-def _sobolev_ladder(u, box: BoxDomain, s: float, p: float, N,
-                    depth: int = 1) -> list[Report]:
-    """The :func:`sobolev_norm` reports at N, ..., N // 2^(depth-1): the
-    same bits as a separate call at each grid."""
+def _sobolev_ladder(u, box: BoxDomain, s: float, p: float, N):
+    """(:func:`sobolev_norm` report at N, its value at N // 2)."""
     s = float(s)
     if s < 0:
         raise ArgumentError(f"smoothness s must be >= 0 here, got {s}")
@@ -461,43 +459,44 @@ def _sobolev_ladder(u, box: BoxDomain, s: float, p: float, N,
     fine_roots = [r for d, top in zip(derivs, tops) for r in
                   [d] + [d.partial(ax) for ax in range(1, box.n + 1) if top]]
 
-    def sample(shp, fine):  # per nu: ||d^nu u||_p, double sum, diagonal model
+    def sample(shp):
         pts, cellvol, _ = midpoint_grid(box, shp)
-        cols = iter(eval_many(fine_roots if fine else derivs, pts).T)
-        out = []
-        for top in tops:
-            vals = next(cols)
-            S = _pair_sum(vals, box, shp, cellvol, theta, p) if top else None
-            D = _diagonal_model([next(cols) for _ in range(box.n)], box,
-                                theta, p, shp) if top and fine else None
-            out.append((_lp(vals, cellvol, p), S, D))
-        return out
+        roots = fine_roots if shp == shape else derivs
+        return iter(eval_many(roots, pts).T), shp, cellvol
+    (fine, _, cellvol), (coarse, shape_c, cellvol_c) = _ladder(sample, shape)
 
-    levels = _ladder(sample, shape, depth)
-    reports = []
-    for i, (fine, coarse) in enumerate(zip(levels, levels[1:])):
-        # top_lp sums the L^p norms of the top-order derivatives
-        terms, err, value, top_lp = [], 0.0, 0.0, 0.0
-        for nu, (lp, S, D), (lp_c, S_c, _) in zip(nus, fine, coarse):
-            terms.append({"kind": "lp", "multi_index": list(nu), "p": p,
-                          "value": lp})
-            value += lp
-            err += abs(lp - lp_c)
-            if S is not None:
-                top_lp += lp
-                semi, _, semi_err = _seminorm(S, S_c, D, p)
-                terms.append({"kind": "gagliardo", "multi_index": list(nu),
-                              "theta": theta, "p": p, "value": semi})
-                value += semi
-                err += semi_err
-        value_full = value + top_lp
-        extras = {"variant": "seminorm", "seminorm_variant_value": value,
-                  "full_variant_value": value_full}
-        if value > 0:
-            extras["variant_ratio"] = value_full / value
-        reports.append(_norm_report(value, terms, _grid_meta(
-            box, [c >> i for c in shape]), err, extras))
-    return reports
+    terms = []
+    err = 0.0
+    value = value_c = 0.0  # at N and at N // 2
+    top_lp = 0.0  # the L^p norms of the top-order derivatives, summed
+    for nu, top in zip(nus, tops):
+        vals, vals_c = next(fine), next(coarse)
+        lp, lp_c = _lp(vals, cellvol, p), _lp(vals_c, cellvol_c, p)
+        terms.append({"kind": "lp", "multi_index": list(nu), "p": p,
+                      "value": lp})
+        value += lp
+        value_c += lp_c
+        err += abs(lp - lp_c)
+        if top:
+            top_lp += lp
+            D = _diagonal_model([next(fine) for _ in range(box.n)], box,
+                                theta, p, shape)
+            S_c = _pair_sum(vals_c, box, shape_c, cellvol_c, theta, p)
+            semi, _, semi_err = _seminorm(
+                _pair_sum(vals, box, shape, cellvol, theta, p), S_c, D, p)
+            terms.append({"kind": "gagliardo", "multi_index": list(nu),
+                          "theta": theta, "p": p, "value": semi})
+            value += semi
+            value_c += S_c ** (1.0 / p)  # as _seminorm takes it
+            err += semi_err
+
+    value_full = value + top_lp
+    extras = {"variant": "seminorm", "seminorm_variant_value": value,
+              "full_variant_value": value_full}
+    if value > 0:
+        extras["variant_ratio"] = value_full / value
+    return (_norm_report(value, terms, _grid_meta(box, shape), err, extras),
+            value_c)
 
 
 # ---------------------------------------------------------------------------

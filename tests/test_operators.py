@@ -193,6 +193,17 @@ class TestEmpiricalBound:
                               self.family(atlas), N=256, route="box")
         assert out["relative_change"] < 0.10
 
+    def test_valence_mismatch_before_any_norm(self, t1, monkeypatch):
+        from sobolev.manifold_norms import NormVariant
+
+        def no_norm(*args):
+            raise AssertionError("a norm was computed")
+        monkeypatch.setattr(NormVariant, "_ladder", no_norm)
+        atlas, _, g = t1
+        with pytest.raises(ValenceMismatch):
+            empirical_bound("div", g, ("1", "2"), ("0", "2"),
+                            self.family(atlas), N=16, route="box")
+
     def test_scale_invariance(self, t1):
         """Both norms are 1-homogeneous, so scaling the family moves no
         ratio beyond roundoff."""
