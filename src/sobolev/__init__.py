@@ -22,7 +22,9 @@ class ArgumentError(ValueError):
 
 class Report(dict):
     """A JSON report, ``{"schema": "v1", "kind": kind, **fields}`` in
-    output order, whose fields also read as attributes (``rep.value``)."""
+    output order, whose fields also read as attributes (``rep.value``).
+    A norm report also has ``rep.coarse``, its value on the grid of N // 2
+    cells per axis: a plain attribute, not a field, so not in the JSON."""
 
     def __init__(self, kind: str, **fields):
         super().__init__(schema="v1", kind=kind, **fields)

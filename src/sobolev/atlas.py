@@ -255,26 +255,25 @@ _BUILTINS = {"s1-stereo": (StereoChart, 1), "s2-stereo": (StereoChart, 2),
 MANIFOLD_NAMES = tuple(_BUILTINS)
 
 
+def _chart_fact(name: str) -> property:
+    """An :class:`Atlas` property read off its first chart's class."""
+    return property(lambda atlas: getattr(atlas.charts[0], name))
+
+
 @dataclass
 class Atlas:
     manifold: str
-    dim: int
-    ambient_dim: int
     charts: list[Chart]
-    classification: str         # "nice" | "super nice" | "GL" | "GGL"
-    gl_self_compatible: bool
-
-    @property
-    def family(self) -> str:  # "stereo" | "torus"
-        return self.charts[0].family
+    dim = _chart_fact("dim")
+    ambient_dim = _chart_fact("ambient_dim")
+    family = _chart_fact("family")  # "stereo" | "torus"
+    classification = _chart_fact("classification")  # "super nice" | "GL"
+    gl_self_compatible = _chart_fact("gl_self_compatible")
+    period_box = _chart_fact("period_box")  # a torus's unit cell, or None
 
     @property
     def params(self) -> dict:  # the chart family's fixed settings
         return dict(self.charts[0].params)
-
-    @property
-    def period_box(self):  # the unit cell of a torus, None on a sphere
-        return self.charts[0].period_box
 
     def to_config(self) -> Report:
         return Report(
@@ -492,9 +491,7 @@ def _builtin_atlas(name: str) -> Atlas:
         raise UnknownManifold(f"unknown manifold {name!r}; "
                               f"known: {', '.join(MANIFOLD_NAMES)}")
     cls, dim = _BUILTINS[name]
-    charts = cls.cover(dim)
-    return Atlas(name, dim, charts[0].ambient_dim, charts, cls.classification,
-                 cls.gl_self_compatible)
+    return Atlas(name, cls.cover(dim))
 
 
 # ---------------------------------------------------------------------------

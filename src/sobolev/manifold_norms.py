@@ -8,7 +8,7 @@ Three norm routes are provided:
   exact since the bump sum is identically 1);
 * the chart norm: the sum over charts and components of Euclidean
   W^{e,q} norms of partition-weighted local representations, each a
-  compactly supported problem handed to :mod:`sobolev.quadrature`;
+  ``quadrature.sobolev_norm`` call on the chart's truncation box;
 * the connection norm for integer k: the q-sum of intrinsic L^q norms
   of iterated covariant derivatives.
 
@@ -25,6 +25,7 @@ Christoffel terms inside the higher ones run once.  psi_alpha and
 sqrt(det g) are kept as separate arrays so that each integrand is
 multiplied as psi * X * sqrt(det g), in that order.
 
+Each route's report carries its value at N // 2 as ``coarse``.
 Equivalence statements between routes are verified empirically as ratio
 brackets over function families; no equivalence constants are claimed.
 
@@ -46,8 +47,7 @@ from sobolev.geometry import (
     MetricField, TensorField, covariant_derivative, fiber_norm_values,
 )
 from sobolev.quadrature import (
-    _check_p, _ladder, _norm_report, _sobolev_ladder, grid_shape,
-    midpoint_grid,
+    _check_p, _ladder, _norm_report, grid_shape, midpoint_grid, sobolev_norm,
 )
 
 __all__ = [
@@ -96,7 +96,7 @@ def manifold_lq_norm(u: TensorField, g: MetricField,
         lambda ci, pts: fiber_norm_values([u], g, ci, pts) ** q, g, pou,
         shape)
     value = sum(per_chart) ** (1.0 / q)
-    err = abs(value - sum(coarse) ** (1.0 / q))
+    value_c = sum(coarse) ** (1.0 / q)
 
     chart_sum = chart_sobolev_norm(u, pou, e=0, q=q, N=shape)
     extras = {"intrinsic_value": value, "chart_sum_value": chart_sum.value}
@@ -105,20 +105,17 @@ def manifold_lq_norm(u: TensorField, g: MetricField,
     terms = [{"kind": "intrinsic", "chart": chart.name, "value": v}
              for chart, v in zip(atlas.charts, per_chart)]
     terms += [{"kind": "chart-sum", **t} for t in chart_sum.terms]
-    return _norm_report(value, terms, {"resolution": list(shape)}, err,
-                        extras, manifold=atlas.manifold,
-                        atlas=atlas.manifold, pou=pou.name)
+    return _norm_report(value, terms, {"resolution": list(shape)},
+                        abs(value - value_c), extras, coarse=value_c,
+                        manifold=atlas.manifold, atlas=atlas.manifold,
+                        pou=pou.name)
 
 
 def chart_sobolev_norm(u: TensorField, pou: PartitionOfUnity = None,
                        e: float = 1.0, q: float = 2.0, N=None) -> Report:
-    """Chart-based W^{e,q} norm: each chart term is a compactly supported
-    Euclidean norm of the partition-weighted local representation."""
-    return _chart_ladder(u, pou, e, q, N)[0]
-
-
-def _chart_ladder(u, pou, e, q, N) -> tuple[Report, float]:
-    """(:func:`chart_sobolev_norm` report at N, its value at N // 2)."""
+    """Chart-based W^{e,q} norm: the sum of the box norms (value, error
+    estimate and ``coarse``) of the partition-weighted local
+    representations, each on its chart's truncation box."""
     atlas = u.atlas
     if pou is None:
         pou = build_partition_of_unity(atlas)
@@ -131,18 +128,18 @@ def _chart_ladder(u, pou, e, q, N) -> tuple[Report, float]:
     terms = []
     for ci, chart in enumerate(atlas.charts):
         for key, comp in zip(u.keys(), u.comps[ci]):
-            rep, rep_c = _sobolev_ladder(mul(pou.fields[ci], comp),
-                                         chart.truncation, e, q, shape)
+            rep = sobolev_norm(mul(pou.fields[ci], comp), chart.truncation,
+                               e, q, shape)
             value += rep.value
             err += rep.error_estimate
-            value_c += rep_c
+            value_c += rep.coarse
             terms.append({"chart": chart.name,
                           "component": list(map(list, key)),
                           "value": rep.value})
     return _norm_report(
         value, terms, {"resolution": list(shape), "e": float(e), "q": float(q)},
-        err, manifold=atlas.manifold, atlas=atlas.manifold,
-        pou=pou.name), value_c
+        err, coarse=value_c, manifold=atlas.manifold, atlas=atlas.manifold,
+        pou=pou.name)
 
 
 def connection_sobolev_norm(u: TensorField, g: MetricField, k: int = 1,
@@ -152,11 +149,6 @@ def connection_sobolev_norm(u: TensorField, g: MetricField, k: int = 1,
 
         ( sum_{i=0..k} || |nabla^i u|_F ||_{L^q}^q )^{1/q}
     """
-    return _connection_ladder(u, g, k, q, N, pou)[0]
-
-
-def _connection_ladder(u, g, k, q, N, pou) -> tuple[Report, float]:
-    """(:func:`connection_sobolev_norm` report at N, value at N // 2)."""
     atlas = u.atlas
     if not (k >= 0 and k % 1 == 0):
         raise ArgumentError(f"k must be a nonnegative integer, got {k}")
@@ -180,8 +172,8 @@ def _connection_ladder(u, g, k, q, N, pou) -> tuple[Report, float]:
              for i, power in enumerate(fine)]
     return _norm_report(
         value, terms, {"resolution": list(shape), "k": k, "q": q},
-        abs(value - value_c),
-        manifold=atlas.manifold, atlas=atlas.manifold, pou=pou.name), value_c
+        abs(value - value_c), coarse=value_c,
+        manifold=atlas.manifold, atlas=atlas.manifold, pou=pou.name)
 
 
 # ---------------------------------------------------------------------------
@@ -213,24 +205,32 @@ class NormVariant:
         return self._ladder(u, e, q, N)[0]
 
     def _ladder(self, u, e, q, N) -> tuple[float, float]:
-        """:meth:`compute` at N and at N // 2, off one two-grid sample."""
+        """:meth:`compute` at N and at N // 2: ``value`` and ``coarse``."""
         self.check(u.atlas, e)
         if self.kind == "chart":
-            rep, value_c = _chart_ladder(u, self.pou, e, q, N)
+            reps = [chart_sobolev_norm(u, self.pou, e, q, N)]
         elif self.kind == "connection":
-            rep, value_c = _connection_ladder(u, self.metric, int(round(e)),
-                                              q, N, self.pou)
+            reps = [connection_sobolev_norm(u, self.metric, int(round(e)), q,
+                                            N, self.pou)]
         else:  # the sum of the components' box norms
-            reps, coarse = zip(*(
-                _sobolev_ladder(comp, u.atlas.period_box, e, q, N)
-                for comp in u.comps[0]))
-            return sum(rep.value for rep in reps), sum(coarse)
-        return rep.value, value_c
+            reps = [sobolev_norm(comp, u.atlas.period_box, e, q, N)
+                    for comp in u.comps[0]]
+        return sum(r.value for r in reps), sum(r.coarse for r in reps)
 
     def describe(self) -> str:
         if self.kind == "chart":
             return f"chart[{self.pou.name}]"
         return self.kind
+
+
+def _ratio(top, bottom, index: int, variant: NormVariant, shape) -> float:
+    """top / bottom for family member ``index``, whose ``variant`` norm on
+    the grid of ``shape`` is ``bottom``: 0 is a ``ZeroDivisionError``."""
+    if bottom == 0:
+        raise ZeroDivisionError(
+            f"family member {index} has {variant.describe()} norm 0 on the "
+            f"grid {list(shape)}, so its ratio is undefined")
+    return top / bottom
 
 
 def compare_norms(family, variant_a: NormVariant, variant_b: NormVariant,
@@ -240,14 +240,17 @@ def compare_norms(family, variant_a: NormVariant, variant_b: NormVariant,
     Both routes are checked against ``e`` (:meth:`NormVariant.check`)
     before any norm is computed.  Every norm is 1-homogeneous, so the
     ratios do not depend on the scale of a function; the tests check that
-    property on every route, so a report does not recompute it.
+    property on every route, so a report does not recompute it.  A zero
+    B norm is a ``ZeroDivisionError`` (:func:`_ratio`).
     """
     if not family:
         raise ArgumentError("the function family is empty")
     for variant in (variant_a, variant_b):  # before the first norm
         variant.check(family[0].atlas, e)
-    ratios = [variant_a.compute(u, e, q, N) / variant_b.compute(u, e, q, N)
-              for u in family]
+    ratios = [_ratio(variant_a.compute(u, e, q, N),
+                     variant_b.compute(u, e, q, N), i, variant_b,
+                     grid_shape(u.atlas.dim, N))
+              for i, u in enumerate(family)]
     return Report("norm_comparison",
                   variant_a=variant_a.describe(),
                   variant_b=variant_b.describe(),

@@ -35,7 +35,7 @@ from sobolev.funcexpr import (
 from sobolev.geometry import (
     MetricField, TensorField, covariant_derivative, musical,
 )
-from sobolev.manifold_norms import NormVariant, _intrinsic_integrals
+from sobolev.manifold_norms import NormVariant, _intrinsic_integrals, _ratio
 from sobolev.quadrature import _check_halvings, _check_p, grid_shape
 
 __all__ = [
@@ -129,6 +129,7 @@ def empirical_bound(op_id: str, g: MetricField, from_exponents,
     computed.  Without ``route`` the norms take the "box" route on a
     torus and the "chart" route on any other manifold.  Each norm's
     values at N and N // 2 come off the two grids of its own estimate.
+    A function whose norm is 0 on either grid is a ``ZeroDivisionError``.
     """
     if not family:
         raise ArgumentError("the function family is empty")
@@ -161,15 +162,16 @@ def empirical_bound(op_id: str, g: MetricField, from_exponents,
         route = "chart" if atlas.period_box is None else "box"
     if pou is None and route == "chart":
         pou = build_partition_of_unity(atlas)
-    norm = NormVariant(route, pou=pou)._ladder
+    variant = NormVariant(route, pou=pou)
 
     ratios, coarse = [], []  # at N and at N // 2
-    for u in family:
+    for i, u in enumerate(family):
         image = apply_operator(op_id, g, u)
-        nu, nu_c = norm(u, e, q, shape)
-        n_image, n_image_c = norm(image, et, qt, shape)
-        ratios.append(n_image / nu)
-        coarse.append(n_image_c / nu_c)
+        nu, nu_c = variant._ladder(u, e, q, shape)
+        n_image, n_image_c = variant._ladder(image, et, qt, shape)
+        ratios.append(_ratio(n_image, nu, i, variant, shape))
+        coarse.append(_ratio(n_image_c, nu_c, i, variant,
+                             [k // 2 for k in shape]))
     sup_fine = max(ratios)
     sup_coarse = max(coarse)
     return Report(

@@ -19,13 +19,13 @@ temporaries of about 32 K values.  Defaults: N=256 (n=1), N=64 (n=2).
 Error estimates are two-grid differences plus, for the fractional
 seminorm, the diagonal model.  Every route of the package, the manifold
 ones included, takes its two grids from :func:`_ladder`: its value on
-k cells per axis against the same value on k // 2, which an operator
-bound also reads off the coarse grid's samples.  A zero extension
-(:func:`extend_by_zero`) is an expression like any other.  A box norm
-(:func:`sobolev_norm`) samples each grid in one evaluation program, so
-it holds R x M float64 values for the R roots of its fine grid: d^nu u
-for |nu| <= k and, at a fractional order, the first partials of each
-top-order d^nu u.
+k cells per axis against the same value on k // 2, which a norm report
+keeps as ``rep.coarse``.  A box norm (:func:`sobolev_norm`, of which
+:func:`lp_norm` is the s = 0 term) samples each grid in one evaluation
+program, so it holds R x M float64 values for the R roots of its fine
+grid: d^nu u for |nu| <= k and, at a fractional order, the first
+partials of each top-order d^nu u.  A zero extension
+(:func:`extend_by_zero`) is an expression like any other.
 
 All inputs are immutable during computation and the evaluation order is
 fixed, making every value reproducible bit for bit.
@@ -109,9 +109,10 @@ def grid_shape(n: int, N=None) -> tuple[int, ...]:
 
 def _check_halvings(shape, halvings: int = 0) -> None:
     """Every axis needs 2 << halvings cells: the two-grid estimate halves
-    the grid, and each halving below that doubles the need (one where a
-    fractional order takes its double sum on the halved grid, one more
-    where an operator bound takes every norm on the halved grid)."""
+    the grid, and each halving below that doubles the need: one where a
+    fractional order takes its double sum on the halved grid, and one
+    more for an operator bound, which once took its norms there anew; it
+    was kept so that no refusal moved."""
     need = 2 << halvings
     if min(shape) < need:
         raise ArgumentError(f"grid resolution must be at least {need} per "
@@ -120,9 +121,8 @@ def _check_halvings(shape, halvings: int = 0) -> None:
 
 def _ladder(sample, shape: tuple[int, ...]):
     """(sample(shape), sample(coarse)) with coarse the grid of k // 2
-    cells per axis: a route's samples on the two grids of every two-grid
-    error estimate, each grid sampled once.  The coarse samples hold the
-    route's value on the coarse grid, the bits of a separate run there."""
+    cells per axis: a route's samples on the two grids of its two-grid
+    error estimate, each sampled once, the bits of separate runs there."""
     return sample(shape), sample(tuple(k // 2 for k in shape))
 
 
@@ -140,15 +140,18 @@ def midpoint_grid(box: BoxDomain, shape: tuple[int, ...]):
     return pts, cellvol, np.array(hs)
 
 
-def _norm_report(value, terms, grid, error_estimate, extras=None,
-                 **where) -> Report:
-    """The report of a norm route.  A manifold route passes ``manifold``,
+def _norm_report(value, terms, grid, error_estimate, extras=None, *,
+                 coarse: float, **where) -> Report:
+    """The report of a norm route, with its value on the coarse grid as
+    the attribute ``coarse``.  A manifold route passes ``manifold``,
     ``atlas`` and ``pou``, which go between the value and the terms;
     empty ``extras`` are left out."""
     kind = "manifold_norm_report" if where else "norm_report"
-    return Report(kind, value=value, **where, terms=terms, grid=grid,
-                  error_estimate=error_estimate,
-                  **({"extras": extras} if extras else {}))
+    rep = Report(kind, value=value, **where, terms=terms, grid=grid,
+                 error_estimate=error_estimate,
+                 **({"extras": extras} if extras else {}))
+    rep.coarse = coarse
+    return rep
 
 
 def _check_p(p: float):
@@ -157,10 +160,6 @@ def _check_p(p: float):
         raise ArgumentError(
             f"integrability p must be finite and > 1, got {p}")
     return p
-
-
-def _grid_meta(box: BoxDomain, shape):
-    return {"box": box.to_json(), "resolution": list(shape)}
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +171,12 @@ def _lp(vals: np.ndarray, cellvol: float, p: float) -> float:
 
 
 def lp_norm(u, box: BoxDomain, p: float = 2.0, N=None) -> Report:
-    """Composite-midpoint L^p norm of an expression."""
-    p = _check_p(p)
-    shape = grid_shape(box.n, N)
-
-    def value_at(shp):
-        pts, cellvol, _ = midpoint_grid(box, shp)
-        return _lp(u.values(pts), cellvol, p)
-    value, coarse = _ladder(value_at, shape)
-    return _norm_report(value, [{"kind": "lp", "p": p, "value": value}],
-                        _grid_meta(box, shape), abs(value - coarse))
+    """Composite-midpoint L^p norm of an expression: the one term of
+    :func:`sobolev_norm` at s = 0, reported as an ``lp`` term."""
+    rep = sobolev_norm(u, box, 0, p, N)
+    return _norm_report(rep.value, [{"kind": "lp", "p": rep.terms[0]["p"],
+                                     "value": rep.value}],
+                        rep.grid, rep.error_estimate, coarse=rep.coarse)
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +368,10 @@ def _diagonal_model(grads, box: BoxDomain, theta: float, p: float, shape):
 
 
 def _seminorm(S: float, S_coarse: float, D: float, p: float):
-    """(value, two-grid difference, error estimate) of a seminorm from its
-    double sums S and S_coarse on the two grids and its diagonal model D."""
-    value = S ** (1.0 / p)
-    two_grid = abs(value - S_coarse ** (1.0 / p))
-    return value, two_grid, two_grid + ((S + D) ** (1.0 / p) - value)
+    """(value, coarse value, error estimate) of a seminorm from its double
+    sums S and S_coarse on the two grids and its diagonal model D."""
+    value, coarse = S ** (1.0 / p), S_coarse ** (1.0 / p)
+    return value, coarse, abs(value - coarse) + ((S + D) ** (1.0 / p) - value)
 
 
 def gagliardo_seminorm(u, box: BoxDomain, theta: float, p: float = 2.0,
@@ -396,12 +390,13 @@ def gagliardo_seminorm(u, box: BoxDomain, theta: float, p: float = 2.0,
     pts, _, _ = midpoint_grid(box, shape)
     D = _diagonal_model([u.partial(ax).values(pts)
                          for ax in range(1, box.n + 1)], box, theta, p, shape)
-    value, two_grid, err = _seminorm(S, S_coarse, D, p)
+    value, coarse, err = _seminorm(S, S_coarse, D, p)
     return _norm_report(
         value, [{"kind": "gagliardo", "theta": float(theta), "p": p,
                  "value": value}],
-        _grid_meta(box, shape), err,
-        {"diagonal_model": D, "two_grid_difference": two_grid})
+        {"box": box.to_json(), "resolution": list(shape)}, err,
+        {"diagonal_model": D, "two_grid_difference": abs(value - coarse)},
+        coarse=coarse)
 
 
 # ---------------------------------------------------------------------------
@@ -435,13 +430,10 @@ def sobolev_norm(u, box: BoxDomain, s: float, p: float = 2.0,
     :func:`gagliardo_seminorm` of its d^nu u bit for bit.  ``extras`` also
     carries the equivalent full Slobodeckij form, which counts the L^p norm
     of each top-order derivative once more inside its fractional term, and
-    its ratio to ``value``; its error is not estimated.
+    its ratio to ``value``; its error is not estimated.  ``coarse`` is the
+    value at N // 2, summed from the coarse grid's terms: the bits of a
+    separate call there.
     """
-    return _sobolev_ladder(u, box, s, p, N)[0]
-
-
-def _sobolev_ladder(u, box: BoxDomain, s: float, p: float, N):
-    """(:func:`sobolev_norm` report at N, its value at N // 2)."""
     s = float(s)
     if s < 0:
         raise ArgumentError(f"smoothness s must be >= 0 here, got {s}")
@@ -482,12 +474,12 @@ def _sobolev_ladder(u, box: BoxDomain, s: float, p: float, N):
             D = _diagonal_model([next(fine) for _ in range(box.n)], box,
                                 theta, p, shape)
             S_c = _pair_sum(vals_c, box, shape_c, cellvol_c, theta, p)
-            semi, _, semi_err = _seminorm(
+            semi, semi_c, semi_err = _seminorm(
                 _pair_sum(vals, box, shape, cellvol, theta, p), S_c, D, p)
             terms.append({"kind": "gagliardo", "multi_index": list(nu),
                           "theta": theta, "p": p, "value": semi})
             value += semi
-            value_c += S_c ** (1.0 / p)  # as _seminorm takes it
+            value_c += semi_c
             err += semi_err
 
     value_full = value + top_lp
@@ -495,8 +487,8 @@ def _sobolev_ladder(u, box: BoxDomain, s: float, p: float, N):
               "full_variant_value": value_full}
     if value > 0:
         extras["variant_ratio"] = value_full / value
-    return (_norm_report(value, terms, _grid_meta(box, shape), err, extras),
-            value_c)
+    grid = {"box": box.to_json(), "resolution": list(shape)}
+    return _norm_report(value, terms, grid, err, extras, coarse=value_c)
 
 
 # ---------------------------------------------------------------------------

@@ -410,6 +410,27 @@ class TestCompareAndOps:
         assert rep["variant_b"] == "connection"
         assert len(rep["ratios"]) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("compare", "--manifold", "s1-stereo", "--expr", "0", "--e", "1",
+          "--grid", "32"),
+         "family member 0 has chart[alt] norm 0 on the grid [32]"),
+        (("compare", "--manifold", "s1-stereo", "--expr", "x1", "--expr",
+          "0", "--e", "1", "--grid", "32", "--against", "connection"),
+         "family member 1 has connection norm 0 on the grid [32]"),
+        (("op", "bound", "--manifold", "torus1", "--op", "d", "--from",
+          "1,2", "--to", "0,2", "--expr", "0", "--grid", "8"),
+         "family member 0 has box norm 0 on the grid [8]"),
+        (("op", "bound", "--manifold", "s2-stereo", "--op", "d", "--from",
+          "1,2", "--to", "0,2", "--expr", "x1*x3", "--expr", "0",
+          "--grid", "8"),
+         "family member 1 has chart[default] norm 0 on the grid [8, 8]"),
+    ])
+    def test_zero_norm_ratio_is_numerical_error(self, capsys, argv,
+                                                message):
+        code, rep = run(capsys, *argv)
+        assert code == 3
+        assert rep["error"] == message + ", so its ratio is undefined"
+
     def test_op_apply(self, capsys):
         code, rep = run(capsys, "op", "apply", "--manifold", "torus1",
                         "--op", "laplace", "--expr", "sin(2*pi*x1)")
@@ -466,8 +487,8 @@ class TestCompareAndOps:
     @staticmethod
     def refuse_norms(monkeypatch):
         import sobolev.manifold_norms as mn
-        for name in ("_chart_ladder", "_connection_ladder",
-                     "_sobolev_ladder"):
+        for name in ("chart_sobolev_norm", "connection_sobolev_norm",
+                     "sobolev_norm"):
             monkeypatch.setattr(mn, name, no_norms)
 
     def test_compare_connection_fractional_order_is_usage_error(

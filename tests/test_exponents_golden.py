@@ -3,7 +3,8 @@
 Each digest is the SHA-256 of the verdict JSON (or the exception's type
 and message) of every input of its grid, in grid order, so any change to
 a result, a theorem tag, a condition text, its exact sides or the order
-of the conditions or candidates changes the digest.
+of the conditions or candidates changes the digest.  Every verdict's
+condition trace is also re-evaluated on the way (``_record``).
 """
 
 import hashlib
@@ -26,10 +27,18 @@ ENCLOSING = ("general", "lipschitz", "fullspace")
 
 
 def _record(check, *args):
+    """The verdict JSON of one check, after checking that its condition
+    trace re-evaluates independently: each condition's
+    ``reevaluate()`` equals its ``satisfied`` flag."""
     try:
-        return check(*args).to_json()
+        verdict = check(*args)
     except ValueError as err:
         return {"error": type(err).__name__, "message": str(err)}
+    for cond in itertools.chain(
+            verdict.conditions,
+            *(cand.conditions for cand in verdict.candidates)):
+        assert cond.reevaluate() == cond.satisfied, cond
+    return verdict.to_json()
 
 
 def _embedding():

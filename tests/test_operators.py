@@ -204,6 +204,17 @@ class TestEmpiricalBound:
             empirical_bound("div", g, ("1", "2"), ("0", "2"),
                             self.family(atlas), N=16, route="box")
 
+    def test_zero_norm_on_the_coarse_grid_is_named(self, t1, monkeypatch):
+        from sobolev.manifold_norms import NormVariant
+
+        # every norm reads 1 at N and 0 at N // 2
+        monkeypatch.setattr(NormVariant, "_ladder", lambda *a: (1.0, 0.0))
+        atlas, _, g = t1
+        with pytest.raises(ZeroDivisionError, match=r"^family member 0 has "
+                           r"box norm 0 on the grid \[8\], so"):
+            empirical_bound("d", g, ("1", "2"), ("0", "2"),
+                            self.family(atlas), N=16, route="box")
+
     def test_scale_invariance(self, t1):
         """Both norms are 1-homogeneous, so scaling the family moves no
         ratio beyond roundoff."""

@@ -4,7 +4,10 @@ The tracer wraps every public function at every module binding and the
 ``values``/``partial`` methods of ``fields.Field`` from outside the
 library.  This test loads it unchanged in a fresh process, runs three small
 CLI commands untraced and traced, and checks that tracing changes no
-output byte and that ``uninstall`` puts every binding back.
+output byte and that ``uninstall`` puts every binding back.  Two more
+commands, each traced on its own, check that the chart route and an
+operator bound reach box norms through public names, so their time lands
+in the ``quadrature.reduce`` and ``manifold_norms`` layers.
 """
 
 import json
@@ -23,6 +26,14 @@ COMMANDS = [
      "--grid", "32", "--seminorm"],
     ["norm", "connection", "--manifold", "s1-stereo", "--expr", "x1*x2",
      "--k", "2", "--grid", "32"],
+]
+
+# each traced on its own
+ROUTE_COMMANDS = [
+    ["norm", "manifold", "--manifold", "torus2", "--expr",
+     "sin(2*pi*x1)*cos(2*pi*x2)", "--e", "3/2", "--grid", "8"],
+    ["op", "bound", "--manifold", "s1-stereo", "--op", "d", "--from", "1,2",
+     "--to", "0,2", "--expr", "x1*x2", "--grid", "16"],
 ]
 
 SCRIPT = r"""
@@ -47,10 +58,10 @@ def bindings():
     return out
 
 
-def run_all():
+def run_all(commands):
     from sobolev import cli
     outs = []
-    for argv in json.loads(sys.argv[2]):
+    for argv in commands:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = cli.execute(argv)
@@ -58,20 +69,30 @@ def run_all():
     return outs
 
 
+def traced_alone(argv):
+    t = tracer.Tracer().install()
+    [(code, _)] = run_all([argv])
+    layers = t.layers()
+    t.uninstall()
+    return [code, {k: v["calls"] for k, v in layers.items()}]
+
+
 before = bindings()
-plain = run_all()
+plain = run_all(json.loads(sys.argv[2]))
 t = tracer.Tracer().install()
 during = bindings()
-traced = run_all()
+traced = run_all(json.loads(sys.argv[2]))
 layers = t.layers()
 t.uninstall()
 after = bindings()
+alone = [traced_alone(argv) for argv in json.loads(sys.argv[3])]
 print(json.dumps({
     "plain": plain, "traced": traced,
     "wrapped": sorted(k for k in before if during[k] is not before[k]),
     "not_restored": sorted(k for k in before.keys() | after.keys()
                            if after.get(k) is not before.get(k)),
     "layers": sorted(layers),
+    "alone": alone,
 }))
 """
 
@@ -83,7 +104,7 @@ def test_traced_run_is_byte_identical_and_uninstall_restores():
                                else []))
     done = subprocess.run(
         [sys.executable, "-B", "-c", SCRIPT, str(TRACER),
-         json.dumps(COMMANDS)],
+         json.dumps(COMMANDS), json.dumps(ROUTE_COMMANDS)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
@@ -100,3 +121,7 @@ def test_traced_run_is_byte_identical_and_uninstall_restores():
                   "geometry.fiber_norm", "atlas.setup", "manifold_norms",
                   "fields.values", "fields.partial"):
         assert layer in result["layers"]
+    for code, calls in result["alone"]:
+        assert code == 0
+        assert calls.get("quadrature.reduce", 0) > 0
+        assert calls.get("manifold_norms", 0) > 0

@@ -1,8 +1,9 @@
 """Every route takes its error estimate from the same two grids: the
 value on the grid of N cells per axis against the value the same route
 reports on the grid of N // 2, bit for bit.  Both come off one grid
-ladder, which samples each grid once: an operator bound reads a norm's
-values at N and at N // 2 off the two grids of its estimate at N."""
+ladder, which samples each grid once: a norm report carries its value at
+N // 2 as ``rep.coarse``, outside its JSON, and an operator bound reads
+a norm's values at N and at N // 2 off the two grids of its estimate."""
 
 import contextlib
 import io
@@ -16,12 +17,12 @@ from sobolev.atlas import builtin_manifold
 from sobolev.funcexpr import eval_many, parse_expr
 from sobolev.geometry import TensorField
 from sobolev.manifold_norms import (
-    NormVariant, _chart_ladder, _connection_ladder, chart_sobolev_norm,
-    connection_sobolev_norm, manifold_lq_norm,
+    NormVariant, chart_sobolev_norm, connection_sobolev_norm,
+    manifold_lq_norm,
 )
 from sobolev.operators import divergence_integral, empirical_bound
 from sobolev.quadrature import (
-    BoxDomain, _sobolev_ladder, gagliardo_seminorm, lp_norm, sobolev_norm,
+    BoxDomain, gagliardo_seminorm, lp_norm, sobolev_norm,
 )
 
 GRIDS = [16, 24]
@@ -88,29 +89,25 @@ def test_operator_bound_coarse_sup_is_the_half_grid_sup(name, route, N):
     assert rep(N).sup_coarse == rep(N // 2).sup
 
 
-# A ladder samples N and N // 2 once each; a norm's report at N and its
-# value at N // 2 come off it, the same bits as separate calls there.
+# A ladder samples N and N // 2 once each; a norm's report at N carries
+# its value at N // 2 as ``coarse``, the same bits as a separate call
+# there, and its JSON does not.
 
 def ladder_routes(s1):
     atlas, pou, g = s1
     u = TensorField.from_ambient(atlas, "x1*x2")
     f = parse_expr("sin(x1)*x2 + 1", 2)
     return {
-        "box integer order": (
-            lambda N: _sobolev_ladder(f, SQUARE, 2, 3, N),
-            lambda N: sobolev_norm(f, SQUARE, 2, 3, N)),
-        "box fractional order": (
-            lambda N: _sobolev_ladder(f, SQUARE, 1.5, 2, N),
-            lambda N: sobolev_norm(f, SQUARE, 1.5, 2, N)),
-        "chart fractional order": (
-            lambda N: _chart_ladder(u, pou, 0.5, 3, N),
-            lambda N: chart_sobolev_norm(u, pou, e=0.5, q=3, N=N)),
-        "chart integer order": (
-            lambda N: _chart_ladder(u, pou, 2, 2, N),
-            lambda N: chart_sobolev_norm(u, pou, e=2, q=2, N=N)),
-        "connection": (
-            lambda N: _connection_ladder(u, g, 2, 2, N, pou),
-            lambda N: connection_sobolev_norm(u, g, 2, 2, N, pou)),
+        "box integer order": lambda N: sobolev_norm(f, SQUARE, 2, 3, N),
+        "box fractional order": lambda N: sobolev_norm(f, SQUARE, 1.5, 2, N),
+        "chart fractional order":
+            lambda N: chart_sobolev_norm(u, pou, e=0.5, q=3, N=N),
+        "chart integer order":
+            lambda N: chart_sobolev_norm(u, pou, e=2, q=2, N=N),
+        "connection": lambda N: connection_sobolev_norm(u, g, 2, 2, N, pou),
+        "lp": lambda N: lp_norm(f, SQUARE, p=3, N=N),
+        "gagliardo": lambda N: gagliardo_seminorm(f, SQUARE, 0.4, 3, N),
+        "intrinsic": lambda N: manifold_lq_norm(u, g, pou, q=3, N=N),
     }
 
 
@@ -118,12 +115,14 @@ def ladder_routes(s1):
 @pytest.mark.parametrize("route", ["box integer order",
                                    "box fractional order",
                                    "chart fractional order",
-                                   "chart integer order", "connection"])
+                                   "chart integer order", "connection",
+                                   "lp", "gagliardo", "intrinsic"])
 def test_ladder_levels_are_separate_calls(s1, route, N):
-    ladder, call = ladder_routes(s1)[route]
-    rep, value_c = ladder(N)
-    assert json.dumps(rep) == json.dumps(call(N))
-    assert value_c == call(N // 2).value
+    rep = ladder_routes(s1)[route]
+    fine = rep(N)
+    assert fine.coarse == rep(N // 2).value
+    assert "coarse" not in fine
+    assert "coarse" not in json.dumps(fine)
 
 
 @pytest.mark.parametrize("name, text, kind, e", [
