@@ -117,8 +117,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--a", type=_PAIR, required=True, metavar="S1,P1")
     c.add_argument("--b", type=_PAIR, required=True, metavar="S2,P2")
     c.add_argument("--target", type=_PAIR, required=True, metavar="S,P")
-    c.add_argument("--domain", default="fullspace",
-                   choices=["fullspace", "lipschitz"])
+    c.add_argument("--domain", default="fullspace", choices=sorted(_DOMAINS))
 
     c = csub.add_parser("pointwise")
     c.add_argument("--n", type=int, required=True)

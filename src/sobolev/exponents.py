@@ -401,7 +401,8 @@ POINTWISE_MODES = tuple(_POINTWISE)
 def check_pointwise(spec: SpaceSpec, mode: str) -> Verdict:
     """Decide the s*p > n pointwise regimes for a single space."""
     if mode not in POINTWISE_MODES:
-        raise ValueError(f"mode must be one of {POINTWISE_MODES}, got {mode!r}")
+        raise ArgumentError(
+            f"mode must be one of {POINTWISE_MODES}, got {mode!r}")
     hypotheses = {
         _REGULAR_DOMAIN: (int(spec.domain_class in (
             DomainClass.FULL_SPACE, DomainClass.BOUNDED_LIPSCHITZ)), "==", 1),

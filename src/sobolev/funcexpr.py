@@ -468,7 +468,7 @@ class _Parser:
 def parse_expr(text: str, n: int) -> Expr:
     """Parse ``text`` as an expression in variables x1..xn."""
     if n < 1:
-        raise ValueError("dimension must be >= 1")
+        raise ArgumentError("dimension must be >= 1")
     return _Parser(text, n).parse()
 
 

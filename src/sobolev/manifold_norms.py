@@ -190,28 +190,33 @@ class NormVariant:
     pou: PartitionOfUnity | None = None
     metric: MetricField | None = None
 
-    def check(self, atlas, e) -> None:
+    def check(self, atlas, e, q, N) -> None:
         """Raise :class:`~sobolev.ArgumentError` unless this route takes
-        order ``e`` on ``atlas``."""
+        order ``e``, exponent ``q`` and grid ``N`` on ``atlas``: every
+        argument the route refuses, checked before any norm."""
         if self.kind not in ("chart", "connection", "box"):
             raise ArgumentError(f"unknown norm variant {self.kind!r}")
-        if self.kind == "connection" and abs(e - round(e)) > 1e-12:
+        if e < 0:
+            raise ArgumentError("numerical manifold norms require e >= 0")
+        if self.kind == "connection" and e % 1:
             raise ArgumentError("the connection route needs integer order")
         if self.kind == "box" and atlas.period_box is None:
             raise ArgumentError("the box route integrates one exact period; "
                                 "it applies to the torus manifolds")
+        _check_p(q)
+        grid_shape(atlas.dim, N, e)
 
     def compute(self, u, e, q, N) -> float:
         return self._ladder(u, e, q, N)[0]
 
     def _ladder(self, u, e, q, N) -> tuple[float, float]:
         """:meth:`compute` at N and at N // 2: ``value`` and ``coarse``."""
-        self.check(u.atlas, e)
+        self.check(u.atlas, e, q, N)
         if self.kind == "chart":
             reps = [chart_sobolev_norm(u, self.pou, e, q, N)]
         elif self.kind == "connection":
-            reps = [connection_sobolev_norm(u, self.metric, int(round(e)), q,
-                                            N, self.pou)]
+            reps = [connection_sobolev_norm(u, self.metric, e, q, N,
+                                            self.pou)]
         else:  # the sum of the components' box norms
             reps = [sobolev_norm(comp, u.atlas.period_box, e, q, N)
                     for comp in u.comps[0]]
@@ -237,19 +242,20 @@ def compare_norms(family, variant_a: NormVariant, variant_b: NormVariant,
                   e: float, q: float = 2.0, N=None) -> Report:
     """Per-function ratios A/B with their min/max bracket.
 
-    Both routes are checked against ``e`` (:meth:`NormVariant.check`)
-    before any norm is computed.  Every norm is 1-homogeneous, so the
-    ratios do not depend on the scale of a function; the tests check that
-    property on every route, so a report does not recompute it.  A zero
-    B norm is a ``ZeroDivisionError`` (:func:`_ratio`).
+    Both routes are checked (:meth:`NormVariant.check`) before any norm
+    is computed.  Every norm is 1-homogeneous, so the ratios do not
+    depend on the scale of a function; the tests check that property on
+    every route, so a report does not recompute it.  A zero B norm is a
+    ``ZeroDivisionError`` (:func:`_ratio`).
     """
     if not family:
         raise ArgumentError("the function family is empty")
+    atlas = family[0].atlas
     for variant in (variant_a, variant_b):  # before the first norm
-        variant.check(family[0].atlas, e)
+        variant.check(atlas, e, q, N)
+    shape = grid_shape(atlas.dim, N)
     ratios = [_ratio(variant_a.compute(u, e, q, N),
-                     variant_b.compute(u, e, q, N), i, variant_b,
-                     grid_shape(u.atlas.dim, N))
+                     variant_b.compute(u, e, q, N), i, variant_b, shape)
               for i, u in enumerate(family)]
     return Report("norm_comparison",
                   variant_a=variant_a.describe(),

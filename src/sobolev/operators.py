@@ -36,7 +36,7 @@ from sobolev.geometry import (
     MetricField, TensorField, covariant_derivative, musical,
 )
 from sobolev.manifold_norms import NormVariant, _intrinsic_integrals, _ratio
-from sobolev.quadrature import _check_halvings, _check_p, grid_shape
+from sobolev.quadrature import _ladder, grid_shape
 
 __all__ = [
     "ValenceMismatch", "apply_operator", "empirical_bound",
@@ -52,7 +52,7 @@ _VALENCES = {
 }
 
 
-class ValenceMismatch(TypeError):
+class ValenceMismatch(ArgumentError, TypeError):
     pass
 
 
@@ -119,8 +119,9 @@ def empirical_bound(op_id: str, g: MetricField, from_exponents,
     """Empirical norm of the operator ``op_id`` with the metric ``g``: sup
     over the family of ||op u||_{to} / ||u||_{from}, at N and at N // 2.
 
-    ``from_exponents``/``to_exponents`` are (e, q) pairs with e >= 0.
-    The pair is first screened against the chartwise differentiation
+    ``from_exponents``/``to_exponents`` are (e, q) pairs, each checked
+    with ``N`` by the route's :meth:`NormVariant.check`.  The pair is
+    then screened against the chartwise differentiation
     theorem (chart images are the whole space or Lipschitz boxes), whose
     verdict the report carries under ``screen``; a pair it does not
     cover, or a target order above ``e - order``, raises
@@ -141,12 +142,14 @@ def empirical_bound(op_id: str, g: MetricField, from_exponents,
     except (ValueError, OverflowError) as exc:
         raise ArgumentError(f"orders must be (e, q) pairs of rationals "
                             f"with finite floats: {exc}") from None
-    if e < 0 or et < 0:
-        raise ArgumentError("numerical norms require nonnegative orders")
-    _check_p(qt)  # the screen below checks q
     atlas = g.atlas
-    shape = grid_shape(atlas.dim, N)
-    _check_halvings(shape, 1 + bool(e % 1 or et % 1))
+    if route is None:
+        route = "chart" if atlas.period_box is None else "box"
+    if pou is None and route == "chart":
+        pou = build_partition_of_unity(atlas)
+    variant = NormVariant(route, pou=pou)
+    variant.check(atlas, e, q, N)
+    variant.check(atlas, et, qt, N)
     order = _VALENCES[op_id][1]
     frm = space(exact[0], exact[1], atlas.dim, _chart_domain_class(atlas))
     verdict = check_derivative(frm, order)
@@ -158,20 +161,16 @@ def empirical_bound(op_id: str, g: MetricField, from_exponents,
     if et > e - order:
         raise ExponentError(
             f"target order {et} exceeds the declared map (e - {order})")
-    if route is None:
-        route = "chart" if atlas.period_box is None else "box"
-    if pou is None and route == "chart":
-        pou = build_partition_of_unity(atlas)
-    variant = NormVariant(route, pou=pou)
 
+    # the two grids of every norm's estimate
+    shape, shape_c = _ladder(tuple, grid_shape(atlas.dim, N))
     ratios, coarse = [], []  # at N and at N // 2
     for i, u in enumerate(family):
         image = apply_operator(op_id, g, u)
         nu, nu_c = variant._ladder(u, e, q, shape)
         n_image, n_image_c = variant._ladder(image, et, qt, shape)
         ratios.append(_ratio(n_image, nu, i, variant, shape))
-        coarse.append(_ratio(n_image_c, nu_c, i, variant,
-                             [k // 2 for k in shape]))
+        coarse.append(_ratio(n_image_c, nu_c, i, variant, shape_c))
     sup_fine = max(ratios)
     sup_coarse = max(coarse)
     return Report(

@@ -89,13 +89,15 @@ class BoxDomain:
         return [list(b) for b in self.bounds]
 
 
-def grid_shape(n: int, N=None) -> tuple[int, ...]:
+def grid_shape(n: int, N=None, order: float = 0) -> tuple[int, ...]:
     """Per-axis cell counts from N: one count for every axis, a per-axis
     tuple, or None for the default (256 cells for n=1, 64 per axis
     otherwise).
 
-    Every axis needs at least 2 cells, because the two-grid error
-    estimate halves each count.
+    This is the grid rule of every norm route.  Every axis needs at
+    least 2 cells, because the two-grid error estimate halves each
+    count, and at least 4 at a fractional ``order``, whose double sum is
+    also taken on the halved grid.
     """
     if N is None:
         N = 256 if n == 1 else 64
@@ -103,20 +105,11 @@ def grid_shape(n: int, N=None) -> tuple[int, ...]:
     if len(shape) != n:
         raise ArgumentError(
             "per-axis resolution length must match dimension")
-    _check_halvings(shape)
-    return shape
-
-
-def _check_halvings(shape, halvings: int = 0) -> None:
-    """Every axis needs 2 << halvings cells: the two-grid estimate halves
-    the grid, and each halving below that doubles the need: one where a
-    fractional order takes its double sum on the halved grid, and one
-    more for an operator bound, which once took its norms there anew; it
-    was kept so that no refusal moved."""
-    need = 2 << halvings
+    need = 4 if order % 1 else 2
     if min(shape) < need:
         raise ArgumentError(f"grid resolution must be at least {need} per "
                             f"axis, got {list(shape)}")
+    return shape
 
 
 def _ladder(sample, shape: tuple[int, ...]):
@@ -379,17 +372,17 @@ def gagliardo_seminorm(u, box: BoxDomain, theta: float, p: float = 2.0,
     """Fractional-smoothness seminorm by the cell-pair midpoint rule.
 
     The exact-diagonal pairs are excluded from the value; a Lipschitz
-    model of their contribution is folded into ``error_estimate``
-    together with a two-grid difference.
+    model of their contribution, from the first partials of u sampled in
+    one program, is folded into ``error_estimate`` together with a
+    two-grid difference.
     """
     p = _check_p(p)
-    shape = grid_shape(box.n, N)
-    _check_halvings(shape, 1)
+    shape = grid_shape(box.n, N, theta)
     S, S_coarse = _ladder(
         lambda shp: gagliardo_double_sum(u, box, theta, p, shp), shape)
     pts, _, _ = midpoint_grid(box, shape)
-    D = _diagonal_model([u.partial(ax).values(pts)
-                         for ax in range(1, box.n + 1)], box, theta, p, shape)
+    grads = [u.partial(ax) for ax in range(1, box.n + 1)]
+    D = _diagonal_model(eval_many(grads, pts).T, box, theta, p, shape)
     value, coarse, err = _seminorm(S, S_coarse, D, p)
     return _norm_report(
         value, [{"kind": "gagliardo", "theta": float(theta), "p": p,
@@ -438,10 +431,9 @@ def sobolev_norm(u, box: BoxDomain, s: float, p: float = 2.0,
     if s < 0:
         raise ArgumentError(f"smoothness s must be >= 0 here, got {s}")
     p = _check_p(p)
-    shape = grid_shape(box.n, N)
+    shape = grid_shape(box.n, N, s)
     k = int(math.floor(s))
     theta = s - k
-    _check_halvings(shape, theta > 0)  # before the first term is computed
 
     nus = multi_indices(box.n, k)
     tops = [theta > 0.0 and sum(nu) == k for nu in nus]

@@ -61,6 +61,20 @@ class TestCheckCommands:
         assert code == 1
         assert rep["result"] == "NotGuaranteed"
 
+    @pytest.mark.parametrize("domain", ["manifold", "open",
+                                        "compact-support"])
+    def test_multiply_takes_every_domain_class(self, capsys, domain):
+        # no multiplication family is encoded there: a verdict, not a
+        # usage error
+        code, rep = run(capsys, "check", "multiply", "--n", "3",
+                        "--a", "1,2", "--b", "1,2", "--target", "0,2",
+                        "--domain", domain)
+        assert code == 1
+        assert rep["result"] == "NotGuaranteed"
+        assert rep["conditions"][0]["condition"] == (
+            f"a multiplication family is encoded for domain class "
+            f"'{domain}'")
+
     def test_embed(self, capsys):
         code, rep = run(capsys, "check", "embed", "--n", "2",
                         "--from", "2,2", "--to", "1,4")
@@ -268,10 +282,10 @@ class TestNormCommands:
           "--e", "1/2", "--grid", "2"), 4),
         (("op", "bound", "--manifold", "torus1", "--op", "laplace",
           "--from", "2,2", "--to", "0,2", "--expr", "sin(2*pi*x1)",
-          "--grid", "3"), 4),
+          "--grid", "1"), 2),
         (("op", "bound", "--manifold", "torus1", "--op", "laplace",
           "--from", "5/2,2", "--to", "1/2,2", "--expr", "sin(2*pi*x1)",
-          "--grid", "7"), 8),
+          "--grid", "3"), 4),
         (("norm", "connection", "--manifold", "torus1", "--expr",
           "sin(2*pi*x1)", "--grid", "1"), 2),
         (("norm", "manifold", "--manifold", "torus1", "--expr",
@@ -293,6 +307,12 @@ class TestNormCommands:
         ("op", "bound", "--manifold", "torus1", "--op", "laplace",
          "--from", "5/2,2", "--to", "1/2,2", "--expr", "sin(2*pi*x1)",
          "--grid", "8"),
+        ("op", "bound", "--manifold", "torus1", "--op", "laplace",
+         "--from", "2,2", "--to", "0,2", "--expr", "sin(2*pi*x1)",
+         "--grid", "2"),
+        ("op", "bound", "--manifold", "torus1", "--op", "laplace",
+         "--from", "5/2,2", "--to", "1/2,2", "--expr", "sin(2*pi*x1)",
+         "--grid", "4"),
     ])
     def test_smallest_grids_still_run(self, capsys, argv):
         code, rep = run(capsys, *argv)
@@ -491,11 +511,13 @@ class TestCompareAndOps:
                      "sobolev_norm"):
             monkeypatch.setattr(mn, name, no_norms)
 
+    @pytest.mark.parametrize("e", ["1/2", "1.0000000000001"])
     def test_compare_connection_fractional_order_is_usage_error(
-            self, capsys, monkeypatch):
+            self, capsys, monkeypatch, e):
+        # the integer rule is exact: an order near 1 is not 1
         self.refuse_norms(monkeypatch)
         code, rep = run(capsys, "compare", "--manifold", "s1-stereo",
-                        "--expr", "x1", "--e", "1/2", "--grid", "16",
+                        "--expr", "x1", "--e", e, "--grid", "16",
                         "--against", "connection")
         assert code == 2
         assert rep["error"] == "the connection route needs integer order"

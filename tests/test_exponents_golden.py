@@ -96,7 +96,7 @@ GOLDEN = {
         "56a34a4c64019aafaa8b17be08e77a9dd220a564d71e5214da95f9e9a9f98681"),
     "pointwise": (
         _pointwise,
-        "d9601208fd7025932219700ff39184dedb18c77d58379bd1b7bdf1b889a59222"),
+        "6350e78795cf53319eb7961282ff56df3780d38feaefac2f4c0d513f808f8fca"),
     "derivative": (
         _derivative,
         "641828a1ad51f5c034c56a716879548873645c8041b50e540ef2f27c19ecfd26"),

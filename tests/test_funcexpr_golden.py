@@ -101,7 +101,7 @@ def _records():
 
 
 GOLDEN = (
-    "bc1c9f507886c5b7fa85d9f351f78abc8eb7e82ab63afca50f53b982bf246cee")
+    "f25bf2877b725bb1651facaccbcfb1316efd1485c3663fe216bc38f91a9267d3")
 
 
 def test_expression_language_digest():

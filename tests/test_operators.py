@@ -269,11 +269,11 @@ class TestEmpiricalBound:
         assert reports[0] == reports[1] == reports[2]
 
     @pytest.mark.parametrize("op, frm, to, N, message", [
-        # the sup is taken on the halved grid, and a fractional order
-        # takes its double sum on a grid halved once more
-        ("laplace", (Fraction(5, 2), 2), (Fraction(1, 2), 2), 7,
-         r"at least 8 per axis, got \[7\]"),
-        ("d", (1, 2), (0, 2), 3, r"at least 4 per axis, got \[3\]"),
+        # the grid rule of the norms: the sup is taken on the halved
+        # grid, and a fractional order takes its double sum there too
+        ("laplace", (Fraction(5, 2), 2), (Fraction(1, 2), 2), 3,
+         r"at least 4 per axis, got \[3\]"),
+        ("d", (1, 2), (0, 2), 1, r"at least 2 per axis, got \[1\]"),
     ])
     def test_too_small_grid_names_the_callers_grid(self, t1, op, frm, to,
                                                    N, message):

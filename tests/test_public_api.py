@@ -17,6 +17,7 @@ from sobolev import manifold_norms as mn
 from sobolev import operators as ops
 from sobolev import quadrature as quad
 from sobolev.atlas import build_partition_of_unity, builtin_manifold
+from sobolev.exponents import check_pointwise, space
 from sobolev.fields import interval_bump, radial_bump
 from sobolev.funcexpr import ZERO, eval_on_points, parse_expr
 from sobolev.geometry import (
@@ -52,11 +53,13 @@ def test_argument_error_types_are_pinned():
     assert issubclass(ArgumentError, ValueError)
     assert sorted(k for k, arg in errors.items() if arg) == [
         "AtlasConfigError", "DimensionMismatch", "ExponentError",
-        "ExprSyntaxError", "UnknownManifold", "WrongDomainClass"]
+        "ExprSyntaxError", "UnknownManifold", "ValenceMismatch",
+        "WrongDomainClass"]
     assert sorted(k for k, arg in errors.items() if not arg) == [
         "CoverConditionError", "ExprDomainError", "PeriodicityError",
-        "SupportViolation", "ValenceMismatch"]
+        "SupportViolation"]
     assert issubclass(sobolev.atlas.UnknownManifold, LookupError)
+    assert issubclass(sobolev.operators.ValenceMismatch, TypeError)
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +94,9 @@ RULES = {
     "connection route at a fractional order": lambda a: mn.compare_norms(
         [a.u], a.chart, mn.NormVariant("connection", metric=a.g, pou=a.pou),
         e=0.5),
+    "connection route at a near-integer order": lambda a: mn.compare_norms(
+        [a.u], a.chart, mn.NormVariant("connection", metric=a.g, pou=a.pou),
+        e=1 + 1e-13),
     "box route off the tori":
         lambda a: mn.NormVariant("box").compute(a.v, 1, 2, 16),
     "negative operator order":
@@ -99,8 +105,10 @@ RULES = {
         lambda a: ops.empirical_bound("d", a.g, (1, 2), (0, 1), [a.u]),
     "operator on an empty family":
         lambda a: ops.empirical_bound("d", a.g, (1, 2), (0, 2), []),
-    "operator grid below its halvings":
-        lambda a: ops.empirical_bound("d", a.g, (1, 2), (0, 2), [a.u], N=3),
+    "operator grid below its halvings": lambda a: ops.empirical_bound(
+        "d", a.g, ("3/2", 2), ("1/2", 2), [a.u], N=3),
+    "operator grid below 2":
+        lambda a: ops.empirical_bound("d", a.g, (1, 2), (0, 2), [a.u], N=1),
     "operator order whose float overflows":
         lambda a: ops.empirical_bound("d", a.g, ("1e400", 2), (0, 2), [a.u]),
     "operator order not finite":
@@ -121,6 +129,11 @@ RULES = {
     "radial bump plateau above its support":
         lambda a: radial_bump(2, 2, 1),
     "points not a 2d array": lambda a: eval_on_points(a.x, np.zeros(3)),
+    "expression dimension below 1": lambda a: parse_expr("1", 0),
+    "pointwise mode unknown":
+        lambda a: check_pointwise(space(1, 2, 1), "bounded"),
+    "operator on a field of the wrong valence":
+        lambda a: ops.apply_operator("div", a.g, a.u),
 }
 
 

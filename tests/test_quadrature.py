@@ -437,6 +437,47 @@ class TestSharedSampling:
                                 "0,1", "--s", "3/2", "--grid", str(N)]) == 3
 
 
+def per_axis_diagonal_model(u, box, theta, p, N):
+    """The diagonal model of u with each first partial sampled alone."""
+    shape = grid_shape(box.n, N)
+    pts, _, _ = midpoint_grid(box, shape)
+    return quadrature._diagonal_model(
+        [u.partial(ax).values(pts) for ax in range(1, box.n + 1)], box,
+        theta, p, shape)
+
+
+class TestSeminormGradient:
+    """``gagliardo_seminorm`` samples the first partials of its diagonal
+    model in one program: the model and the error a failing partial
+    raises are those of sampling each partial alone."""
+
+    @pytest.mark.parametrize("expr,box,N", TestSharedSampling.CASES)
+    @pytest.mark.parametrize("theta,p", [(0.5, 2.0), (0.3, 3.0)])
+    def test_diagonal_model_matches_per_axis_sampling(self, expr, box, N,
+                                                      theta, p):
+        box = BoxDomain([tuple(map(float, b.split(",")))
+                         for b in box.split(";")])
+        u = parse_expr(expr, box.n)
+        rep = gagliardo_seminorm(u, box, theta, p, N)
+        assert rep.extras["diagonal_model"].hex() == \
+            per_axis_diagonal_model(u, box, theta, p, N).hex()
+
+    @pytest.mark.parametrize("expr", [
+        # each fails on the fine grid's midpoints x = 1/128 only, and at
+        # both partials, with another message at each
+        "abs(x1 - 1/128) + abs(x2 - 1/128)^(1/2)",
+        "abs(x2 - 1/128) + abs(x1 - 1/128)^(1/2)",
+    ])
+    def test_failing_partial_raises_the_per_axis_error(self, expr):
+        square = BoxDomain(((0.0, 1.0), (0.0, 1.0)))
+        u = parse_expr(expr, 2)
+        with pytest.raises(ExprDomainError) as ref:
+            per_axis_diagonal_model(u, square, 0.5, 2.0, 64)
+        with pytest.raises(ExprDomainError) as got:
+            gagliardo_seminorm(u, square, 0.5, 2.0, 64)
+        assert str(got.value) == str(ref.value)
+
+
 def test_box_interior_is_open():
     square = BoxDomain(((0.0, 1.0), (-1.0, 1.0)))
     pts = np.array([[0.5, 0.0], [0.0, 0.0], [0.5, 1.0], [1.5, 0.0],

@@ -6,9 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sobolev.funcexpr
+from sobolev import ArgumentError
 from sobolev.atlas import builtin_manifold
 from sobolev.funcexpr import FUNCTIONS
+from sobolev.quadrature import grid_shape
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,3 +47,15 @@ def test_echoed_descriptor_keys_are_the_atlas_config_keys():
     atlas = builtin_manifold("torus1")[0]
     assert tuple(re.findall(r"`(\w+)`", keys)) == \
         tuple(k for k in atlas.to_config() if k != "manifold")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stated_grid_minima_are_the_grid_rule(n):
+    text = " ".join((ROOT / "README.md").read_text().split())
+    minima = re.search(r"every axis needs `N >= (\d+)`, and `N >= (\d+)` "
+                       r"at a fractional order", text).groups()
+    for order, need in zip((1, 0.5), map(int, minima)):
+        assert grid_shape(n, need, order) == (need,) * n
+        short = (need,) * (n - 1) + (need - 1,)  # one axis short refuses
+        with pytest.raises(ArgumentError, match=f"at least {need} per axis"):
+            grid_shape(n, short, order)

@@ -12,9 +12,9 @@ from collections import Counter
 
 import pytest
 
-from sobolev import cli, quadrature
+from sobolev import cli, funcexpr, quadrature
 from sobolev.atlas import builtin_manifold
-from sobolev.funcexpr import eval_many, parse_expr
+from sobolev.funcexpr import parse_expr
 from sobolev.geometry import TensorField
 from sobolev.manifold_norms import (
     NormVariant, chart_sobolev_norm, connection_sobolev_norm,
@@ -138,15 +138,18 @@ def test_norm_variant_ladder_levels_are_separate_calls(name, text, kind, e):
                       variant.compute(u, e, 2, 8))
 
 
-def programs_per_grid(monkeypatch, argv):
-    """Run one CLI command; count quadrature's evaluation programs by the
-    number of points they run on."""
+def programs_per_grid(monkeypatch, argv, module=quadrature,
+                      name="eval_many"):
+    """Run one CLI command; count the calls of ``module.name``, by default
+    quadrature's evaluation programs, by the number of points they run
+    on."""
     counts = Counter()
+    run = getattr(module, name)
 
     def counting(roots, pts):
         counts[len(pts)] += 1
-        return eval_many(roots, pts)
-    monkeypatch.setattr(quadrature, "eval_many", counting)
+        return run(roots, pts)
+    monkeypatch.setattr(module, name, counting)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.execute(argv.split()) == 0
     return dict(counts)
@@ -164,3 +167,18 @@ def programs_per_grid(monkeypatch, argv):
 ])
 def test_each_grid_is_sampled_once(monkeypatch, argv, counts):
     assert programs_per_grid(monkeypatch, argv) == counts
+
+
+@pytest.mark.parametrize("argv, counts", [
+    # the fine grid: u for its double sum, its gradient for the diagonal
+    # model; the coarse grid: u
+    ("norm euclid --expr x1^2*x2 --box 0,1;0,2 --s 1/2 --grid 32 "
+     "--seminorm", {1024: 2, 256: 1}),
+    ("norm euclid --expr sin(3*x1) --box 0,1 --s 3/10 --p 3 --grid 64 "
+     "--seminorm", {64: 2, 32: 1}),
+])
+def test_seminorm_samples_its_gradient_in_one_program(monkeypatch, argv,
+                                                      counts):
+    # every program, through eval_many or Expr.values (no Piecewise nodes,
+    # so no branch programs on subsets of the points)
+    assert programs_per_grid(monkeypatch, argv, funcexpr, "_run") == counts
