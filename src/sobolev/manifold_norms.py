@@ -15,15 +15,18 @@ Three norm routes are provided:
 The intrinsic routes (and ``operators.divergence_integral``) integrate
 sum_alpha psi_alpha X sqrt(det g) chart by chart through one helper,
 :func:`_intrinsic_integrals`, which takes its two grids from
-``quadrature._ladder``.  On each grid it samples every chart's
-midpoints, psi_alpha and sqrt(det g) once, and makes one integrand call
-per chart, which returns every integrand's row at once: the connection
-norm hands all of u, nabla u, ..., nabla^k u to one
-:func:`~sobolev.geometry.fiber_norm_values` call, so all orders run in
-one evaluation program per chart and grid, and the lower derivatives and
-Christoffel terms inside the higher ones run once.  psi_alpha and
-sqrt(det g) are kept as separate arrays so that each integrand is
-multiplied as psi * X * sqrt(det g), in that order.
+``quadrature._ladder``.  It samples each chart once: psi_alpha over the
+midpoints of both grids, then sqrt(det g) and one integrand call, which
+returns every integrand's row at once, only at the midpoints where
+psi_alpha != 0.  So the integrand is not evaluated, and not
+domain-checked, where psi_alpha = 0.  The connection norm hands all of
+u, nabla u, ..., nabla^k u to one
+:func:`~sobolev.geometry.fiber_norm_values` call, so all orders on both
+grids run in one evaluation program per chart, and the lower derivatives
+and Christoffel terms inside the higher ones run once.  Each integrand
+is multiplied as psi * X * sqrt(det g), in that order, into a row that
+is 0 where psi_alpha is, so every sum has the bits of sampling every
+midpoint.
 
 Each route's report carries its value at N // 2 as ``coarse``.
 Equivalence statements between routes are verified empirically as ratio
@@ -47,7 +50,8 @@ from sobolev.geometry import (
     MetricField, TensorField, covariant_derivative, fiber_norm_values,
 )
 from sobolev.quadrature import (
-    _check_p, _ladder, _norm_report, grid_shape, midpoint_grid, sobolev_norm,
+    _check_order, _check_p, _ladder, _norm_report, grid_shape, midpoint_grid,
+    sobolev_norm,
 )
 
 __all__ = [
@@ -63,17 +67,32 @@ def _intrinsic_integrals(integrand, g: MetricField, pou: PartitionOfUnity,
     ``integrand(chart index, points)`` (a sequence of arrays, the same
     number on every chart), on the grid of ``shape`` and on its coarse
     grid: a pair (fine, coarse) of lists, one per row, of the per-chart
-    contributions in chart order, which sum to the integral over M."""
-    def at(shp):
-        per_chart = []
-        for ci, chart in enumerate(g.atlas.charts):
-            pts, cellvol, _ = midpoint_grid(chart.truncation, shp)
-            psi = eval_on_points(pou.fields[ci], pts)
-            dens = eval_on_points(g.sqrt_det[ci], pts)
-            per_chart.append([float(np.sum(psi * x * dens) * cellvol)
-                              for x in integrand(ci, pts)])
-        return [list(row) for row in zip(*per_chart)]
-    return _ladder(at, shape)
+    contributions in chart order, which sum to the integral over M.
+
+    Each chart is sampled once: psi_alpha at the midpoints of both grids,
+    then sqrt(det g) and one ``integrand`` call only where psi_alpha != 0,
+    so the integrand is not evaluated, and not domain-checked, where
+    psi_alpha = 0.  Each grid sums a full-length row that is 0 there: the
+    bits of sampling every midpoint."""
+    shapes = _ladder(tuple, shape)
+    per_chart = []  # per chart: per grid, one integral per row
+    for ci, chart in enumerate(g.atlas.charts):
+        grids = [midpoint_grid(chart.truncation, shp)[:2] for shp in shapes]
+        pts = np.concatenate([p for p, _ in grids])
+        psi = eval_on_points(pou.fields[ci], pts)
+        on = psi != 0.0
+        psi, pts = psi[on], pts[on]
+        dens = eval_on_points(g.sqrt_det[ci], pts)
+        row = np.zeros(on.size)
+        sums = tuple([] for _ in grids)
+        for x in integrand(ci, pts):
+            row[on] = psi * x * dens
+            lo = 0
+            for out, (p, cellvol) in zip(sums, grids):
+                out.append(float(np.sum(row[lo:lo + len(p)]) * cellvol))
+                lo += len(p)
+        per_chart.append(sums)
+    return tuple([list(r) for r in zip(*grid)] for grid in zip(*per_chart))
 
 
 def manifold_lq_norm(u: TensorField, g: MetricField,
@@ -119,8 +138,7 @@ def chart_sobolev_norm(u: TensorField, pou: PartitionOfUnity = None,
     atlas = u.atlas
     if pou is None:
         pou = build_partition_of_unity(atlas)
-    if e < 0:
-        raise ArgumentError("numerical manifold norms require e >= 0")
+    e = _check_order(e, "e")
     shape = grid_shape(atlas.dim, N)
 
     value = value_c = 0.0  # at N and at N // 2
@@ -137,7 +155,7 @@ def chart_sobolev_norm(u: TensorField, pou: PartitionOfUnity = None,
                           "component": list(map(list, key)),
                           "value": rep.value})
     return _norm_report(
-        value, terms, {"resolution": list(shape), "e": float(e), "q": float(q)},
+        value, terms, {"resolution": list(shape), "e": e, "q": float(q)},
         err, coarse=value_c, manifold=atlas.manifold, atlas=atlas.manifold,
         pou=pou.name)
 
@@ -196,8 +214,7 @@ class NormVariant:
         argument the route refuses, checked before any norm."""
         if self.kind not in ("chart", "connection", "box"):
             raise ArgumentError(f"unknown norm variant {self.kind!r}")
-        if e < 0:
-            raise ArgumentError("numerical manifold norms require e >= 0")
+        _check_order(e, "e")
         if self.kind == "connection" and e % 1:
             raise ArgumentError("the connection route needs integer order")
         if self.kind == "box" and atlas.period_box is None:

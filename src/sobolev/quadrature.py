@@ -155,6 +155,15 @@ def _check_p(p: float):
     return p
 
 
+def _check_order(s: float, name: str = "s"):
+    """The order rule of every norm route: ``s`` finite and >= 0."""
+    s = float(s)
+    if not (s >= 0 and math.isfinite(s)):
+        raise ArgumentError(
+            f"order {name} must be finite and >= 0, got {s}")
+    return s
+
+
 # ---------------------------------------------------------------------------
 # L^p norm
 # ---------------------------------------------------------------------------
@@ -427,9 +436,7 @@ def sobolev_norm(u, box: BoxDomain, s: float, p: float = 2.0,
     value at N // 2, summed from the coarse grid's terms: the bits of a
     separate call there.
     """
-    s = float(s)
-    if s < 0:
-        raise ArgumentError(f"smoothness s must be >= 0 here, got {s}")
+    s = _check_order(s)
     p = _check_p(p)
     shape = grid_shape(box.n, N, s)
     k = int(math.floor(s))

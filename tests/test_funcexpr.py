@@ -8,8 +8,8 @@ import pytest
 from sobolev.fields import AnnulusRegion, BoxRegion
 from sobolev.funcexpr import (
     Add, Call, Const, ExprDomainError, ExprSyntaxError, Mul, Neg, Pi,
-    Piecewise, Pow, Sub, Var, diff_expr, eval_expr, eval_on_points, expr_to_text,
-    parse_expr, subst_expr,
+    Piecewise, Pow, Sub, Var, diff_expr, eval_expr, eval_many, eval_on_points,
+    expr_to_text, parse_expr, subst_expr,
 )
 
 
@@ -239,6 +239,14 @@ class TestPiecewise:
         pts = np.array([[-1.0], [0.0], [1.0], [math.e]])
         assert eval_on_points(e, pts).tolist() == [0.0, 0.0, 0.0, 1.0]
         assert eval_on_points(e, np.empty((0, 1))).shape == (0,)
+
+    def test_no_points_many_roots(self):
+        # the intrinsic routes evaluate where psi != 0, which can be nowhere
+        log = Piecewise(POSITIVE, parse_expr("log(x1)", 1), Const(Fraction(0)))
+        roots = [log, diff_expr(log, 1), parse_expr("sin(x1)", 1),
+                 Const(Fraction(2))]
+        out = eval_many(roots, np.empty((0, 1)))
+        assert out.shape == (0, len(roots))
 
     def test_nesting_is_first_match(self):
         left = BoxRegion([None], [0.5])

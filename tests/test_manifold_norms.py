@@ -10,12 +10,15 @@ from sobolev.atlas import alternate_seeds, build_partition_of_unity, \
     builtin_manifold
 from sobolev.funcexpr import eval_on_points
 from sobolev.geometry import (
-    TensorField, check_overlap_consistency, scalar_field,
+    TensorField, check_overlap_consistency, covariant_derivative,
+    fiber_norm_values, scalar_field,
 )
 from sobolev.manifold_norms import (
-    NormVariant, chart_sobolev_norm, compare_norms, connection_sobolev_norm,
-    manifold_lq_norm,
+    NormVariant, _intrinsic_integrals, chart_sobolev_norm, compare_norms,
+    connection_sobolev_norm, manifold_lq_norm,
 )
+from sobolev.operators import apply_operator, divergence_integral
+from sobolev.quadrature import midpoint_grid
 
 
 @pytest.fixture(scope="module")
@@ -156,9 +159,10 @@ class TestConnectionNorm:
         b = manifold_lq_norm(u, g, pou, q=2, N=256)
         assert (a.value, a.error_estimate) == (b.value, b.error_estimate)
 
-    def test_chart_sample_once_per_chart_and_grid(self, monkeypatch):
-        # psi_alpha and sqrt(det g) are sampled once per chart and grid,
-        # not once per order of the derivative list
+    def test_chart_sampled_once(self, monkeypatch):
+        # psi_alpha is sampled once per chart, over both grids, and
+        # sqrt(det g) once per chart, where psi_alpha != 0; neither once
+        # per grid or per order of the derivative list
         atlas, pou, g = builtin_manifold("s2-stereo")
         u = TensorField.from_ambient(atlas, "x1*x3")
         calls = Counter()
@@ -170,10 +174,13 @@ class TestConnectionNorm:
         monkeypatch.setattr(sobolev.manifold_norms, "eval_on_points",
                             counting)
         connection_sobolev_norm(u, g, k=2, q=2, N=16, pou=pou)
-        expected = Counter(
-            (id(e), n) for n in (16 * 16, 8 * 8)
-            for ci in range(len(atlas.charts))
-            for e in (pou.fields[ci], g.sqrt_det[ci]))
+        expected = Counter()
+        for ci, chart in enumerate(atlas.charts):
+            pts = np.concatenate([midpoint_grid(chart.truncation, (k, k))[0]
+                                  for k in (16, 8)])
+            on = np.count_nonzero(eval_on_points(pou.fields[ci], pts))
+            expected[id(pou.fields[ci]), 16 * 16 + 8 * 8] += 1
+            expected[id(g.sqrt_det[ci]), on] += 1
         assert calls == expected
 
     def test_sine_closed_form(self, t1):
@@ -215,6 +222,108 @@ class TestConnectionNorm:
         for k in (0, 1, 2):
             rep = connection_sobolev_norm(u, g, k=k, q=2, N=128, pou=pou)
             assert rep.value == pytest.approx(abs(c), rel=1e-6)
+
+
+def full_grid_integrals(integrand, g, pou, shape):
+    """:func:`_intrinsic_integrals` sampled the plain way: psi_alpha,
+    sqrt(det g) and every row at every midpoint of each grid, summed as
+    sum psi X sqrt(det g) cellvol."""
+    out = []
+    for shp in (shape, tuple(k // 2 for k in shape)):
+        per_chart = []
+        for ci, chart in enumerate(g.atlas.charts):
+            pts, cellvol, _ = midpoint_grid(chart.truncation, shp)
+            psi = eval_on_points(pou.fields[ci], pts)
+            dens = eval_on_points(g.sqrt_det[ci], pts)
+            per_chart.append([float(np.sum(psi * x * dens) * cellvol)
+                              for x in integrand(ci, pts)])
+        out.append([list(r) for r in zip(*per_chart)])
+    return tuple(out)
+
+
+def bits(*values):
+    """The bytes of floats, so that -0.0 and 0.0 differ."""
+    return np.array(values, dtype=float).tobytes()
+
+
+SAMPLED = [("s1-stereo", "x1*x2", 64), ("s2-stereo", "x1*x3", 16),
+           ("torus1", "sin(2*pi*x1)", 64),
+           ("torus2", "sin(2*pi*x1)*cos(2*pi*x2)", 16)]
+
+
+class TestIntrinsicSampling:
+    """Sampling only where psi_alpha != 0 gives the bits of sampling every
+    midpoint, on every built-in manifold and every intrinsic route."""
+
+    @pytest.mark.parametrize("name,text,N", SAMPLED)
+    def test_connection_norm(self, name, text, N):
+        atlas, pou, g = builtin_manifold(name)
+        u = TensorField.from_ambient(atlas, text)
+        derivs = [u, covariant_derivative(u, g, 1),
+                  covariant_derivative(u, g, 2)]
+        fine, coarse = full_grid_integrals(
+            lambda ci, pts: fiber_norm_values(derivs, g, ci, pts) ** 2, g,
+            pou, (N,) * atlas.dim)
+        rep = connection_sobolev_norm(u, g, k=2, q=2, N=N, pou=pou)
+        assert bits(rep.value, rep.coarse) == bits(
+            sum(map(sum, fine)) ** 0.5, sum(map(sum, coarse)) ** 0.5)
+        assert bits(*(t["lq_value"] for t in rep.terms)) == bits(
+            *(sum(row) ** 0.5 for row in fine))
+
+    @pytest.mark.parametrize("name,text,N", SAMPLED)
+    def test_lq_norm(self, name, text, N):
+        atlas, pou, g = builtin_manifold(name)
+        u = TensorField.from_ambient(atlas, text)
+        (fine,), (coarse,) = full_grid_integrals(
+            lambda ci, pts: fiber_norm_values([u], g, ci, pts) ** 3.0, g,
+            pou, (N,) * atlas.dim)
+        rep = manifold_lq_norm(u, g, pou, q=3, N=N)
+        assert bits(rep.value, rep.coarse) == bits(
+            sum(fine) ** (1 / 3), sum(coarse) ** (1 / 3))
+        assert bits(*(t["value"] for t in rep.terms
+                      if t["kind"] == "intrinsic")) == bits(*fine)
+
+    @pytest.mark.parametrize("name,text,N", SAMPLED)
+    def test_divergence_integral(self, name, text, N):
+        # the integrand div X is signed, so an off-support product was
+        # +-0.0; the sums do not see the sign
+        atlas, pou, g = builtin_manifold(name)
+        X = apply_operator("grad", g, TensorField.from_ambient(atlas, text))
+        divX = apply_operator("div", g, X)
+        shape = (N,) * atlas.dim
+        (fine,), (coarse,) = full_grid_integrals(
+            lambda ci, pts: [eval_on_points(divX.comps[ci][0], pts)], g, pou,
+            shape)
+        (fine_s,), (coarse_s,) = _intrinsic_integrals(
+            lambda ci, pts: [eval_on_points(divX.comps[ci][0], pts)], g, pou,
+            shape)
+        assert bits(*fine_s, *coarse_s) == bits(*fine, *coarse)
+        rep = divergence_integral(X, g, pou, N=N)
+        assert bits(rep.value, rep.error_estimate) == bits(
+            sum(fine), abs(sum(fine) - sum(coarse)))
+
+    @pytest.mark.parametrize("N,empty", [(8, [True, True]),
+                                         (16, [False, True])])
+    def test_chart_without_support_points(self, N, empty):
+        # on s2-stereo the minus-south-pole chart's psi is 0 at every
+        # midpoint of these grids: its integrals are exactly 0.0
+        atlas, pou, g = builtin_manifold("s2-stereo")
+        assert atlas.charts[1].name == "minus-south-pole"
+        u = TensorField.from_ambient(atlas, "x1*x3")
+        derivs = [u, covariant_derivative(u, g, 1)]
+
+        def integrand(ci, pts):
+            return fiber_norm_values(derivs, g, ci, pts) ** 2
+
+        grids = _intrinsic_integrals(integrand, g, pou, (N, N))
+        reference = full_grid_integrals(integrand, g, pou, (N, N))
+        assert bits(grids) == bits(reference)
+        for grid, none in zip(grids, empty):
+            assert all(bits(row[1]) == bits(0.0) for row in grid) == none
+        rep = connection_sobolev_norm(u, g, k=1, q=2, N=N, pou=pou)
+        fine, coarse = grids
+        assert bits(rep.value, rep.coarse) == bits(
+            sum(map(sum, fine)) ** 0.5, sum(map(sum, coarse)) ** 0.5)
 
 
 @pytest.mark.parametrize("q", [0.5, 1.0, math.inf])

@@ -85,12 +85,21 @@ RULES = {
     "theta outside (0, 1)":
         lambda a: quad.gagliardo_seminorm(a.x, a.box, theta=1.5),
     "negative s": lambda a: quad.sobolev_norm(a.x, a.box, -1),
+    "s not a number": lambda a: quad.sobolev_norm(a.x, a.box, math.nan),
+    "s infinite": lambda a: quad.sobolev_norm(a.x, a.box, math.inf),
     "empty interval": lambda a: quad.BoxDomain(((1.0, 0.0),)),
     "box not finite": lambda a: quad.BoxDomain(((0.0, math.inf),)),
     "negative e": lambda a: mn.chart_sobolev_norm(a.u, a.pou, e=-1),
+    "e not a number":
+        lambda a: mn.chart_sobolev_norm(a.u, a.pou, e=math.nan),
+    "e infinite": lambda a: mn.chart_sobolev_norm(a.u, a.pou, e=math.inf),
     "negative k":
         lambda a: mn.connection_sobolev_norm(a.u, a.g, k=-1, pou=a.pou),
     "empty family": lambda a: mn.compare_norms([], a.chart, a.chart, e=1),
+    "compare order not a number":
+        lambda a: mn.compare_norms([a.u], a.chart, a.chart, e=math.nan),
+    "compare order infinite":
+        lambda a: mn.compare_norms([a.u], a.chart, a.chart, e=math.inf),
     "connection route at a fractional order": lambda a: mn.compare_norms(
         [a.u], a.chart, mn.NormVariant("connection", metric=a.g, pou=a.pou),
         e=0.5),
