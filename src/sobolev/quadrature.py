@@ -13,8 +13,12 @@ the value.  The pair kernel depends only on the index offset of a pair:
 for p = 2 the double sum is a block-Toeplitz product taken by FFT in
 O(M log M) for M = N^n cells; for any other p all M^2/2 pairs are
 visited, one kernel block per axis-0 offset, by products for an integer
-p <= 8, with axis 0 folded into trailing blocks smaller than 64 cells and
-temporaries of about 32 K values.  Defaults: N=256 (n=1), N=64 (n=2).
+p <= 8.  On that path axis 0, whatever its length, is folded into
+trailing blocks of at most 64 cells, padded by fewer zero cells than it
+has folded rows (their pairs count 0); each block of differences is one
+batched rank-2 product, which keeps the bits of a subtraction;
+temporaries hold about 32 K values.
+Defaults: N=256 (n=1), N=64 (n=2).
 
 Error estimates are two-grid differences plus, for the fractional
 seminorm, the diagonal model.  Every route of the package, the manifold
@@ -278,23 +282,36 @@ def _offset_pair_sum(u: np.ndarray, K: np.ndarray, p: float,
     of axis-0 offsets a >= 0, each against one kernel block over the
     flattened trailing axes (at a = 0 its strict upper triangle).
 
-    Axis 0 is folded first into (k0 / m, m), the offset a m + b, by
-    default with m the largest divisor of k0 keeping the block <= _FOLD
-    wide.  |u_i - u_j|^p goes into two reused buffers of _BUFFER values,
-    by products for an integer p <= _MAX_PRODUCT_P, else by np.power."""
+    Axis 0 is folded first into (q, m), the offset a m + b, by default
+    into q = ceil(k0 / m0) rows of m = ceil(k0 / q) cells, m0 the most
+    (at least 1) that keeps a block at most _FOLD wide.  Axis 0 and K gain
+    the q m - k0 < q zero cells and kernel rows this takes, and the pairs
+    of a pad cell count 0.  A block of differences u_{r+a, j'} - u_{r, j}
+    is one batched product [1, -u_r] [u_{r+a}, 1] of rank 2: both terms
+    are exact and their sum is rounded once, so it has the bits of the
+    subtraction.  |u_i - u_j|^p goes into two reused buffers of _BUFFER
+    values, by products for an integer p <= _MAX_PRODUCT_P, else by
+    np.power."""
     k0, rest = u.shape[0], u.shape[1:]
     if m is None:
-        width = min(k0, max(1, _FOLD // math.prod(rest)))
-        m = max(d for d in range(1, width + 1) if k0 % d == 0)
-    q = k0 // m
+        m = min(k0, max(1, _FOLD // math.prod(rest)))
+    q = -(-k0 // m)
+    m = -(-k0 // q)
+    pad = q * m - k0
+    u = np.pad(u, [(0, pad)] + [(0, 0)] * len(rest))
+    K = np.pad(K, [(pad, pad)] + [(0, 0)] * len(rest))
     outer, inner = np.ogrid[1 - q:q, 1 - m:m]
-    slabs = K[outer * m + inner + k0 - 1].reshape(2 * q - 1, -1)
+    slabs = K[outer * m + inner + q * m - 1].reshape(2 * q - 1, -1)
     rest = (m,) + rest
     # flat[j, j'] indexes the trailing offset j' - j within one slab
     lattice = np.arange(slabs.shape[1]).reshape([2 * k - 1 for k in rest])
     g = lattice[tuple(slice(0, k) for k in rest)].ravel()
     flat = lattice[tuple(k - 1 for k in rest)] + g[None, :] - g[:, None]
     u = u.reshape(q, g.size)
+    valid = (m - pad) * g.size // m  # real cells of the last row
+    ones = np.ones_like(u)
+    left = np.stack([ones, -u], axis=-1)
+    right = np.stack([u, ones], axis=1)
     rows = max(1, _BUFFER // flat.size)
     d_buf, e_buf = np.empty((2, rows) + flat.shape)
     total = 0.0
@@ -305,7 +322,9 @@ def _offset_pair_sum(u: np.ndarray, K: np.ndarray, p: float,
         for r0 in range(0, q - a, rows):
             r1 = min(r0 + rows, q - a)
             d, e = d_buf[:r1 - r0], e_buf[:r1 - r0]
-            np.subtract(u[r0 + a:r1 + a, None], u[r0:r1, :, None], out=d)
+            np.matmul(left[r0:r1], right[r0 + a:r1 + a], out=d)
+            if r1 == q - a:
+                d[-1, :, valid:] = 0.0
             np.abs(d, out=d)
             if p == int(p) <= _MAX_PRODUCT_P:
                 np.multiply(d, d, out=e)
@@ -341,7 +360,9 @@ def gagliardo_double_sum(u, box: BoxDomain, theta: float,
     sum is shift invariant; this bounds cancellation) and clamped at 0;
     for any other p every pair is visited, one block per axis-0 offset,
     by products for an integer p <= 8, with axis 0 folded into trailing
-    blocks smaller than 64 cells and temporaries of about 32 K values.
+    blocks of at most 64 cells (padded by zero cells whose pairs count 0),
+    differences taken as batched rank-2 products with the bits of a
+    subtraction, and temporaries of about 32 K values.
     """
     p = _check_p(p)
     if not (0.0 < theta < 1.0):

@@ -193,15 +193,52 @@ def test_near_field_blocks_do_not_change_the_sum(monkeypatch, box, shape):
     assert small == pytest.approx(default, rel=1e-14, abs=0.0)
 
 
-# 256 folds axis 0 by 64, 135 by 45, the prime 97 not at all; p = 8 is the
-# largest p taken by products, 9 and 2.5 go through np.power
+# 256 folds axis 0 as 4 x 64 and 135 as 3 x 45; the primes 97 and 101 fold
+# as 2 x 49 and 2 x 51 with one zero pad cell each; p = 8 is the largest p
+# taken by products, 9 and 2.5 go through np.power
 @pytest.mark.parametrize("p", [3.0, float(_MAX_PRODUCT_P), 9.0, 2.5])
-@pytest.mark.parametrize("N", [256, 97, 135])
+@pytest.mark.parametrize("N", [256, 97, 101, 135])
 def test_one_dimensional_pair_sum_matches_dense_oracle(N, p):
     u = parse_expr("sin(3*x1) + x1*x1", 1)
     got = gagliardo_double_sum(u, UNIT, 0.4, p, N)
     want = dense_double_sum(u, UNIT, 0.4, p, N)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# the first axis folds with zero pad cells: (97, 4) as 7 x 14 with 1,
+# (23, 7) as 3 x 8 with 1, (13, 5, 3) as 4 x 4 with 3
+@pytest.mark.parametrize("p", [3.0, 2.5])
+@pytest.mark.parametrize("shape", [
+    pytest.param(shape, id="x".join(map(str, shape)))
+    for shape in [(97, 4), (23, 7), (13, 5, 3)]])
+def test_padded_fold_matches_dense_oracle(shape, p):
+    n = len(shape)
+    box = BoxDomain(((0.0, 1.0), (-0.5, 1.5), (0.25, 1.0))[:n])
+    u = parse_expr(" + ".join(f"sin({ax + 1}*x{ax + 1})*x1"
+                              for ax in range(n)), n)
+    got = gagliardo_double_sum(u, box, 0.4, p, shape)
+    want = dense_double_sum(u, box, 0.4, p, shape)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_rank_two_product_has_the_bits_of_the_difference():
+    # the pair kernel takes x - y as [1, -y] [x, 1]; both products are
+    # exact and their sum is rounded once, in either order and with or
+    # without a fused multiply-add
+    rng = np.random.default_rng(7)
+    tiny = np.finfo(float).smallest_subnormal
+    pool = np.concatenate([
+        rng.standard_normal(64) * 10.0 ** rng.integers(-300, 301, 64),
+        [1e300, -1e300, 3 * tiny, -7 * tiny, 5e-310, -2e-309, 1.0, 0.5],
+    ])
+    for F in range(1, 257):
+        x = rng.choice(pool, (3, F))
+        y = np.where(rng.random((3, F)) < 0.25, x, rng.choice(pool, (3, F)))
+        ones = np.ones_like(x)
+        got = np.matmul(np.stack([ones, -y], axis=-1),
+                        np.stack([x, ones], axis=1))
+        want = np.subtract(x[:, None, :], y[:, :, None])
+        assert got.tobytes() == want.tobytes(), F
 
 
 class TestPairSumEdgeCases:
@@ -229,16 +266,36 @@ class TestPairSumEdgeCases:
         assert time.perf_counter() - start < 1.0
         assert S ** 0.5 == pytest.approx(1.0, abs=1e-3)
 
-    def test_fold_matches_unfolded_loop(self):
-        # N = 4096 folds axis 0 into 64 x 64 blocks; m = 1 is one offset
-        # per loop iteration, the same pairs summed in another order
-        shape = (4096,)
+    @pytest.mark.parametrize("N", [4096, 4093])
+    def test_fold_matches_unfolded_loop(self, N):
+        # N = 4096 folds axis 0 into 64 x 64 blocks, the prime 4093 too
+        # with 3 zero pad cells; m = 1 is one offset per loop iteration,
+        # the same pairs summed in another order
+        shape = (N,)
         pts, _, _ = midpoint_grid(UNIT, shape)
         u = eval_on_points(parse_expr("sin(3*x1) + x1", 1), pts)
         K = _offset_kernel(UNIT, shape, 1.0 + 0.3 * 3.0)
         folded = _offset_pair_sum(u, K, 3.0)
         unfolded = _offset_pair_sum(u, K, 3.0, m=1)
         assert folded == pytest.approx(unfolded, rel=1e-13, abs=0.0)
+
+    def test_prime_first_axis_is_folded(self, monkeypatch):
+        # one batched product per block of rows: 4096 and the prime 4093
+        # both fold as 64 x 64 and take 288 blocks, not one per offset
+        steps = []
+        matmul = np.matmul
+
+        def counting(*args, **kwargs):
+            steps.append(1)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        counts = []
+        for N in (4096, 4093):
+            steps.clear()
+            gagliardo_double_sum(X, UNIT, 0.3, 3, N)
+            counts.append(len(steps))
+        assert counts == [288, 288]
 
     def test_offset_path_temporaries_stay_small(self):
         # buffers of about 32 K values keep the peak near 1 MB on an
