@@ -16,8 +16,12 @@ visited, one kernel block per axis-0 offset, by products for an integer
 p <= 8.  On that path axis 0, whatever its length, is folded into
 trailing blocks of at most 64 cells, padded by fewer zero cells than it
 has folded rows (their pairs count 0); each block of differences is one
-batched rank-2 product, which keeps the bits of a subtraction;
-temporaries hold about 32 K values.
+batched rank-2 product, which keeps the bits of a subtraction, and
+each chunk of |u_i - u_j|^p is reduced against its kernel block by one
+matrix-vector product; temporaries hold about 32 K values.  The work
+buffers of both paths start on a 64-byte boundary: malloc aligns to 16
+bytes only, and an operand that splits cache lines slows the kernel by
+about a quarter, by heap state.
 Defaults: N=256 (n=1), N=64 (n=2).
 
 Error estimates are two-grid differences plus, for the fractional
@@ -199,6 +203,16 @@ def _offset_kernel(box: BoxDomain, shape, alpha: float) -> np.ndarray:
     return d2 ** (-alpha / 2.0)
 
 
+def _aligned(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised C-contiguous float64 array of ``shape`` that starts
+    on a 64-byte boundary.  malloc aligns numpy's buffers to 16 bytes only,
+    and an operand off a cache line splits every 64-byte vector access."""
+    n = math.prod(shape)
+    raw = np.empty(n + 8)
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip:skip + n].reshape(shape)
+
+
 _NEAR = 8  # near-field radius of the p = 2 path, in finest-axis spacings
 _BUFFER = 1 << 15  # values per temporary of a pair sum (256 KB): in cache
 
@@ -235,7 +249,8 @@ def _near_field(u: np.ndarray, W: np.ndarray) -> float:
     kernel on the offset lattice, is not 0, and the i with i + o in the
     grid.  One difference per axis-0 offset a covers all its trailing
     offsets through a window of u, in blocks of rows of about _BUFFER
-    values that reuse one buffer."""
+    values that reuse one buffer, 64-byte aligned (:func:`_aligned`)
+    since malloc aligns to 16 bytes and split cache lines slow it."""
     if u.ndim == 1:
         u, W = u[:, None], W[:, None]
     k0, rest, m = u.shape[0], u.shape[1:], u.ndim - 1
@@ -254,7 +269,7 @@ def _near_field(u: np.ndarray, W: np.ndarray) -> float:
     lattice = W[(slice(None),) + tuple(slice(k - 1 - q, k + q)
                                        for k, q in zip(rest, radius))]
     u = u.reshape(u.shape + (1,) * m)
-    buf = np.empty(max(_BUFFER, inside.size))
+    buf = _aligned((max(_BUFFER, inside.size),))
     total = 0.0
     for row in np.flatnonzero(lattice.reshape(2 * k0 - 1, -1).any(axis=1)):
         a = row - (k0 - 1)
@@ -290,8 +305,12 @@ def _offset_pair_sum(u: np.ndarray, K: np.ndarray, p: float,
     is one batched product [1, -u_r] [u_{r+a}, 1] of rank 2: both terms
     are exact and their sum is rounded once, so it has the bits of the
     subtraction.  |u_i - u_j|^p goes into two reused buffers of _BUFFER
-    values, by products for an integer p <= _MAX_PRODUCT_P, else by
-    np.power."""
+    values, by a square and products for an integer p <= _MAX_PRODUCT_P,
+    else by np.power, and a chunk of R rows is reduced by one product
+    of its (R, F) view with the flattened block: five passes over the
+    chunk at p = 3.  Both buffers and the block start on a 64-byte
+    boundary (:func:`_aligned`), since malloc aligns to 16 bytes and
+    split cache lines slow the kernel."""
     k0, rest = u.shape[0], u.shape[1:]
     if m is None:
         m = min(k0, max(1, _FOLD // math.prod(rest)))
@@ -313,12 +332,13 @@ def _offset_pair_sum(u: np.ndarray, K: np.ndarray, p: float,
     left = np.stack([ones, -u], axis=-1)
     right = np.stack([u, ones], axis=1)
     rows = max(1, _BUFFER // flat.size)
-    d_buf, e_buf = np.empty((2, rows) + flat.shape)
+    chunk = (rows,) + flat.shape
+    d_buf, e_buf, blk = _aligned(chunk), _aligned(chunk), _aligned(flat.shape)
     total = 0.0
     for a in range(q):
-        block = slabs[q - 1 + a][flat]
+        np.take(slabs[q - 1 + a], flat, out=blk)
         if a == 0:
-            block = np.triu(block, 1)
+            blk[np.tril_indices(g.size)] = 0.0
         for r0 in range(0, q - a, rows):
             r1 = min(r0 + rows, q - a)
             d, e = d_buf[:r1 - r0], e_buf[:r1 - r0]
@@ -327,12 +347,12 @@ def _offset_pair_sum(u: np.ndarray, K: np.ndarray, p: float,
                 d[-1, :, valid:] = 0.0
             np.abs(d, out=d)
             if p == int(p) <= _MAX_PRODUCT_P:
-                np.multiply(d, d, out=e)
+                np.square(d, out=e)
                 for _ in range(int(p) - 2):
                     np.multiply(e, d, out=e)
             else:
                 np.power(d, p, out=e)
-            total += float(np.vdot(e.sum(axis=0), block))
+            total += float((e.reshape(r1 - r0, -1) @ blk.ravel()).sum())
     return 2.0 * total
 
 
@@ -362,7 +382,11 @@ def gagliardo_double_sum(u, box: BoxDomain, theta: float,
     by products for an integer p <= 8, with axis 0 folded into trailing
     blocks of at most 64 cells (padded by zero cells whose pairs count 0),
     differences taken as batched rank-2 products with the bits of a
-    subtraction, and temporaries of about 32 K values.
+    subtraction, each chunk reduced by one matrix-vector product, and
+    temporaries of about 32 K values.  Both paths keep their work
+    buffers 64-byte aligned, since malloc aligns to 16 bytes and split
+    cache lines slow the kernel; the bits do not depend on where the
+    heap puts them.
     """
     p = _check_p(p)
     if not (0.0 < theta < 1.0):

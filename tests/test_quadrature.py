@@ -17,8 +17,8 @@ from sobolev.funcexpr import (
 )
 from sobolev.geometry import TensorField
 from sobolev.quadrature import (
-    _MAX_PRODUCT_P, BoxDomain, SupportViolation, _offset_kernel,
-    _offset_pair_sum, extend_by_zero, gagliardo_double_sum,
+    _BUFFER, _MAX_PRODUCT_P, BoxDomain, SupportViolation, _aligned,
+    _offset_kernel, _offset_pair_sum, extend_by_zero, gagliardo_double_sum,
     gagliardo_seminorm, grid_shape, lp_norm, midpoint_grid, multi_indices,
     sobolev_norm,
 )
@@ -207,7 +207,7 @@ def test_one_dimensional_pair_sum_matches_dense_oracle(N, p):
 
 # the first axis folds with zero pad cells: (97, 4) as 7 x 14 with 1,
 # (23, 7) as 3 x 8 with 1, (13, 5, 3) as 4 x 4 with 3
-@pytest.mark.parametrize("p", [3.0, 2.5])
+@pytest.mark.parametrize("p", [3.0, 4.0, 2.5])
 @pytest.mark.parametrize("shape", [
     pytest.param(shape, id="x".join(map(str, shape)))
     for shape in [(97, 4), (23, 7), (13, 5, 3)]])
@@ -296,6 +296,57 @@ class TestPairSumEdgeCases:
             gagliardo_double_sum(X, UNIT, 0.3, 3, N)
             counts.append(len(steps))
         assert counts == [288, 288]
+
+    @pytest.mark.parametrize("box, N, p", [
+        pytest.param(UNIT, 4096, 3, id="1d-4096-3"),
+        pytest.param(UNIT, 4093, 3, id="1d-4093-3"),
+        pytest.param(SQUARE, (80, 80), 3, id="80x80-3"),
+        pytest.param(SQUARE, (97, 4), 3, id="97x4-3"),
+        pytest.param(SQUARE, (48, 40), 2, id="48x40-2"),
+    ])
+    def test_work_buffers_are_cache_line_aligned(self, monkeypatch, box,
+                                                 N, p):
+        # every block of differences, of the pair kernel (np.matmul) and
+        # of the p = 2 near field (np.subtract), is written to a buffer
+        # that starts on a 64-byte boundary
+        offsets = []
+
+        def checking(ufunc):
+            def call(*args, out=None, **kwargs):
+                offsets.append(out.ctypes.data % 64)
+                return ufunc(*args, out=out, **kwargs)
+            return call
+
+        monkeypatch.setattr(np, "matmul", checking(np.matmul))
+        monkeypatch.setattr(np, "subtract", checking(np.subtract))
+        u = parse_expr(" + ".join(f"sin({ax + 1}*x{ax + 1})*x1"
+                                  for ax in range(box.n)), box.n)
+        gagliardo_double_sum(u, box, 0.3, p, N)
+        assert offsets and set(offsets) == {0}
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 7, 2), (2, 3, 64, 64)])
+    def test_aligned_buffer(self, shape):
+        for _ in range(8):
+            a = _aligned(shape)
+            assert a.shape == shape and a.dtype == np.float64
+            assert a.flags.c_contiguous and a.flags.writeable
+            assert a.ctypes.data % 64 == 0
+
+    @pytest.mark.parametrize("expr, box, N, p", [
+        pytest.param("sin(3*x1) + x1", UNIT, 4096, 3, id="1d-4096-3"),
+        pytest.param("sin(x1)*x2", SQUARE, (24, 17), 3, id="24x17-3"),
+        pytest.param("sin(x1)*x2", SQUARE, (48, 40), 2, id="48x40-2"),
+    ])
+    def test_bits_do_not_depend_on_heap_placement(self, expr, box, N, p):
+        # live arrays 0, 16, 32 and 48 bytes longer than a few base sizes
+        # move where malloc puts the arrays of the next call
+        u = parse_expr(expr, box.n)
+        bits = set()
+        for shift in (0, 2, 4, 6):
+            held = [np.empty(size + shift) for size in (1000, 4096, _BUFFER)]
+            bits.add(gagliardo_double_sum(u, box, 0.3, p, N).hex())
+            del held
+        assert len(bits) == 1
 
     def test_offset_path_temporaries_stay_small(self):
         # buffers of about 32 K values keep the peak near 1 MB on an
