@@ -188,11 +188,10 @@ def covariant_derivative(field: TensorField, g: MetricField,
     For a scalar this is ordinary differentiation; on a flat chart the
     result of m steps is the full order-m partial-derivative tensor.
     """
-    order = int(order)
-    if order < 1:
-        raise ArgumentError("order must be >= 1")
+    if not (order >= 1 and order % 1 == 0):
+        raise ArgumentError(f"order must be an integer >= 1, got {order}")
     out = field
-    for _ in range(order):
+    for _ in range(int(order)):
         out = _cov_step(out, g)
     return out
 

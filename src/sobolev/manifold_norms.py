@@ -1,16 +1,19 @@
 """Lebesgue and Sobolev norms of functions/tensor fields on built-in
 manifolds.
 
-Three norm routes are provided:
+Three norm routes are provided, the kinds of :class:`NormVariant`, whose
+``check`` states each route's argument rules once:
 
-* the intrinsic L^q integral of the fiber norm against the volume
-  density (computed chartwise through a partition of unity, which is
-  exact since the bump sum is identically 1);
 * the chart norm: the sum over charts and components of Euclidean
   W^{e,q} norms of partition-weighted local representations, each a
   ``quadrature.sobolev_norm`` call on the chart's truncation box;
 * the connection norm for integer k: the q-sum of intrinsic L^q norms
-  of iterated covariant derivatives.
+  of iterated covariant derivatives;
+* on a torus, the box norm of the components over one exact period.
+
+The intrinsic L^q norm (:func:`manifold_lq_norm`) integrates the fiber
+norm against the volume density chartwise through a partition of unity
+(exact since the bump sum is identically 1).
 
 The intrinsic routes (and ``operators.divergence_integral``) integrate
 sum_alpha psi_alpha X sqrt(det g) chart by chart through one helper,
@@ -108,8 +111,7 @@ def manifold_lq_norm(u: TensorField, g: MetricField,
     atlas = u.atlas
     if pou is None:
         pou = build_partition_of_unity(atlas)
-    q = _check_p(q)
-    shape = grid_shape(atlas.dim, N)
+    _, q, shape = NormVariant("chart").check(atlas, 0, q, N)
 
     (per_chart,), (coarse,) = _intrinsic_integrals(
         lambda ci, pts: fiber_norm_values([u], g, ci, pts) ** q, g, pou,
@@ -138,8 +140,7 @@ def chart_sobolev_norm(u: TensorField, pou: PartitionOfUnity = None,
     atlas = u.atlas
     if pou is None:
         pou = build_partition_of_unity(atlas)
-    e = _check_order(e, "e")
-    shape = grid_shape(atlas.dim, N)
+    e, q, shape = NormVariant("chart").check(atlas, e, q, N)
 
     value = value_c = 0.0  # at N and at N // 2
     err = 0.0
@@ -155,7 +156,7 @@ def chart_sobolev_norm(u: TensorField, pou: PartitionOfUnity = None,
                           "component": list(map(list, key)),
                           "value": rep.value})
     return _norm_report(
-        value, terms, {"resolution": list(shape), "e": e, "q": float(q)},
+        value, terms, {"resolution": list(shape), "e": e, "q": q},
         err, coarse=value_c, manifold=atlas.manifold, atlas=atlas.manifold,
         pou=pou.name)
 
@@ -168,13 +169,10 @@ def connection_sobolev_norm(u: TensorField, g: MetricField, k: int = 1,
         ( sum_{i=0..k} || |nabla^i u|_F ||_{L^q}^q )^{1/q}
     """
     atlas = u.atlas
-    if not (k >= 0 and k % 1 == 0):
-        raise ArgumentError(f"k must be a nonnegative integer, got {k}")
+    k, q, shape = NormVariant("connection").check(atlas, k, q, N)
     k = int(k)
     if pou is None:
         pou = build_partition_of_unity(atlas)
-    q = _check_p(q)
-    shape = grid_shape(atlas.dim, N)
 
     derivatives = [u]  # u, nabla u, ..., nabla^k u
     for _ in range(k):
@@ -208,27 +206,28 @@ class NormVariant:
     pou: PartitionOfUnity | None = None
     metric: MetricField | None = None
 
-    def check(self, atlas, e, q, N) -> None:
-        """Raise :class:`~sobolev.ArgumentError` unless this route takes
-        order ``e``, exponent ``q`` and grid ``N`` on ``atlas``: every
-        argument the route refuses, checked before any norm."""
+    def __post_init__(self):
         if self.kind not in ("chart", "connection", "box"):
             raise ArgumentError(f"unknown norm variant {self.kind!r}")
-        _check_order(e, "e")
+
+    def check(self, atlas, e, q, N):
+        """``(e, q, shape)`` checked: raise :class:`~sobolev.ArgumentError`
+        unless this route takes order ``e``, exponent ``q`` and grid ``N``
+        on ``atlas``.  Every argument rule of the route is stated here."""
+        e = _check_order(e, "k" if self.kind == "connection" else "e")
         if self.kind == "connection" and e % 1:
             raise ArgumentError("the connection route needs integer order")
         if self.kind == "box" and atlas.period_box is None:
             raise ArgumentError("the box route integrates one exact period; "
                                 "it applies to the torus manifolds")
-        _check_p(q)
-        grid_shape(atlas.dim, N, e)
+        return e, _check_p(q), grid_shape(atlas.dim, N, e)
 
     def compute(self, u, e, q, N) -> float:
+        self.check(u.atlas, e, q, N)
         return self._ladder(u, e, q, N)[0]
 
     def _ladder(self, u, e, q, N) -> tuple[float, float]:
-        """:meth:`compute` at N and at N // 2: ``value`` and ``coarse``."""
-        self.check(u.atlas, e, q, N)
+        """The norm at N and at N // 2 of arguments :meth:`check` took."""
         if self.kind == "chart":
             reps = [chart_sobolev_norm(u, self.pou, e, q, N)]
         elif self.kind == "connection":
@@ -269,10 +268,9 @@ def compare_norms(family, variant_a: NormVariant, variant_b: NormVariant,
         raise ArgumentError("the function family is empty")
     atlas = family[0].atlas
     for variant in (variant_a, variant_b):  # before the first norm
-        variant.check(atlas, e, q, N)
-    shape = grid_shape(atlas.dim, N)
-    ratios = [_ratio(variant_a.compute(u, e, q, N),
-                     variant_b.compute(u, e, q, N), i, variant_b, shape)
+        *_, shape = variant.check(atlas, e, q, N)
+    ratios = [_ratio(variant_a._ladder(u, e, q, N)[0],
+                     variant_b._ladder(u, e, q, N)[0], i, variant_b, shape)
               for i, u in enumerate(family)]
     return Report("norm_comparison",
                   variant_a=variant_a.describe(),

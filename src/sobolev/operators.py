@@ -149,7 +149,7 @@ def empirical_bound(op_id: str, g: MetricField, from_exponents,
         pou = build_partition_of_unity(atlas)
     variant = NormVariant(route, pou=pou)
     variant.check(atlas, e, q, N)
-    variant.check(atlas, et, qt, N)
+    *_, shape = variant.check(atlas, et, qt, N)
     order = _VALENCES[op_id][1]
     frm = space(exact[0], exact[1], atlas.dim, _chart_domain_class(atlas))
     verdict = check_derivative(frm, order)
@@ -163,7 +163,7 @@ def empirical_bound(op_id: str, g: MetricField, from_exponents,
             f"target order {et} exceeds the declared map (e - {order})")
 
     # the two grids of every norm's estimate
-    shape, shape_c = _ladder(tuple, grid_shape(atlas.dim, N))
+    shape, shape_c = _ladder(tuple, shape)
     ratios, coarse = [], []  # at N and at N // 2
     for i, u in enumerate(family):
         image = apply_operator(op_id, g, u)

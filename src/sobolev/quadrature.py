@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,8 @@ class BoxDomain:
 def grid_shape(n: int, N=None, order: float = 0) -> tuple[int, ...]:
     """Per-axis cell counts from N: one count for every axis, a per-axis
     tuple, or None for the default (256 cells for n=1, 64 per axis
-    otherwise).
+    otherwise).  A count is an integer, a numpy one too; any other is
+    refused, never truncated.
 
     This is the grid rule of every norm route.  Every axis needs at
     least 2 cells, because the two-grid error estimate halves each
@@ -109,7 +111,11 @@ def grid_shape(n: int, N=None, order: float = 0) -> tuple[int, ...]:
     """
     if N is None:
         N = 256 if n == 1 else 64
-    shape = (N,) * n if isinstance(N, int) else tuple(int(k) for k in N)
+    try:
+        shape = tuple(map(operator.index, (N,) * n if np.ndim(N) == 0 else N))
+    except TypeError:
+        raise ArgumentError(f"grid resolution must be integer cell counts, "
+                            f"got {N!r}") from None
     if len(shape) != n:
         raise ArgumentError(
             "per-axis resolution length must match dimension")
@@ -336,7 +342,7 @@ def _offset_pair_sum(u: np.ndarray, K: np.ndarray, p: float,
     d_buf, e_buf, blk = _aligned(chunk), _aligned(chunk), _aligned(flat.shape)
     total = 0.0
     for a in range(q):
-        np.take(slabs[q - 1 + a], flat, out=blk)
+        np.take(slabs[q - 1 + a], flat, out=blk, mode="wrap")
         if a == 0:
             blk[np.tril_indices(g.size)] = 0.0
         for r0 in range(0, q - a, rows):

@@ -8,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from sobolev.atlas import MANIFOLD_NAMES
+from sobolev import ArgumentError
+from sobolev import manifold_norms as mn
+from sobolev.atlas import MANIFOLD_NAMES, builtin_manifold
 from sobolev.cli import _build_parser, execute
+from sobolev.geometry import TensorField
 
 
 def strict_json(text):
@@ -40,7 +43,6 @@ def no_norms(*args, **kwargs):
 @pytest.fixture
 def no_grids(monkeypatch):
     """Every quadrature grid fails: a refusal must come before the first."""
-    import sobolev.manifold_norms as mn
     import sobolev.quadrature as quad
     for module in (quad, mn):
         monkeypatch.setattr(module, "midpoint_grid", no_norms)
@@ -506,7 +508,6 @@ class TestCompareAndOps:
 
     @staticmethod
     def refuse_norms(monkeypatch):
-        import sobolev.manifold_norms as mn
         for name in ("chart_sobolev_norm", "connection_sobolev_norm",
                      "sobolev_norm"):
             monkeypatch.setattr(mn, name, no_norms)
@@ -532,6 +533,33 @@ class TestCompareAndOps:
         assert code == 2
         assert rep["error"] == ("the box route integrates one exact period; "
                                 "it applies to the torus manifolds")
+
+    @pytest.mark.usefixtures("no_grids")
+    @pytest.mark.parametrize("calls, argv", [
+        ((lambda u, g, pou: mn.connection_sobolev_norm(u, g, k=1.5, N=16,
+                                                       pou=pou),
+          lambda u, g, pou: mn.NormVariant("connection").check(
+              u.atlas, 1.5, 2, 16)),
+         ("compare", "--manifold", "s1-stereo", "--expr", "x1", "--e", "1/2",
+          "--grid", "16", "--against", "connection")),
+        ((lambda u, g, pou: mn.NormVariant("box").compute(u, 1, 2, 16),),
+         ("op", "bound", "--manifold", "s1-stereo", "--op", "d", "--from",
+          "1,2", "--to", "0,2", "--expr", "x1", "--grid", "16", "--route",
+          "box")),
+    ], ids=["connection integer order", "box route off the tori"])
+    def test_route_rule_reads_one_text(self, capsys, calls, argv):
+        # NormVariant.check states the rule, so the library's route
+        # function, the check itself and the CLI refuse with one text
+        atlas, pou, g = builtin_manifold("s1-stereo")
+        u = TensorField.from_ambient(atlas, "x1")
+        texts = set()
+        for call in calls:
+            with pytest.raises(ArgumentError) as err:
+                call(u, g, pou)
+            texts.add(str(err.value))
+        code, rep = run(capsys, *argv)
+        assert code == 2
+        assert texts == {rep["error"]}
 
     @pytest.mark.parametrize("frm, to, message", [
         ("1,2", "1,2", "target order 1.0 exceeds the declared map (e - 1)"),

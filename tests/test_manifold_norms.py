@@ -205,13 +205,20 @@ class TestConnectionNorm:
                   for t in rep.terms]
         assert orders == pytest.approx([1, 6, 30], rel=1e-3, abs=0)
 
-    @pytest.mark.parametrize("k", [1.5, 0.5, -1, math.nan, math.inf])
-    def test_k_not_a_nonnegative_integer_rejected(self, t1, k):
+    @pytest.mark.parametrize("k, message", [
+        (1.5, "the connection route needs integer order"),
+        (0.5, "the connection route needs integer order"),
+        (-1, "order k must be finite and >= 0, got -1.0"),
+        (math.nan, "order k must be finite and >= 0, got nan"),
+        (math.inf, "order k must be finite and >= 0, got inf"),
+    ], ids=["1.5", "0.5", "-1", "nan", "inf"])
+    def test_k_not_a_nonnegative_integer_rejected(self, t1, k, message):
         # a fractional k was truncated: 1.5 returned the k = 1 value
         atlas, pou, g = t1
         u = TensorField.from_ambient(atlas, "sin(2*pi*x1)")
-        with pytest.raises(ArgumentError, match="nonnegative integer"):
+        with pytest.raises(ArgumentError) as err:
             connection_sobolev_norm(u, g, k=k, q=2, N=32, pou=pou)
+        assert str(err.value) == message
         assert connection_sobolev_norm(u, g, k=1.0, q=2, N=32, pou=pou) == \
             connection_sobolev_norm(u, g, k=1, q=2, N=32, pou=pou)
 

@@ -125,8 +125,16 @@ RULES = {
     "operator order the screen does not cover":
         lambda a: ops.empirical_bound("d", a.g, ("1/2", 2), (0, 2), [a.u]),
     # the library's own rules, which no CLI command reaches
+    "unknown route name": lambda a: mn.NormVariant("bogus"),
     "covariant derivative of order below 1":
         lambda a: covariant_derivative(a.u, a.g, 0),
+    "covariant derivative of a fractional order":
+        lambda a: covariant_derivative(a.u, a.g, 1.5),
+    "covariant derivative of order not a number":
+        lambda a: covariant_derivative(a.u, a.g, math.nan),
+    "grid count not an integer": lambda a: quad.grid_shape(1, (8.7,)),
+    "grid count a float": lambda a: quad.grid_shape(1, 8.7),
+    "grid count a string": lambda a: quad.grid_shape(2, "88"),
     "musical direction": lambda a: musical(a.u, a.g, "up"),
     "musical slot missing": lambda a: musical(a.u, a.g, "flat"),
     "metric with a zero determinant":
