@@ -26,12 +26,14 @@ differentiation and evaluation all read.
 
 Expressions are hash-consed DAGs (see :class:`Expr`): derivatives are
 memoized per node, and evaluation runs each distinct node of all the
-roots of a call once, and the Piecewise nodes of one region as one step.
+roots of a call once, and the Piecewise nodes of one region as one step,
+whose side with only constant branches is filled without a program.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 import weakref
 from dataclasses import dataclass, fields
@@ -65,12 +67,21 @@ class ExprDomainError(ArithmeticError):
 # AST
 # ---------------------------------------------------------------------------
 
-# The intern table: (class, child ids..., scalar fields) -> the live node.
-# It holds nodes weakly, so it never keeps a dropped expression alive.  A
-# key's child ids stay valid as long as its entry exists: the node holds
-# its children, and its entry is removed when the node dies, before the
-# children are released.
-_INTERNED = weakref.WeakValueDictionary()
+# The intern table: (class, child ids..., scalar fields) -> a weak
+# reference to the live node, which carries its key.  It never keeps a
+# dropped expression alive.  A key's child ids stay valid as long as its
+# node lives, since the node holds its children; when the node dies, the
+# callback removes its entry unless a new node of that key has taken it.
+_INTERNED = {}
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _forget(ref, table=_INTERNED):
+    if table.get(ref.key) is ref:
+        del table[ref.key]
 
 
 class Expr:
@@ -81,7 +92,10 @@ class Expr:
     the same children and the same scalar fields if there is one.  So
     structurally equal expressions are the same object, ``==`` and
     ``hash`` are identity checks that cost O(1), and an expression is a
-    DAG whose shared subexpressions are stored once.  Nodes are immutable.
+    DAG whose shared subexpressions are stored once.  The intern table is
+    a plain dict holding one weak reference per node, so it keeps no node
+    alive, and a node's entry leaves it when the node dies.  Nodes are
+    immutable.
     Besides its dataclass fields a node may carry two caches that are not
     fields: its partial derivatives (see :func:`diff_expr`) and, once it
     has been the first root of an evaluation, the evaluation programs it
@@ -105,12 +119,14 @@ class Expr:
         if i >= 0 and type(args[i]) is not Fraction:
             args = args[:i] + (Fraction(args[i]),) + args[i + 1:]
         key = (cls, *[id(a) if isinstance(a, Expr) else a for a in args])
-        node = _INTERNED.get(key)
+        ref = _INTERNED.get(key)
+        node = None if ref is None else ref()
         if node is None:
             node = object.__new__(cls)
             for name, value in zip(cls._names, args):
                 object.__setattr__(node, name, value)
-            _INTERNED[key] = node
+            ref = _INTERNED[key] = _Ref(node, _forget)
+            ref.key = key
         return node
 
     def values(self, pts: np.ndarray) -> np.ndarray:
@@ -213,11 +229,8 @@ def const(value) -> Const:
 
 # ---------------------------------------------------------------------------
 # Folding constructors: constant arithmetic plus 0/1 identities, nothing more.
+# Constants are interned, so ``e is ZERO`` tests for any Const of value 0.
 # ---------------------------------------------------------------------------
-
-def _is_const(e: Expr, v=None) -> bool:
-    return isinstance(e, Const) and (v is None or e.value == v)
-
 
 def neg(a: Expr) -> Expr:
     if isinstance(a, Const):
@@ -228,44 +241,44 @@ def neg(a: Expr) -> Expr:
 
 
 def add(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
-    if _is_const(a, 0):
+    if a is ZERO:
         return b
-    if _is_const(b, 0):
+    if b is ZERO:
         return a
+    if type(a) is Const and type(b) is Const:
+        return Const(a.value + b.value)
     return Add(a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
-    if _is_const(b, 0):
+    if b is ZERO:
         return a
-    if _is_const(a, 0):
+    if a is ZERO:
         return neg(b)
+    if type(a) is Const and type(b) is Const:
+        return Const(a.value - b.value)
     return Sub(a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
-    if _is_const(a, 0) or _is_const(b, 0):
+    if a is ZERO or b is ZERO:
         return ZERO
-    if _is_const(a, 1):
+    if a is ONE:
         return b
-    if _is_const(b, 1):
+    if b is ONE:
         return a
+    if type(a) is Const and type(b) is Const:
+        return Const(a.value * b.value)
     return Mul(a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0:
-        return Const(a.value / b.value)
-    if _is_const(b, 1):
+    if b is ONE:
         return a
-    if _is_const(a, 0) and not _is_const(b, 0):
+    if a is ZERO and b is not ZERO:
         return ZERO
+    if type(a) is Const and type(b) is Const and b is not ZERO:
+        return Const(a.value / b.value)
     return Div(a, b)
 
 
@@ -671,40 +684,36 @@ def _pow(p, pts, base):
 def _piecewise(refs, pts):
     """The Piecewise nodes of one region at ``pts``, one row per node: one
     mask, and one program for their ``inside`` and one for their
-    ``outside`` branches, each run on its side's points only."""
+    ``outside`` branches, each run on its side's points only; a side whose
+    branches are all constants is filled with them instead."""
     nodes = [ref() for ref in refs]
     mask = nodes[0].region.contains(pts)
     out = np.empty((len(nodes), pts.shape[0]))
-    inside, outside = np.flatnonzero(mask), np.flatnonzero(~mask)
-    if inside.size:
-        out[:, inside] = _run(tuple([e.inside for e in nodes]), pts[inside])
-    if outside.size:
-        out[:, outside] = _run(tuple([e.outside for e in nodes]),
-                               pts[outside])
+    for side, cols in (("inside", np.flatnonzero(mask)),
+                       ("outside", np.flatnonzero(~mask))):
+        if cols.size:
+            branches = tuple([getattr(e, side) for e in nodes])
+            if all(type(b) is Const for b in branches):
+                out[:, cols] = [[float(b.value)] for b in branches]
+            else:
+                out[:, cols] = _run(branches, pts[cols])
     return out
 
 
-def _step(e: Expr) -> tuple:
-    """(operation, data, children) of one node; the data of an operator
-    or a function is its evaluation from the tables."""
-    if isinstance(e, Const):
-        return _full, float(e.value), ()
-    if isinstance(e, Pi):
-        return _full, np.pi, ()
-    if isinstance(e, Var):
-        return _var, e.index, ()
-    if isinstance(e, Neg):
-        return _unary, np.negative, (e.arg,)
-    if type(e) in _INFIX:
-        return _binary, _INFIX[type(e)][3], (e.left, e.right)
-    if isinstance(e, Pow):
-        return _pow, e.power, (e.base,)
-    if isinstance(e, Call):
-        return _unary, _FUNC[e.func][0], (e.arg,)
-    if isinstance(e, Piecewise):
-        # weakly: a program holds no node alive (see _run)
-        return _piecewise, [weakref.ref(e)], ()
-    raise TypeError(f"not an Expr: {e!r}")
+# node class -> (operation, data, children) of its step in a program; the
+# data of an operator or a function is its evaluation from the tables
+_STEP = {
+    Const: lambda e: (_full, float(e.value), ()),
+    Pi: lambda e: (_full, np.pi, ()),
+    Var: lambda e: (_var, e.index, ()),
+    Neg: lambda e: (_unary, np.negative, (e.arg,)),
+    Pow: lambda e: (_pow, e.power, (e.base,)),
+    Call: lambda e: (_unary, _FUNC[e.func][0], (e.arg,)),
+    # weakly: a program holds no node alive (see _run)
+    Piecewise: lambda e: (_piecewise, [weakref.ref(e)], ()),
+    **{c: lambda e, f=r[3]: (_binary, f, (e.left, e.right))
+       for c, r in _INFIX.items()},
+}
 
 
 def _plan(roots: tuple, group: bool = True) -> tuple:
@@ -713,27 +722,28 @@ def _plan(roots: tuple, group: bool = True) -> tuple:
     steps = []
     slot = {}  # node -> its step, or (its group's step, its row there)
     groups = {}  # region -> (step, weak references) of its Piecewise nodes
-    for root in roots:
-        stack = [root]
-        while stack:
-            node = stack[-1]
-            if node in slot:
-                stack.pop()
+    stack = list(reversed(roots))
+    pop, push, index = stack.pop, stack.append, slot.__getitem__
+    while stack:
+        node = pop()
+        if type(node) is tuple:  # a node whose children are all done
+            node, op, data, children = node
+        elif node in slot:
+            continue
+        else:
+            op, data, children = _STEP[type(node)](node)
+            if children:
+                push((node, op, data, children))
+                stack += reversed(children)
                 continue
-            op, data, children = _step(node)
-            pending = [c for c in children if c not in slot]
-            if pending:
-                stack.extend(reversed(pending))
+        if group and op is _piecewise:
+            i, refs = groups.setdefault(node.region, (len(steps), data))
+            if refs is not data:  # a later node of the region: a row
+                slot[node] = (i, len(refs))
+                refs += data
                 continue
-            stack.pop()
-            if group and op is _piecewise:
-                i, refs = groups.setdefault(node.region, (len(steps), data))
-                if refs is not data:  # a later node of the region: a row
-                    slot[node] = (i, len(refs))
-                    refs += data
-                    continue
-            slot[node] = len(steps)
-            steps.append((op, data, tuple(slot[c] for c in children)))
+        slot[node] = len(steps)
+        steps.append((op, data, tuple(map(index, children))))
     # the values in step order, one per row of a Piecewise step
     width = [len(data) if op is _piecewise else 1 for op, data, _ in steps]
     first = list(itertools.accumulate(width, initial=0))
@@ -747,28 +757,24 @@ def _plan(roots: tuple, group: bool = True) -> tuple:
     # at its own step, once it has been written out; the rows of a step
     # are views of one array, which dies with the last of them
     last = {j: i for i, (_, _, args) in enumerate(steps) for j in args}
-    rows = [[] for _ in steps]
+    rows = [()] * len(steps)
     for r, root in enumerate(roots):
         s = slot[root]
         i = s if type(s) is int else s[0]
-        rows[i].append((r, value(s)))
+        rows[i] += ((r, value(s)),)
         last.setdefault(value(s), i)
-    for i, w in enumerate(width):
-        if w > 1:
+    for i, refs in groups.values():
+        if len(refs) > 1:
             group_rows = range(first[i], first[i + 1])
-            end = max(last[j] for j in group_rows)
-            last.update(dict.fromkeys(group_rows, end))
-    dead = [[] for _ in steps]
+            last.update(dict.fromkeys(group_rows,
+                                      max(map(last.get, group_rows))))
+    dead = [()] * len(steps)
     for j, i in last.items():
-        dead[i].append(j)
-    live = peak = 0
-    for w, d in zip(width, dead):
-        live += w
-        if live > peak:
-            peak = live
-        live -= len(d)
-    return ([(*step, tuple(d), tuple(r))
-             for step, d, r in zip(steps, dead, rows)], peak)
+        dead[i] += (j,)
+    # live values: each step adds its rows, then frees its dead values
+    peak = max(map(operator.sub, itertools.accumulate(width),
+                   itertools.accumulate(map(len, dead), initial=0)))
+    return [(*s, d, r) for s, d, r in zip(steps, dead, rows)], peak
 
 
 def _run_block(steps: list, pts: np.ndarray, out) -> None:

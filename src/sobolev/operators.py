@@ -145,9 +145,9 @@ def empirical_bound(op_id: str, g: MetricField, from_exponents,
     atlas = g.atlas
     if route is None:
         route = "chart" if atlas.period_box is None else "box"
-    if pou is None and route == "chart":
+    if pou is None and route != "box":  # one for every norm of the call
         pou = build_partition_of_unity(atlas)
-    variant = NormVariant(route, pou=pou)
+    variant = NormVariant(route, pou=pou, metric=g)
     variant.check(atlas, e, q, N)
     *_, shape = variant.check(atlas, et, qt, N)
     order = _VALENCES[op_id][1]

@@ -19,12 +19,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sobolev import funcexpr
-from sobolev.fields import AnnulusRegion, BoxRegion, box_bump
+from sobolev.atlas import builtin_manifold
+from sobolev.fields import AnnulusRegion, BoxRegion, box_bump, interval_bump
 from sobolev.funcexpr import (
     _INTERNED, Add, Call, Const, Div, ExprDomainError, Mul, Neg, Pi,
-    Piecewise, Pow, Sub, Var, _plan, diff_expr, eval_expr, eval_many,
-    eval_on_points, parse_expr,
+    Piecewise, Pow, Sub, Var, _plan, add, diff_expr, div, eval_expr,
+    eval_many, eval_on_points, mul, neg, parse_expr, sub,
 )
+from sobolev.geometry import TensorField
+from sobolev.manifold_norms import chart_sobolev_norm
 
 
 # --- oracle: one numpy operation per tree node, children left to right ----
@@ -372,6 +375,28 @@ def test_piecewise_nodes_of_one_region_are_one_step():
         s[0] is funcexpr._piecewise for s in single)
 
 
+def test_constant_branches_run_no_program(monkeypatch):
+    # a bump is 1 on its plateau and 0 outside its band, and its partials
+    # are 0 on both: those sides are filled, and only the top program and
+    # the band's inside branches run
+    bump = interval_bump(1, 1, Fraction(1, 4), Fraction(1, 2), Fraction(1))
+    pts = np.linspace(-1.5, 2.0, 36)[:, None]
+    for roots in ([bump], [bump, diff_expr(bump, 1)]):
+        check_many(roots, pts)
+        runs = []
+        run = funcexpr._run
+
+        def counting(branches, at):
+            runs.append(branches)
+            return run(branches, at)
+        monkeypatch.setattr(funcexpr, "_run", counting)
+        eval_many(roots, pts)
+        monkeypatch.undo()
+        assert len(runs) == 3  # the roots, the plateau's outside, the band's
+        assert not any(all(type(e) is Const for e in branches)
+                       for branches in runs)
+
+
 class BlockRegion:
     """x1 > 0, hashing by identity; records the program block it is
     evaluated in (None in a tree walk)."""
@@ -499,7 +524,7 @@ class TestInterning:
         marker = Fraction(987654321, 1000003)
 
         def marked():
-            return [n for n in list(_INTERNED.values())
+            return [n for n in [ref() for ref in list(_INTERNED.values())]
                     if isinstance(n, Const) and n.value == marker]
 
         root = Call("exp", Mul(Const(marker),
@@ -511,6 +536,70 @@ class TestInterning:
         gc.collect()
         assert probe() is None
         assert not marked()
+
+    def test_reinterned_key_maps_to_the_new_node(self):
+        marker = Fraction(987654323, 1000003)
+        node = Const(marker)
+        (key, stale), = [(k, r) for k, r in _INTERNED.items()
+                         if r() is node]
+        del node
+        assert stale() is None and key not in _INTERNED
+        node = Const(marker)
+        assert _INTERNED[key]() is node
+        # a dead node's callback comes after a new node took its key
+        funcexpr._forget(stale)
+        assert _INTERNED[key]() is node
+        # a lookup between a node's death and its callback builds anew
+        del node
+        _INTERNED[key] = stale
+        node = Const(marker)
+        assert _INTERNED[key]() is node and Const(marker) is node
+
+    def test_table_is_back_at_its_baseline_after_a_norm(self):
+        atlas, pou, _ = builtin_manifold("torus2")
+
+        def norm(k):
+            u = TensorField.from_ambient(atlas, f"sin(2*pi*{k}*x1)*cos(2*pi*x2)")
+            return chart_sobolev_norm(u, pou, e=1, q=2, N=8).value
+
+        norm(3)  # the atlas's own lazily built expressions, if any
+        gc.collect()
+        baseline = len(_INTERNED)
+        assert norm(5) > 0
+        gc.collect()
+        assert len(_INTERNED) == baseline
+
+
+# --- folding constructors -------------------------------------------------------
+
+def folded_by_value(fold, a, b):
+    """The folding rules stated with value tests, as the tree of a fold."""
+    def is_const(e, v=None):
+        return isinstance(e, Const) and (v is None or e.value == v)
+    both = is_const(a) and is_const(b)
+    if fold is add:
+        return (Const(a.value + b.value) if both else b if is_const(a, 0)
+                else a if is_const(b, 0) else Add(a, b))
+    if fold is sub:
+        return (Const(a.value - b.value) if both else a if is_const(b, 0)
+                else neg(b) if is_const(a, 0) else Sub(a, b))
+    if fold is mul:
+        return (Const(a.value * b.value) if both else Const(0)
+                if is_const(a, 0) or is_const(b, 0) else b if is_const(a, 1)
+                else a if is_const(b, 1) else Mul(a, b))
+    return (Const(a.value / b.value) if both and b.value != 0 else a
+            if is_const(b, 1) else Const(0) if is_const(a, 0)
+            and not is_const(b, 0) else Div(a, b))
+
+
+@pytest.mark.parametrize("fold", [add, sub, mul, div])
+def test_identity_folds_match_the_value_rules(fold):
+    others = [Var(1), Pi(), Neg(Var(2)), Const(Fraction(-3, 2)),
+              Const(Fraction(0)), Const(Fraction(1))]
+    for fresh in (Const(Fraction(0)), Const(Fraction(1))):
+        for other in others:
+            for a, b in ((fresh, other), (other, fresh)):
+                assert fold(a, b) is folded_by_value(fold, a, b)
 
 
 # --- sympy oracle for diff_expr ----------------------------------------------

@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sobolev.atlas import builtin_manifold
+from sobolev import manifold_norms, operators
+from sobolev.atlas import build_partition_of_unity, builtin_manifold
 from sobolev.exponents import ExponentError
 from sobolev.funcexpr import eval_on_points, parse_expr
 from sobolev.geometry import TensorField, scalar_field
@@ -11,6 +12,7 @@ from sobolev.operators import (
     ValenceMismatch, apply_operator, describe_components,
     divergence_integral, empirical_bound,
 )
+from sobolev.manifold_norms import connection_sobolev_norm
 from sobolev.quadrature import midpoint_grid
 
 
@@ -235,6 +237,29 @@ class TestEmpiricalBound:
                               self.family(atlas, ks=(1, 2)), N=128,
                               route="chart", pou=pou)
         assert out["sup"] > 0
+
+    def test_connection_route_builds_one_partition(self, t1, monkeypatch):
+        # the connection norms take the metric, and one partition of unity
+        # serves every norm of the call, with the bits of separate norms
+        atlas, _, g = t1
+        family = self.family(atlas, ks=(1, 2))
+        expected = [connection_sobolev_norm(apply_operator("d", g, u), g, 0,
+                                            2, 16).value
+                    / connection_sobolev_norm(u, g, 1, 2, 16).value
+                    for u in family]
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return build_partition_of_unity(*args)
+        monkeypatch.setattr(operators, "build_partition_of_unity", counting)
+        monkeypatch.setattr(manifold_norms, "build_partition_of_unity",
+                            counting)
+        out = empirical_bound("d", g, (1, 2), (0, 2), family, N=16,
+                              route="connection")
+        assert len(built) == 1
+        assert np.array(out["ratios"]).tobytes() == \
+            np.array(expected).tobytes()
 
     @pytest.mark.parametrize("manifold, text, route", [
         ("t1", "sin(2*pi*x1)", "box"), ("s1", "x1*x2", "chart"),
