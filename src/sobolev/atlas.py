@@ -21,7 +21,8 @@ box.
 The partition of unity follows the telescoping product construction:
 psi_1 = eta_1 and psi_a = eta_a * (1-eta_1) *...* (1-eta_{a-1}), which
 sums to 1 wherever some eta equals 1; the built-in bump plateaus are
-sized so those sets cover the manifold.
+sized so those sets cover the manifold.  Every eta, read in its own
+chart or in another, is a public bump of :mod:`sobolev.fields`.
 """
 
 from __future__ import annotations
@@ -36,12 +37,11 @@ import numpy as np
 
 from sobolev import ArgumentError, Report
 from sobolev.fields import (
-    _SEAM, AnnulusRegion, _band_expr, box_bump, radial_bump,
-    radius_squared,
+    box_bump, inverted_radial_bump, radial_bump, radius_squared,
 )
 from sobolev.funcexpr import (
-    ONE, ZERO, Call, Const, Expr, Piecewise, Var, add, div, eval_many,
-    eval_on_points, mul, pow_, prod_exprs, sub, subst_expr, sum_exprs,
+    ONE, Const, Expr, Var, add, div, eval_many, eval_on_points, mul, pow_,
+    prod_exprs, sub, subst_expr, sum_exprs,
 )
 from sobolev.quadrature import BoxDomain
 
@@ -172,15 +172,8 @@ class StereoChart(Chart):
         return subst_expr(u, dict(enumerate(self.inverse_exprs, start=1)))
 
     def pulled_bump(self, seed: "BumpSeed") -> Expr:
-        """The other chart's radial bump through the inversion x / |x|^2:
-        plateau |x| >= 1/a, vanishing for |x| <= 1/b, smooth across the
-        origin because it is constant there, with radial_bump's seams."""
-        a, b = float(seed.plateau), float(seed.support)
-        band = AnnulusRegion(1.0 / b * (1.0 + _SEAM), 1.0 / a * (1.0 - _SEAM),
-                             closed=False)
-        r = Call("sqrt", radius_squared(self.dim))
-        return Piecewise(AnnulusRegion(1.0 / a * (1.0 - _SEAM), None), ONE,
-                         Piecewise(band, _band_expr(div(ONE, r), a, b), ZERO))
+        """The other chart's radial bump through the inversion x / |x|^2."""
+        return inverted_radial_bump(self.dim, seed.plateau, seed.support)
 
     def transition_jacobian(self, coords: np.ndarray) -> np.ndarray:
         """Jacobians of the inversion x / |x|^2 into the other chart."""
@@ -458,23 +451,22 @@ class TransitionMap:
 
 def quasirandom_points(manifold: str, m: int) -> np.ndarray:
     """Deterministic low-discrepancy sample of ambient manifold points."""
+    cls, dim = _builtin(manifold)
     i = np.arange(m)
-    if manifold == "s1-stereo":
+    if cls is StereoChart and dim == 1:
         t = np.mod((i + 0.5) * _GOLDEN, 1.0)
         ang = 2.0 * np.pi * t
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    if manifold == "s2-stereo":
+    if cls is StereoChart:
         z = 1.0 - 2.0 * (i + 0.5) / m
         ang = 2.0 * np.pi * np.mod(i * _GOLDEN, 1.0)
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         return np.stack([r * np.cos(ang), r * np.sin(ang), z], axis=1)
-    if manifold == "torus1":
+    if dim == 1:  # the tori
         return np.mod((i[:, None] + 0.5) * _GOLDEN, 1.0)
-    if manifold == "torus2":
-        rho = 1.3247179572447460  # plastic ratio; R2 sequence
-        a = np.array([1.0 / rho, 1.0 / rho ** 2])
-        return np.mod((i[:, None] + 0.5) * a[None, :], 1.0)
-    raise UnknownManifold(manifold)
+    rho = 1.3247179572447460  # plastic ratio; R2 sequence
+    a = np.array([1.0 / rho, 1.0 / rho ** 2])
+    return np.mod((i[:, None] + 0.5) * a[None, :], 1.0)
 
 
 def builtin_manifold(name: str):
@@ -486,11 +478,16 @@ def builtin_manifold(name: str):
     return atlas, pou, builtin_metric(atlas)
 
 
-def _builtin_atlas(name: str) -> Atlas:
+def _builtin(name: str) -> tuple:
+    """The (chart class, dim) of a built-in manifold's name."""
     if name not in _BUILTINS:
         raise UnknownManifold(f"unknown manifold {name!r}; "
                               f"known: {', '.join(MANIFOLD_NAMES)}")
-    cls, dim = _BUILTINS[name]
+    return _BUILTINS[name]
+
+
+def _builtin_atlas(name: str) -> Atlas:
+    cls, dim = _builtin(name)
     return Atlas(name, cls.cover(dim))
 
 

@@ -156,7 +156,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--e", type=_NUMBER, default="1")
     c.add_argument("--q", type=_NUMBER, default="2")
     c.add_argument("--grid", type=int, default=None)
-    c.add_argument("--pou", default="default", choices=["default", "alt"])
+    c.add_argument("--pou", choices=["default", "alt"])
     c.add_argument("--intrinsic", action="store_true",
                    help="with --e 0: report both Lebesgue-norm variants")
     c.add_argument("--atlas-config", default=None)
@@ -213,12 +213,14 @@ def _config_echo(args) -> dict:
             if k not in skip and v is not None}
 
 
-def _load_manifold(args):
+def _load_manifold(args, chosen=None):
     """(atlas, partition of unity, metric) of --manifold, rebuilt from
-    --atlas-config where given."""
+    --atlas-config where given.  The partition is the config's, else the
+    one ``chosen`` names ("default" or "alt"); not both."""
     path = getattr(args, "atlas_config", None)
     if not path:
-        return atlas_mod.builtin_manifold(args.manifold)
+        atlas, pou, g = atlas_mod.builtin_manifold(args.manifold)
+        return atlas, _alt_pou(atlas) if chosen == "alt" else pou, g
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -229,8 +231,12 @@ def _load_manifold(args):
     if atlas.manifold != args.manifold:
         raise ArgumentError(f"--atlas-config describes {atlas.manifold!r}, "
                             f"not --manifold {args.manifold!r}")
+    if pou is not None and chosen is not None:
+        raise ArgumentError("--pou and the 'pou' of --atlas-config both "
+                            "choose the partition of unity; give one")
     if pou is None:
-        pou = atlas_mod.build_partition_of_unity(atlas)
+        pou = _alt_pou(atlas) if chosen == "alt" else \
+            atlas_mod.build_partition_of_unity(atlas)
     return atlas, pou, builtin_metric(atlas)
 
 
@@ -259,9 +265,10 @@ def _dispatch(args) -> tuple[dict, int]:
         return rep, 0
 
     if cmd == "norm" and args.norm_command == "manifold":
-        atlas, pou, g = _load_manifold(args)
-        if args.pou == "alt":
-            pou = _alt_pou(atlas)
+        # echoed as "default" should the load fail
+        chosen, args.pou = args.pou, args.pou or "default"
+        atlas, pou, g = _load_manifold(args, chosen)
+        args.pou = pou.name  # the partition used
         u = TensorField.from_ambient(atlas, args.expr)
         e, q = _number(args.e), _number(args.q)
         if args.intrinsic:
@@ -314,13 +321,11 @@ def _dispatch(args) -> tuple[dict, int]:
                                   N=args.grid, route=args.route, pou=pou)
         return out, 0
 
-    if cmd == "atlas" and args.atlas_command == "show":
-        atlas, pou, _ = _load_manifold(args)
-        cfg = atlas.to_config()
-        cfg["pou"] = pou.to_json()
-        return cfg, 0
-
-    raise ArgumentError(f"unhandled command {cmd!r}")  # pragma: no cover
+    # atlas show: argparse takes no other command
+    atlas, pou, _ = _load_manifold(args)
+    cfg = atlas.to_config()
+    cfg["pou"] = pou.to_json()
+    return cfg, 0
 
 
 def _run_check(args) -> ex.Verdict:
@@ -341,12 +346,11 @@ def _run_check(args) -> ex.Verdict:
     if sub == "derivative":
         return ex.check_derivative(
             ex.SpaceSpec(_pair(args.space), args.n, domain), args.order)
-    if sub == "extend":
-        spec = ex.SpaceSpec(_pair(args.space), args.n,
-                            ex.DomainClass.COMPACT_SUPPORT_IN_OPEN,
-                            enclosing=args.enclosing)
-        return ex.check_extension(spec)
-    raise ArgumentError(f"unknown check {sub!r}")  # pragma: no cover
+    # extend: argparse takes no other check
+    spec = ex.SpaceSpec(_pair(args.space), args.n,
+                        ex.DomainClass.COMPACT_SUPPORT_IN_OPEN,
+                        enclosing=args.enclosing)
+    return ex.check_extension(spec)
 
 
 def execute(argv=None) -> int:

@@ -6,7 +6,8 @@ compactly supported data (mollifier bumps, zero extensions, pulled-back
 partition-of-unity factors) are expressions with
 :class:`~sobolev.funcexpr.Piecewise` nodes whose branches are glued along
 seams where all derivatives agree, so differentiation may act branch by
-branch.
+branch.  Every bump, the sphere charts' pulled-back bumps included, is
+one nested plateau/band/zero Piecewise, built by one helper.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ import numpy as np
 from sobolev import ArgumentError
 from sobolev.funcexpr import (
     ONE, ZERO, Call, Const, Expr, Piecewise, Var, add, div, eval_on_points,
-    neg, pow_, prod_exprs, sub,
+    neg, pow_, prod_exprs, sub, sum_exprs,
 )
 
 __all__ = [
     "Field", "BoxRegion", "AnnulusRegion",
     "smoothstep_expr", "interval_bump", "box_bump", "radial_bump",
-    "radius_squared",
+    "inverted_radial_bump", "radius_squared",
 ]
 
 # Kept for the benchmark's two readers only: perfbench/tracer.py imports
@@ -73,12 +74,8 @@ class AnnulusRegion:
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         r = np.sqrt(np.sum(pts * pts, axis=1))
-        mask = np.ones(pts.shape[0], dtype=bool)
-        if self.rlo is not None:
-            mask &= (r >= self.rlo) if self.closed else (r > self.rlo)
-        if self.rhi is not None:
-            mask &= (r <= self.rhi) if self.closed else (r < self.rhi)
-        return mask
+        return BoxRegion((self.rlo,), (self.rhi,),
+                         self.closed).contains(r[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -106,33 +103,31 @@ def smoothstep_expr(arg: Expr) -> Expr:
     return div(f_lo, add(f_lo, f_hi))
 
 
-def _band_expr(distance: Expr, plateau: float, support: float) -> Expr:
-    # smoothstep of (support - distance)/(support - plateau)
-    tau = div(sub(Const(Fraction(support)), distance),
-              Const(Fraction(support) - Fraction(plateau)))
-    return smoothstep_expr(tau)
+def _bump(distance: Expr, plateau, support, regions) -> Expr:
+    """1 on the plateau, the smoothstep of (support - distance)/(support -
+    plateau) on the band, 0 outside: ``regions(plateau, support)`` gives
+    the plateau and band regions once 0 < plateau < support holds."""
+    if not 0 < plateau < support:
+        raise ArgumentError("need 0 < plateau < support")
+    inner, band = regions(plateau, support)
+    a, b = Fraction(float(plateau)), Fraction(float(support))
+    tau = div(sub(Const(b), distance), Const(b - a))
+    return Piecewise(inner, ONE, Piecewise(band, smoothstep_expr(tau), ZERO))
 
 
 def interval_bump(n: int, axis: int, center, plateau, support) -> Expr:
     """1-variable bump in x<axis>: 1 on [c-a, c+a], 0 outside (c-b, c+b)."""
-    center = Fraction(center)
-    a = Fraction(plateau)
-    b = Fraction(support)
-    if not 0 < a < b:
-        raise ArgumentError("need 0 < plateau < support")
-    dist = Call("abs", sub(Var(axis), Const(center)))
-    lo = [None] * n
-    hi = [None] * n
-    plat_lo, plat_hi = list(lo), list(hi)
-    plat_lo[axis - 1] = float(center - a) - _SEAM
-    plat_hi[axis - 1] = float(center + a) + _SEAM
-    band_lo, band_hi = list(lo), list(hi)
-    band_lo[axis - 1] = float(center - b) + _SEAM
-    band_hi[axis - 1] = float(center + b) - _SEAM
-    band = BoxRegion(band_lo, band_hi, closed=False)
-    return Piecewise(BoxRegion(plat_lo, plat_hi), ONE,
-                     Piecewise(band, _band_expr(dist, float(a), float(b)),
-                               ZERO))
+    c = Fraction(center)
+
+    def at(v):  # a bound vector: v on x<axis>, none on the other axes
+        return [None] * (axis - 1) + [v] + [None] * (n - axis)
+
+    return _bump(Call("abs", sub(Var(axis), Const(c))), Fraction(plateau),
+                 Fraction(support), lambda a, b: (
+                     BoxRegion(at(float(c - a) - _SEAM),
+                               at(float(c + a) + _SEAM)),
+                     BoxRegion(at(float(c - b) + _SEAM),
+                               at(float(c + b) - _SEAM), closed=False)))
 
 
 def box_bump(n: int, center, plateau, support) -> Expr:
@@ -144,19 +139,22 @@ def box_bump(n: int, center, plateau, support) -> Expr:
 
 def radius_squared(n: int) -> Expr:
     """x1^2 + ... + xn^2."""
-    r2 = pow_(Var(1), Fraction(2))
-    for ax in range(2, n + 1):
-        r2 = add(r2, pow_(Var(ax), Fraction(2)))
-    return r2
+    return sum_exprs(pow_(Var(ax), Fraction(2)) for ax in range(1, n + 1))
 
 
 def radial_bump(n: int, plateau, support) -> Expr:
     """Radial bump about the origin: 1 for |x| <= plateau, 0 for |x| >= support."""
-    a = float(plateau)
-    b = float(support)
-    if not 0 < a < b:
-        raise ArgumentError("need 0 < plateau < support")
-    band = AnnulusRegion(a + _SEAM, b - _SEAM, closed=False)
-    return Piecewise(AnnulusRegion(None, a + _SEAM), ONE,
-                     Piecewise(band, _band_expr(
-                         Call("sqrt", radius_squared(n)), a, b), ZERO))
+    return _bump(Call("sqrt", radius_squared(n)), float(plateau),
+                 float(support), lambda a, b: (
+                     AnnulusRegion(None, a + _SEAM),
+                     AnnulusRegion(a + _SEAM, b - _SEAM, closed=False)))
+
+
+def inverted_radial_bump(n: int, plateau, support) -> Expr:
+    """radial_bump through the inversion x / |x|^2: 1 for |x| >= 1/plateau,
+    0 for |x| <= 1/support, so smooth across the origin."""
+    return _bump(div(ONE, Call("sqrt", radius_squared(n))), float(plateau),
+                 float(support), lambda a, b: (
+                     AnnulusRegion(1.0 / a * (1.0 - _SEAM), None),
+                     AnnulusRegion(1.0 / b * (1.0 + _SEAM),
+                                   1.0 / a * (1.0 - _SEAM), closed=False)))

@@ -98,9 +98,8 @@ def _intrinsic_integrals(integrand, g: MetricField, pou: PartitionOfUnity,
     return tuple([list(r) for r in zip(*grid)] for grid in zip(*per_chart))
 
 
-def manifold_lq_norm(u: TensorField, g: MetricField,
-                     pou: PartitionOfUnity = None, q: float = 2.0,
-                     N=None) -> Report:
+def manifold_lq_norm(u: TensorField, g: MetricField, pou: PartitionOfUnity,
+                     q: float = 2.0, N=None) -> Report:
     """Intrinsic L^q norm, reported together with the chart-sum variant.
 
     The primary value integrates |u|_E^q against the volume density; the
@@ -109,9 +108,7 @@ def manifold_lq_norm(u: TensorField, g: MetricField,
     representations) and the ratio of the two.
     """
     atlas = u.atlas
-    if pou is None:
-        pou = build_partition_of_unity(atlas)
-    _, q, shape = NormVariant("chart").check(atlas, 0, q, N)
+    _, q, shape = NormVariant("chart", pou=pou).check(atlas, 0, q, N)
 
     (per_chart,), (coarse,) = _intrinsic_integrals(
         lambda ci, pts: fiber_norm_values([u], g, ci, pts) ** q, g, pou,
@@ -132,15 +129,13 @@ def manifold_lq_norm(u: TensorField, g: MetricField,
                         pou=pou.name)
 
 
-def chart_sobolev_norm(u: TensorField, pou: PartitionOfUnity = None,
+def chart_sobolev_norm(u: TensorField, pou: PartitionOfUnity,
                        e: float = 1.0, q: float = 2.0, N=None) -> Report:
     """Chart-based W^{e,q} norm: the sum of the box norms (value, error
     estimate and ``coarse``) of the partition-weighted local
     representations, each on its chart's truncation box."""
     atlas = u.atlas
-    if pou is None:
-        pou = build_partition_of_unity(atlas)
-    e, q, shape = NormVariant("chart").check(atlas, e, q, N)
+    e, q, shape = NormVariant("chart", pou=pou).check(atlas, e, q, N)
 
     value = value_c = 0.0  # at N and at N // 2
     err = 0.0
@@ -169,7 +164,7 @@ def connection_sobolev_norm(u: TensorField, g: MetricField, k: int = 1,
         ( sum_{i=0..k} || |nabla^i u|_F ||_{L^q}^q )^{1/q}
     """
     atlas = u.atlas
-    k, q, shape = NormVariant("connection").check(atlas, k, q, N)
+    k, q, shape = NormVariant("connection", metric=g).check(atlas, k, q, N)
     k = int(k)
     if pou is None:
         pou = build_partition_of_unity(atlas)
@@ -200,7 +195,8 @@ def connection_sobolev_norm(u: TensorField, g: MetricField, k: int = 1,
 class NormVariant:
     """One norm route: a chart norm for a given partition of unity, the
     connection norm for a metric, or (on a torus) the box norm of the
-    local representation over one exact period."""
+    local representation over one exact period.  Made without its
+    partition or metric, a route is an :class:`~sobolev.ArgumentError`."""
 
     kind: str                      # "chart" | "connection" | "box"
     pou: PartitionOfUnity | None = None
@@ -209,6 +205,10 @@ class NormVariant:
     def __post_init__(self):
         if self.kind not in ("chart", "connection", "box"):
             raise ArgumentError(f"unknown norm variant {self.kind!r}")
+        if self.kind == "chart" and self.pou is None:
+            raise ArgumentError("the chart route needs a partition of unity")
+        if self.kind == "connection" and self.metric is None:
+            raise ArgumentError("the connection route needs a metric")
 
     def check(self, atlas, e, q, N):
         """``(e, q, shape)`` checked: raise :class:`~sobolev.ArgumentError`

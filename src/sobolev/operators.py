@@ -183,7 +183,7 @@ def empirical_bound(op_id: str, g: MetricField, from_exponents,
 
 
 def divergence_integral(X: TensorField, g: MetricField,
-                        pou: PartitionOfUnity = None, N=None) -> Report:
+                        pou: PartitionOfUnity, N=None) -> Report:
     """integral_M (div X) dV_g, which vanishes on a closed manifold.
 
     Returns the signed integral and a two-grid error estimate; computed
@@ -191,8 +191,6 @@ def divergence_integral(X: TensorField, g: MetricField,
     of unity.
     """
     divX = apply_operator("div", g, X)
-    if pou is None:
-        pou = build_partition_of_unity(X.atlas)
     (fine,), (coarse,) = _intrinsic_integrals(
         lambda ci, pts: [eval_on_points(divX.comps[ci][0], pts)], g, pou,
         grid_shape(X.atlas.dim, N))

@@ -38,6 +38,15 @@ class TestCharts:
         with pytest.raises(UnknownManifold):
             builtin_manifold("klein-bottle")
 
+    @pytest.mark.parametrize("lookup", [
+        builtin_manifold, lambda name: quasirandom_points(name, 8)],
+        ids=["builtin_manifold", "quasirandom_points"])
+    def test_unknown_name_reads_one_message(self, lookup):
+        with pytest.raises(UnknownManifold) as err:
+            lookup("s9")
+        assert str(err.value) == ("unknown manifold 's9'; known: s1-stereo, "
+                                  "s2-stereo, torus1, torus2")
+
     def test_s1_forward_formula(self, s1):
         atlas, _, _ = s1
         # chart 1 is the projection (x, y) -> x / (1 - y)

@@ -538,7 +538,7 @@ class TestCompareAndOps:
     @pytest.mark.parametrize("calls, argv", [
         ((lambda u, g, pou: mn.connection_sobolev_norm(u, g, k=1.5, N=16,
                                                        pou=pou),
-          lambda u, g, pou: mn.NormVariant("connection").check(
+          lambda u, g, pou: mn.NormVariant("connection", metric=g).check(
               u.atlas, 1.5, 2, 16)),
          ("compare", "--manifold", "s1-stereo", "--expr", "x1", "--e", "1/2",
           "--grid", "16", "--against", "connection")),
@@ -661,6 +661,39 @@ class TestPlumbing:
                      "--grid", "16")):
             assert report_text(capsys, *cmd, *given) == \
                 report_text(capsys, *cmd, "--manifold", "s2-stereo")
+
+    @staticmethod
+    def config_with_pou(tmp_path):
+        path = tmp_path / "atlas.json"
+        seed = {"kind": "radial", "plateau": 1.4, "support": 3.2}
+        path.write_text(json.dumps({"manifold": "s1-stereo", "pou": {
+            "name": "mine", "seeds": [seed, seed]}}))
+        return ("norm", "manifold", "--manifold", "s1-stereo", "--expr",
+                "x1", "--e", "0", "--grid", "16", "--atlas-config",
+                str(path))
+
+    @pytest.mark.parametrize("choice", ["default", "alt"])
+    def test_pou_beside_a_config_pou_is_usage_error(self, tmp_path, capsys,
+                                                     choice):
+        # one setting chooses the partition: --pou never replaces the
+        # config's silently
+        code, rep = run(capsys, *self.config_with_pou(tmp_path),
+                        "--pou", choice)
+        assert code == 2
+        assert rep["error"] == ("--pou and the 'pou' of --atlas-config both "
+                                "choose the partition of unity; give one")
+        assert rep["config"]["pou"] == choice
+
+    def test_echo_names_the_partition_used(self, tmp_path, capsys):
+        code, rep = run(capsys, *self.config_with_pou(tmp_path))
+        assert code == 0
+        assert rep["pou"] == rep["config"]["pou"] == "mine"
+        for given, name in (((), "default"), (("--pou", "alt"), "alt")):
+            code, rep = run(capsys, "norm", "manifold", "--manifold",
+                            "torus1", "--expr", "1", "--e", "0", "--grid",
+                            "16", *given)
+            assert code == 0
+            assert rep["pou"] == rep["config"]["pou"] == name
 
     @pytest.mark.parametrize("content, manifold, message", [
         (None, "torus1", "No such file"),

@@ -3,9 +3,11 @@ deletion that leaves a stale export fails here; and which error types
 are :class:`sobolev.ArgumentError` (a refused argument, CLI exit 2) is
 pinned, with each argument rule raising it through the API."""
 
+import ast
 import importlib
 import math
 import pkgutil
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,6 +40,17 @@ def test_exports_resolve(name):
     exports = getattr(module, "__all__", [])
     assert len(exports) == len(set(exports))
     assert [x for x in exports if not hasattr(module, x)] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_a_private_name_of_fields(name):
+    """The bump rules live in ``fields``: another module calls its public
+    bumps and does not rebuild one from its private parts."""
+    tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
+    assert [alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and node.module == "sobolev.fields"
+            for alias in node.names if alias.name.startswith("_")] == []
 
 
 def test_argument_error_types_are_pinned():
@@ -126,6 +139,10 @@ RULES = {
         lambda a: ops.empirical_bound("d", a.g, ("1/2", 2), (0, 2), [a.u]),
     # the library's own rules, which no CLI command reaches
     "unknown route name": lambda a: mn.NormVariant("bogus"),
+    "chart route without a partition of unity":
+        lambda a: mn.NormVariant("chart"),
+    "connection route without a metric":
+        lambda a: mn.NormVariant("connection", pou=a.pou),
     "covariant derivative of order below 1":
         lambda a: covariant_derivative(a.u, a.g, 0),
     "covariant derivative of a fractional order":
@@ -137,6 +154,7 @@ RULES = {
     "grid count a string": lambda a: quad.grid_shape(2, "88"),
     "musical direction": lambda a: musical(a.u, a.g, "up"),
     "musical slot missing": lambda a: musical(a.u, a.g, "flat"),
+    "musical sharp slot missing": lambda a: musical(a.u, a.g, "sharp"),
     "metric with a zero determinant":
         lambda a: MetricField(a.g.atlas, [[[ZERO]]] * 2),
     "one bump seed per chart":

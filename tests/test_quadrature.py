@@ -624,6 +624,17 @@ class TestExtendByZero:
         with pytest.raises(SupportViolation):
             extend_by_zero(ONE, self.INNER, N=64)
 
+    def test_facet_probe_sees_what_the_midpoints_miss_in_2d(self):
+        # 0 at the x1 midpoints 1/8, 3/8, 5/8, 7/8 of the grid of N = 4,
+        # but 105/4096 on the facets x1 = 0 and x1 = 1, which only the
+        # boundary probe samples
+        u = parse_expr("(x1 - 1/8)*(x1 - 3/8)*(x1 - 5/8)*(x1 - 7/8)", 2)
+        square = BoxDomain(((0.0, 1.0), (0.0, 1.0)))
+        pts, _, _ = midpoint_grid(square, (4, 4))
+        assert not np.any(eval_on_points(u, pts))
+        with pytest.raises(SupportViolation, match=r"reaches 2\.563e-02 "):
+            extend_by_zero(u, square, N=4)
+
     def test_norm_does_not_shrink(self):
         ext = extend_by_zero(self.bump(), self.INNER, N=128)
         inner_rep = sobolev_norm(self.bump(), self.INNER, s=0.5, p=2, N=128)
