@@ -215,18 +215,19 @@ def _config_echo(args) -> dict:
 
 def _load_manifold(args, chosen=None):
     """(atlas, partition of unity, metric) of --manifold, rebuilt from
-    --atlas-config where given.  The partition is the config's, else the
-    one ``chosen`` names ("default" or "alt"); not both."""
+    --atlas-config, else from its name alone.  The partition is the
+    config's, else the one ``chosen`` names, the only one built; not both."""
     path = getattr(args, "atlas_config", None)
-    if not path:
-        atlas, pou, g = atlas_mod.builtin_manifold(args.manifold)
-        return atlas, _alt_pou(atlas) if chosen == "alt" else pou, g
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, ValueError) as err:  # ValueError: not JSON
-        raise ArgumentError(f"cannot read --atlas-config as JSON: {err}") \
-            from None
+    if not path and chosen != "alt":
+        return atlas_mod.builtin_manifold(args.manifold)
+    cfg = {"manifold": args.manifold}
+    if path:
+        try:
+            with open(path) as fh:
+                cfg = json.load(fh)
+        except (OSError, ValueError) as err:  # ValueError: not JSON
+            raise ArgumentError(
+                f"cannot read --atlas-config as JSON: {err}") from None
     atlas, pou = atlas_mod.atlas_from_config(cfg)
     if atlas.manifold != args.manifold:
         raise ArgumentError(f"--atlas-config describes {atlas.manifold!r}, "

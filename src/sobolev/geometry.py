@@ -388,9 +388,10 @@ def metric_as_tensor(g: MetricField) -> TensorField:
 
 def check_overlap_consistency(field: TensorField, npts: int = 100) -> float:
     """Max deviation between direct chart-b components and the tensor-law
-    transform of chart-a components, over sampled overlap points."""
+    transform of chart-a components, over sampled overlap points; an
+    ArgumentError if the ``npts`` samples put no point in any overlap."""
     atlas = field.atlas
-    worst = 0.0
+    deviations = []  # one per chart pair with sampled overlap points
     pts = quasirandom_points(atlas.manifold, npts)
     for b in range(len(atlas.charts)):
         chart_b = atlas.charts[b]
@@ -408,5 +409,7 @@ def check_overlap_consistency(field: TensorField, npts: int = 100) -> float:
                 continue
             predicted = transform_components(field, a, b, cb)
             direct = eval_many(field.comps[b], cb)
-            worst = max(worst, float(np.max(np.abs(direct - predicted))))
-    return worst
+            deviations.append(float(np.max(np.abs(direct - predicted))))
+    if not deviations:
+        raise ArgumentError(f"npts={npts} samples no overlap point")
+    return max(deviations)

@@ -31,7 +31,8 @@ is multiplied as psi * X * sqrt(det g), in that order, into a row that
 is 0 where psi_alpha is, so every sum has the bits of sampling every
 midpoint.
 
-Each route's report carries its value at N // 2 as ``coarse``.
+Each route's report is built from one ``quadrature.Estimate``: a chart
+route's is a ``_total``, an intrinsic route's a ``_two_grid`` of q-th roots.
 Equivalence statements between routes are verified empirically as ratio
 brackets over function families; no equivalence constants are claimed.
 
@@ -53,8 +54,8 @@ from sobolev.geometry import (
     MetricField, TensorField, covariant_derivative, fiber_norm_values,
 )
 from sobolev.quadrature import (
-    _check_order, _check_p, _ladder, _norm_report, grid_shape, midpoint_grid,
-    sobolev_norm,
+    _check_order, _check_p, _ladder, _norm_report, _total, _two_grid,
+    grid_shape, midpoint_grid, sobolev_norm,
 )
 
 __all__ = [
@@ -114,7 +115,7 @@ def manifold_lq_norm(u: TensorField, g: MetricField, pou: PartitionOfUnity,
         lambda ci, pts: fiber_norm_values([u], g, ci, pts) ** q, g, pou,
         shape)
     value = sum(per_chart) ** (1.0 / q)
-    value_c = sum(coarse) ** (1.0 / q)
+    est = _two_grid(value, sum(coarse) ** (1.0 / q))
 
     chart_sum = chart_sobolev_norm(u, pou, e=0, q=q, N=shape)
     extras = {"intrinsic_value": value, "chart_sum_value": chart_sum.value}
@@ -123,37 +124,31 @@ def manifold_lq_norm(u: TensorField, g: MetricField, pou: PartitionOfUnity,
     terms = [{"kind": "intrinsic", "chart": chart.name, "value": v}
              for chart, v in zip(atlas.charts, per_chart)]
     terms += [{"kind": "chart-sum", **t} for t in chart_sum.terms]
-    return _norm_report(value, terms, {"resolution": list(shape)},
-                        abs(value - value_c), extras, coarse=value_c,
+    return _norm_report(est, terms, {"resolution": list(shape)}, extras,
                         manifold=atlas.manifold, atlas=atlas.manifold,
                         pou=pou.name)
 
 
 def chart_sobolev_norm(u: TensorField, pou: PartitionOfUnity,
                        e: float = 1.0, q: float = 2.0, N=None) -> Report:
-    """Chart-based W^{e,q} norm: the sum of the box norms (value, error
-    estimate and ``coarse``) of the partition-weighted local
+    """Chart-based W^{e,q} norm: the :func:`~sobolev.quadrature._total`
+    of the box norms' estimates of the partition-weighted local
     representations, each on its chart's truncation box."""
     atlas = u.atlas
     e, q, shape = NormVariant("chart", pou=pou).check(atlas, e, q, N)
 
-    value = value_c = 0.0  # at N and at N // 2
-    err = 0.0
-    terms = []
+    ests, terms = [], []
     for ci, chart in enumerate(atlas.charts):
         for key, comp in zip(u.keys(), u.comps[ci]):
             rep = sobolev_norm(mul(pou.fields[ci], comp), chart.truncation,
                                e, q, shape)
-            value += rep.value
-            err += rep.error_estimate
-            value_c += rep.coarse
+            ests.append(rep.estimate)
             terms.append({"chart": chart.name,
                           "component": list(map(list, key)),
                           "value": rep.value})
     return _norm_report(
-        value, terms, {"resolution": list(shape), "e": e, "q": q},
-        err, coarse=value_c, manifold=atlas.manifold, atlas=atlas.manifold,
-        pou=pou.name)
+        _total(ests), terms, {"resolution": list(shape), "e": e, "q": q},
+        manifold=atlas.manifold, atlas=atlas.manifold, pou=pou.name)
 
 
 def connection_sobolev_norm(u: TensorField, g: MetricField, k: int = 1,
@@ -177,13 +172,11 @@ def connection_sobolev_norm(u: TensorField, g: MetricField, k: int = 1,
         lambda ci, pts: fiber_norm_values(derivatives, g, ci, pts) ** q, g,
         pou, shape)
     fine = list(map(sum, fine))
-    value = sum(fine) ** (1.0 / q)
-    value_c = sum(map(sum, coarse)) ** (1.0 / q)
+    est = _two_grid(sum(fine) ** (1.0 / q), sum(map(sum, coarse)) ** (1.0 / q))
     terms = [{"order": i, "lq_value": power ** (1.0 / q)}
              for i, power in enumerate(fine)]
     return _norm_report(
-        value, terms, {"resolution": list(shape), "k": k, "q": q},
-        abs(value - value_c), coarse=value_c,
+        est, terms, {"resolution": list(shape), "k": k, "q": q},
         manifold=atlas.manifold, atlas=atlas.manifold, pou=pou.name)
 
 
@@ -236,7 +229,7 @@ class NormVariant:
         else:  # the sum of the components' box norms
             reps = [sobolev_norm(comp, u.atlas.period_box, e, q, N)
                     for comp in u.comps[0]]
-        return sum(r.value for r in reps), sum(r.coarse for r in reps)
+        return _total(r.estimate for r in reps)[:2]  # value, coarse
 
     def describe(self) -> str:
         if self.kind == "chart":

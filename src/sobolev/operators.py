@@ -36,7 +36,7 @@ from sobolev.geometry import (
     MetricField, TensorField, covariant_derivative, musical,
 )
 from sobolev.manifold_norms import NormVariant, _intrinsic_integrals, _ratio
-from sobolev.quadrature import _ladder, grid_shape
+from sobolev.quadrature import _ladder, _two_grid, grid_shape
 
 __all__ = [
     "ValenceMismatch", "apply_operator", "empirical_bound",
@@ -194,6 +194,6 @@ def divergence_integral(X: TensorField, g: MetricField,
     (fine,), (coarse,) = _intrinsic_integrals(
         lambda ci, pts: [eval_on_points(divX.comps[ci][0], pts)], g, pou,
         grid_shape(X.atlas.dim, N))
-    value = sum(fine)
-    return Report("divergence_integral", value=value,
-                  error_estimate=abs(value - sum(coarse)))
+    est = _two_grid(sum(fine), sum(coarse))
+    return Report("divergence_integral", value=est.value,
+                  error_estimate=est.error)

@@ -24,16 +24,17 @@ bytes only, and an operand that splits cache lines slows the kernel by
 about a quarter, by heap state.
 Defaults: N=256 (n=1), N=64 (n=2).
 
-Error estimates are two-grid differences plus, for the fractional
-seminorm, the diagonal model.  Every route of the package, the manifold
-ones included, takes its two grids from :func:`_ladder`: its value on
-k cells per axis against the same value on k // 2, which a norm report
-keeps as ``rep.coarse``.  A box norm (:func:`sobolev_norm`, of which
-:func:`lp_norm` is the s = 0 term) samples each grid in one evaluation
-program, so it holds R x M float64 values for the R roots of its fine
-grid: d^nu u for |nu| <= k and, at a fractional order, the first
-partials of each top-order d^nu u.  A zero extension
-(:func:`extend_by_zero`) is an expression like any other.
+Every norm route of the package, the manifold ones included, takes its
+two grids from :func:`_ladder` (k cells per axis and k // 2) and its
+(value, coarse value, error) as one :class:`Estimate`, built only here:
+:func:`_two_grid` for one term (|value - coarse| plus, for a fractional
+seminorm, the diagonal model) and :func:`_total` for a sum of terms.  A
+box norm (:func:`sobolev_norm`, of which :func:`lp_norm` is the s = 0
+term) samples each grid in one evaluation program, so it holds R x M
+float64 values for the R roots of its fine grid: d^nu u for |nu| <= k
+and, at a fractional order, the first partials of each top-order
+d^nu u.  A zero extension (:func:`extend_by_zero`) is an expression like
+any other.
 
 All inputs are immutable during computation and the evaluation order is
 fixed, making every value reproducible bit for bit.
@@ -45,6 +46,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -54,7 +56,7 @@ from sobolev.fields import BoxRegion
 from sobolev.funcexpr import ZERO, Expr, Piecewise, eval_many
 
 __all__ = [
-    "BoxDomain", "SupportViolation",
+    "BoxDomain", "SupportViolation", "Estimate",
     "lp_norm", "gagliardo_seminorm", "sobolev_norm", "extend_by_zero",
     "gagliardo_double_sum", "multi_indices", "grid_shape",
 ]
@@ -147,17 +149,36 @@ def midpoint_grid(box: BoxDomain, shape: tuple[int, ...]):
     return pts, cellvol, np.array(hs)
 
 
-def _norm_report(value, terms, grid, error_estimate, extras=None, *,
-                 coarse: float, **where) -> Report:
-    """The report of a norm route, with its value on the coarse grid as
-    the attribute ``coarse``.  A manifold route passes ``manifold``,
-    ``atlas`` and ``pou``, which go between the value and the terms;
-    empty ``extras`` are left out."""
+class Estimate(NamedTuple):
+    """A route's value on the fine and the coarse grid, and its error."""
+
+    value: float
+    coarse: float
+    error: float
+
+
+def _two_grid(value, coarse, model=0.0) -> Estimate:
+    """One term's estimate: the error is |value - coarse| + ``model``."""
+    return Estimate(value, coarse, abs(value - coarse) + model)
+
+
+def _total(terms) -> Estimate:
+    """The estimate of a sum: each field added up in term order."""
+    total = Estimate(0.0, 0.0, 0.0)
+    for term in terms:
+        total = Estimate(*map(operator.add, total, term))
+    return total
+
+
+def _norm_report(est: Estimate, terms, grid, extras=None, **where) -> Report:
+    """The report of a norm route from its estimate (``rep.estimate``); a
+    manifold route's ``manifold``, ``atlas`` and ``pou`` go between the
+    value and the terms, and empty ``extras`` are left out."""
     kind = "manifold_norm_report" if where else "norm_report"
-    rep = Report(kind, value=value, **where, terms=terms, grid=grid,
-                 error_estimate=error_estimate,
+    rep = Report(kind, value=est.value, **where, terms=terms, grid=grid,
+                 error_estimate=est.error,
                  **({"extras": extras} if extras else {}))
-    rep.coarse = coarse
+    rep.estimate = est
     return rep
 
 
@@ -190,9 +211,8 @@ def lp_norm(u, box: BoxDomain, p: float = 2.0, N=None) -> Report:
     """Composite-midpoint L^p norm of an expression: the one term of
     :func:`sobolev_norm` at s = 0, reported as an ``lp`` term."""
     rep = sobolev_norm(u, box, 0, p, N)
-    return _norm_report(rep.value, [{"kind": "lp", "p": rep.terms[0]["p"],
-                                     "value": rep.value}],
-                        rep.grid, rep.error_estimate, coarse=rep.coarse)
+    return _norm_report(rep.estimate, [{"kind": "lp", "p": rep.terms[0]["p"],
+                                         "value": rep.value}], rep.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +440,11 @@ def _diagonal_model(grads, box: BoxDomain, theta: float, p: float, shape):
     return float(np.sum(lp_grad) * c * hmax ** (n + p * (1.0 - theta)))
 
 
-def _seminorm(S: float, S_coarse: float, D: float, p: float):
-    """(value, coarse value, error estimate) of a seminorm from its double
-    sums S and S_coarse on the two grids and its diagonal model D."""
+def _seminorm(S: float, S_coarse: float, D: float, p: float) -> Estimate:
+    """The estimate of a seminorm from its double sums S and S_coarse on
+    the two grids and its diagonal model D."""
     value, coarse = S ** (1.0 / p), S_coarse ** (1.0 / p)
-    return value, coarse, abs(value - coarse) + ((S + D) ** (1.0 / p) - value)
+    return _two_grid(value, coarse, (S + D) ** (1.0 / p) - value)
 
 
 def gagliardo_seminorm(u, box: BoxDomain, theta: float, p: float = 2.0,
@@ -443,13 +463,13 @@ def gagliardo_seminorm(u, box: BoxDomain, theta: float, p: float = 2.0,
     pts, _, _ = midpoint_grid(box, shape)
     grads = [u.partial(ax) for ax in range(1, box.n + 1)]
     D = _diagonal_model(eval_many(grads, pts).T, box, theta, p, shape)
-    value, coarse, err = _seminorm(S, S_coarse, D, p)
+    est = _seminorm(S, S_coarse, D, p)
     return _norm_report(
-        value, [{"kind": "gagliardo", "theta": float(theta), "p": p,
-                 "value": value}],
-        {"box": box.to_json(), "resolution": list(shape)}, err,
-        {"diagonal_model": D, "two_grid_difference": abs(value - coarse)},
-        coarse=coarse)
+        est, [{"kind": "gagliardo", "theta": float(theta), "p": p,
+               "value": est.value}],
+        {"box": box.to_json(), "resolution": list(shape)},
+        {"diagonal_model": D,
+         "two_grid_difference": abs(est.value - est.coarse)})
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +504,8 @@ def sobolev_norm(u, box: BoxDomain, s: float, p: float = 2.0,
     carries the equivalent full Slobodeckij form, which counts the L^p norm
     of each top-order derivative once more inside its fractional term, and
     its ratio to ``value``; its error is not estimated.  ``coarse`` is the
-    value at N // 2, summed from the coarse grid's terms: the bits of a
-    separate call there.
+    value at N // 2, the :func:`_total` of the coarse grid's terms: the
+    bits of a separate call there.
     """
     s = _check_order(s)
     p = _check_p(p)
@@ -507,38 +527,32 @@ def sobolev_norm(u, box: BoxDomain, s: float, p: float = 2.0,
         return iter(eval_many(roots, pts).T), shp, cellvol
     (fine, _, cellvol), (coarse, shape_c, cellvol_c) = _ladder(sample, shape)
 
-    terms = []
-    err = 0.0
-    value = value_c = 0.0  # at N and at N // 2
+    terms, ests = [], []
     top_lp = 0.0  # the L^p norms of the top-order derivatives, summed
     for nu, top in zip(nus, tops):
         vals, vals_c = next(fine), next(coarse)
         lp, lp_c = _lp(vals, cellvol, p), _lp(vals_c, cellvol_c, p)
+        ests.append(_two_grid(lp, lp_c))
         terms.append({"kind": "lp", "multi_index": list(nu), "p": p,
                       "value": lp})
-        value += lp
-        value_c += lp_c
-        err += abs(lp - lp_c)
         if top:
             top_lp += lp
             D = _diagonal_model([next(fine) for _ in range(box.n)], box,
                                 theta, p, shape)
             S_c = _pair_sum(vals_c, box, shape_c, cellvol_c, theta, p)
-            semi, semi_c, semi_err = _seminorm(
-                _pair_sum(vals, box, shape, cellvol, theta, p), S_c, D, p)
+            ests.append(_seminorm(
+                _pair_sum(vals, box, shape, cellvol, theta, p), S_c, D, p))
             terms.append({"kind": "gagliardo", "multi_index": list(nu),
-                          "theta": theta, "p": p, "value": semi})
-            value += semi
-            value_c += semi_c
-            err += semi_err
+                          "theta": theta, "p": p, "value": ests[-1].value})
 
-    value_full = value + top_lp
-    extras = {"variant": "seminorm", "seminorm_variant_value": value,
+    est = _total(ests)
+    value_full = est.value + top_lp
+    extras = {"variant": "seminorm", "seminorm_variant_value": est.value,
               "full_variant_value": value_full}
-    if value > 0:
-        extras["variant_ratio"] = value_full / value
+    if est.value > 0:
+        extras["variant_ratio"] = value_full / est.value
     grid = {"box": box.to_json(), "resolution": list(shape)}
-    return _norm_report(value, terms, grid, err, extras, coarse=value_c)
+    return _norm_report(est, terms, grid, extras)
 
 
 # ---------------------------------------------------------------------------

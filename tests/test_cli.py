@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from sobolev import ArgumentError
+from sobolev import atlas as atlas_mod
 from sobolev import manifold_norms as mn
 from sobolev.atlas import MANIFOLD_NAMES, builtin_manifold
 from sobolev.cli import _build_parser, execute
@@ -694,6 +695,23 @@ class TestPlumbing:
                             "16", *given)
             assert code == 0
             assert rep["pou"] == rep["config"]["pou"] == name
+
+    @pytest.mark.parametrize("given, built", [((), ["default"]),
+                                              (("--pou", "alt"), ["alt"])])
+    def test_a_run_builds_only_the_partition_it_uses(self, monkeypatch,
+                                                     capsys, given, built):
+        names = []
+        build = atlas_mod.build_partition_of_unity
+
+        def recording(*args, **kwargs):
+            pou = build(*args, **kwargs)
+            names.append(pou.name)
+            return pou
+        monkeypatch.setattr(atlas_mod, "build_partition_of_unity", recording)
+        code, rep = run(capsys, "norm", "manifold", "--manifold", "s2-stereo",
+                        "--expr", "x1*x3", "--e", "0", "--grid", "8", *given)
+        assert code == 0
+        assert names == built == [rep["pou"]]
 
     @pytest.mark.parametrize("content, manifold, message", [
         (None, "torus1", "No such file"),

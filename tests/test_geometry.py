@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from sobolev import geometry
+from sobolev import ArgumentError, geometry
 from sobolev.atlas import builtin_manifold
-from sobolev.funcexpr import eval_many, eval_on_points, parse_expr
+from sobolev.funcexpr import (
+    diff_expr, eval_many, eval_on_points, expr_to_text, parse_expr,
+    subst_expr,
+)
 from sobolev.geometry import (
     MetricField, check_overlap_consistency, covariant_derivative,
     fiber_norm_values, metric_as_tensor, musical,
@@ -417,6 +420,31 @@ class TestTensorLaw:
             [(0, 1), (1, 1), (2, 1), (1, 0)]
         for t in derived:
             assert check_overlap_consistency(t) <= 1e-10
+
+    def test_no_sampled_overlap_point_is_refused(self, monkeypatch):
+        # one sample on s1-stereo lies in no chart pair's overlap: a
+        # check that compares nothing must not read as consistent
+        calls = []
+        transform = geometry.transform_components
+
+        def recording(*args):
+            calls.append(args)
+            return transform(*args)
+        monkeypatch.setattr(geometry, "transform_components", recording)
+        atlas = builtin_manifold("s1-stereo")[0]
+        with pytest.raises(ArgumentError, match="npts=1"):
+            check_overlap_consistency(TensorField.from_ambient(atlas, "x1"),
+                                      npts=1)
+        assert calls == []
+
+
+@pytest.mark.parametrize("call", [lambda: diff_expr(3, 1),
+                                  lambda: subst_expr(3, {}),
+                                  lambda: expr_to_text(3)],
+                         ids=["diff_expr", "subst_expr", "expr_to_text"])
+def test_expression_functions_refuse_a_non_expression(call):
+    with pytest.raises(TypeError, match="^not an Expr: 3$"):
+        call()
 
 
 class TestTensorLawNonsymmetricJacobian:

@@ -53,6 +53,19 @@ def test_no_module_imports_a_private_name_of_fields(name):
             for alias in node.names if alias.name.startswith("_")] == []
 
 
+def test_only_quadrature_builds_an_estimate():
+    """The error rules live in ``quadrature``: another module builds a
+    route's (value, coarse, error) through its ``_two_grid`` and
+    ``_total``, never by calling ``Estimate`` itself."""
+    def calls(name):
+        tree = ast.parse(
+            Path(importlib.import_module(name).__file__).read_text())
+        return sum(isinstance(node, ast.Call) and "Estimate" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            for node in ast.walk(tree))
+    assert [name for name in MODULES if calls(name)] == ["sobolev.quadrature"]
+
+
 def test_argument_error_types_are_pinned():
     """A new public error type fails here until it is placed on one side:
     a caller's argument (exit 2) or a fault found while computing

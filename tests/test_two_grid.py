@@ -125,6 +125,19 @@ def test_ladder_levels_are_separate_calls(s1, route, N):
     assert "coarse" not in json.dumps(fine)
 
 
+@pytest.mark.parametrize("N", GRIDS)
+def test_report_reads_its_estimate(s1, N):
+    # value, error_estimate and coarse all come from rep.estimate, bit for
+    # bit, and the estimate, like coarse, is not in the JSON
+    for route, rep in ladder_routes(s1).items():
+        rep = rep(N)
+        assert isinstance(rep.estimate, quadrature.Estimate), route
+        assert list(map(float.hex, rep.estimate)) == list(map(
+            float.hex, (rep.value, rep.coarse, rep.error_estimate))), route
+        assert "estimate" not in rep
+        assert '"estimate"' not in json.dumps(rep)
+
+
 @pytest.mark.parametrize("name, text, kind, e", [
     ("torus2", "sin(2*pi*x1)*cos(2*pi*x2)", "box", 1.5),
     ("s2-stereo", "x1*x3", "chart", 1.5), ("s2-stereo", "x2", "chart", 2),
